@@ -1,8 +1,7 @@
-"""redis-benchmark-shaped workload generators (§6.2, §6.3). The ``run``
-drivers are **deprecated** closed-loop aliases over the Service protocol
-(byte-identical, plus a ``DeprecationWarning``) — new experiments drive
-the ``redis`` service open-loop through :mod:`repro.serve` instead (see
-docs/SERVING.md).
+"""redis-benchmark-shaped workload generators (§6.2, §6.3). The
+``drive`` methods are closed-loop drivers over the Service protocol;
+open-loop experiments drive the ``redis`` service through
+:mod:`repro.serve` instead (see docs/SERVING.md).
 
 * :class:`GetWorkload` — GET-dominated serving. Sizes are fixed (4 KiB /
   64 KiB) or the "mixed" Facebook photo-serving distribution: six equally
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.common.stats import Histogram
-from repro.apps.api import Request, deprecated_entry_point
+from repro.apps.api import Request
 from repro.apps.redis.server import RedisServer
 from repro.apps.redis.service import RedisService
 
@@ -87,15 +86,6 @@ class GetWorkload:
             server.set(key, value)
             self._expected[key] = value[:16]
 
-    def run(self, server: RedisServer, verify: bool = True) -> RequestStats:
-        """Deprecated closed-loop driver (thin alias over :meth:`drive` —
-        identical request sequence, identical metrics digest). New
-        experiments should drive :class:`RedisService` through
-        :mod:`repro.serve` instead."""
-        deprecated_entry_point("GetWorkload.run", "repro.serve with the "
-                               "'redis' service")
-        return self.drive(server, verify=verify)
-
     def drive(self, server: RedisServer, verify: bool = True) -> RequestStats:
         """Closed-loop GET driver over the Service protocol.
 
@@ -154,13 +144,6 @@ class LRangeWorkload:
                 server.rpush(b"list:%d" % list_id, batch.pop(list_id))
         for list_id, values in batch.items():
             server.rpush(b"list:%d" % list_id, values)
-
-    def run(self, server: RedisServer, verify: bool = True) -> RequestStats:
-        """Deprecated closed-loop driver (thin alias over :meth:`drive`);
-        see :meth:`GetWorkload.run`."""
-        deprecated_entry_point("LRangeWorkload.run", "repro.serve with the "
-                               "'redis' service")
-        return self.drive(server, verify=verify)
 
     def drive(self, server: RedisServer, verify: bool = True) -> RequestStats:
         """Closed-loop LRANGE driver; keys pre-sampled as one batch (the

@@ -492,25 +492,48 @@ def cmd_redis_lrange(args) -> int:
     return 0
 
 
+def _list_presets(command: str, title: str) -> int:
+    """Print the registry scenarios ``repro <command>`` offers."""
+    from repro.harness.scenarios import SCENARIOS
+
+    print(format_table(title, ["name", "description"],
+                       [[name, scenario.description]
+                        for name, scenario in sorted(SCENARIOS.items())
+                        if scenario.command == command]))
+    return 0
+
+
+def _determinism_gate(args, build, first) -> int:
+    """Unless ``--once``, run the preset again; any drift in the request
+    trace or metrics digest is a determinism failure (exit 1)."""
+    if args.once:
+        return 0
+    again = build()
+    if (again.report.trace_digest != first.report.trace_digest
+            or again.digest() != first.digest()):
+        print("error: determinism drift — the repeated run produced a "
+              "different request trace or metrics digest", file=sys.stderr)
+        return 1
+    print("determinism: OK (two runs, identical digests)")
+    return 0
+
+
 def cmd_tenants(args) -> int:
     """Run a multi-tenant scenario: N kernels round-robin on one shared
     clock and memory backend, reporting per-tenant and aggregate metrics
     plus the final deterministic digest."""
-    from repro.harness.scenarios import SCENARIOS, build_scenario
+    from repro.harness.scenarios import preset
 
     if args.list:
-        print(format_table("preset scenarios", ["name", "description"],
-                           [[name, desc]
-                            for name, (desc, _) in sorted(SCENARIOS.items())]))
-        return 0
+        return _list_presets("tenants", "preset scenarios")
     try:
-        cluster = build_scenario(args.scenario, backend=args.backend,
-                                 quantum_us=args.quantum_us,
-                                 kind=args.system)
+        run = preset("tenants", args.scenario).build(
+            backend=args.backend, quantum_us=args.quantum_us,
+            kind=args.system, max_quanta=args.max_quanta)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    snapshot = cluster.run(max_quanta=args.max_quanta)
+    cluster, snapshot = run.target, run.report
     print(f"{args.scenario} on {cluster.backend_label}: "
           f"{len(cluster.tenants)} tenants, "
           f"{int(snapshot.value('cluster.quanta'))} quanta, "
@@ -558,29 +581,24 @@ def cmd_serve(args) -> int:
     SLO accounting in canonical ``serve.*`` metrics. The preset runs
     twice; any drift in the request-trace or metrics digest is a
     determinism failure (non-zero exit). A contrast run with the naive
-    configuration (no admission / load-blind routing) prints alongside."""
-    from repro.harness.scenarios import SERVE_SCENARIOS, build_serve_scenario
+    configuration (no admission / load-blind routing, applied on top of
+    ``--spec`` when given) prints alongside."""
+    from repro.harness.scenarios import preset
 
     if args.list:
-        print(format_table(
-            "serving presets", ["name", "description"],
-            [[name, desc] for name, (desc, _, _, _)
-             in sorted(SERVE_SCENARIOS.items())]))
-        return 0
+        return _list_presets("serve", "serving presets")
 
     def one(naive: bool = False):
-        cluster = build_serve_scenario(args.preset, backend=args.backend,
-                                       kind=args.system, naive=naive)
-        if args.spec is not None:
-            from repro.serve import coerce_serve_spec
-            cluster.serve_spec = coerce_serve_spec(args.spec)
-        return cluster, cluster.serve()
+        return scenario.build(naive=naive, backend=args.backend,
+                              kind=args.system, serve=args.spec)
 
     try:
-        cluster, report = one()
+        scenario = preset("serve", args.preset)
+        first = one()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    cluster, report = first.target, first.report
     spec = report.spec
     snap = report.snapshot
     hist = snap.histograms.get("serve.latency_us", {})
@@ -611,15 +629,9 @@ def cmd_serve(args) -> int:
         "requests routed per tenant", ["tenant", "served"],
         [[name, served] for name, served in report.per_tenant.items()]))
 
-    drifted = False
-    if not args.once:
-        _, repeat = one()
-        drifted = (repeat.trace_digest != report.trace_digest
-                   or repeat.snapshot.digest() != snap.digest())
-
     if not args.no_contrast:
-        _, _, _, contrast_label = SERVE_SCENARIOS[args.preset]
-        _, naive_report = one(naive=True)
+        contrast_label = scenario.contrast[0]
+        naive_report = one(naive=True).report
         naive_hist = naive_report.snapshot.histograms.get(
             "serve.latency_us", {})
         print(format_table(
@@ -643,13 +655,7 @@ def cmd_serve(args) -> int:
 
     print(f"request-trace digest: {report.trace_digest}")
     print(f"metrics digest: {snap.digest()}")
-    if drifted:
-        print("error: determinism drift — the repeated run produced a "
-              "different request trace or metrics digest", file=sys.stderr)
-        return 1
-    if not args.once:
-        print("determinism: OK (two runs, identical digests)")
-    return 0
+    return _determinism_gate(args, one, first)
 
 
 def cmd_llm(args) -> int:
@@ -705,11 +711,12 @@ def cmd_repair(args) -> int:
     """Run the node-rejoin repair demo: degraded writes while a member
     is down, journal-protected rejoin, paced resilver, at-rest scrub
     repair, then a second failure with a full byte-exact verification."""
-    from repro.harness.scenarios import repair_demo
+    from repro.harness.scenarios import SCENARIOS
 
     try:
-        result = repair_demo(backend=args.backend, kind=args.system,
-                             repair=args.repair)
+        result = SCENARIOS["repair_demo"].build(
+            backend=args.backend, kind=args.system,
+            repair=args.repair).report
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -736,19 +743,20 @@ def cmd_kv(args) -> int:
     mid-run and rejoined while serving continues. Prints the serving
     tail plus the availability/consistency ledger; the run replays once
     and any digest drift is a determinism failure."""
-    from repro.harness.scenarios import kv_failover
+    from repro.harness.scenarios import SCENARIOS
 
     def one():
-        return kv_failover(backend=args.backend, kind=args.system,
-                           requests=args.requests, lease_us=args.lease_us,
-                           kill_at_us=args.kill_at,
-                           rejoin_at_us=args.rejoin_at)
+        return SCENARIOS["kv_failover"].build(
+            backend=args.backend, kind=args.system, requests=args.requests,
+            lease_us=args.lease_us, kill_at_us=args.kill_at,
+            rejoin_at_us=args.rejoin_at)
 
     try:
-        cluster, report = one()
+        first = one()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    cluster, report = first.target, first.report
     snap = cluster.metrics()
     lost = int(snap.value("kv.lost_updates"))
     print(f"kv over {args.backend} ({args.system}): "
@@ -783,16 +791,7 @@ def cmd_kv(args) -> int:
         print("error: lost updates detected — acknowledged writes were "
               "not durable across the failover", file=sys.stderr)
         return 1
-    if not args.once:
-        repeat_cluster, repeat = one()
-        if (repeat.trace_digest != report.trace_digest
-                or repeat_cluster.metrics().digest() != snap.digest()):
-            print("error: determinism drift — the repeated run produced a "
-                  "different request trace or metrics digest",
-                  file=sys.stderr)
-            return 1
-        print("determinism: OK (two runs, identical digests)")
-    return 0
+    return _determinism_gate(args, one, first)
 
 
 def cmd_rack(args) -> int:
@@ -801,11 +800,9 @@ def cmd_rack(args) -> int:
     from the placement-aware pool. Prints the serving tail, the fabric
     link report and the pool's placement-outcome metrics; the run
     replays once and any digest drift is a determinism failure."""
+    from repro.harness.scenarios import SCENARIOS
     from repro.mem.pool import placement_kinds
-    from repro.sim.rack import DEFAULT_RACK, make_rack
 
-    if args.topology is None:
-        args.topology = DEFAULT_RACK
     if args.placement not in placement_kinds():
         print(f"error: unknown placement {args.placement!r}; pick from "
               f"{list(placement_kinds())}", file=sys.stderr)
@@ -816,19 +813,16 @@ def cmd_rack(args) -> int:
         return 2
 
     def one():
-        kwargs = {}
-        if args.spec is not None:
-            kwargs["serve"] = args.spec
-        cluster = make_rack(tenants=args.tenants, topology=args.topology,
-                            placement=args.placement, kind=args.system,
-                            **kwargs)
-        return cluster, cluster.serve()
+        return SCENARIOS["rack"].build(
+            tenants=args.tenants, topology=args.topology,
+            placement=args.placement, kind=args.system, serve=args.spec)
 
     try:
-        cluster, report = one()
+        first = one()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    cluster, report = first.target, first.report
     snap = report.snapshot
     topo = cluster.topology
     print(f"{topo.spec()} / {cluster.backend_label}: "
@@ -857,16 +851,7 @@ def cmd_rack(args) -> int:
           f"{row['util']:.3f}"] for name, row in interesting]))
     print(f"request-trace digest: {report.trace_digest}")
     print(f"metrics digest: {snap.digest()}")
-    if not args.once:
-        _, repeat = one()
-        if (repeat.trace_digest != report.trace_digest
-                or repeat.snapshot.digest() != snap.digest()):
-            print("error: determinism drift — the repeated run produced a "
-                  "different request trace or metrics digest",
-                  file=sys.stderr)
-            return 1
-        print("determinism: OK (two runs, identical digests)")
-    return 0
+    return _determinism_gate(args, one, first)
 
 
 def cmd_perf(args) -> int:

@@ -2,10 +2,14 @@
 
 The simulator's results are *simulated-time* numbers, but how long the
 simulation itself takes to run is what bounds every experiment sweep.
-This module defines the hot-path benchmark kernels (sequential read/write,
-quicksort, a Redis GET mix — across DiLOS, Fastswap, and AIFM), times
-them on the host clock, and emits ``BENCH_perf.json`` at the repo root:
-the repo's wall-clock performance trajectory.
+This module times the scenarios the registry
+(:data:`repro.harness.scenarios.SCENARIOS`) marks ``perf`` — sequential
+read/write, quicksort, a Redis GET mix, k-means, dataframe and LLM
+inference across DiLOS, Fastswap and AIFM, plus the rack and replicated
+KV serving runs — on the host clock, and emits ``BENCH_perf.json`` at the
+repo root: the repo's wall-clock performance trajectory. Each case's
+checksum and simulated time are also pinned by the golden-master suite
+(``tests/test_golden_master.py``), so they stay bit-identical.
 
 Two contracts are enforced on every run:
 
@@ -21,7 +25,7 @@ Two contracts are enforced on every run:
 times measured on the unoptimized code, against which the emitted
 speedups are computed.
 
-Run via ``python -m repro perf`` (or ``scripts/perf_report.py``)::
+Run via ``python -m repro perf``::
 
     python -m repro perf                    # full run, write BENCH_perf.json
     python -m repro perf --smoke            # 1 iteration, harness sanity only
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.common.units import MIB, PAGE_SIZE
+from repro.harness.scenarios import SCENARIOS, Scenario
 
 #: BENCH_perf.json schema identifier.
 SCHEMA = "repro-perf/1"
@@ -93,219 +97,24 @@ class PerfResult:
                 "checksum": self.checksum}
 
 
-# -- benchmark kernels --------------------------------------------------------
-#
-# Each kernel boots a fresh system (determinism requires it) and returns
-# sim time, a host-meaningful op count, and the metrics digest. Imports
-# are local so ``repro.harness`` stays cheap to import.
+#: The case carrying the suite's headline speedup claim.
+HEADLINE = "seqread_dilos"
 
 
-def _seqread_dilos() -> PerfRun:
-    """Headline: resident sequential scan — the pure TLB-hit fast path."""
-    from repro.apps.seqrw import SequentialWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = SequentialWorkload(4 * MIB)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 1.0))
-    workload.run(system, "read", verify=True)
-    pages = workload.working_set_bytes // PAGE_SIZE
-    return PerfRun(system.clock.now, 2 * pages, system.metrics().digest())
+def _timed(scenario: Scenario) -> Callable[[], PerfRun]:
+    """The timed body of one case: run the scenario on a fresh system
+    (determinism requires it) and fingerprint the result."""
+    def fn() -> PerfRun:
+        run = scenario.build()
+        return PerfRun(run.sim_us, run.ops, run.digest())
+    return fn
 
 
-def _seqread_dilos_cold() -> PerfRun:
-    """Memory-constrained scan: fault handler + prefetch + reclaim."""
-    from repro.apps.seqrw import SequentialWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = SequentialWorkload(2 * MIB)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 0.25))
-    workload.run(system, "read", verify=True)
-    pages = workload.working_set_bytes // PAGE_SIZE
-    return PerfRun(system.clock.now, 2 * pages, system.metrics().digest())
-
-
-def _seqwrite_dilos() -> PerfRun:
-    from repro.apps.seqrw import SequentialWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = SequentialWorkload(2 * MIB)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 0.5))
-    workload.run(system, "write")
-    pages = workload.working_set_bytes // PAGE_SIZE
-    return PerfRun(system.clock.now, 2 * pages, system.metrics().digest())
-
-
-def _seqread_fastswap() -> PerfRun:
-    from repro.apps.seqrw import SequentialWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = SequentialWorkload(2 * MIB)
-    system = make_system("fastswap",
-                         local_bytes_for(workload.footprint_bytes, 0.25))
-    workload.run(system, "read", verify=True)
-    pages = workload.working_set_bytes // PAGE_SIZE
-    return PerfRun(system.clock.now, 2 * pages, system.metrics().digest())
-
-
-def _seqscan_aifm() -> PerfRun:
-    """AIFM remoteable-array scan under heap pressure (evacuation active)."""
-    from repro.baselines.aifm import RemArray
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    count, item = 2048, 128
-    system = make_system("aifm-rdma", local_bytes_for(count * item, 0.25))
-    array = RemArray(system, count, item)
-    for i in range(count):
-        array.set(i, (i & 0xFF).to_bytes(1, "little") * item)
-    for i, data in enumerate(array.scan()):
-        if data[0] != (i & 0xFF):
-            raise AssertionError(f"item {i} corrupted")
-    return PerfRun(system.clock.now, 2 * count, system.metrics().digest())
-
-
-def _quicksort_dilos() -> PerfRun:
-    from repro.apps.quicksort import QuicksortWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = QuicksortWorkload(count=1 << 13)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 0.5))
-    result = workload.run(system, verify=True)
-    return PerfRun(system.clock.now, result.count,
-                   system.metrics().digest())
-
-
-def _redis_get(kind: str) -> PerfRun:
-    from repro.alloc import Mimalloc
-    from repro.apps.redis import GetWorkload, RedisServer
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = GetWorkload(value_size="mixed", n_keys=80, n_queries=250)
-    system = make_system(kind,
-                         local_bytes_for(workload.footprint_bytes, 0.25),
-                         remote_bytes=128 * MIB)
-    server = RedisServer(system, Mimalloc(system, arena_bytes=32 * MIB))
-    workload.populate(server)
-    system.clock.advance(5000)
-    workload.drive(server, verify=True)
-    return PerfRun(system.clock.now, workload.n_keys + workload.n_queries,
-                   system.metrics().digest())
-
-
-def _kmeans_dilos() -> PerfRun:
-    """App-level: chunked Lloyd's k-means over far-memory points."""
-    from repro.apps.kmeans import KMeansWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = KMeansWorkload(n_points=1 << 14, dim=8, clusters=10,
-                              iterations=4)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 0.5))
-    result = workload.run(system)
-    return PerfRun(system.clock.now,
-                   workload.n_points * workload.iterations,
-                   system.metrics().digest())
-
-
-def _dataframe_dilos() -> PerfRun:
-    """App-level: the taxi analytics query mix over far-memory columns."""
-    from repro.apps.dataframe import TaxiAnalyticsWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = TaxiAnalyticsWorkload(rows=1 << 16)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 0.5))
-    workload.run(system)
-    return PerfRun(system.clock.now, workload.rows,
-                   system.metrics().digest())
-
-
-def _llm_decode_dilos() -> PerfRun:
-    """App-level: LLM decode-heavy inference, KV cache paged at 25%
-    local (the random-gather path the P:D sweep stresses)."""
-    from repro.apps.llm import LlmConfig, LlmWorkload
-    from repro.harness.experiment import local_bytes_for, make_system
-
-    workload = LlmWorkload(n_requests=12, seed=31,
-                           config=LlmConfig(heads=8, max_tokens=192),
-                           prompt_min=24, prompt_max=80,
-                           out_min=8, out_max=16)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, 0.25))
-    result = workload.run(system)
-    return PerfRun(system.clock.now, result.decoded_tokens,
-                   system.metrics().digest())
-
-
-def _rack_redis_pool() -> PerfRun:
-    """Rack-level: open-loop redis serving over the pooled, contended
-    fabric (locality placement on an oversubscribed ToR)."""
-    from repro.sim.rack import make_rack
-
-    serve = ("poisson:rate=400k,clients=1m,slo=2ms,requests=600,"
-             "seed=29,balance=round_robin")
-    cluster = make_rack(tenants=8,
-                        topology="rack:compute=4,mem=4,link=100,oversub=4",
-                        placement="locality", serve=serve, n_keys=32)
-    report = cluster.serve()
-    return PerfRun(cluster.clock.now, report.completed,
-                   cluster.metrics().digest())
-
-
-def _kv_get_replicated() -> PerfRun:
-    """App-level: the replicated KV service under its chaos schedule
-    (lossy wire, lease-holder kill, rejoin + resilver at serving load)."""
-    from repro.harness.scenarios import kv_failover
-
-    cluster, report = kv_failover(requests=400)
-    return PerfRun(cluster.clock.now, report.completed,
-                   cluster.metrics().digest())
-
-
+#: Every registry scenario marked ``perf``, in registry order.
 CASES: List[PerfCase] = [
-    PerfCase("seqread_dilos",
-             "DiLOS resident 4 MiB sequential read (TLB-hit fast path)",
-             _seqread_dilos, headline=True),
-    PerfCase("seqread_dilos_cold",
-             "DiLOS 2 MiB sequential read at 25% local (fault path)",
-             _seqread_dilos_cold),
-    PerfCase("seqwrite_dilos",
-             "DiLOS 2 MiB sequential write at 50% local",
-             _seqwrite_dilos),
-    PerfCase("seqread_fastswap",
-             "Fastswap 2 MiB sequential read at 25% local (swap path)",
-             _seqread_fastswap),
-    PerfCase("seqscan_aifm",
-             "AIFM remoteable-array populate + scan at 25% local heap",
-             _seqscan_aifm),
-    PerfCase("quicksort_dilos",
-             "DiLOS quicksort of 8K u64s at 50% local",
-             _quicksort_dilos),
-    PerfCase("redis_get_dilos",
-             "DiLOS Redis GET, Facebook mixed value sizes",
-             lambda: _redis_get("dilos-readahead")),
-    PerfCase("redis_get_fastswap",
-             "Fastswap Redis GET, Facebook mixed value sizes",
-             lambda: _redis_get("fastswap")),
-    PerfCase("kmeans_dilos",
-             "DiLOS k-means over 16K far-memory points at 50% local",
-             _kmeans_dilos),
-    PerfCase("dataframe_dilos",
-             "DiLOS taxi analytics over 64K far-memory rows at 50% local",
-             _dataframe_dilos),
-    PerfCase("llm_decode_dilos",
-             "DiLOS LLM decode: random KV-cache gathers at 25% local",
-             _llm_decode_dilos),
-    PerfCase("rack_redis_pool",
-             "8 redis tenants served over a pooled 4:1-oversubscribed rack",
-             _rack_redis_pool),
-    PerfCase("kv_get_replicated",
-             "replicated KV service surviving a lease-holder kill + resilver",
-             _kv_get_replicated),
-]
+    PerfCase(name, scenario.description, _timed(scenario),
+             headline=(name == HEADLINE))
+    for name, scenario in SCENARIOS.items() if scenario.perf]
 
 
 def case_by_name(name: str) -> PerfCase:
@@ -384,7 +193,7 @@ def build_report(results: List[PerfResult], baseline: Dict[str, Any],
 
 def _run_case_cell(cell) -> PerfResult:
     """Picklable pool worker for ``--jobs``: resolve the case by name in
-    the child (the CASES thunks are lambdas, which do not pickle) and
+    the child (the CASES thunks are closures, which do not pickle) and
     run it there."""
     name, iterations = cell
     return run_case(case_by_name(name), iterations)

@@ -1,31 +1,100 @@
-"""Multi-tenant scenario presets for the tenancy scheduler.
+"""The scenario registry: every named, reproducible run in one dict.
 
-Each preset enrolls a small fleet of tenant (system, workload) pairs into
-a :class:`repro.sim.tenancy.ComputeCluster` sharing one clock and one
-memory backend. Workload factories follow the tenancy convention: given
-the booted system they return a generator, and every ``next()`` performs
-one operation against far memory (populate a chunk, answer a GET, scan a
-stripe), advancing the shared clock.
+:data:`SCENARIOS` maps a name to a :class:`Scenario` — a builder plus the
+arguments that pin it — and every consumer reads it:
 
-Everything here is deterministic: seeded RNGs, fixed sizes, insertion-
-order scheduling — the same preset always reaches the same final merged
+* the golden-master suite (``tests/test_golden_master.py``) pins each
+  listed scenario's metrics digest and final simulated clock by name;
+* ``python -m repro perf`` times the scenarios marked ``perf``
+  (:data:`repro.harness.perf.CASES`, in registry order);
+* ``repro tenants`` and ``repro serve`` offer the scenarios whose
+  ``command`` names them as presets, and ``repro kv``/``rack``/``repair``
+  run ``kv_failover``/``rack``/``repair_demo`` with their flags as
+  overrides.
+
+A builder boots fresh systems, runs to completion and returns a
+:class:`Run`. Everything is deterministic: seeded RNGs, fixed sizes,
+insertion-order scheduling — the same scenario always reaches the same
 metrics digest.
+
+Tenancy workload factories follow the :mod:`repro.sim.tenancy`
+convention: given the booted system they return a generator, and every
+``next()`` performs one operation against far memory (populate a chunk,
+answer a GET, scan a stripe), advancing the shared clock.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import BackendSpec, SystemSpec, make_backend
+from repro.harness.experiment import local_bytes_for, make_system
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory
 from repro.sim.tenancy import ComputeCluster, WorkloadFactory
 
-#: name -> (description, builder) for every preset scenario.
-ScenarioBuilder = Callable[..., ComputeCluster]
+
+@dataclass
+class Run:
+    """What one scenario leaves behind."""
+
+    #: The booted system or cluster, after the run.
+    target: Any
+    #: Host-meaningful operation count (the perf suite's ``ops`` column).
+    ops: int
+    #: The run's own report: a :class:`~repro.serve.ServeReport`, the
+    #: tenancy snapshot, or the repair demo's phase facts.
+    report: Any = None
+
+    @property
+    def sim_us(self) -> float:
+        """Final simulated clock."""
+        return self.target.clock.now
+
+    def digest(self) -> str:
+        """SHA-256 of the target's full metrics snapshot."""
+        return self.target.metrics().digest()
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One registry entry: a builder plus the arguments that pin it."""
+
+    description: str
+    builder: Callable[..., Run]
+    params: Mapping[str, Any] = field(default_factory=dict)
+    #: Force the vectorized batch engine on or off for the whole run
+    #: (``None`` keeps the process default).
+    batch: Optional[bool] = None
+    #: The CLI subcommand that offers this scenario as a preset.
+    command: Optional[str] = None
+    #: ``(label, ServeSpec overrides)`` of the naive run a serve preset
+    #: argues against (no admission, load-blind routing).
+    contrast: Optional[Tuple[str, Mapping[str, Any]]] = None
+    #: Timed by ``python -m repro perf``.
+    perf: bool = False
+
+    def build(self, naive: bool = False, **overrides: Any) -> Run:
+        """Run the scenario on fresh systems.
+
+        ``overrides`` replace pinned arguments (``None`` keeps the pinned
+        value); ``naive=True`` applies a serve preset's contrast on top
+        of whatever serve spec the run resolves to.
+        """
+        params = dict(self.params)
+        params.update((key, value) for key, value in overrides.items()
+                      if value is not None)
+        if naive:
+            params["contrast"] = self.contrast[1]
+        if self.batch is None:
+            return self.builder(**params)
+        from repro.mem import batch
+        with batch.force(self.batch):
+            return self.builder(**params)
 
 
 # -- tenant workload factories ----------------------------------------------
@@ -122,55 +191,210 @@ def seqread_tenant(nbytes: int = 4 * MIB, passes: int = 2,
     return factory
 
 
-# -- preset scenarios --------------------------------------------------------
+# -- single-system builders (golden and perf cases) --------------------------
+#
+# Each boots one fresh system sized at ``ratio`` of the workload's
+# footprint, runs the workload once and returns the system. Imports are
+# local so importing the registry stays cheap.
+
+def seqrw(kind: str, mib: int, ratio: float, mode: str = "read") -> Run:
+    """One sequential pass over ``mib`` MiB; read mode verifies every
+    byte."""
+    from repro.apps.seqrw import SequentialWorkload
+
+    workload = SequentialWorkload(mib * MIB)
+    system = make_system(kind,
+                         local_bytes_for(workload.footprint_bytes, ratio))
+    workload.run(system, mode, verify=(mode == "read"))
+    return Run(system, 2 * (workload.working_set_bytes // PAGE_SIZE))
+
+
+def remarray_scan(count: int, ratio: float = 0.25, item: int = 128) -> Run:
+    """AIFM remoteable-array populate + verified scan (evacuation active
+    under heap pressure)."""
+    from repro.baselines.aifm import RemArray
+
+    system = make_system("aifm-rdma", local_bytes_for(count * item, ratio))
+    array = RemArray(system, count, item)
+    for i in range(count):
+        array.set(i, (i & 0xFF).to_bytes(1, "little") * item)
+    for i, data in enumerate(array.scan()):
+        if data[0] != (i & 0xFF):
+            raise AssertionError(f"item {i} corrupted")
+    return Run(system, 2 * count)
+
+
+def quicksort(count: int, ratio: float) -> Run:
+    """Verified quicksort of ``count`` u64s on DiLOS."""
+    from repro.apps.quicksort import QuicksortWorkload
+
+    workload = QuicksortWorkload(count=count)
+    system = make_system("dilos-readahead",
+                         local_bytes_for(workload.footprint_bytes, ratio))
+    result = workload.run(system, verify=True)
+    return Run(system, result.count)
+
+
+def redis_get(kind: str, value_size: Any, n_keys: int, n_queries: int,
+              remote_mib: int, arena_mib: int, ratio: float = 0.25) -> Run:
+    """Populate a Redis keyspace, idle 5 ms, then serve verified GETs
+    closed-loop."""
+    from repro.alloc import Mimalloc
+    from repro.apps.redis import GetWorkload, RedisServer
+
+    workload = GetWorkload(value_size=value_size, n_keys=n_keys,
+                           n_queries=n_queries)
+    system = make_system(kind,
+                         local_bytes_for(workload.footprint_bytes, ratio),
+                         remote_bytes=remote_mib * MIB)
+    server = RedisServer(system, Mimalloc(system, arena_bytes=arena_mib * MIB))
+    workload.populate(server)
+    system.clock.advance(5000)
+    workload.drive(server, verify=True)
+    return Run(system, workload.n_keys + workload.n_queries)
+
+
+def kmeans(n_points: int, clusters: int, iterations: int, ratio: float,
+           dim: int = 8) -> Run:
+    """Chunked Lloyd's k-means over far-memory points on DiLOS."""
+    from repro.apps.kmeans import KMeansWorkload
+
+    workload = KMeansWorkload(n_points=n_points, dim=dim, clusters=clusters,
+                              iterations=iterations)
+    system = make_system("dilos-readahead",
+                         local_bytes_for(workload.footprint_bytes, ratio))
+    workload.run(system)
+    return Run(system, workload.n_points * workload.iterations)
+
+
+def dataframe(rows: int, ratio: float) -> Run:
+    """The taxi analytics query mix over far-memory columns on DiLOS."""
+    from repro.apps.dataframe import TaxiAnalyticsWorkload
+
+    workload = TaxiAnalyticsWorkload(rows=rows)
+    system = make_system("dilos-readahead",
+                         local_bytes_for(workload.footprint_bytes, ratio))
+    workload.run(system)
+    return Run(system, workload.rows)
+
+
+def llm(kind: str, ratio: float = 0.25, backend: BackendSpec = "node",
+        config: Optional[Mapping[str, Any]] = None, **workload: Any) -> Run:
+    """LLM inference with the KV cache paged over far memory.
+
+    ``config`` holds :class:`~repro.apps.llm.LlmConfig` fields; the
+    remaining keywords are :class:`~repro.apps.llm.LlmWorkload`
+    arguments.
+    """
+    from repro.apps.llm import LlmConfig, LlmWorkload
+
+    if config is not None:
+        workload["config"] = LlmConfig(**config)
+    job = LlmWorkload(**workload)
+    system = make_system(kind, local_bytes_for(job.footprint_bytes, ratio),
+                         backend=backend)
+    result = job.run(system)
+    return Run(system, result.decoded_tokens)
+
+
+# -- cluster builders --------------------------------------------------------
 
 def _spec(kind: str, local_bytes: int) -> SystemSpec:
     return SystemSpec(kind=kind, local_mem_bytes=local_bytes)
 
 
-def kmeans_redis(backend: BackendSpec = "sharded:2",
-                 remote_mem_bytes: int = 64 * MIB,
-                 quantum_us: float = 100.0,
-                 kind: str = "dilos-readahead") -> ComputeCluster:
-    """The paper-style pairing: an analytics scan and a latency-sensitive
-    key-value server contending for one sharded pool. Local budgets sit
-    well under both working sets, so each tenant faults and evicts into
-    the shared backend while the other runs."""
+def tenant_mix(tenants: Tuple[Tuple[str, int, WorkloadFactory], ...],
+               backend: BackendSpec, remote_mem_bytes: int,
+               quantum_us: float, kind: str = "dilos-readahead",
+               max_quanta: Optional[int] = None) -> Run:
+    """Round-robin tenancy: ``(name, local bytes, workload factory)``
+    tenants of one kernel kind co-scheduled on one shared backend.
+    The report is the merged metrics snapshot."""
     cluster = ComputeCluster(backend=backend,
                              remote_mem_bytes=remote_mem_bytes,
                              quantum_us=quantum_us)
-    cluster.add_tenant("kmeans", _spec(kind, 256 * KIB), kmeans_tenant())
-    cluster.add_tenant("redis", _spec(kind, 256 * KIB), redis_get_tenant())
-    return cluster
+    for name, local_bytes, factory in tenants:
+        cluster.add_tenant(name, _spec(kind, local_bytes), factory)
+    snapshot = cluster.run(max_quanta=max_quanta)
+    return Run(cluster, sum(tenant.ops for tenant in cluster.tenants),
+               snapshot)
 
 
-def stream_duo(backend: BackendSpec = "replicated:2",
-               remote_mem_bytes: int = 64 * MIB,
-               quantum_us: float = 250.0,
-               kind: str = "dilos-readahead") -> ComputeCluster:
-    """Two identical streamers — the fairness smoke test: Jain's index
-    should sit near 1.0."""
-    cluster = ComputeCluster(backend=backend,
-                             remote_mem_bytes=remote_mem_bytes,
-                             quantum_us=quantum_us)
-    cluster.add_tenant("stream_a", _spec(kind, 256 * KIB), seqread_tenant())
-    cluster.add_tenant("stream_b", _spec(kind, 256 * KIB), seqread_tenant())
-    return cluster
+def serve_fleet(serve: Any,
+                services: Tuple[Tuple[str, int, str, Mapping[str, Any]], ...],
+                backend: BackendSpec = "sharded:2",
+                kind: str = "dilos-readahead",
+                contrast: Optional[Mapping[str, Any]] = None) -> Run:
+    """Open-loop serving: ``(name, local bytes, service kind, params)``
+    service tenants behind one frontend playing ``serve`` (arrivals ->
+    admission -> balancer -> SLO accounting). ``contrast`` replaces
+    fields of that spec for the naive run a preset argues against."""
+    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
+                             serve=serve)
+    if contrast:
+        cluster.serve_spec = cluster.serve_spec.with_overrides(**contrast)
+    for name, local_bytes, service, params in services:
+        cluster.add_service(name, _spec(kind, local_bytes), service, **params)
+    report = cluster.serve()
+    return Run(cluster, report.completed, report)
 
 
-def mixed_trio(backend: BackendSpec = "sharded:2",
-               remote_mem_bytes: int = 96 * MIB,
-               quantum_us: float = 500.0,
-               kind: str = "dilos-readahead") -> ComputeCluster:
-    """Analytics + key-value + streaming, three kernels of the same kind
-    on one pool — the full contention story."""
-    cluster = ComputeCluster(backend=backend,
-                             remote_mem_bytes=remote_mem_bytes,
-                             quantum_us=quantum_us)
-    cluster.add_tenant("kmeans", _spec(kind, 512 * KIB), kmeans_tenant())
-    cluster.add_tenant("redis", _spec(kind, 512 * KIB), redis_get_tenant())
-    cluster.add_tenant("stream", _spec(kind, 256 * KIB), seqread_tenant())
-    return cluster
+def kv_failover(backend: BackendSpec = "replicated:3",
+                kind: str = "dilos-readahead",
+                requests: int = 700,
+                lease_us: float = 120.0,
+                kill_at_us: float = 500.0,
+                rejoin_at_us: float = 800.0) -> Run:
+    """The full chaos suite against the replicated KV service.
+
+    Two KV tenants serve an open-loop Poisson stream over one redundant
+    backend while the fault schedule runs: lossy replication wire
+    (seeded drop + corrupt), the lease holder killed mid-run, then
+    rejoined so the paced background resilver replays its journal under
+    load. The lease gates requests while the holder's death is fresh
+    (``kv.unavail_rejects``), failover elects a clean member once the
+    lease lapses, and the end-of-run :meth:`verify` audit folds any lost
+    update into the digest — the acceptance criterion is that
+    ``kv.lost_updates`` reads 0 and the whole run (trace digest, final
+    clock, merged metrics) is byte-identical across repeats.
+    """
+    if rejoin_at_us <= kill_at_us:
+        raise ValueError(f"the rejoin ({rejoin_at_us:g} us) must come "
+                         f"after the kill ({kill_at_us:g} us)")
+    serve = (f"poisson:rate=30k,clients=50k,slo=4ms,requests={requests},"
+             "seed=37,balance=least")
+    cluster = ComputeCluster(backend=backend, remote_mem_bytes=32 * MIB,
+                             repair="resilver_period=100,resilver_batch=32",
+                             serve=serve)
+    spec = _spec(kind, 256 * KIB)
+    for name in ("kv1", "kv2"):
+        cluster.add_service(name, spec, "kv", n_keys=48, value_bytes=160,
+                            skew=0.9, write_fraction=0.35, seed=41,
+                            lease_us=lease_us,
+                            net_faults="drop=0.002,corrupt=0.001,seed=97")
+    victim = cluster.backend.member_nodes()[0]
+    # Timers fire as the shared busy clock passes their deadlines while
+    # handlers charge work, so the kill lands mid-write-burst and the
+    # rejoin leaves the resilver running under serving load.
+    cluster.clock.call_at(kill_at_us, victim.fail)
+    cluster.clock.call_at(rejoin_at_us,
+                          lambda: cluster.backend.rejoin(victim))
+    report = cluster.serve()
+    for tenant in cluster.tenants:
+        service = tenant.extra.get("service")
+        if service is not None and hasattr(service, "verify"):
+            service.verify()
+    return Run(cluster, report.completed, report)
+
+
+def rack(**kwargs: Any) -> Run:
+    """The rack serving preset (:func:`repro.sim.rack.make_rack`
+    arguments), served once."""
+    from repro.sim.rack import make_rack
+
+    cluster = make_rack(**kwargs)
+    report = cluster.serve()
+    return Run(cluster, report.completed, report)
 
 
 def repair_demo(backend: str = "replicated:2",
@@ -179,7 +403,7 @@ def repair_demo(backend: str = "replicated:2",
                 local_bytes: int = 1 * MIB,
                 repair: str = ("resilver_period=200,resilver_batch=32,"
                                "scrub_period=1000,scrub_batch=128"),
-                max_advance_us: float = 2_000_000.0) -> Dict[str, Any]:
+                max_advance_us: float = 2_000_000.0) -> Run:
     """The end-to-end rejoin/repair story behind ``python -m repro repair``.
 
     One DiLOS computing node on a redundant cluster backend walks the
@@ -196,8 +420,9 @@ def repair_demo(backend: str = "replicated:2",
        the read that silently returned stale data before this subsystem
        existed.
 
-    Returns a result dict (phase facts, canonical counters, metrics
-    digest); raises ``AssertionError`` if any byte reads back wrong.
+    The report is a dict of phase facts, canonical counters and the
+    metrics digest; raises ``AssertionError`` if any byte reads back
+    wrong.
     """
     cluster = make_backend(backend, 2 * region_bytes)
     if isinstance(cluster, ReplicatedMemory):
@@ -268,7 +493,7 @@ def repair_demo(backend: str = "replicated:2",
     merged = cluster.metrics()
     interesting = {key: value for key, value in merged.counters.items()
                    if key.startswith(("cluster.", "repair.", "scrub."))}
-    return {
+    return Run(system, pages, {
         "backend": backend,
         "kind": kind,
         "pages": pages,
@@ -279,236 +504,252 @@ def repair_demo(backend: str = "replicated:2",
         "counters": interesting,
         "digest": snap.digest(),
         "time_us": clock.now,
-    }
+    })
 
 
-# -- open-loop serving presets -----------------------------------------------
-#
-# Each preset enrolls service tenants (request handlers, not workload
-# generators) and attaches a ServeSpec; ``cluster.serve()`` then plays
-# the whole open-loop story: arrivals -> admission -> balancer -> SLO
-# accounting. ``contrast`` is the ServeSpec override producing the naive
-# run the preset argues against (no admission, load-blind routing).
+# -- the registry ------------------------------------------------------------
 
-def flash_crowd(backend: BackendSpec = "sharded:2",
-                kind: str = "dilos-readahead") -> ComputeCluster:
-    """Bursty overload (MMPP flash crowds at ~10x the fleet's capacity).
-
-    With ``depth/64`` admission the queue — and therefore the p99 — stays
-    bounded well inside the 1 ms SLO while shed requests count on
-    ``serve.shed``; the naive no-admission contrast run lets the backlog
-    grow for the whole burst and violates the SLO for most requests.
-    """
-    serve = ("bursty:rate=100k,burst_rate=3m,on=3ms,off=5ms,clients=1m,"
-             "slo=1ms,requests=6000,seed=7,admission=depth/64")
-    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
-                             serve=serve)
-    spec = _spec(kind, 256 * KIB)
-    cluster.add_service("web1", spec, "redis", n_keys=400, value_bytes=4096)
-    cluster.add_service("web2", spec, "redis", n_keys=400, value_bytes=4096)
-    return cluster
+_DILOS = "dilos-readahead"
 
 
-def hot_key_skew(backend: BackendSpec = "sharded:2",
-                 kind: str = "dilos-readahead") -> ComputeCluster:
-    """Zipf-skewed keys under consistent-hash routing.
-
-    Key affinity sends the whole hot head of the distribution to one
-    tenant (watch ``tenant.kv1.served`` vs its peers and the p99); the
-    ``least`` contrast run spreads load evenly at the cost of affinity.
-    """
-    serve = ("poisson:rate=600k,clients=1m,slo=1ms,requests=6000,seed=11,"
-             "balance=hash")
-    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
-                             serve=serve)
-    spec = _spec(kind, 256 * KIB)
-    for name in ("kv1", "kv2", "kv3"):
-        cluster.add_service(name, spec, "redis", n_keys=400,
-                            value_bytes=4096, skew=1.2)
-    return cluster
+def _redis_fleet(*names: str, local_bytes: int = 256 * KIB,
+                 **params: Any) -> Tuple[Tuple[str, int, str, Dict], ...]:
+    return tuple((name, local_bytes, "redis",
+                  dict(n_keys=400, value_bytes=4096, **params))
+                 for name in names)
 
 
-def slow_tenant_isolation(backend: BackendSpec = "sharded:2",
-                          kind: str = "dilos-readahead") -> ComputeCluster:
-    """Two fast replicas and one memory-starved laggard.
+#: The golden cases' Redis shape (4 KiB values) and the perf suite's
+#: (Facebook mixed sizes, twice the keys and queries).
+_REDIS_SMALL = dict(value_size=4096, n_keys=40, n_queries=120,
+                    remote_mib=32, arena_mib=8)
+_REDIS_MIXED = dict(value_size="mixed", n_keys=80, n_queries=250,
+                    remote_mib=128, arena_mib=32)
+_KMEANS_SMALL = dict(n_points=1 << 11, clusters=4, iterations=2, ratio=0.25)
+_DATAFRAME_SMALL = dict(rows=1 << 13, ratio=0.25)
+_LLM_SMALL = dict(n_requests=4, seed=31)
 
-    Least-outstanding routing notices the laggard's growing queue and
-    routes around it (it ends up serving a small residual share); the
-    round-robin contrast run blindly gives it a third of the traffic and
-    drags the whole fleet's p99 up by orders of magnitude.
-    """
-    serve = ("poisson:rate=900k,clients=1m,slo=1ms,requests=6000,seed=13,"
-             "balance=least")
-    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
-                             serve=serve)
-    fast = _spec(kind, 4 * MIB)
-    laggard = _spec(kind, 128 * KIB)
-    cluster.add_service("fast1", fast, "redis", n_keys=400, value_bytes=4096)
-    cluster.add_service("fast2", fast, "redis", n_keys=400, value_bytes=4096)
-    cluster.add_service("laggard", laggard, "redis", n_keys=400,
-                        value_bytes=4096)
-    return cluster
-
-
-def llm_flash_crowd(backend: BackendSpec = "sharded:2",
-                    kind: str = "dilos-readahead") -> ComputeCluster:
-    """Bursty inference overload against two llm service tenants.
-
-    Generation is orders of magnitude more expensive per request than a
-    KV GET, so a flash crowd saturates the fleet almost immediately and
-    the *time-to-first-token* tail (``serve.ttft_us``, queueing included)
-    blows through the SLO without admission; the preset's token bucket
-    sheds the burst overhang and keeps TTFT p99 bounded. The naive
-    contrast run drops admission and lets the backlog compound.
-    """
-    serve = ("bursty:rate=4k,burst_rate=1m,on=3ms,off=5ms,clients=100k,"
-             "slo=1ms,requests=1200,seed=23,admission=bucket/5k/16")
-    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
-                             serve=serve)
-    spec = _spec(kind, 256 * KIB)
-    cluster.add_service("gen1", spec, "llm", seed=47)
-    cluster.add_service("gen2", spec, "llm", seed=47)
-    return cluster
-
-
-def kv_failover(backend: BackendSpec = "replicated:3",
-                kind: str = "dilos-readahead",
-                requests: int = 700,
-                lease_us: float = 120.0,
-                kill_at_us: float = 500.0,
-                rejoin_at_us: float = 800.0):
-    """The full chaos suite against the replicated KV service.
-
-    Two KV tenants serve an open-loop Poisson stream over one redundant
-    backend while the fault schedule runs: lossy replication wire
-    (seeded drop + corrupt), the lease holder killed mid-run, then
-    rejoined so the paced background resilver replays its journal under
-    load. The lease gates requests while the holder's death is fresh
-    (``kv.unavail_rejects``), failover elects a clean member once the
-    lease lapses, and the end-of-run :meth:`verify` audit folds any lost
-    update into the digest — the acceptance criterion is that
-    ``kv.lost_updates`` reads 0 and the whole run (trace digest, final
-    clock, merged metrics) is byte-identical across repeats.
-
-    Returns ``(cluster, report)``.
-    """
-    serve = (f"poisson:rate=30k,clients=50k,slo=4ms,requests={requests},"
-             "seed=37,balance=least")
-    cluster = ComputeCluster(backend=backend, remote_mem_bytes=32 * MIB,
-                             repair="resilver_period=100,resilver_batch=32",
-                             serve=serve)
-    spec = _spec(kind, 256 * KIB)
-    for name in ("kv1", "kv2"):
-        cluster.add_service(name, spec, "kv", n_keys=48, value_bytes=160,
-                            skew=0.9, write_fraction=0.35, seed=41,
-                            lease_us=lease_us,
-                            net_faults="drop=0.002,corrupt=0.001,seed=97")
-    victim = cluster.backend.member_nodes()[0]
-    # Timers fire as the shared busy clock passes their deadlines while
-    # handlers charge work, so the kill lands mid-write-burst and the
-    # rejoin leaves the resilver running under serving load.
-    cluster.clock.call_at(kill_at_us, victim.fail)
-    cluster.clock.call_at(rejoin_at_us,
-                          lambda: cluster.backend.rejoin(victim))
-    report = cluster.serve()
-    for tenant in cluster.tenants:
-        service = tenant.extra.get("service")
-        if service is not None and hasattr(service, "verify"):
-            service.verify()
-    return cluster, report
-
-
-#: name -> (description, builder, naive-contrast overrides, contrast label)
-SERVE_SCENARIOS: Dict[str, Tuple[str, ScenarioBuilder,
-                                 Dict[str, Any], str]] = {
-    "flash_crowd": (
+#: name -> scenario. Perf cases run in this order (``BENCH_perf.json``
+#: rows follow it).
+SCENARIOS: Dict[str, Scenario] = {
+    # -- repro tenants presets
+    # The paper-style pairing: an analytics scan and a latency-sensitive
+    # key-value server contending for one sharded pool. Local budgets sit
+    # well under both working sets, so each tenant faults and evicts into
+    # the shared backend while the other runs.
+    "kmeans+redis": Scenario(
+        "k-means scan + redis GETs on a shared pool", tenant_mix,
+        dict(tenants=(("kmeans", 256 * KIB, kmeans_tenant()),
+                      ("redis", 256 * KIB, redis_get_tenant())),
+             backend="sharded:2", remote_mem_bytes=64 * MIB,
+             quantum_us=100.0),
+        command="tenants"),
+    # Jain's fairness index should sit near 1.0.
+    "stream-duo": Scenario(
+        "two identical streamers (fairness smoke)", tenant_mix,
+        dict(tenants=(("stream_a", 256 * KIB, seqread_tenant()),
+                      ("stream_b", 256 * KIB, seqread_tenant())),
+             backend="replicated:2", remote_mem_bytes=64 * MIB,
+             quantum_us=250.0),
+        command="tenants"),
+    "mixed-trio": Scenario(
+        "k-means + redis + streamer on one pool", tenant_mix,
+        dict(tenants=(("kmeans", 512 * KIB, kmeans_tenant()),
+                      ("redis", 512 * KIB, redis_get_tenant()),
+                      ("stream", 256 * KIB, seqread_tenant())),
+             backend="sharded:2", remote_mem_bytes=96 * MIB,
+             quantum_us=500.0),
+        command="tenants"),
+    # -- repro serve presets
+    # Bursty overload (MMPP flash crowds at ~10x the fleet's capacity).
+    # With depth/64 admission the queue — and therefore the p99 — stays
+    # bounded well inside the 1 ms SLO while shed requests count on
+    # serve.shed; the naive no-admission run lets the backlog grow for
+    # the whole burst and violates the SLO for most requests.
+    "flash_crowd": Scenario(
         "bursty overload; depth admission holds the SLO, naive violates",
-        flash_crowd, {"admission": "none"}, "no admission"),
-    "llm_flash_crowd": (
+        serve_fleet,
+        dict(serve=("bursty:rate=100k,burst_rate=3m,on=3ms,off=5ms,"
+                    "clients=1m,slo=1ms,requests=6000,seed=7,"
+                    "admission=depth/64"),
+             services=_redis_fleet("web1", "web2")),
+        command="serve", contrast=("no admission", {"admission": "none"})),
+    # Generation is orders of magnitude more expensive per request than a
+    # KV GET, so a flash crowd saturates the fleet almost immediately and
+    # the time-to-first-token tail (serve.ttft_us, queueing included)
+    # blows through the SLO without admission; the token bucket sheds the
+    # burst overhang and keeps TTFT p99 bounded.
+    "llm_flash_crowd": Scenario(
         "inference burst; token bucket holds TTFT p99, naive violates",
-        llm_flash_crowd, {"admission": "none"}, "no admission"),
-    "hot_key_skew": (
+        serve_fleet,
+        dict(serve=("bursty:rate=4k,burst_rate=1m,on=3ms,off=5ms,"
+                    "clients=100k,slo=1ms,requests=1200,seed=23,"
+                    "admission=bucket/5k/16"),
+             services=tuple((name, 256 * KIB, "llm", dict(seed=47))
+                            for name in ("gen1", "gen2"))),
+        command="serve", contrast=("no admission", {"admission": "none"})),
+    # Key affinity sends the whole hot head of the zipf distribution to
+    # one tenant (watch tenant.kv1.served vs its peers and the p99); the
+    # least-outstanding run spreads load evenly at the cost of affinity.
+    "hot_key_skew": Scenario(
         "zipf keys; consistent-hash affinity concentrates the hot head",
-        hot_key_skew, {"balance": "least"}, "least-outstanding"),
-    "slow_tenant_isolation": (
+        serve_fleet,
+        dict(serve=("poisson:rate=600k,clients=1m,slo=1ms,requests=6000,"
+                    "seed=11,balance=hash"),
+             services=_redis_fleet("kv1", "kv2", "kv3", skew=1.2)),
+        command="serve", contrast=("least-outstanding", {"balance": "least"})),
+    # Two fast replicas and one memory-starved laggard: least-outstanding
+    # routing notices the laggard's growing queue and routes around it,
+    # while round-robin gives it a third of the traffic and drags the
+    # fleet's p99 up by orders of magnitude.
+    "slow_tenant_isolation": Scenario(
         "least-outstanding routes around a memory-starved laggard",
-        slow_tenant_isolation, {"balance": "round_robin"}, "round-robin"),
+        serve_fleet,
+        dict(serve=("poisson:rate=900k,clients=1m,slo=1ms,requests=6000,"
+                    "seed=13,balance=least"),
+             services=(_redis_fleet("fast1", "fast2", local_bytes=4 * MIB)
+                       + _redis_fleet("laggard", local_bytes=128 * KIB))),
+        command="serve",
+        contrast=("round-robin", {"balance": "round_robin"})),
+    "repair_demo": Scenario(
+        "kill, degraded writes, rejoin + resilver, scrub, second kill",
+        repair_demo),
+    # -- golden and perf cases, one workload family at a time. The
+    # "_small" golden cases are smaller than the perf cases they share a
+    # builder with; their "_batch" twins force the vectorized engine on
+    # and are pinned to the same values (batch == scalar).
+    "seqread_dilos": Scenario(
+        "DiLOS resident 4 MiB sequential read (TLB-hit fast path)",
+        seqrw, dict(kind=_DILOS, mib=4, ratio=1.0), perf=True),
+    "seqread_dilos_small": Scenario(
+        "DiLOS 1 MiB sequential read at 25% local",
+        seqrw, dict(kind=_DILOS, mib=1, ratio=0.25)),
+    "seqread_dilos_cold": Scenario(
+        "DiLOS 2 MiB sequential read at 25% local (fault path)",
+        seqrw, dict(kind=_DILOS, mib=2, ratio=0.25), perf=True),
+    "seqwrite_dilos": Scenario(
+        "DiLOS 2 MiB sequential write at 50% local",
+        seqrw, dict(kind=_DILOS, mib=2, ratio=0.5, mode="write"), perf=True),
+    "seqread_fastswap": Scenario(
+        "Fastswap 2 MiB sequential read at 25% local (swap path)",
+        seqrw, dict(kind="fastswap", mib=2, ratio=0.25), perf=True),
+    "seqread_fastswap_small": Scenario(
+        "Fastswap 1 MiB sequential read at 25% local",
+        seqrw, dict(kind="fastswap", mib=1, ratio=0.25)),
+    "seqscan_aifm": Scenario(
+        "AIFM remoteable-array populate + scan at 25% local heap",
+        remarray_scan, dict(count=2048), perf=True),
+    "seqscan_aifm_small": Scenario(
+        "AIFM remoteable-array populate + scan, 512 items",
+        remarray_scan, dict(count=512)),
+    "quicksort_dilos": Scenario(
+        "DiLOS quicksort of 8K u64s at 50% local",
+        quicksort, dict(count=1 << 13, ratio=0.5), perf=True),
+    "redis_get_dilos": Scenario(
+        "DiLOS Redis GET, Facebook mixed value sizes",
+        redis_get, dict(_REDIS_MIXED, kind=_DILOS), perf=True),
+    "redis_get_fastswap": Scenario(
+        "Fastswap Redis GET, Facebook mixed value sizes",
+        redis_get, dict(_REDIS_MIXED, kind="fastswap"), perf=True),
+    "redis_get_dilos_small": Scenario(
+        "DiLOS Redis GET, 4 KiB values, scalar engine",
+        redis_get, dict(_REDIS_SMALL, kind=_DILOS), batch=False),
+    "redis_get_dilos_batch": Scenario(
+        "DiLOS Redis GET, 4 KiB values, batch engine",
+        redis_get, dict(_REDIS_SMALL, kind=_DILOS), batch=True),
+    "redis_get_fastswap_small": Scenario(
+        "Fastswap Redis GET, 4 KiB values",
+        redis_get, dict(_REDIS_SMALL, kind="fastswap")),
+    "kmeans_dilos": Scenario(
+        "DiLOS k-means over 16K far-memory points at 50% local",
+        kmeans, dict(n_points=1 << 14, clusters=10, iterations=4, ratio=0.5),
+        perf=True),
+    "kmeans_dilos_small": Scenario(
+        "DiLOS k-means over 2K points at 25% local, scalar engine",
+        kmeans, _KMEANS_SMALL, batch=False),
+    "kmeans_dilos_batch": Scenario(
+        "DiLOS k-means over 2K points at 25% local, batch engine",
+        kmeans, _KMEANS_SMALL, batch=True),
+    "dataframe_dilos": Scenario(
+        "DiLOS taxi analytics over 64K far-memory rows at 50% local",
+        dataframe, dict(rows=1 << 16, ratio=0.5), perf=True),
+    "dataframe_dilos_small": Scenario(
+        "DiLOS taxi analytics over 8K rows at 25% local, scalar engine",
+        dataframe, _DATAFRAME_SMALL, batch=False),
+    "dataframe_dilos_batch": Scenario(
+        "DiLOS taxi analytics over 8K rows at 25% local, batch engine",
+        dataframe, _DATAFRAME_SMALL, batch=True),
+    # LLM inference: prefill writes + windowed random decode gathers over
+    # the paged KV cache (see repro/apps/llm.py).
+    "llm_dilos": Scenario(
+        "DiLOS LLM inference, 4 requests at 25% local, scalar engine",
+        llm, dict(_LLM_SMALL, kind=_DILOS), batch=False),
+    "llm_dilos_batch": Scenario(
+        "DiLOS LLM inference, 4 requests at 25% local, batch engine",
+        llm, dict(_LLM_SMALL, kind=_DILOS), batch=True),
+    "llm_dilos_sharded": Scenario(
+        "DiLOS LLM inference over a healthy sharded:2 backend",
+        llm, dict(_LLM_SMALL, kind=_DILOS, backend="sharded:2")),
+    "llm_fastswap": Scenario(
+        "Fastswap LLM inference, 4 requests at 25% local",
+        llm, dict(_LLM_SMALL, kind="fastswap")),
+    "llm_aifm": Scenario(
+        "AIFM LLM inference, 4 requests at 25% local",
+        llm, dict(_LLM_SMALL, kind="aifm-rdma")),
+    "llm_decode_dilos": Scenario(
+        "DiLOS LLM decode: random KV-cache gathers at 25% local",
+        llm, dict(kind=_DILOS, n_requests=12, seed=31,
+                  config=dict(heads=8, max_tokens=192),
+                  prompt_min=24, prompt_max=80, out_min=8, out_max=16),
+        perf=True),
+    "rack": Scenario(
+        "redis tenants striped over a pooled rack (repro rack)", rack),
+    "rack_redis_pool": Scenario(
+        "8 redis tenants served over a pooled 4:1-oversubscribed rack",
+        rack, dict(tenants=8,
+                   topology="rack:compute=4,mem=4,link=100,oversub=4",
+                   placement="locality", n_keys=32,
+                   serve=("poisson:rate=400k,clients=1m,slo=2ms,"
+                          "requests=600,seed=29,balance=round_robin")),
+        perf=True),
+    "kv_failover": Scenario(
+        "replicated KV: lossy wire, lease-holder kill, rejoin + resilver",
+        kv_failover),
+    "kv_get_replicated": Scenario(
+        "replicated KV service surviving a lease-holder kill + resilver",
+        kv_failover, dict(requests=400), perf=True),
 }
 
 
-def build_serve_scenario(name: str, backend: Optional[BackendSpec] = None,
-                         kind: Optional[str] = None,
-                         naive: bool = False) -> ComputeCluster:
-    """Build a serving preset by name (fresh cluster, ready to serve).
-
-    ``naive=True`` applies the preset's contrast overrides to the
-    attached :class:`~repro.serve.ServeSpec` — the configuration the
-    preset demonstrates against.
-    """
-    try:
-        _, builder, contrast, _ = SERVE_SCENARIOS[name]
-    except KeyError:
-        raise ValueError(f"unknown serve preset {name!r}; "
-                         f"pick from {sorted(SERVE_SCENARIOS)}") from None
-    kwargs: Dict[str, Any] = {}
-    if backend is not None:
-        kwargs["backend"] = backend
-    if kind is not None:
-        kwargs["kind"] = kind
-    cluster = builder(**kwargs)
-    if naive:
-        cluster.serve_spec = cluster.serve_spec.with_overrides(**contrast)
-    return cluster
-
-
-SCENARIOS: Dict[str, Tuple[str, ScenarioBuilder]] = {
-    "kmeans+redis": ("k-means scan + redis GETs on a shared pool",
-                     kmeans_redis),
-    "stream-duo": ("two identical streamers (fairness smoke)", stream_duo),
-    "mixed-trio": ("k-means + redis + streamer on one pool", mixed_trio),
-}
-
-#: Backends ``repair_demo`` accepts (redundant ones only).
-REPAIR_DEMO_BACKENDS = ("replicated:2", "replicated:3", "parity:2+1",
-                        "parity:3+1")
-
-
-def build_scenario(name: str, backend: Optional[BackendSpec] = None,
-                   quantum_us: Optional[float] = None,
-                   kind: Optional[str] = None) -> ComputeCluster:
-    """Build a preset by name, optionally overriding the backend spec,
-    scheduling quantum, or kernel kind."""
-    try:
-        _, builder = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"pick from {sorted(SCENARIOS)}") from None
-    kwargs = {}
-    if backend is not None:
-        kwargs["backend"] = backend
-    if quantum_us is not None:
-        kwargs["quantum_us"] = quantum_us
-    if kind is not None:
-        kwargs["kind"] = kind
-    return builder(**kwargs)
+def preset(command: str, name: str) -> Scenario:
+    """The scenario ``repro <command>`` runs as preset ``name``."""
+    scenario = SCENARIOS.get(name)
+    if scenario is None or scenario.command != command:
+        choices = sorted(key for key, entry in SCENARIOS.items()
+                         if entry.command == command)
+        raise ValueError(f"unknown {command} preset {name!r}; "
+                         f"pick from {choices}")
+    return scenario
 
 
 __all__ = [
-    "REPAIR_DEMO_BACKENDS",
+    "Run",
     "SCENARIOS",
-    "SERVE_SCENARIOS",
-    "build_scenario",
-    "build_serve_scenario",
-    "flash_crowd",
-    "hot_key_skew",
-    "kv_failover",
-    "llm_flash_crowd",
-    "repair_demo",
-    "kmeans_redis",
+    "Scenario",
+    "dataframe",
+    "kmeans",
     "kmeans_tenant",
-    "mixed_trio",
+    "kv_failover",
+    "llm",
+    "preset",
+    "quicksort",
+    "rack",
+    "redis_get",
     "redis_get_tenant",
+    "remarray_scan",
+    "repair_demo",
     "seqread_tenant",
-    "slow_tenant_isolation",
-    "stream_duo",
+    "seqrw",
+    "serve_fleet",
+    "tenant_mix",
 ]

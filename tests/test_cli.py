@@ -115,6 +115,14 @@ class TestCommands:
         assert main(["kv", "--backend", "sharded:2", "--once"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("rejoin_at", ["800", "900"])
+    def test_kv_rejects_rejoin_not_after_kill(self, capsys, rejoin_at):
+        # A rejoin at or before the kill would "rejoin" a live member,
+        # which then dies for good and is never resilvered.
+        assert main(["kv", "--kill-at", "900", "--rejoin-at", rejoin_at,
+                     "--once"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestLlmCommands:
     def test_llm_single_node(self, capsys):

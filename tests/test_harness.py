@@ -14,7 +14,10 @@ from repro.harness import (
     ratio_table,
     sweep_ratios,
 )
+from repro.apps.llm import PdSweepRunner
+from repro.cli import _SweepRunner
 from repro.harness.experiment import pick
+from repro.harness.parallel import cell_seed
 
 
 class TestFactories:
@@ -68,6 +71,32 @@ class TestSweep:
         assert pick(ms, "a", 1.0).value == 2.0
         with pytest.raises(LookupError):
             pick(ms, "b")
+
+
+class TestFanOut:
+    """``--jobs`` fan-out (:mod:`repro.harness.parallel`) must merge
+    results byte-identical to the serial run, in grid order."""
+
+    def test_cell_seed_depends_on_identity_only(self):
+        seed = cell_seed("kmeans", "dilos-readahead", 0.5)
+        assert seed == cell_seed("kmeans", "dilos-readahead", 0.5)
+        assert seed != cell_seed("kmeans", "dilos-readahead", 1.0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workload, runner, axis, ratios, backend", [
+        ("kmeans", _SweepRunner("kmeans", 1 << 12),
+         ["fastswap", "dilos-readahead"], [0.5, 1.0], "node"),
+        ("llm", PdSweepRunner("dilos-readahead", n_requests=6),
+         ["2:2", "1:3"], [0.25, 1.0], "sharded:2"),
+    ], ids=["kmeans", "llm"])
+    def test_sweep_jobs_matches_serial(self, workload, runner, axis, ratios,
+                                       backend):
+        def grid(jobs):
+            cells = sweep_ratios(workload, runner, axis, ratios,
+                                 backend=backend, jobs=jobs)
+            return [(m.system, m.ratio, m.value, m.extra) for m in cells]
+
+        assert grid(2) == grid(None)
 
 
 class TestReport:

@@ -11,6 +11,9 @@ properties that must hold regardless of the schedule:
 * **retry counts are bounded** — ``net.retry`` can never exceed the
   per-verb budget times the number of verbs issued.
 
+One fixed plan (``FIXED_PLAN``) also runs on each kernel twice: it must
+bite, and the same seed must replay the run step for step.
+
 The high-volume variant is marked ``slow`` (run it alone with
 ``pytest -m slow``; scale it with ``REPRO_CHAOS_EXAMPLES``).
 """
@@ -21,6 +24,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.seqrw import SequentialWorkload
 from repro.common.units import MIB, PAGE_SIZE
 from repro.harness import make_system
 from repro.net.faults import FaultPlan, RetryPolicy
@@ -106,6 +110,41 @@ def test_aifm_preserves_objects_under_random_faults(plan, seed):
         assert ptr.read() == bytes([i % 251]) * 2048, (
             f"object {i} corrupted under {plan.spec()}")
     assert_bounded_retries(runtime.metrics().as_flat_dict())
+
+
+#: A fixed degraded wire (>= 1% drop plus corruption) that every kernel
+#: must survive with zero data loss (docs/RELIABILITY.md).
+FIXED_PLAN = "drop=0.015,corrupt=0.01,seed=11,max_consecutive=3"
+
+
+def run_fixed_plan(kind):
+    """A verified sequential read (paging kernels) or object write+read
+    sweep (AIFM) under :data:`FIXED_PLAN`; returns the final clock and
+    metrics snapshot."""
+    if kind == "aifm":
+        system = make_system("aifm", 256 * 1024, net_faults=FIXED_PLAN)
+        ptrs = [system.allocate(2048, bytes([i % 251]) * 2048)
+                for i in range(384)]
+        for i, ptr in enumerate(ptrs):
+            assert ptr.read() == bytes([i % 251]) * 2048, f"object {i}"
+    else:
+        workload = SequentialWorkload(2 * MIB)
+        system = make_system(kind, workload.footprint_bytes // 4,
+                             net_faults=FIXED_PLAN)
+        workload.run(system, mode="read", verify=True)
+    return system.clock.now, system.metrics()
+
+
+@pytest.mark.parametrize("kind", ["dilos-readahead", "fastswap", "aifm"])
+def test_fixed_plan_bites_and_replays_identically(kind):
+    """The plan actually bites (retries), no verb exhausts its budget,
+    and the same seed replays the whole run step for step."""
+    clock, snap = run_fixed_plan(kind)
+    assert snap.value("net.retry") > 0
+    assert snap.value("net.giveup") == 0
+    again_clock, again = run_fixed_plan(kind)
+    assert again_clock == clock
+    assert again.digest() == snap.digest()
 
 
 @settings(max_examples=max(4, CHAOS_EXAMPLES // 2), deadline=None)

@@ -188,6 +188,20 @@ def test_committed_bench_report_claims_app_level_speedups():
 
 
 @pytest.mark.slow
+def test_perf_jobs_matches_serial():
+    """``--jobs`` fan-out runs each case in a pool worker; the merged
+    results must equal a serial run's, in order."""
+    from repro.harness.parallel import fanout
+
+    names = ["quicksort_dilos", "seqscan_aifm"]
+    serial = [perf.run_case(perf.case_by_name(name), 1) for name in names]
+    fanned = fanout(perf._run_case_cell, [(name, 1) for name in names],
+                    jobs=2)
+    assert [(r.name, r.sim_us, r.ops, r.checksum) for r in fanned] == \
+        [(r.name, r.sim_us, r.ops, r.checksum) for r in serial]
+
+
+@pytest.mark.slow
 def test_cli_perf_subcommand_smoke(tmp_path):
     out = tmp_path / "BENCH_perf.json"
     proc = subprocess.run(

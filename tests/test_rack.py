@@ -161,6 +161,18 @@ class TestSweep:
             ("locality", 1.0), ("locality", 4.0),
             ("load", 1.0), ("load", 4.0)]
 
+    @pytest.mark.slow
+    def test_oversubscribed_trunk_queueing_reaches_load_p99(self):
+        # 6 tenants double up two homes; at 600 requests the load
+        # policy's trunk crossings queue behind a 4:1 ToR, and that
+        # queueing lands in its p99 while locality never crosses.
+        serve = SMALL_SERVE.replace("requests=200", "requests=600")
+        locality, load = sweep_rack(["locality", "load"], [4.0], jobs=1,
+                                    tenants=6, serve=serve, n_keys=32)
+        assert locality["trunk_crossings"] == 0
+        assert load["trunk_queue_us"] > 0
+        assert load["p99_us"] > locality["p99_us"]
+
     def test_default_serve_spec_is_heavier(self):
         # Presets must stay aligned: the CLI default drives 2000
         # requests; tests deliberately use a lighter spec.

@@ -16,6 +16,7 @@ import pytest
 from repro.common.clock import Clock
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem
+from repro.harness.scenarios import SCENARIOS
 from repro.mem.cluster import (
     ParityStripedMemory,
     ReplicatedMemory,
@@ -763,3 +764,24 @@ class TestEndToEndAcceptance:
         self._run(backend, nodes, victim=nodes[0], second=nodes[1])
         assert backend.counters.get("degraded_writes") > 0
         assert backend.registry.value("repair.pages_resilvered") > 0
+
+
+class TestRepairDemo:
+    """The ``repro repair`` lifecycle (the ``repair_demo`` scenario) on
+    both redundant backend families: every journaled page resilvered,
+    the rejoined member promoted, the injected rot scrubbed, every page
+    verified after a second failure — and identical on a replay."""
+
+    @pytest.mark.parametrize("backend", ["replicated:2", "parity:3+1"])
+    def test_lifecycle_ledger_and_replay(self, backend):
+        first = SCENARIOS["repair_demo"].build(backend=backend).report
+        counters = first["counters"]
+        assert first["stale_after_degraded"] > 0
+        assert counters["repair.pages_resilvered"] == \
+            first["stale_after_degraded"]
+        assert counters["repair.nodes_promoted"] == 1
+        assert counters["scrub.mismatches"] == 1
+        assert counters["scrub.repaired"] == 1
+        assert counters["scrub.quarantined"] == 0
+        assert first["verified_pages"] == first["pages"] > 0
+        assert SCENARIOS["repair_demo"].build(backend=backend).report == first

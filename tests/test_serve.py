@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.units import KIB, MIB
 from repro.core.spec import SystemSpec
-from repro.harness.scenarios import SERVE_SCENARIOS, build_serve_scenario
+from repro.harness.scenarios import SCENARIOS, preset
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     ServeSpec,
@@ -386,17 +386,21 @@ class TestServeFrontend:
 
 class TestServePresets:
     def test_registry_shape(self):
-        assert set(SERVE_SCENARIOS) == {"flash_crowd", "hot_key_skew",
-                                        "slow_tenant_isolation",
-                                        "llm_flash_crowd"}
+        presets = {name for name, scenario in SCENARIOS.items()
+                   if scenario.command == "serve"}
+        assert presets == {"flash_crowd", "hot_key_skew",
+                           "slow_tenant_isolation", "llm_flash_crowd"}
         with pytest.raises(ValueError, match="unknown serve preset"):
-            build_serve_scenario("thundering_herd")
+            preset("serve", "thundering_herd")
 
     def test_naive_override_applies(self):
-        green = build_serve_scenario("flash_crowd")
-        red = build_serve_scenario("flash_crowd", naive=True)
-        assert green.serve_spec.admission == "depth/64"
-        assert red.serve_spec.admission == "none"
+        scenario = SCENARIOS["flash_crowd"]
+        green = scenario.build(serve=self_spec()).report
+        red = scenario.build(serve=self_spec(), naive=True).report
+        assert green.spec.admission == "depth/64"
+        assert red.spec.admission == "none"
+        # The contrast lands on top of the given spec, not the preset's.
+        assert red.spec.requests == green.spec.requests == 800
 
     def test_cli_serve_runs_the_preset(self, capsys):
         from repro.cli import main
@@ -412,6 +416,57 @@ class TestServePresets:
         from repro.cli import main
         assert main(["serve", "--preset", "nope", "--once"]) == 2
 
+    def test_cli_contrast_applies_on_top_of_spec(self, capsys):
+        """Regression: ``--spec`` used to replace the naive run's spec
+        wholesale, so the "no admission" column repeated the preset's
+        admission-controlled numbers."""
+        from repro.cli import main
+        assert main(["serve", "--preset", "flash_crowd", "--once",
+                     "--spec", self_spec()]) == 0
+        table = capsys.readouterr().out.split(
+            "preset vs naive (no admission)")[1]
+        shed = next(line.split() for line in table.splitlines()
+                    if line.startswith("shed"))
+        assert int(shed[1]) > 0
+        assert shed[2] == "0"
+
+
+def replayed(name):
+    """Serve preset ``name`` twice; the request trace and the metrics
+    digest must match. Returns the first run's report."""
+    first, second = SCENARIOS[name].build(), SCENARIOS[name].build()
+    assert second.report.trace_digest == first.report.trace_digest
+    assert second.digest() == first.digest()
+    return first.report
+
+
+@pytest.mark.slow
+class TestPresetStories:
+    """Each preset's full-size run tells the story its description
+    claims, against the naive contrast run, and replays byte-identically
+    (llm_flash_crowd's story lives in :class:`TestLlmServing`)."""
+
+    def test_flash_crowd_admission_holds_the_slo(self):
+        green = replayed("flash_crowd")
+        red = SCENARIOS["flash_crowd"].build(naive=True).report
+        assert green.slo_violations == 0
+        assert green.shed > 0
+        assert red.latency["p99"] > red.spec.slo_us
+        assert red.violation_rate > 0.5
+        # Shedding early beats serving late on goodput.
+        assert green.goodput_rps > red.goodput_rps
+
+    def test_least_outstanding_routes_around_the_laggard(self):
+        green = replayed("slow_tenant_isolation")
+        red = SCENARIOS["slow_tenant_isolation"].build(naive=True).report
+        served = green.per_tenant
+        assert served["laggard"] < min(served["fast1"], served["fast2"])
+        assert green.latency["p99"] < red.latency["p99"]
+
+    def test_consistent_hash_concentrates_the_hot_head(self):
+        shares = sorted(replayed("hot_key_skew").per_tenant.values())
+        assert shares[-1] > 2 * shares[0]
+
 
 class TestLlmServing:
     """Token-level SLOs: the llm preset's red/green story and the
@@ -421,22 +476,22 @@ class TestLlmServing:
         # Red: no admission lets the burst backlog compound, so the
         # time-to-first-token tail (queueing included) blows through
         # the SLO by orders of magnitude.
-        red = build_serve_scenario("llm_flash_crowd", naive=True).serve()
+        red = SCENARIOS["llm_flash_crowd"].build(naive=True).report
         assert red.shed == 0
         assert red.ttft["count"] > 0, "llm responses must carry ttft_us"
         assert red.ttft["p99"] > red.spec.slo_us
         assert red.violation_rate > 0.1
         # Green: the preset's token bucket sheds the overhang; TTFT p99
         # stays bounded and nothing served misses the SLO.
-        green = build_serve_scenario("llm_flash_crowd").serve()
+        green = SCENARIOS["llm_flash_crowd"].build().report
         assert green.shed > 0
         assert green.ttft["p99"] < green.spec.slo_us
         assert green.slo_violations == 0
         assert green.snapshot.value("serve.shed") == green.shed
 
     def test_llm_token_metrics_reach_the_snapshot(self):
-        report = build_serve_scenario("llm_flash_crowd").serve(
-            "poisson:rate=2k,requests=120,seed=9,slo=5ms")
+        report = SCENARIOS["llm_flash_crowd"].build(
+            serve="poisson:rate=2k,requests=120,seed=9,slo=5ms").report
         snap = report.snapshot
         assert snap.histograms["serve.ttft_us"]["count"] == report.admitted
         assert snap.histograms["serve.tpot_us"]["count"] == report.admitted
@@ -449,14 +504,15 @@ class TestLlmServing:
         assert report.ttft["p99"] > report.tpot["p99"]
 
     def test_llm_trace_is_deterministic(self):
-        first = build_serve_scenario("llm_flash_crowd").serve()
-        second = build_serve_scenario("llm_flash_crowd").serve()
+        first = SCENARIOS["llm_flash_crowd"].build().report
+        second = SCENARIOS["llm_flash_crowd"].build().report
         assert first.trace_digest == second.trace_digest
         assert first.snapshot.digest() == second.snapshot.digest()
         assert first.ttft == second.ttft
-        reseeded = build_serve_scenario("llm_flash_crowd").serve(
-            ("bursty:rate=4k,burst_rate=1m,on=3ms,off=5ms,clients=100k,"
-             "slo=1ms,requests=1200,seed=24,admission=bucket/5k/16"))
+        reseeded = SCENARIOS["llm_flash_crowd"].build(
+            serve=("bursty:rate=4k,burst_rate=1m,on=3ms,off=5ms,"
+                   "clients=100k,slo=1ms,requests=1200,seed=24,"
+                   "admission=bucket/5k/16")).report
         assert reseeded.trace_digest != first.trace_digest
 
 

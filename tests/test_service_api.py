@@ -1,5 +1,5 @@
 """The unified Workload/Service API: protocol conformance, the service
-registry, and the deprecated closed-loop aliases."""
+registry, and the closed-loop drivers built on it."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.apps.api import (
     ServiceRegistry,
     run_closed_loop,
 )
-from repro.apps.redis import GetWorkload, LRangeWorkload, RedisServer
+from repro.apps.redis import GetWorkload, RedisServer
 from repro.apps.redis.service import RedisService
 from repro.common.units import MIB
 from repro.harness import local_bytes_for, make_system
@@ -136,42 +136,22 @@ class TestRegistry:
             registry.factory("echo")
 
 
-# -- deprecated closed-loop aliases -----------------------------------------
+# -- the closed-loop driver the deprecated aliases wrapped ------------------
 
 class TestDeprecatedAliases:
-    def test_get_workload_warns_and_still_verifies(self):
-        workload = GetWorkload(value_size=1024, n_keys=60, n_queries=120)
-        system = _redis_system(workload.footprint_bytes)
-        server = RedisServer(system, Mimalloc(system, 8 * MIB))
-        workload.populate(server)
-        with pytest.warns(DeprecationWarning, match="repro.serve"):
-            stats = workload.run(server, verify=True)
-        assert stats.queries == 120
-        assert stats.latencies.count == 120
-        assert stats.requests_per_second > 0
-
-    def test_lrange_workload_warns_and_still_verifies(self):
-        workload = LRangeWorkload(n_lists=30, elems_per_list=16,
-                                  lrange_count=8, n_queries=60)
-        system = _redis_system(workload.footprint_bytes)
-        server = RedisServer(system, Mimalloc(system, 8 * MIB))
-        workload.populate(server)
-        with pytest.warns(DeprecationWarning, match="repro.serve"):
-            stats = workload.run(server, verify=True)
-        assert stats.queries == 60
-
     def test_alias_equals_direct_service_path(self):
-        # The deprecated driver must stay byte-identical to driving the
-        # Service protocol by hand: same seeds, same request sequence,
-        # same final metrics digest.
-        def run_alias():
+        # The closed-loop driver the removed ``GetWorkload.run`` alias
+        # wrapped must stay byte-identical to driving the Service
+        # protocol by hand: same seeds, same request sequence, same final
+        # metrics digest.
+        def run_driver():
             workload = GetWorkload(value_size=1024, n_keys=60,
                                    n_queries=120)
             system = _redis_system(workload.footprint_bytes)
             server = RedisServer(system, Mimalloc(system, 8 * MIB))
             workload.populate(server)
-            with pytest.warns(DeprecationWarning):
-                workload.run(server, verify=True)
+            stats = workload.drive(server, verify=True)
+            assert stats.queries == stats.latencies.count == 120
             return system.metrics().digest()
 
         def run_direct():
@@ -187,4 +167,4 @@ class TestDeprecatedAliases:
                 assert service.handle(Request("get", key=key)).ok
             return system.metrics().digest()
 
-        assert run_alias() == run_direct()
+        assert run_driver() == run_direct()
