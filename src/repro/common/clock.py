@@ -39,12 +39,14 @@ class Clock:
         """Move time forward by ``delta`` microseconds."""
         if delta < 0:
             raise ValueError(f"cannot advance clock by negative delta {delta}")
-        if not self._timers:
-            # Hot path: no pending timers means nothing can fire, so the
-            # advance is a bare addition.
-            self._now += delta
+        now = self._now + delta
+        timers = self._timers
+        if not timers or timers[0][0] > now:
+            # Hot path: no timer falls due by the new time (the earliest
+            # deadline is later), so the advance is a bare assignment.
+            self._now = now
             return
-        self.advance_to(self._now + delta)
+        self.advance_to(now)
 
     def advance_to(self, deadline: float) -> None:
         """Move time forward to ``deadline``, firing any due timers."""
@@ -62,7 +64,11 @@ class Clock:
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run when the clock reaches ``when``."""
         self._seq += 1
-        heappush(self._timers, (max(when, self._now), self._seq, callback))
+        now = self._now
+        # max(when, now), without the builtin call: a past deadline fires
+        # at the next advance.
+        heappush(self._timers,
+                 (now if now > when else when, self._seq, callback))
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""

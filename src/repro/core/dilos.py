@@ -20,6 +20,7 @@ scatter-gather path are refetched as exactly their live ranges.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.common.clock import Clock
@@ -45,6 +46,14 @@ from repro.obs import (
 )
 
 Tag = pte_mod.Tag
+
+# PTE bits the fault path tests directly (see repro.mem.pte's tag table).
+_PRESENT = pte_mod.PTE_PRESENT
+_WRITE = pte_mod.PTE_WRITE
+_USER = pte_mod.PTE_USER
+_TAG_MASK = _PRESENT | _WRITE | _USER
+#: ACTION's tag bits (REMOTE's are _WRITE alone, FETCHING's _USER alone).
+_ACTION = _WRITE | _USER
 
 
 class _PrefetchOps:
@@ -97,6 +106,11 @@ class DilosKernel:
                     "prefetch.issued", "reclaim.direct",
                     "reclaim.pages_evicted", "reclaim.pages_cleaned"):
             self.registry.counter(key)
+        # Per-page counters, bound once (the fault path bumps ``value``).
+        self._major_faults = self.registry.counter("fault.major")
+        self._minor_faults = self.registry.counter("fault.minor")
+        self._first_touches = self.registry.counter("fault.first_touch")
+        self._prefetches = self.registry.counter("prefetch.issued")
         self.breakdown = self.registry.breakdown("fault.breakdown")
         self.minor_wait = self.registry.histogram("fault.minor_wait_us")
         self.comm = CommModule(
@@ -155,46 +169,48 @@ class DilosKernel:
         clock.advance(model.fault_entry)
         clock.advance(model.dilos_pte_check)
         entry = self._pt.get(vpn)
-        tag = pte_mod.classify(entry)
 
-        if tag is Tag.LOCAL:
+        if entry & _PRESENT:
             # A prefetch install landed between the access and the handler
             # reading the PTE: the page is already here, no IO needed —
             # DiLOS' analogue of a minor fault.
-            self.registry.add("fault.minor")
+            self._minor_faults.value += 1
             self.registry.add("fault.resolved_during_exception")
             if tracer.enabled:
                 tracer.instant("fault.minor", "fault", clock.now,
                                {"vpn": vpn, "kind": "resolved"})
             return
 
-        if tag is Tag.FETCHING:
+        low = entry & _TAG_MASK
+        if low == _USER:  # FETCHING
             self._wait_for_fetch(entry, vpn)
             return
 
-        if tag is Tag.INVALID:
-            self._first_touch(vpn, va)
+        if not low:
+            if entry:
+                raise ValueError(f"malformed PTE {entry:#x}")
+            self._first_touch(vpn, va)  # INVALID
             return
 
         # REMOTE or ACTION: a major fault.
-        if tag is Tag.REMOTE and self._swap_cache:
+        if low == _WRITE and self._swap_cache:
             frame = self._swap_cache.pop(vpn, None)
             if frame is not None:
                 # Ablation path: the page already arrived but sits behind
                 # the swap-cache indirection; pay a minor fault to map it.
                 clock.advance(model.fastswap_minor_fault)
-                self._map(vpn, frame, dirty=False)
-                self.registry.add("fault.minor")
+                self._map(vpn, frame)
+                self._minor_faults.value += 1
                 if tracer.enabled:
                     tracer.instant("fault.minor", "fault", clock.now,
                                    {"vpn": vpn, "kind": "swap_cache"})
                 return
-        self._major_fault(vpn, va, entry, tag, fault_start)
+        self._major_fault(vpn, va, entry, fault_start)
 
     def _wait_for_fetch(self, entry: int, vpn: int) -> None:
         """Spin until a concurrent fetch of this page completes."""
         token = pte_mod.payload(entry)
-        self.registry.add("fault.minor")
+        self._minor_faults.value += 1
         start = self.clock.now
         self.clock.advance(self.model.dilos_wait_fetch)
         ready = self._fetch_ready.get(token)
@@ -218,18 +234,18 @@ class DilosKernel:
                                              writable=region.writable))
         if region.ddc:
             self.page_manager.insert(vpn)
-        self.registry.add("fault.first_touch")
+        self._first_touches.value += 1
         if inline_us:
             self.registry.add("fault.first_touch_inline_reclaims")
         if self.tracer.enabled:
             self.tracer.instant("fault.first_touch", "fault", self.clock.now,
                                 {"vpn": vpn})
 
-    def _major_fault(self, vpn: int, va: int, entry: int, tag: Tag,
+    def _major_fault(self, vpn: int, va: int, entry: int,
                      fault_start: float) -> None:
         clock = self.clock
         model = self.model
-        self.registry.add("fault.major")
+        self._major_faults.value += 1
         self.recent_faults.append(vpn)
         components = {
             "exception": model.fault_entry,
@@ -240,7 +256,7 @@ class DilosKernel:
         clock.advance(model.dilos_page_alloc)
         components["reclaim"] = inline_us
 
-        token = self._issue_fetch(vpn, frame, entry, tag, module="fault")
+        token = self._issue_fetch(vpn, frame, entry, module="fault")
         issue_time = clock.now
         ready = self._fetch_ready.get(token)
 
@@ -263,13 +279,10 @@ class DilosKernel:
             clock.advance_to(ready)
             components["fetch"] = clock.now - issue_time
             if self._pt.get(vpn) == pte_mod.make_fetching(token):
-                # The install never fired: the memory node died with the
+                # The install never ran: the memory node died with the
                 # READ in flight (its completion was marked failed). Roll
                 # back so the fault can be retried or surfaced cleanly.
-                self._pt.set(vpn, entry)
-                self._frames.free(frame)
-                self._fetch_ready.pop(token, None)
-                self.registry.add("net.fetch_node_failures")
+                self._roll_back(vpn, frame, token, entry)
                 raise NodeFailedError(
                     f"fetch of vpn {vpn} lost: memory node failed in flight")
 
@@ -282,48 +295,77 @@ class DilosKernel:
 
     # -- fetch machinery ---------------------------------------------------------
 
-    def _issue_fetch(self, vpn: int, frame: int, entry: int, tag: Tag,
+    def _issue_fetch(self, vpn: int, frame: int, entry: int,
                      module: str) -> int:
-        """Flip the PTE to FETCHING and post the READ; returns the token."""
+        """Flip the PTE to FETCHING, post the READ and register its one
+        landing event; returns the token."""
         token = self._next_token
-        self._next_token += 1
-        self._pt.set(vpn, pte_mod.make_fetching(token))
+        self._next_token = token + 1
+        self._pt.set(vpn, (token << PAGE_SHIFT) | _USER)  # FETCHING
         remote_off = self._as.remote_offset_for(vpn)
-        into_cache = module == "prefetch" and self.config.swap_cache_mode
-
+        prefetch = module == "prefetch"
+        into_cache = prefetch and self.config.swap_cache_mode
         try:
-            return self._post_fetch(vpn, frame, entry, tag, token,
-                                    remote_off, module, into_cache)
+            if entry & _TAG_MASK == _ACTION:
+                vector = self.page_manager.action_vector(vpn)
+                self.registry.add("guide.action_fetches")
+                if not vector:
+                    self._install(vpn, frame, token, None, into_cache)
+                    return token
+                completion = self.comm.qp(module).post_read_sg(
+                    [(remote_off + off, length) for off, length in vector])
+            else:
+                vector = None
+                completion = self.comm.qp(module).post_read(remote_off,
+                                                            PAGE_SIZE)
         except NodeFailedError:
             # The memory node died mid-fetch: roll the PTE back and free
             # the frame so the fault can be retried (or surfaced) cleanly.
-            self._pt.set(vpn, entry)
-            self._frames.free(frame)
-            self._fetch_ready.pop(token, None)
-            self.registry.add("net.fetch_node_failures")
+            self._roll_back(vpn, frame, token, entry)
             raise
-
-    def _post_fetch(self, vpn: int, frame: int, entry: int, tag: Tag,
-                    token: int, remote_off: int, module: str,
-                    into_cache: bool) -> int:
-        if tag is Tag.ACTION:
-            vector = self.page_manager.action_vector(vpn)
-            self.registry.add("guide.action_fetches")
-            if not vector:
-                self._install(vpn, frame, token, None, into_cache)
-                return token
-            segments = [(remote_off + off, length) for off, length in vector]
-            completion = self.comm.qp(module).post_read_sg(
-                segments,
-                on_complete=lambda c, v=vector: self._install_sg(
-                    vpn, frame, token, v, c, into_cache))
-        else:
-            completion = self.comm.qp(module).post_read(
-                remote_off, PAGE_SIZE,
-                on_complete=lambda c: self._install(
-                    vpn, frame, token, c.data, into_cache))
-        self._fetch_ready[token] = completion.time
+        ready = completion.time
+        self._fetch_ready[token] = ready
+        self.clock.call_at(ready, partial(
+            self._land, vpn, frame, entry, token, completion, vector,
+            into_cache, prefetch))
         return token
+
+    def _roll_back(self, vpn: int, frame: int, token: int,
+                   entry: int) -> None:
+        """Undo a fetch the memory node lost: restore the PTE, free the
+        frame, forget the token."""
+        self._pt.set(vpn, entry)
+        self._frames.free(frame)
+        self._fetch_ready.pop(token, None)
+        self.registry.add("net.fetch_node_failures")
+
+    def _land(self, vpn: int, frame: int, entry: int, token: int,
+              completion: Completion, vector: Optional[List],
+              into_cache: bool, prefetch: bool) -> None:
+        """A fetch's landing event, at its completion time: install the
+        page (or roll back a prefetch the memory node lost), then note a
+        prefetch for the hit tracker.
+
+        The install and the note must run back to back with no other
+        timer between them; one event guarantees it (the firing-order
+        argument is in docs/PERFORMANCE.md, "Fault-path fast lane").
+        """
+        if not completion.failed:
+            if vector is None:
+                self._install(vpn, frame, token, completion.data, into_cache)
+            else:
+                self._install_sg(vpn, frame, token, vector, completion,
+                                 into_cache)
+        elif prefetch:
+            # The memory node died with this READ in flight. A demand
+            # fetch is rolled back by its waiting fault handler; nobody
+            # waits on a prefetch, so roll it back here.
+            if self._pt.get(vpn) == pte_mod.make_fetching(token):
+                self._roll_back(vpn, frame, token, entry)
+            else:
+                self._drop_fetch(frame, token)
+        if prefetch:
+            self.hit_tracker.note_installed(vpn)
 
     def _install_sg(self, vpn: int, frame: int, token: int,
                     vector: List, completion: Completion,
@@ -340,12 +382,9 @@ class DilosKernel:
     def _install(self, vpn: int, frame: int, token: int,
                  data: Optional[bytes], into_cache: bool) -> None:
         """Map a fetched page (or park it in the ablation swap cache)."""
-        expected = pte_mod.make_fetching(token)
-        if self._pt.get(vpn) != expected:
+        if self._pt.get(vpn) != (token << PAGE_SHIFT) | _USER:  # FETCHING
             # The mapping vanished mid-flight (munmap); drop the page.
-            self._frames.free(frame)
-            self._fetch_ready.pop(token, None)
-            self.registry.add("net.fetches_dropped")
+            self._drop_fetch(frame, token)
             return
         if data is not None:
             self._frames.data(frame)[:] = data
@@ -355,12 +394,20 @@ class DilosKernel:
             self._swap_cache[vpn] = frame
             self.registry.add("swapcache.installs")
             return
-        self._map(vpn, frame, dirty=False)
+        self._map(vpn, frame)
 
-    def _map(self, vpn: int, frame: int, dirty: bool) -> None:
-        region = self._as.region_for(vpn << PAGE_SHIFT)
-        self._pt.set(vpn, pte_mod.make_local(frame, dirty=dirty,
-                                             writable=region.writable))
+    def _drop_fetch(self, frame: int, token: int) -> None:
+        """Discard a fetch whose page was unmapped while it flew."""
+        self._frames.free(frame)
+        self._fetch_ready.pop(token, None)
+        self.registry.add("net.fetches_dropped")
+
+    def _map(self, vpn: int, frame: int) -> None:
+        """Map a clean LOCAL PTE for ``frame`` and enter it in the LRU."""
+        entry = (frame << PAGE_SHIFT) | _PRESENT | _USER
+        if self._as.region_for(vpn << PAGE_SHIFT).writable:
+            entry |= _WRITE
+        self._pt.set(vpn, entry)
         self.page_manager.insert(vpn)
 
     # -- prefetch (§4.3) -----------------------------------------------------------
@@ -368,25 +415,21 @@ class DilosKernel:
     def prefetch_vpn(self, vpn: int) -> bool:
         """Async prefetch of ``vpn`` on the prefetch QP; False if skipped."""
         entry = self._pt.get(vpn)
-        tag = pte_mod.classify(entry)
-        if tag not in (Tag.REMOTE, Tag.ACTION):
+        low = entry & _TAG_MASK
+        if low != _WRITE and low != _ACTION:  # only REMOTE or ACTION
             return False
         frame = self.page_manager.alloc_frame_for_prefetch()
         if frame is None:
             return False
         try:
-            token = self._issue_fetch(vpn, frame, entry, tag,
-                                      module="prefetch")
+            self._issue_fetch(vpn, frame, entry, module="prefetch")
         except NodeFailedError:
             # A dead node must not take down speculative work.
             return False
-        self.registry.add("prefetch.issued")
+        self._prefetches.value += 1
         if self.tracer.enabled:
             self.tracer.instant("prefetch.issue", "prefetch", self.clock.now,
                                 {"vpn": vpn})
-        ready = self._fetch_ready.get(token)
-        if ready is not None:
-            self.clock.call_at(ready, lambda: self.hit_tracker.note_installed(vpn))
         return True
 
     # -- guide support (§4.3/§4.4) ----------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock
 from repro.common.errors import OutOfMemoryError
-from repro.common.units import PAGE_SIZE
+from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.core.comm import CommModule
 from repro.core.config import DilosConfig
 from repro.core.guides import AllocatorGuide, coalesce_ranges
@@ -39,6 +39,11 @@ from repro.mem.tlb import Tlb
 from repro.obs import LegacyCounters, Observability
 
 Range = Tuple[int, int]
+
+# PTE bits tested directly on the reclaim path (see repro.mem.pte).
+_PRESENT = pte_mod.PTE_PRESENT
+_ACCESSED = pte_mod.PTE_ACCESSED
+_DIRTY = pte_mod.PTE_DIRTY
 
 #: Cap on scatter-gather vector length (§6.3: longer vectors slow sharply).
 MAX_SG_SEGMENTS = 3
@@ -68,6 +73,9 @@ class PageManager:
         self._comm = comm
         self._registry = obs.registry
         self._tracer = obs.tracer
+        # Per-page counters, bound once; the kernel registers both at boot.
+        self._evicted = obs.registry.counter("reclaim.pages_evicted")
+        self._cleaned = obs.registry.counter("reclaim.pages_cleaned")
         self.counters = LegacyCounters(self._registry)
         total = frames.total_frames
         # Watermarks scale with the pool but never reserve more than a
@@ -164,6 +172,7 @@ class PageManager:
 
     def _tick(self) -> None:
         pt = self._pt
+        clock = self._clock
         if (not pt.dirty_vpns and pt.unmap_epoch == self._unmaps_seen
                 and self._frames.free_frames >= self.high_watermark):
             # Provably a no-op pass: no PTE anywhere is dirty (nothing to
@@ -173,14 +182,16 @@ class PageManager:
             # the LRU by the scan budget — defer it and replay the
             # accumulated shift lazily before the next real LRU access.
             self._deferred_ticks += 1
-        else:
-            if self._deferred_ticks:
-                self._replay_rotation()
-            self.cleaner_pass(self._config.clean_batch)
-            deficit = self.high_watermark - self._frames.free_frames
-            if deficit > 0:
-                self.reclaimer_pass(min(deficit, self._config.reclaim_batch))
-        self._clock.call_after(self._config.cleaner_period_us, self._tick)
+            clock.call_at(clock.now + self._config.cleaner_period_us,
+                          self._tick)
+            return
+        if self._deferred_ticks:
+            self._replay_rotation()
+        self.cleaner_pass(self._config.clean_batch)
+        deficit = self.high_watermark - self._frames.free_frames
+        if deficit > 0:
+            self.reclaimer_pass(min(deficit, self._config.reclaim_batch))
+        clock.call_at(clock.now + self._config.cleaner_period_us, self._tick)
 
     def _replay_rotation(self) -> None:
         """Apply the deferred pure-rotation ticks as one cyclic shift.
@@ -227,8 +238,8 @@ class PageManager:
         if pt.unmap_epoch == self._unmaps_seen and n:
             # No stale LRU entries, so the pass visits exactly the first
             # min(budget, n) entries: each is rotated to the back and, if
-            # dirty, cleaned (second_chance=False never touches accessed
-            # bits). The dirty-set membership test replaces a PTE read —
+            # dirty, cleaned (the cleaner never touches accessed bits).
+            # The dirty-set membership test replaces a PTE read —
             # no side effects either way — and the per-entry interleaving
             # of rotation and cleaning is preserved exactly, so any timer
             # fired by a clean's inline post overhead observes the same
@@ -253,9 +264,9 @@ class PageManager:
             return cleaned
         start = self._clock.now
         cleaned = 0
-        for vpn in self._rotate(budget, second_chance=False):
+        for vpn in self._rotate(budget):
             entry = self._pt.get(vpn)
-            if pte_mod.is_dirty(entry):
+            if entry & _DIRTY:
                 self._clean(vpn, entry)
                 cleaned += 1
         if cleaned and self._tracer.enabled:
@@ -265,20 +276,42 @@ class PageManager:
         return cleaned
 
     def reclaimer_pass(self, target: int) -> int:
-        """Evict up to ``target`` cold clean pages; returns pages evicted."""
+        """Evict up to ``target`` cold clean pages; returns pages evicted.
+
+        One sweep of the clock hand over at most the whole LRU: stale
+        entries are dropped, accessed pages get a second chance (bit
+        cleared, moved to the back), and cold pages are cleaned if dirty
+        and evicted.
+        """
         if self._deferred_ticks:
             self._replay_rotation()
         start = self._clock.now
         evicted = 0
-        # Each rotation examines at most the whole LRU once.
-        for vpn in self._rotate(len(self._lru), second_chance=True):
+        lru = self._lru
+        pop = lru.popitem
+        pt = self._pt
+        get = pt.get
+        # The scan budget is fixed at the start; cleans may fire timers
+        # that map pages (and so grow the LRU) mid-pass.
+        for _ in range(len(lru)):
+            if not lru:
+                break
+            vpn, _ = pop(last=False)
+            entry = get(vpn)
+            if not entry & _PRESENT:
+                self._clean_vectors.pop(vpn, None)
+                continue
+            lru[vpn] = None  # to the back: second chance or eviction
+            if entry & _ACCESSED:
+                pt.set(vpn, entry & ~_ACCESSED)
+                self._tlb.invalidate(vpn)
+                continue
             if evicted >= target:
                 break
-            entry = self._pt.get(vpn)
-            if pte_mod.is_dirty(entry):
+            if entry & _DIRTY:
                 self._clean(vpn, entry)
-                entry = self._pt.get(vpn)
-                if pte_mod.is_dirty(entry):
+                entry = get(vpn)
+                if entry & _DIRTY:
                     continue  # write-back failed (node down); not evictable
             self._evict(vpn, entry)
             evicted += 1
@@ -288,36 +321,27 @@ class PageManager:
                                   {"evicted": evicted})
         return evicted
 
-    def _rotate(self, budget: int, second_chance: bool):
+    def _rotate(self, budget: int):
         """Advance the clock hand; yields candidate VPNs.
 
-        Pages whose accessed bit is set get the bit cleared and go to the
-        back of the list instead of being yielded (when ``second_chance``).
+        Each candidate goes to the back of the list before it is yielded.
         Stale entries (already unmapped) are dropped silently.
         """
         for _ in range(min(budget, len(self._lru))):
             if not self._lru:
                 return
             vpn, _ = self._lru.popitem(last=False)
-            entry = self._pt.get(vpn)
-            if not pte_mod.is_present(entry):
+            if not self._pt.get(vpn) & _PRESENT:
                 self._clean_vectors.pop(vpn, None)
                 continue
-            if second_chance and pte_mod.is_accessed(entry):
-                self._pt.set(vpn, pte_mod.clear_accessed(entry))
-                self._tlb.invalidate(vpn)
-                self._lru[vpn] = None
-                continue
             self._lru[vpn] = None  # keep position until caller evicts
-            self._lru.move_to_end(vpn)
             yield vpn
 
     # -- clean & evict ----------------------------------------------------------
 
     def _clean(self, vpn: int, entry: int) -> None:
         """Write a dirty page's (live) bytes back to the memory node."""
-        frame = pte_mod.frame_of(entry)
-        data = self._frames.data(frame)
+        data = self._frames.data(entry >> PAGE_SHIFT)
         remote_off = self._as.remote_offset_for(vpn)
         qp = self._comm.qp("manager")
         vector: Optional[List[Range]] = None
@@ -343,26 +367,31 @@ class PageManager:
             self._registry.add("net.writeback_node_failures")
             return
         self._clean_vectors[vpn] = vector
-        self._pt.set(vpn, pte_mod.clear_dirty(entry))
+        self._pt.set(vpn, entry & ~_DIRTY)
         self._tlb.invalidate(vpn)
-        self._registry.add("reclaim.pages_cleaned")
+        self._cleaned.value += 1
 
     def _evict(self, vpn: int, entry: int) -> None:
         """Unmap a clean page and free its frame."""
-        assert not pte_mod.is_dirty(entry), "evicting a dirty page"
-        frame = pte_mod.frame_of(entry)
-        vector = self._refresh_vector(vpn)
-        if self._config.guided_paging and vector is not None:
-            self._clean_vectors[vpn] = vector
-            self._pt.set(vpn, pte_mod.make_action(vpn))
+        assert not entry & _DIRTY, "evicting a dirty page"
+        if self._config.guided_paging:
+            vector = self._refresh_vector(vpn)
+            if vector is not None:
+                self._clean_vectors[vpn] = vector
+                self._pt.set(vpn, pte_mod.make_action(vpn))
+            else:
+                self._pt.set(vpn, pte_mod.make_remote(
+                    self._as.remote_pfn_for(vpn)))
         else:
-            self._pt.set(vpn, pte_mod.make_remote(self._as.remote_pfn_for(vpn)))
+            # REMOTE: the remote pfn in the payload, write bit as the tag.
+            self._pt.set(vpn, (self._as.remote_pfn_for(vpn) << PAGE_SHIFT)
+                         | pte_mod.PTE_WRITE)
         self._tlb.invalidate(vpn)
-        self._frames.free(frame)
+        self._frames.free(entry >> PAGE_SHIFT)
         self._lru.pop(vpn, None)
         # This unmap left no stale LRU entry (popped just above).
         self._unmaps_seen = self._pt.unmap_epoch
-        self._registry.add("reclaim.pages_evicted")
+        self._evicted.value += 1
 
     def _refresh_vector(self, vpn: int) -> Optional[List[Range]]:
         """Re-ask the guide for live ranges at eviction time (§4.4).
@@ -392,16 +421,16 @@ class PageManager:
         start_free = self._frames.free_frames
         cleaned_inline = 0
         scanned = 0
-        for vpn in self._rotate(len(self._lru), second_chance=False):
+        for vpn in self._rotate(len(self._lru)):
             scanned += 1
             if self._frames.free_frames - start_free >= want:
                 break
             entry = self._pt.get(vpn)
-            if pte_mod.is_dirty(entry):
+            if entry & _DIRTY:
                 self._clean(vpn, entry)
                 cleaned_inline += 1
                 entry = self._pt.get(vpn)
-                if pte_mod.is_dirty(entry):
+                if entry & _DIRTY:
                     continue  # write-back failed (node down); not evictable
             self._evict(vpn, entry)
         reclaimed = self._frames.free_frames - start_free

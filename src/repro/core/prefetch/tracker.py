@@ -20,6 +20,8 @@ from repro.mem.page_table import PageTable
 from repro.net.latency import LatencyModel
 from repro.obs.tracer import NULL_TRACER
 
+_PRESENT_ACCESSED = pte_mod.PTE_PRESENT | pte_mod.PTE_ACCESSED
+
 
 class PteHitTracker:
     """Scans accessed bits of recently prefetched PTEs."""
@@ -55,8 +57,7 @@ class PteHitTracker:
         deadline = self._clock.now - self.GRACE_US
         while self._pending and matured < budget:
             vpn, installed_at = self._pending[0]
-            entry = self._pt.get(vpn)
-            hit = pte_mod.is_present(entry) and pte_mod.is_accessed(entry)
+            hit = self._pt.get(vpn) & _PRESENT_ACCESSED == _PRESENT_ACCESSED
             if not hit and installed_at > deadline:
                 break  # not yet matured; later entries are younger still
             self._pending.popleft()

@@ -13,7 +13,7 @@ the lifetime of the mapping so REMOTE PTEs can simply carry the remote pfn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import InvalidAddressError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE, align_up
@@ -51,7 +51,8 @@ class AddressSpace:
         self._memory_node = memory_node
         self._regions: List[Region] = []
         self._next_base = self._MMAP_BASE
-        self._remote_slot: Dict[int, int] = {}
+        #: vpn -> (remote pfn, its byte offset in the remote region).
+        self._remote_slot: Dict[int, Tuple[int, int]] = {}
 
     # -- region management --------------------------------------------------
 
@@ -89,29 +90,38 @@ class AddressSpace:
 
     # -- remote backing -------------------------------------------------------
 
+    def _allocate_backing(self, vpn: int) -> Tuple[int, int]:
+        if self._memory_node is None:
+            raise InvalidAddressError(
+                f"page {vpn:#x} has no remote backing (no memory node)")
+        slot = self._memory_node.alloc_slot()
+        backing = self._remote_slot[vpn] = (
+            slot, self._memory_node.slot_offset(slot))
+        return backing
+
     def remote_pfn_for(self, vpn: int) -> int:
         """Remote page frame backing ``vpn``, allocated on first use."""
-        slot = self._remote_slot.get(vpn)
-        if slot is None:
-            if self._memory_node is None:
-                raise InvalidAddressError(
-                    f"page {vpn:#x} has no remote backing (no memory node)")
-            slot = self._memory_node.alloc_slot()
-            self._remote_slot[vpn] = slot
-        return slot
+        backing = self._remote_slot.get(vpn)
+        if backing is None:
+            backing = self._allocate_backing(vpn)
+        return backing[0]
 
     def remote_offset_for(self, vpn: int) -> int:
-        """Byte offset of ``vpn``'s backing within the remote region."""
-        return self._memory_node.slot_offset(self.remote_pfn_for(vpn))
+        """Byte offset of ``vpn``'s backing within the remote region
+        (allocating the backing on first use, like :meth:`remote_pfn_for`)."""
+        backing = self._remote_slot.get(vpn)
+        if backing is None:
+            backing = self._allocate_backing(vpn)
+        return backing[1]
 
     def has_remote_backing(self, vpn: int) -> bool:
         return vpn in self._remote_slot
 
     def release_remote(self, vpn: int) -> None:
         """Free the remote slot backing ``vpn`` (on munmap/free)."""
-        slot = self._remote_slot.pop(vpn, None)
-        if slot is not None and self._memory_node is not None:
-            self._memory_node.free_slot(slot)
+        backing = self._remote_slot.pop(vpn, None)
+        if backing is not None and self._memory_node is not None:
+            self._memory_node.free_slot(backing[0])
 
     # -- conveniences -----------------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 Matches the Intel layout the paper's unified page table rides on: four
 levels of 512-entry tables indexed by 9-bit slices of the virtual page
-number. Tables are materialized lazily. A one-entry leaf cache makes the
-sequential walks that dominate paging workloads cheap.
+number. Tables are materialized lazily; the tree is the structure of
+record. Each leaf table is a 512-slot list, and a flat *leaf index*
+keyed by ``vpn >> 9`` holds the same list objects, so a PTE read or write
+is one dict probe plus one list index instead of a four-level walk.
 
 All methods are keyed by *virtual page number* (``va >> 12``); byte-address
 plumbing lives in :mod:`repro.mem.vm`.
@@ -11,11 +13,13 @@ plumbing lives in :mod:`repro.mem.vm`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 _LEVEL_BITS = 9
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
+_LEVEL_SLOTS = 1 << _LEVEL_BITS
 _VPN_BITS = 36  # 48-bit VA, 4 KiB pages
+_LEAF_KEYS = 1 << (_VPN_BITS - _LEVEL_BITS)
 
 # Mirrors of repro.mem.pte's bit layout (kept literal so this module stays
 # dependency-free): present = bit 0, dirty = bit 6.
@@ -37,13 +41,14 @@ class PageTable:
       that can leave a stale entry in an external LRU list.
     """
 
-    __slots__ = ("_root", "_leaf_cache_key", "_leaf_cache", "leaf_tables",
-                 "dirty_vpns", "unmap_epoch")
+    __slots__ = ("_root", "_leaves", "leaf_tables", "dirty_vpns",
+                 "unmap_epoch")
 
     def __init__(self) -> None:
         self._root: Dict[int, Dict] = {}
-        self._leaf_cache_key = -1
-        self._leaf_cache: Dict[int, int] = {}
+        #: ``vpn >> 9`` -> that leaf's 512-slot list (the same object the
+        #: tree links at level 3).
+        self._leaves: Dict[int, List[int]] = {}
         #: Count of materialized leaf tables, for footprint reporting.
         self.leaf_tables = 0
         #: VPNs of present PTEs with the dirty bit set, maintained exactly.
@@ -53,48 +58,51 @@ class PageTable:
 
     # -- walking -----------------------------------------------------------
 
-    def _leaf_for(self, vpn: int, create: bool) -> Dict[int, int]:
-        """Return the leaf table covering ``vpn`` (possibly empty dict)."""
-        key = vpn >> _LEVEL_BITS
-        if key == self._leaf_cache_key:
-            return self._leaf_cache
+    def _new_leaf(self, key: int) -> List[int]:
+        """Walk the tree to leaf ``key`` (= ``vpn >> 9``), building the
+        missing tables, and index the new leaf."""
+        if not 0 <= key < _LEAF_KEYS:
+            raise ValueError(f"page {key << _LEVEL_BITS:#x} is outside the "
+                             f"{_VPN_BITS}-bit page-number space")
         node = self._root
-        for shift in (_VPN_BITS - _LEVEL_BITS,
-                      _VPN_BITS - 2 * _LEVEL_BITS,
-                      _VPN_BITS - 3 * _LEVEL_BITS):
-            index = (vpn >> shift) & _LEVEL_MASK
+        for shift in (2 * _LEVEL_BITS, _LEVEL_BITS):
+            index = (key >> shift) & _LEVEL_MASK
             child = node.get(index)
             if child is None:
-                if not create:
-                    # Do not cache: this empty dict is not linked into the
-                    # tree, and caching it would orphan later set() writes.
-                    return {}
-                child = {}
-                node[index] = child
-                if shift == _VPN_BITS - 3 * _LEVEL_BITS:
-                    self.leaf_tables += 1
+                child = node[index] = {}
             node = child
-        self._leaf_cache_key = key
-        self._leaf_cache = node
-        return node
+        leaf = node[key & _LEVEL_MASK] = [0] * _LEVEL_SLOTS
+        self._leaves[key] = leaf
+        self.leaf_tables += 1
+        return leaf
 
     # -- access -------------------------------------------------------------
 
     def get(self, vpn: int) -> int:
         """The PTE for ``vpn`` (0 = invalid/unmapped)."""
-        return self._leaf_for(vpn, create=False).get(vpn & _LEVEL_MASK, 0)
+        leaf = self._leaves.get(vpn >> _LEVEL_BITS)
+        if leaf is None:
+            return 0
+        return leaf[vpn & _LEVEL_MASK]
 
     def set(self, vpn: int, pte: int) -> None:
         """Install ``pte`` for ``vpn`` (0 clears the entry)."""
-        leaf = self._leaf_for(vpn, create=True)
+        leaf = self._leaves.get(vpn >> _LEVEL_BITS)
+        if leaf is None:
+            leaf = self._new_leaf(vpn >> _LEVEL_BITS)
         index = vpn & _LEVEL_MASK
-        old = leaf.get(index, 0)
-        if pte == 0:
-            leaf.pop(index, None)
-        else:
-            leaf[index] = pte
-        if old != pte:
-            self._account(vpn, old, pte)
+        old = leaf[index]
+        if old == pte:
+            return
+        leaf[index] = pte
+        # Maintain dirty_vpns / unmap_epoch (see the class docstring).
+        if old & _PRESENT_DIRTY == _PRESENT_DIRTY:
+            if pte & _PRESENT_DIRTY != _PRESENT_DIRTY:
+                self.dirty_vpns.discard(vpn)
+        elif pte & _PRESENT_DIRTY == _PRESENT_DIRTY:
+            self.dirty_vpns.add(vpn)
+        if old & _PTE_PRESENT and not pte & _PTE_PRESENT:
+            self.unmap_epoch += 1
 
     def update(self, vpn: int, old: int, new: int) -> bool:
         """Compare-and-set; models the atomic PTE transitions of §4.2.
@@ -102,28 +110,13 @@ class PageTable:
         Returns False (and changes nothing) if the current PTE is not
         ``old`` — e.g. another core already flipped REMOTE to FETCHING.
         """
-        leaf = self._leaf_for(vpn, create=True)
-        index = vpn & _LEVEL_MASK
-        if leaf.get(index, 0) != old:
+        leaf = self._leaves.get(vpn >> _LEVEL_BITS)
+        if leaf is None:
+            leaf = self._new_leaf(vpn >> _LEVEL_BITS)
+        if leaf[vpn & _LEVEL_MASK] != old:
             return False
-        if new == 0:
-            leaf.pop(index, None)
-        else:
-            leaf[index] = new
-        if old != new:
-            self._account(vpn, old, new)
+        self.set(vpn, new)
         return True
-
-    def _account(self, vpn: int, old: int, new: int) -> None:
-        """Maintain :attr:`dirty_vpns` / :attr:`unmap_epoch` on a change."""
-        old_pd = old & _PRESENT_DIRTY == _PRESENT_DIRTY
-        if old_pd != (new & _PRESENT_DIRTY == _PRESENT_DIRTY):
-            if old_pd:
-                self.dirty_vpns.discard(vpn)
-            else:
-                self.dirty_vpns.add(vpn)
-        if old & _PTE_PRESENT and not new & _PTE_PRESENT:
-            self.unmap_epoch += 1
 
     def entries(self) -> Iterator[Tuple[int, int]]:
         """Iterate all ``(vpn, pte)`` pairs with non-zero PTEs."""
@@ -131,5 +124,6 @@ class PageTable:
             for i2, l3 in l2.items():
                 for i3, leaf in l3.items():
                     base = ((i1 << _LEVEL_BITS | i2) << _LEVEL_BITS | i3) << _LEVEL_BITS
-                    for i4, pte in leaf.items():
-                        yield base | i4, pte
+                    for i4, pte in enumerate(leaf):
+                        if pte:
+                            yield base | i4, pte

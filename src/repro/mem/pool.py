@@ -392,6 +392,10 @@ class PooledMemory(_ClusterBackend):
     # -- data path (splits page-crossing requests) --------------------------
 
     def read_bytes(self, offset: int, size: int) -> bytes:
+        if 0 < size <= PAGE_SIZE - (offset & (PAGE_SIZE - 1)):
+            # Within one page (a paging fetch): one route, no join.
+            node, local = self._route(offset)
+            return node.read_bytes(local, size)
         parts = []
         while size > 0:
             node, local = self._route(offset)

@@ -39,6 +39,11 @@ FaultHandler = Callable[[int, bool], None]
 
 _MAX_FAULT_RETRIES = 4
 _PAGE_MASK = PAGE_SIZE - 1
+_PRESENT = pte_mod.PTE_PRESENT
+_WRITE = pte_mod.PTE_WRITE
+_ACCESSED = pte_mod.PTE_ACCESSED
+_DIRTY = pte_mod.PTE_DIRTY
+_ACCESSED_DIRTY = _ACCESSED | _DIRTY
 
 
 class VirtualMemory:
@@ -68,9 +73,16 @@ class VirtualMemory:
     # -- translation ------------------------------------------------------
 
     def _translate(self, vpn: int, is_write: bool) -> int:
-        """Return the local frame for ``vpn``, faulting as needed."""
-        entry = self.tlb.lookup(vpn)
+        """Return the local frame for ``vpn``, faulting as needed.
+
+        Runs on every TLB miss, so :meth:`Tlb.lookup` and the
+        :mod:`repro.mem.pte` bit helpers are written out inline.
+        """
+        tlb = self.tlb
+        entry = tlb.entries.get(vpn)
         if entry is not None:
+            tlb.entries.move_to_end(vpn)
+            tlb.hits += 1
             frame, writable, dirty_set = entry
             if is_write and not writable:
                 raise ProtectionError(
@@ -80,24 +92,27 @@ class VirtualMemory:
             # First write through a clean translation: set the PTE dirty
             # bit (a hardware-assisted walk on x86).
             pte = self._pt.get(vpn)
-            self._pt.set(vpn, pte_mod.set_dirty(pte))
-            self.tlb.mark_dirty_set(vpn)
+            self._pt.set(vpn, pte | _DIRTY)
+            tlb.mark_dirty_set(vpn)
             return frame
+        tlb.misses += 1
 
+        pt = self._pt
         for _attempt in range(_MAX_FAULT_RETRIES):
-            pte = self._pt.get(vpn)
-            if pte_mod.is_present(pte):
-                if is_write and not pte & pte_mod.PTE_WRITE:
-                    raise ProtectionError(
-                        f"write to read-only page {vpn:#x}")
-                frame = pte_mod.frame_of(pte)
-                new = pte_mod.set_accessed(pte)
+            pte = pt.get(vpn)
+            if pte & _PRESENT:
                 if is_write:
-                    new = pte_mod.set_dirty(new)
+                    if not pte & _WRITE:
+                        raise ProtectionError(
+                            f"write to read-only page {vpn:#x}")
+                    new = pte | _ACCESSED_DIRTY
+                else:
+                    new = pte | _ACCESSED
                 if new != pte:
-                    self._pt.set(vpn, new)
-                self.tlb.fill(vpn, frame, writable=bool(new & pte_mod.PTE_WRITE),
-                              dirty_set=pte_mod.is_dirty(new))
+                    pt.set(vpn, new)
+                frame = pte >> PAGE_SHIFT
+                tlb.fill(vpn, frame, writable=bool(new & _WRITE),
+                         dirty_set=bool(new & _DIRTY))
                 return frame
             self._fault_handler(vpn << PAGE_SHIFT, is_write)
 

@@ -28,23 +28,19 @@ from repro.obs.tracer import NULL_TRACER
 
 
 class NetStats:
-    """Wire-byte accounting shared by all queue pairs of one fabric.
+    """Wire-byte accounting shared by all queue pairs of one fabric:
+    bytes and verb counts per direction (Figure 12's bandwidth comes
+    from the byte totals)."""
 
-    ``timeline`` keeps ``(time, bytes, direction)`` events so experiments can
-    plot bandwidth over time (Figure 12).
-    """
-
-    __slots__ = ("bytes_read", "bytes_written", "ops_read", "ops_write",
-                 "timeline")
+    __slots__ = ("bytes_read", "bytes_written", "ops_read", "ops_write")
 
     def __init__(self) -> None:
         self.bytes_read = 0
         self.bytes_written = 0
         self.ops_read = 0
         self.ops_write = 0
-        self.timeline: List[Tuple[float, int, str]] = []
 
-    def record(self, now: float, size: int, direction: str) -> None:
+    def record(self, size: int, direction: str) -> None:
         if direction == "read":
             self.bytes_read += size
             self.ops_read += 1
@@ -53,32 +49,10 @@ class NetStats:
             self.ops_write += 1
         else:
             raise ValueError(f"unknown direction {direction!r}")
-        self.timeline.append((now, size, direction))
 
     @property
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
-
-    def bandwidth_series(self, bin_us: float, start: float = 0.0,
-                         stop: float = None):
-        """Bin the timeline into ``(bin_start_us, bytes)`` pairs.
-
-        This is how Figure 12's bandwidth-over-time plot is produced from
-        the raw wire events. Empty bins are included so the series is
-        uniform.
-        """
-        if bin_us <= 0:
-            raise ValueError("bin width must be positive")
-        if not self.timeline:
-            return []
-        if stop is None:
-            stop = max(t for t, _size, _dir in self.timeline)
-        nbins = int((stop - start) // bin_us) + 1
-        bins = [0] * nbins
-        for when, size, _direction in self.timeline:
-            if start <= when <= stop:
-                bins[int((when - start) // bin_us)] += size
-        return [(start + i * bin_us, total) for i, total in enumerate(bins)]
 
 
 class Completion:
@@ -244,7 +218,7 @@ class QueuePair:
         base = (self._read_base if direction == "read"
                 else self._write_base)
         when = self._schedule(wire, base, at=at, offset=offset, size=size)
-        self._stats.record(when, size, direction)
+        self._stats.record(size, direction)
         if self.tracer.enabled:
             post = at if at is not None else self._clock.now
             self.tracer.complete(f"net.{direction}", "net", post,
@@ -262,15 +236,28 @@ class QueuePair:
     ) -> Completion:
         """One-sided READ of ``size`` bytes at ``remote_offset``."""
         data = self._remote.read_bytes(remote_offset, size)
-        when = self._schedule(size * self._per_byte, self._read_base,
-                              offset=remote_offset, size=size)
-        self._stats.record(when, size, "read")
+        # The paging hot path: :meth:`_schedule` with ``at=None`` and
+        # :meth:`NetStats.record`, written out in the same float order.
+        clock = self._clock
+        clock.advance(self._post_overhead)
+        now = clock.now
+        wire_free = self._wire_free
+        start = wire_free if wire_free > now else now
+        wire_done = start + size * self._per_byte
+        if self._fabric is not None:
+            wire_done += self._fabric.charge(remote_offset, size, start)
+        self._wire_free = wire_done
+        self.posted += 1
+        when = wire_done + self._read_base + self.extra_completion_delay
+        stats = self._stats
+        stats.bytes_read += size
+        stats.ops_read += 1
         if self.tracer.enabled:
-            self.tracer.complete("net.read", "net", self._clock.now,
-                                 when - self._clock.now,
+            self.tracer.complete("net.read", "net", now, when - now,
                                  {"qp": self.name, "bytes": size})
         completion = Completion(when, "read", size, data)
-        self._register(completion, on_complete)
+        if self._listening or on_complete is not None:
+            self._register(completion, on_complete)
         return completion
 
     def post_write(
@@ -284,7 +271,7 @@ class QueuePair:
         when = self._schedule(len(data) * self._per_byte,
                               self._write_base,
                               offset=remote_offset, size=len(data))
-        self._stats.record(when, len(data), "write")
+        self._stats.record(len(data), "write")
         if self.tracer.enabled:
             self.tracer.complete("net.write", "net", self._clock.now,
                                  when - self._clock.now,
@@ -314,7 +301,7 @@ class QueuePair:
         # routes the whole vector by its first segment's home node.
         when = self._schedule(wire, self._read_base,
                               offset=segments[0][0], size=total)
-        self._stats.record(when, total, "read")
+        self._stats.record(total, "read")
         if self.tracer.enabled:
             self.tracer.complete("net.read", "net", self._clock.now,
                                  when - self._clock.now,
@@ -339,7 +326,7 @@ class QueuePair:
         wire = total * self._per_byte + self._model.sg_overhead(len(segments))
         when = self._schedule(wire, self._write_base,
                               offset=segments[0][0], size=total)
-        self._stats.record(when, total, "write")
+        self._stats.record(total, "write")
         if self.tracer.enabled:
             self.tracer.complete("net.write", "net", self._clock.now,
                                  when - self._clock.now,

@@ -49,6 +49,16 @@ OffsetResolver = Callable[[int], int]
 _BYTES_PER_US_PER_GBPS = 125.0
 
 
+def _store_and_forward(path: Sequence["Link"], t: float,
+                       size: int) -> float:
+    """Push ``size`` bytes through ``path`` starting at ``t``, each link
+    after the previous one delivered; returns the total delay."""
+    delay = 0.0
+    for link in path:
+        delay += link.transmit(t + delay, size)
+    return delay
+
+
 class Link:
     """One duplex fabric link: a deterministic FIFO bandwidth server.
 
@@ -166,10 +176,7 @@ class RackTopology:
                  size: int) -> float:
         """Charge one transfer along the path; returns the total fabric
         delay (per-link queueing + serialization, store-and-forward)."""
-        delay = 0.0
-        for link in self.path(compute_id, mem_id):
-            delay += link.transmit(t + delay, size)
-        return delay
+        return _store_and_forward(self.path(compute_id, mem_id), t, size)
 
     def port(self, compute_id: int,
              resolver: Optional[OffsetResolver] = None) -> "FabricPort":
@@ -231,7 +238,7 @@ class FabricPort:
     guessing.
     """
 
-    __slots__ = ("topology", "compute_id", "resolver")
+    __slots__ = ("topology", "compute_id", "resolver", "_paths", "_home")
 
     def __init__(self, topology: RackTopology, compute_id: int,
                  resolver: Optional[OffsetResolver] = None) -> None:
@@ -240,14 +247,20 @@ class FabricPort:
         self.topology = topology
         self.compute_id = compute_id
         self.resolver = resolver
+        #: This node's link path to each memory node, fixed at boot.
+        self._paths = tuple(topology.path(compute_id, mem_id)
+                            for mem_id in range(topology.mem))
+        self._home = topology.home(compute_id)
 
     def charge(self, offset: Optional[int], size: int, t: float) -> float:
         """Fabric delay for ``size`` bytes toward ``offset`` at ``t``."""
         if offset is not None and self.resolver is not None:
             mem_id = self.resolver(offset)
+            if not 0 <= mem_id < len(self._paths):
+                raise ValueError(f"no memory node {mem_id}")
         else:
-            mem_id = self.topology.home(self.compute_id)
-        return self.topology.transmit(self.compute_id, mem_id, t, size)
+            mem_id = self._home
+        return _store_and_forward(self._paths[mem_id], t, size)
 
     def __repr__(self) -> str:
         return f"FabricPort(c{self.compute_id} on {self.topology!r})"

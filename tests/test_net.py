@@ -155,7 +155,6 @@ class TestNetStats:
         assert stats.ops_read == 1
         assert stats.ops_write == 1
         assert stats.total_bytes == 4196
-        assert len(stats.timeline) == 2
 
 
 class TestTcpEmulation:
@@ -171,34 +170,3 @@ class TestTcpEmulation:
         # 14,000 cycles at 2.3 GHz, minus the rdma QP's post already on the clock.
         assert t_tcp - t_rdma == pytest.approx(
             model.tcp_extra + model.rdma_post_overhead)
-
-
-class TestBandwidthSeries:
-    def test_binning(self):
-        stats = NetStats()
-        stats.record(1.0, 100, "read")
-        stats.record(1.5, 50, "write")
-        stats.record(12.0, 200, "read")
-        series = stats.bandwidth_series(bin_us=10.0)
-        assert series == [(0.0, 150), (10.0, 200)]
-
-    def test_empty_timeline(self):
-        assert NetStats().bandwidth_series(10.0) == []
-
-    def test_uniform_bins_include_empties(self):
-        stats = NetStats()
-        stats.record(0.0, 10, "read")
-        stats.record(35.0, 10, "read")
-        series = stats.bandwidth_series(bin_us=10.0)
-        assert [b for _t, b in series] == [10, 0, 0, 10]
-
-    def test_bad_bin_rejected(self):
-        with pytest.raises(ValueError):
-            NetStats().bandwidth_series(0)
-
-    def test_window_selection(self):
-        stats = NetStats()
-        for t in (5.0, 15.0, 25.0):
-            stats.record(t, 1, "read")
-        series = stats.bandwidth_series(bin_us=10.0, start=10.0, stop=20.0)
-        assert series == [(10.0, 1), (20.0, 0)]

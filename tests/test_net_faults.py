@@ -18,13 +18,16 @@ import pytest
 
 from repro.common.clock import Clock
 from repro.common.units import KIB, MIB, PAGE_SIZE
+from repro.alloc import Mimalloc, MimallocGuide
 from repro.core import DilosConfig, DilosSystem
+from repro.mem import pte as pte_mod
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.net.faults import FaultPlan, RetryPolicy, TransportError, checksum
 from repro.net.latency import LatencyModel
 from repro.net.qp import NetStats, QueuePair
 from repro.net.reliable import ReliableQP
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 
 def build_transport(script=None, plan=None, policy=None, siblings=2,
@@ -108,10 +111,12 @@ class TestRetryTimestamps:
                              failover_after=99)
         clock, model, node, stats, registry, rqp = build_transport(
             script=["drop"] * 5 + [None], policy=policy)
+        tracer = Tracer(enabled=True)
+        rqp.active_qp.tracer = tracer  # failover_after=99: one QP carries all
         rqp.post_read(0, 4096)
-        # stats.timeline records each attempt's completion time; the
+        # Each attempt's net.read span ends at its completion time; the
         # attempt-to-attempt spacing is timeout + backoff + post overhead.
-        times = [t for t, _size, _d in stats.timeline]
+        times = [e.ts + e.dur for e in tracer.events() if e.name == "net.read"]
         deltas = [b - a for a, b in zip(times, times[1:])]
         expected_backoffs = [10.0, 20.0, 40.0, 40.0, 40.0]  # capped at 40
         assert deltas == pytest.approx(
@@ -317,3 +322,62 @@ class TestInFlightNodeFailure:
         assert system.kernel.registry.value("net.fetch_node_failures") >= 1
         free_before_retry = system.frames.free_frames
         assert free_before_retry > 0  # the rolled-back frame was freed
+
+    @pytest.mark.parametrize("guided", [False, True],
+                             ids=["remote", "action"])
+    def test_dilos_prefetch_lost_to_node_crash_rolls_back(self, guided):
+        """A crash with readahead prefetches on the wire rolls each of
+        them back too, REMOTE and guided-paging ACTION pages alike: after
+        recovery every page reads back its bytes, and no frame stays
+        held by a lost fetch."""
+        if guided:
+            system = DilosSystem(DilosConfig(
+                local_mem_bytes=MIB // 2, remote_mem_bytes=16 * MIB,
+                guided_paging=True))
+            alloc = Mimalloc(system, arena_bytes=16 * MIB)
+            system.kernel.register_allocator_guide(MimallocGuide(alloc))
+            size = 2048  # two live objects per page
+            vas = [alloc.malloc(size) for _ in range(32)]
+            filler = system.mmap(2 * MIB, name="filler")
+        else:
+            system = DilosSystem(DilosConfig(local_mem_bytes=1 * MIB,
+                                             remote_mem_bytes=16 * MIB))
+            size = 32
+            region = system.mmap(4 * MIB, name="race")
+            vas = [region.base + i * PAGE_SIZE
+                   for i in range(region.size // PAGE_SIZE)]
+            filler = None
+        for i, va in enumerate(vas):
+            system.memory.write(va, bytes([i % 251 + 1]) * size)
+        if filler is not None:  # push the objects' pages out
+            for i in range(filler.size // PAGE_SIZE):
+                system.memory.write(filler.base + i * PAGE_SIZE, b"f")
+        system.clock.advance(8000)  # cleaner drains write-backs
+        pt = system.addr_space.page_table
+        first = vas[0] // PAGE_SIZE
+        evicted = pt.get(first)
+        assert evicted & 0b111 == (0b110 if guided else 0b010)  # ACTION/REMOTE
+        # Kill the node once the demand READ of the first page and the
+        # readahead window behind it are all on the wire.
+        system.clock.call_after(1.3, system.node.fail)
+        with pytest.raises(NodeFailedError):
+            system.memory.read(vas[0], 1)
+
+        def fetching():
+            return [vpn - first for vpn, entry in pt.entries()
+                    if entry & 0b111 == pte_mod.PTE_USER]
+
+        in_flight = fetching()
+        assert in_flight == list(range(1, 8))  # the readahead window
+        system.clock.advance(100)  # every lost prefetch lands
+        assert fetching() == []
+        assert pt.get(first + 1) & 0b111 == evicted & 0b111  # tag restored
+        registry = system.kernel.registry
+        assert registry.value("net.fetch_node_failures") == 1 + len(in_flight)
+        system.node.recover()
+        for i, va in enumerate(vas):
+            assert system.memory.read(va, size) == bytes([i % 251 + 1]) * size
+        system.clock.advance(100)
+        present = sum(1 for _vpn, entry in pt.entries()
+                      if entry & pte_mod.PTE_PRESENT)
+        assert system.frames.used_frames == present  # no frame leaked
