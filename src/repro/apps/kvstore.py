@@ -167,6 +167,10 @@ class KvStoreService:
                              registry=self.registry, tracer=tracer)
         for name in _KV_COUNTERS:
             self.registry.counter(name)
+        self._gets = self.registry.counter("kv.gets")
+        self._sets = self.registry.counter("kv.sets")
+        #: The per-command CPU charge, in µs.
+        self._op_us = system.model.cycles(KV_OP_CYCLES)
         self.registry.gauge("kv.primary",
                             lambda: float(-1 if self._primary is None
                                           else self._primary))
@@ -189,7 +193,7 @@ class KvStoreService:
         now = self.clock.now
         primary = self._primary
         if primary is not None and not self._member_nodes[primary].failed:
-            if primary in self.backend.syncing_members():
+            if self.backend.is_syncing(primary):
                 # The holder is back up but still resilvering: hand the
                 # lease to a clean member rather than serve stale state.
                 return self._elect(now, handoff=True)
@@ -205,13 +209,13 @@ class KvStoreService:
         return self._elect(now, handoff=False)
 
     def _elect(self, now: float, handoff: bool) -> Optional[int]:
-        syncing = set(self.backend.syncing_members())
-        journal = self.backend.journal
+        backend = self.backend
+        journal = backend.journal
         chosen: Optional[int] = None
         for member in self._candidates:
             if self._member_nodes[member].failed:
                 continue
-            if member in syncing or journal.dirty_count(member) > 0:
+            if backend.is_syncing(member) or journal.dirty_count(member) > 0:
                 self.registry.add("kv.stale_candidates_skipped")
                 continue
             chosen = member
@@ -240,7 +244,7 @@ class KvStoreService:
         survives the next single failure? Checked before any mutation —
         no simulated time passes between the check and the fan-out, so
         membership cannot change in between."""
-        return len(self.backend.live_members()) >= self.write_quorum
+        return self.backend.live_count() >= self.write_quorum
 
     # -- the Service protocol --------------------------------------------------
 
@@ -249,7 +253,7 @@ class KvStoreService:
         if handler is None:
             return Response.fail(f"unknown op {request.op!r}; "
                                  f"have {sorted(self._handlers)}")
-        self.system.cpu_cycles(KV_OP_CYCLES)
+        self.system.cpu(self._op_us)
         if self._ensure_primary() is None:
             self.registry.add("kv.unavail_rejects")
             if request.op != "get":
@@ -309,7 +313,7 @@ class KvStoreService:
         self._versions[key] = version
         self._expected[key] = (version, crc)
         self._lengths[key] = len(value)
-        self.registry.add("kv.sets")
+        self._sets.value += 1
         return Response()
 
     def _get(self, request: Request) -> Response:
@@ -328,7 +332,7 @@ class KvStoreService:
         if mismatch:
             self.registry.add("kv.lost_updates")
             return Response.fail(f"lost update on {key!r}: {mismatch}")
-        self.registry.add("kv.gets")
+        self._gets.value += 1
         return Response(value=value)
 
     def _delete(self, request: Request) -> Response:

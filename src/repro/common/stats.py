@@ -131,13 +131,14 @@ class LogHistogram:
         self._min = math.inf
         self._max = -math.inf
 
-    def _bucket(self, value: float) -> int:
-        clamped = max(value, self.FLOOR)
-        return math.floor(math.log2(clamped) * self.BUCKETS_PER_OCTAVE)
-
     def record(self, value: float) -> None:
-        index = self._bucket(value)
-        self._counts[index] = self._counts.get(index, 0) + 1
+        # The bucket is floor(log2(max(value, FLOOR)) * BUCKETS_PER_OCTAVE),
+        # with max() spelled out: NaN still reaches log2 and raises.
+        floor = self.FLOOR
+        index = math.floor(math.log2(floor if floor > value else value)
+                           * self.BUCKETS_PER_OCTAVE)
+        counts = self._counts
+        counts[index] = counts.get(index, 0) + 1
         self._count += 1
         self._sum += value
         if value < self._min:

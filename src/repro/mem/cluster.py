@@ -104,10 +104,9 @@ class _ClusterBackend:
         """Every member node, indexed by member key (public copy)."""
         return list(self._member_nodes())
 
-    def live_members(self) -> List[int]:
-        """Member keys of nodes currently up (failed ones excluded)."""
-        return [member for member, node in enumerate(self._member_nodes())
-                if not node.failed]
+    def live_count(self) -> int:
+        """How many members are up (failed ones excluded)."""
+        return sum(not node.failed for node in self._member_nodes())
 
     # -- redundancy state ----------------------------------------------------
 
@@ -126,6 +125,10 @@ class _ClusterBackend:
 
     def syncing_members(self) -> List[int]:
         return sorted(self._syncing)
+
+    def is_syncing(self, member: int) -> bool:
+        """Is ``member`` back up but not yet proven clean everywhere?"""
+        return member in self._syncing
 
     def metrics(self) -> MetricsSnapshot:
         """This backend's own snapshot (``cluster.*``/``repair.*``/...)."""
@@ -326,10 +329,14 @@ class ReplicatedMemory(_ClusterBackend):
         _check_nodes(nodes, 2)
         self.primary = nodes[0]
         self.mirrors: List[MemoryNode] = list(nodes[1:])
+        #: Every replica, primary first: member key -> node.
+        self._replicas: List[MemoryNode] = list(nodes)
         super().__init__()
+        self._replicated_writes = self.registry.counter(
+            "cluster.replicated_writes")
 
     def _member_nodes(self) -> List[MemoryNode]:
-        return self._replicas()
+        return self._replicas
 
     @property
     def capacity(self) -> int:
@@ -354,11 +361,8 @@ class ReplicatedMemory(_ClusterBackend):
     def slot_offset(self, slot: int) -> int:
         return slot << PAGE_SHIFT
 
-    def _replicas(self):
-        return [self.primary] + self.mirrors
-
     def read_bytes(self, offset: int, size: int) -> bytes:
-        for member, replica in enumerate(self._replicas()):
+        for member, replica in enumerate(self._replicas):
             if replica.failed:
                 self.counters.add("failover_reads")
                 continue
@@ -376,9 +380,10 @@ class ReplicatedMemory(_ClusterBackend):
         raise NodeFailedError("no replica holds a clean copy of this range")
 
     def write_bytes(self, offset: int, data: bytes) -> None:
+        size = len(data)
         wrote = 0
         missed: List[int] = []
-        for member, replica in enumerate(self._replicas()):
+        for member, replica in enumerate(self._replicas):
             try:
                 replica.write_bytes(offset, data)
                 wrote += 1
@@ -387,18 +392,20 @@ class ReplicatedMemory(_ClusterBackend):
                 missed.append(member)
             else:
                 # A write-through onto a stale range freshens it: pages
-                # it fully covers no longer need resilvering.
-                self.journal.clear_covered(member, offset, len(data))
+                # it fully covers (none, for a sub-page write) no longer
+                # need resilvering.
+                if size >= PAGE_SIZE:
+                    self.journal.clear_covered(member, offset, size)
         if wrote == 0:
             raise NodeFailedError("all replicas are down")
-        self.counters.add("replicated_writes", wrote)
+        self._replicated_writes.value += wrote
         # Journal only when the write took effect somewhere: a failed
         # write changed nothing, so nothing went stale.
         for member in missed:
-            self.journal.record_range(member, offset, len(data))
+            self.journal.record_range(member, offset, size)
 
     def resilver_page(self, member: int, page: int) -> int:
-        replicas = self._replicas()
+        replicas = self._replicas
         target = replicas[member]
         if target.failed:
             return -1
@@ -430,7 +437,7 @@ class ReplicatedMemory(_ClusterBackend):
         offset = row << PAGE_SHIFT
         verifiable = [
             (member, replica)
-            for member, replica in enumerate(self._replicas())
+            for member, replica in enumerate(self._replicas)
             if not replica.failed
             and not self.journal.is_dirty(member, offset, PAGE_SIZE)
         ]

@@ -37,8 +37,10 @@ class MemoryNode:
         self.name = name
         # numpy zeros is calloc-backed: a multi-GiB registered region
         # costs nothing until pages are actually written, where a
-        # bytearray would memset the whole capacity at boot.
-        self._store = np.zeros(capacity_bytes, dtype=np.uint8)
+        # bytearray would memset the whole capacity at boot. The store
+        # is a byte view of it, so payloads are sliced in and out as
+        # they are, never wrapped in numpy arrays.
+        self._store = memoryview(np.zeros(capacity_bytes, dtype=np.uint8))
         total_slots = capacity_bytes >> PAGE_SHIFT
         self._free_slots: List[int] = list(range(total_slots - 1, -1, -1))
         # One byte per slot (1 = free) so free_slot can reject double
@@ -121,4 +123,4 @@ class MemoryNode:
         self._check_alive()
         if offset < 0 or offset + len(data) > self.capacity:
             raise ValueError(f"remote write [{offset}, {offset + len(data)}) out of bounds")
-        self._store[offset:offset + len(data)] = np.frombuffer(data, np.uint8)
+        self._store[offset:offset + len(data)] = data

@@ -42,8 +42,11 @@ from repro.mem.remote import NodeFailedError
 
 def _parse_flap(value: str) -> Tuple[float, float]:
     """``"PERIOD:DOWN"`` (µs) -> ``(flap_period_us, flap_down_us)``."""
-    period, _, down = value.partition(":")
-    return float(period), float(down) if down else 0.0
+    period, colon, down = value.partition(":")
+    if not colon or not period or not down:
+        raise ValueError("expected PERIOD:DOWN in microseconds, "
+                         "e.g. 2000:100")
+    return float(period), float(down)
 
 
 class TransportError(NodeFailedError):
@@ -116,8 +119,12 @@ class FaultPlan:
             raise ValueError("fault probabilities sum past 1.0")
         if delay_us < 0.0:
             raise ValueError("delay_us must be non-negative")
-        if flap_period_us > 0.0 and not 0.0 <= flap_down_us < flap_period_us:
-            raise ValueError("need 0 <= flap_down_us < flap_period_us")
+        if (flap_period_us or flap_down_us) \
+                and not 0.0 < flap_down_us < flap_period_us:
+            # A period without a down window (or the reverse) would
+            # never take the link down: reject it rather than ignore it.
+            raise ValueError("a periodic flap needs "
+                             "0 < flap_down_us < flap_period_us")
         if max_consecutive is not None and max_consecutive < 1:
             raise ValueError("max_consecutive must be >= 1")
         self.seed = seed
@@ -155,7 +162,8 @@ class FaultPlan:
 
         Keys: ``drop``, ``corrupt``, ``delay`` (probabilities),
         ``delay_us``, ``seed``, ``max_consecutive``, and
-        ``flap=PERIOD:DOWN`` (microseconds). Example::
+        ``flap=PERIOD:DOWN`` (microseconds, ``0 < DOWN < PERIOD``).
+        Example::
 
             drop=0.01,corrupt=0.005,delay=0.02,delay_us=30,seed=7,flap=2000:100
         """
@@ -206,9 +214,9 @@ class FaultPlan:
 
     def link_down(self, t: float) -> bool:
         """Is the link flapped at simulated time ``t``?"""
-        if self.flap_period_us > 0.0 and self.flap_down_us > 0.0:
-            if (t % self.flap_period_us) < self.flap_down_us:
-                return True
+        if self.flap_period_us \
+                and (t % self.flap_period_us) < self.flap_down_us:
+            return True
         return any(start <= t < end for start, end in self._flap_windows)
 
     def stalled(self, qp_name: str, t: float) -> bool:
@@ -228,9 +236,11 @@ class FaultPlan:
         """
         if self._script is not None:
             return self._next_scripted()
-        if self.stalled(qp_name, t):
+        # The window scans only run when the plan has windows at all.
+        if self._stalls and self.stalled(qp_name, t):
             return self._note(Fault("stall"))
-        if self.link_down(t):
+        if (self.flap_period_us or self._flap_windows) \
+                and self.link_down(t):
             return self._note(Fault("flap"))
         if (self.max_consecutive is not None
                 and attempt >= self.max_consecutive):

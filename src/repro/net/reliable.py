@@ -32,7 +32,7 @@ memory node untouched until its retransmission lands. Canonical metrics
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.common.clock import Clock
 from repro.mem.remote import NodeFailedError
@@ -93,9 +93,11 @@ class ReliableQP:
         self.tracer = tracer
         #: Total verbs issued through this transport.
         self.ops = 0
+        self._ops_counter = None
         if registry is not None:
             for key in RELIABILITY_METRICS:
                 registry.counter(key)
+            self._ops_counter = registry.counter("net.ops")
         self._inflight: List[Completion] = []
         subscribe = getattr(remote, "add_failure_listener", None)
         self._listening = subscribe is not None
@@ -146,6 +148,24 @@ class ReliableQP:
 
         self._clock.call_at(completion.time, fire)
 
+    def _deliver(self, offset: int, size: int, data: Optional[bytes],
+                 sg: Optional[Sequence[Tuple[int, Any]]]) -> Optional[bytes]:
+        """Move a verb's bytes on the attempt that gets through: a WRITE
+        stores ``data`` (or every ``sg`` piece) and returns ``None``, a
+        READ returns what the remote holds."""
+        remote = self._remote
+        if sg is None:
+            if data is None:
+                return remote.read_bytes(offset, size)
+            remote.write_bytes(offset, data)
+            return None
+        if data is None:
+            return b"".join(remote.read_bytes(off, length)
+                            for off, length in sg)
+        for off, piece in sg:
+            remote.write_bytes(off, piece)
+        return None
+
     # -- the retry state machine ---------------------------------------------
 
     def _transact(
@@ -153,17 +173,20 @@ class ReliableQP:
         direction: str,
         size: int,
         segments: int,
-        reader: Optional[Callable[[], bytes]],
-        writer: Optional[Callable[[], None]],
-        wire_payload: Optional[bytes],
+        offset: int,
+        data: Optional[bytes],
+        sg: Optional[Sequence[Tuple[int, Any]]],
         on_complete: Optional[Callable[[Completion], None]],
-        offset: Optional[int] = None,
     ) -> Completion:
+        """Run one verb through the fault plan, retrying as the policy
+        says. A READ passes ``data=None``; a WRITE passes its wire image
+        (``sg`` carries the pieces of a scatter-gather verb)."""
         policy = self._policy
         plan = self._plan
         post_overhead = self._model.rdma_post_overhead
         self.ops += 1
-        self._add("net.ops")
+        if self._ops_counter is not None:
+            self._ops_counter.value += 1
         span_start = self._clock.now
         at: Optional[float] = None  # None => post now; else scheduled retry
         consecutive = 0
@@ -181,16 +204,13 @@ class ReliableQP:
                      if plan is not None else None)
             try:
                 if fault is None:
-                    if writer is not None:
-                        writer()
-                    if reader is not None:
-                        payload = reader()
+                    payload = self._deliver(offset, size, data, sg)
                 elif fault.kind == "corrupt":
                     # End-to-end integrity: damage the wire image of the
                     # true payload; the receiver's CRC rejects it at
                     # completion time (a NAK, not a timeout).
-                    true = (reader() if reader is not None
-                            else (wire_payload or b""))
+                    true = (self._deliver(offset, size, None, sg)
+                            if data is None else data)
                     wire = plan.corrupt_payload(true)
                     if true and checksum(wire) != checksum(true):
                         failure, detect = "corrupt", when
@@ -204,10 +224,7 @@ class ReliableQP:
                         failure = "timeout"
                         detect = post_time + policy.timeout_us
                     else:
-                        if writer is not None:
-                            writer()
-                        if reader is not None:
-                            payload = reader()
+                        payload = self._deliver(offset, size, data, sg)
                 else:  # drop / stall / flap: no response, ever.
                     failure, detect = "timeout", post_time + policy.timeout_us
             except NodeFailedError:
@@ -271,11 +288,8 @@ class ReliableQP:
         on_complete: Optional[Callable[[Completion], None]] = None,
     ) -> Completion:
         """Reliable one-sided READ; mirrors ``QueuePair.post_read``."""
-        return self._transact(
-            "read", size, 1,
-            reader=lambda: self._remote.read_bytes(remote_offset, size),
-            writer=None, wire_payload=None, on_complete=on_complete,
-            offset=remote_offset)
+        return self._transact("read", size, 1, remote_offset, None, None,
+                              on_complete)
 
     def post_write(
         self,
@@ -285,11 +299,8 @@ class ReliableQP:
     ) -> Completion:
         """Reliable one-sided WRITE; the store is only touched by the
         attempt that actually gets through the wire."""
-        return self._transact(
-            "write", len(data), 1, reader=None,
-            writer=lambda: self._remote.write_bytes(remote_offset, data),
-            wire_payload=data, on_complete=on_complete,
-            offset=remote_offset)
+        return self._transact("write", len(data), 1, remote_offset, data,
+                              None, on_complete)
 
     def post_read_sg(
         self,
@@ -300,15 +311,8 @@ class ReliableQP:
         if not segments:
             raise ValueError("empty scatter-gather list")
         total = sum(size for _off, size in segments)
-
-        def reader() -> bytes:
-            return b"".join(self._remote.read_bytes(off, size)
-                            for off, size in segments)
-
-        return self._transact("read", total, len(segments), reader=reader,
-                              writer=None, wire_payload=None,
-                              on_complete=on_complete,
-                              offset=segments[0][0])
+        return self._transact("read", total, len(segments), segments[0][0],
+                              None, segments, on_complete)
 
     def post_write_sg(
         self,
@@ -319,15 +323,10 @@ class ReliableQP:
         if not segments:
             raise ValueError("empty scatter-gather list")
         total = sum(len(data) for _off, data in segments)
-
-        def writer() -> None:
-            for off, data in segments:
-                self._remote.write_bytes(off, data)
-
         return self._transact(
-            "write", total, len(segments), reader=None, writer=writer,
-            wire_payload=b"".join(data for _off, data in segments),
-            on_complete=on_complete, offset=segments[0][0])
+            "write", total, len(segments), segments[0][0],
+            b"".join(data for _off, data in segments), segments,
+            on_complete)
 
     # -- waiting -------------------------------------------------------------
 

@@ -30,7 +30,8 @@ import math
 import random
 from typing import Iterator
 
-from repro.serve.spec import Arrival, ServeSpec, register_arrival
+from repro.serve.spec import (Arrival, ServeSpec, parse_duration_us,
+                              parse_scaled, register_arrival)
 
 
 def _rate_per_us(rate_rps: float) -> float:
@@ -48,7 +49,9 @@ def poisson_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
         yield Arrival(t, rng.randrange(spec.clients))
 
 
-@register_arrival("bursty")
+@register_arrival("bursty", keys={"burst_rate": parse_scaled,
+                                  "on": parse_duration_us,
+                                  "off": parse_duration_us})
 def bursty_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
     """Two-state MMPP: quiet Poisson at ``rate``, bursts at
     ``burst_rate`` (default 10x) with exponential sojourn times of mean
@@ -85,7 +88,8 @@ def bursty_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
         emitted += 1
 
 
-@register_arrival("diurnal")
+@register_arrival("diurnal", keys={"floor": parse_scaled,
+                                   "period": parse_duration_us})
 def diurnal_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
     """Sinusoidal rate between ``floor`` (default rate/10) and the peak
     ``rate`` over ``period`` (default 1 simulated second), sampled by

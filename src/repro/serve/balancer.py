@@ -68,7 +68,8 @@ class LeastOutstandingBalancer(Balancer):
     name = "least"
 
     def pick(self, routing_key: bytes, depths: Sequence[int]) -> int:
-        return min(range(len(self.tenants)), key=lambda i: (depths[i], i))
+        # index() finds the first occurrence: the earliest-enrolled tenant.
+        return depths.index(min(depths))
 
 
 class ConsistentHashBalancer(Balancer):

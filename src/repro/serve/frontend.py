@@ -37,7 +37,7 @@ from repro.apps.api import Request, Service
 from repro.obs import MetricsSnapshot
 from repro.serve.admission import AdmissionPolicy, make_admission
 from repro.serve.balancer import Balancer, make_balancer
-from repro.serve.spec import Arrival, ServeSpec, make_arrivals
+from repro.serve.spec import ServeSpec, make_arrivals
 
 #: A request sampler: seeded rng -> next request (the workload model).
 RequestSampler = Callable[[random.Random], Request]
@@ -164,8 +164,8 @@ class ServeFrontend:
         self._tpot = registry.log_histogram("serve.tpot_us")
         self._offered_rps = registry.gauge("serve.offered_rps")
         self._goodput_rps = registry.gauge("serve.goodput_rps")
-        for tenant in self._tenants:
-            registry.counter(f"tenant.{tenant.name}.served")
+        self._served = [registry.counter(f"tenant.{tenant.name}.served")
+                        for tenant in self._tenants]
 
     def _reset_instruments(self) -> None:
         """Zero every instrument this frontend owns.
@@ -178,13 +178,10 @@ class ServeFrontend:
         for inst in (self._offered, self._admitted, self._shed,
                      self._completed, self._errors, self._violations,
                      self._goodput, self._latency, self._depth_hist,
-                     self._ttft, self._tpot):
+                     self._ttft, self._tpot, *self._served):
             inst.reset()
         self._offered_rps.set(0.0)
         self._goodput_rps.set(0.0)
-        registry = self.cluster.registry
-        for tenant in self._tenants:
-            registry.counter(f"tenant.{tenant.name}.served").reset()
 
     def run(self) -> ServeReport:
         """Play the whole arrival stream; returns the run's report."""
@@ -192,112 +189,102 @@ class ServeFrontend:
         spec = self.spec
         admission: AdmissionPolicy = make_admission(spec.admission)
         admission.reset()
-        balancer: Balancer = make_balancer(
-            spec.balance, [t.name for t in self._tenants])
+        names = [t.name for t in self._tenants]
+        balancer: Balancer = make_balancer(spec.balance, names)
         rng = random.Random(spec.seed + 1)
         clock = self.cluster.clock
-        registry = self.cluster.registry
-        n = len(self._tenants)
+        sampler = self._sampler
+        services = self._services
+        served = self._served
+        offered, admitted, shed = self._offered, self._admitted, self._shed
+        completed, errors = self._completed, self._errors
+        violations, goodput = self._violations, self._goodput
+        latency_hist, depth_hist = self._latency, self._depth_hist
+        slo_us = spec.slo_us
+        n = len(services)
         ready = [0.0] * n
         queues: List[Deque[float]] = [deque() for _ in range(n)]
-        served = [0] * n
         trace = hashlib.sha256()
-        goodput = errors = violations = shed = admitted = 0
         last_arrival = 0.0
 
         for arrival in make_arrivals(spec):
-            last_arrival = arrival.t_us
-            request = self._sampler(rng)
-            self._offered.add()
-            depths = self._depths(queues, arrival.t_us)
-            index = balancer.pick(request.routing_key(), depths)
+            arrival_us = last_arrival = arrival.t_us
+            request = sampler(rng)
+            offered.value += 1
+            # Outstanding requests per tenant at the arrival instant.
+            depths = []
+            for queue in queues:
+                while queue and queue[0] <= arrival_us:
+                    queue.popleft()
+                depths.append(len(queue))
+            key = request.routing_key()
+            index = balancer.pick(key, depths)
             depth = depths[index]
-            self._depth_hist.record(float(depth))
-            tenant = self._tenants[index]
-            if not admission.admit(arrival.t_us, depth):
-                shed += 1
-                self._shed.add()
-                self._trace_line(trace, arrival, tenant.name, request,
-                                 admitted=False, latency_us=0.0)
-                continue
-            admitted += 1
-            self._admitted.add()
-            t0 = clock.now
-            response = self._services[index].handle(request)
-            duration = clock.now - t0
-            start = max(arrival.t_us, ready[index])
-            completion = start + duration
-            ready[index] = completion
-            queues[index].append(completion)
-            served[index] += 1
-            registry.add(f"tenant.{tenant.name}.served")
-            latency = completion - arrival.t_us
-            self._completed.add()
-            self._latency.record(latency)
-            if isinstance(response.value, dict) \
-                    and "ttft_us" in response.value:
-                # TTFT as the client sees it: virtual queueing delay
-                # before the tenant starts, plus prefill + first decode.
-                self._ttft.record((start - arrival.t_us)
-                                  + response.value["ttft_us"])
-                self._tpot.record(response.value.get("tpot_us", 0.0))
-            if not response.ok:
-                errors += 1
-                self._errors.add()
-            if latency > spec.slo_us:
-                violations += 1
-                self._violations.add()
-            elif response.ok:
-                goodput += 1
-                self._goodput.add()
-            self._trace_line(trace, arrival, tenant.name, request,
-                             admitted=True, latency_us=latency)
+            depth_hist.record(float(depth))
+            if admission.admit(arrival_us, depth):
+                admitted.value += 1
+                t0 = clock.now
+                response = services[index].handle(request)
+                duration = clock.now - t0
+                tenant_ready = ready[index]
+                start = (tenant_ready if tenant_ready > arrival_us
+                         else arrival_us)
+                done = start + duration
+                ready[index] = done
+                queues[index].append(done)
+                served[index].value += 1
+                latency = done - arrival_us
+                completed.value += 1
+                latency_hist.record(latency)
+                value = response.value
+                if isinstance(value, dict) and "ttft_us" in value:
+                    # TTFT as the client sees it: virtual queueing delay
+                    # before the tenant starts, plus prefill + first
+                    # decode.
+                    self._ttft.record((start - arrival_us)
+                                      + value["ttft_us"])
+                    self._tpot.record(value.get("tpot_us", 0.0))
+                if not response.ok:
+                    errors.value += 1
+                if latency > slo_us:
+                    violations.value += 1
+                elif response.ok:
+                    goodput.value += 1
+                verdict = "A"
+            else:
+                shed.value += 1
+                latency = 0.0
+                verdict = "S"
+            # repr() of a float is its shortest round-trip form — stable
+            # across runs and platforms, which the determinism gate
+            # relies on.
+            trace.update(f"{arrival_us!r}|{arrival.client_id}|"
+                         f"{names[index]}|{request.op}|{key.hex()}|"
+                         f"{verdict}|{latency!r}\n".encode())
 
         elapsed = max([last_arrival] + ready)
-        offered = spec.requests
         self._offered_rps.set(
-            offered / (elapsed / 1e6) if elapsed else 0.0)
+            spec.requests / (elapsed / 1e6) if elapsed else 0.0)
         self._goodput_rps.set(
-            goodput / (elapsed / 1e6) if elapsed else 0.0)
+            goodput.value / (elapsed / 1e6) if elapsed else 0.0)
         return ServeReport(
             spec=spec,
-            offered=offered,
-            admitted=admitted,
-            shed=shed,
-            completed=admitted,
-            errors=errors,
-            goodput=goodput,
-            slo_violations=violations,
+            offered=spec.requests,
+            admitted=admitted.value,
+            shed=shed.value,
+            completed=admitted.value,
+            errors=errors.value,
+            goodput=goodput.value,
+            slo_violations=violations.value,
             elapsed_us=elapsed,
             trace_digest=trace.hexdigest(),
-            latency=dict(self._latency.summary()),
+            latency=dict(latency_hist.summary()),
             snapshot=self.cluster.metrics(),
-            per_tenant={t.name: served[i]
-                        for i, t in enumerate(self._tenants)},
+            per_tenant={name: counter.value
+                        for name, counter in zip(names, served)},
             ttft=dict(self._ttft.summary()),
             tpot=dict(self._tpot.summary()),
         )
-
-    @staticmethod
-    def _depths(queues: List[Deque[float]], now_us: float) -> List[int]:
-        """Outstanding request count per tenant at virtual time ``now``."""
-        depths = []
-        for queue in queues:
-            while queue and queue[0] <= now_us:
-                queue.popleft()
-            depths.append(len(queue))
-        return depths
-
-    @staticmethod
-    def _trace_line(trace: "hashlib._Hash", arrival: Arrival, tenant: str,
-                    request: Request, admitted: bool,
-                    latency_us: float) -> None:
-        # repr() of a float is its shortest round-trip form — stable
-        # across runs and platforms, which the determinism gate relies on.
-        line = (f"{arrival.t_us!r}|{arrival.client_id}|{tenant}|"
-                f"{request.op}|{request.routing_key().hex()}|"
-                f"{'A' if admitted else 'S'}|{latency_us!r}\n")
-        trace.update(line.encode())
 
 
 def serve(cluster: Any, spec: ServeSpec,

@@ -20,15 +20,21 @@ Common keys: ``rate`` (requests/second), ``clients`` (simulated client
 population), ``slo`` (latency objective), ``requests`` (how many
 arrivals to generate), ``seed``, ``admission`` (e.g. ``depth/64`` or
 ``bucket/5k/32``), ``balance`` (``round_robin``/``least``/``hash``).
-Kind-specific keys (``burst_rate``, ``on``, ``off``, ``floor``,
-``period``) land in :attr:`ServeSpec.params`.
+Kind-specific keys (``burst_rate``, ``on``, ``off`` for ``bursty``;
+``floor``, ``period`` for ``diurnal``) land in :attr:`ServeSpec.params`.
+Each arrival kind declares the kind-specific keys it reads, with their
+value parsers, when it registers, and a spec carrying any other is
+rejected: a key the stream never reads would otherwise be silently
+ignored.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from functools import partial
+from typing import (Any, Callable, Dict, Iterator, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.common.specparse import parse_kv_spec, split_kind
 
@@ -96,13 +102,17 @@ class ServeSpec:
     admission: str = "none"
     #: Balancer policy name — parsed by :mod:`repro.serve.balancer`.
     balance: str = "round_robin"
-    #: Kind-specific extras (``burst_rate``, ``on``, ``off``, ...).
+    #: Kind-specific extras (``burst_rate``, ``on``, ``off``, ...); only
+    #: the keys the kind registered with are accepted.
     params: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _ARRIVALS:
-            raise ValueError(f"unknown arrival kind {self.kind!r}; "
-                             f"pick from {arrival_kinds()}")
+        own = _kind_keys(self.kind)
+        stray = sorted(set(self.params) - set(own))
+        if stray:
+            raise ValueError(
+                f"{self.kind} arrivals do not read {', '.join(stray)}; "
+                f"{self.kind}'s own keys: {', '.join(own) or 'none'}")
         if self.rate_rps <= 0:
             raise ValueError("rate must be positive")
         if self.clients <= 0:
@@ -112,9 +122,10 @@ class ServeSpec:
         if self.requests <= 0:
             raise ValueError("requests must be positive")
 
-    #: Spec keys -> (dataclass field or ``None`` for :attr:`params`,
-    #: value cast) — the declarative half of the shared grammar in
-    #: :mod:`repro.common.specparse`.
+    #: Common spec keys -> (dataclass field, value cast) — the
+    #: declarative half of the shared grammar in
+    #: :mod:`repro.common.specparse`. Kind-specific keys and their
+    #: parsers are registered with the kind by :func:`register_arrival`.
     _SPEC_KEYS = {
         "rate": ("rate_rps", lambda v: parse_scaled(v, "rate")),
         "clients": ("clients", lambda v: int(parse_scaled(v, "clients"))),
@@ -123,29 +134,24 @@ class ServeSpec:
         "seed": ("seed", int),
         "admission": ("admission", str),
         "balance": ("balance", str),
-        "on": (None, lambda v: parse_duration_us(v, "on")),
-        "off": (None, lambda v: parse_duration_us(v, "off")),
-        "period": (None, lambda v: parse_duration_us(v, "period")),
-        "burst_rate": (None, lambda v: parse_scaled(v, "burst_rate")),
-        "idle_rate": (None, lambda v: parse_scaled(v, "idle_rate")),
-        "floor": (None, lambda v: parse_scaled(v, "floor")),
     }
 
     @classmethod
     def from_spec(cls, spec: str) -> "ServeSpec":
         """Parse a serve spec string (see the module docstring)."""
         kind, args = split_kind(spec, default="poisson")
+        own = _kind_keys(kind)
         casts = {key: cast for key, (_target, cast) in cls._SPEC_KEYS.items()}
+        casts.update((key, partial(parse, what=key))
+                     for key, parse in own.items())
         parsed = parse_kv_spec(args, casts, what="serve spec")
-        fields: Dict[str, Any] = {"kind": kind}
         params: Dict[str, float] = {}
+        fields: Dict[str, Any] = {"kind": kind, "params": params}
         for key, value in parsed.items():
-            target = cls._SPEC_KEYS[key][0]
-            if target is None:
+            if key in own:
                 params[key] = value
             else:
-                fields[target] = value
-        fields["params"] = params
+                fields[cls._SPEC_KEYS[key][0]] = value
         return cls(**fields)
 
     def to_spec(self) -> str:
@@ -190,17 +196,39 @@ class Arrival:
 #: An arrival factory: spec -> deterministic iterator of Arrivals.
 ArrivalFactory = Callable[[ServeSpec], Iterator[Arrival]]
 
+#: A kind-specific key's value parser: ``(text, what) -> float``, like
+#: :func:`parse_scaled` and :func:`parse_duration_us`.
+KeyParser = Callable[[str, str], float]
+
 _ARRIVALS: Dict[str, ArrivalFactory] = {}
+#: Arrival kind -> the kind-specific spec keys its factory reads.
+_ARRIVAL_KEYS: Dict[str, Dict[str, KeyParser]] = {}
 
 
-def register_arrival(kind: str) -> Callable[[ArrivalFactory], ArrivalFactory]:
-    """Register an arrival-process factory under ``kind`` (decorator)."""
+def register_arrival(kind: str, keys: Optional[Mapping[str, KeyParser]] = None
+                     ) -> Callable[[ArrivalFactory], ArrivalFactory]:
+    """Register an arrival-process factory under ``kind`` (decorator).
+
+    ``keys`` maps each kind-specific spec key the factory reads (it
+    lands in :attr:`ServeSpec.params`) to its value parser; a spec of
+    this kind carrying any other key is rejected.
+    """
     def deco(factory: ArrivalFactory) -> ArrivalFactory:
         if kind in _ARRIVALS:
             raise ValueError(f"arrival kind {kind!r} already registered")
         _ARRIVALS[kind] = factory
+        _ARRIVAL_KEYS[kind] = dict(keys or {})
         return factory
     return deco
+
+
+def _kind_keys(kind: str) -> Dict[str, KeyParser]:
+    """The kind-specific keys of arrival ``kind`` (unknown kinds raise)."""
+    try:
+        return _ARRIVAL_KEYS[kind]
+    except KeyError:
+        raise ValueError(f"unknown arrival kind {kind!r}; "
+                         f"pick from {arrival_kinds()}") from None
 
 
 def arrival_kinds() -> Tuple[str, ...]:

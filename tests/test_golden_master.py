@@ -6,9 +6,11 @@ reproduce a SHA-256 digest of its full
 :class:`~repro.obs.snapshot.MetricsSnapshot` (every counter, gauge,
 breakdown and histogram summary) plus its final simulated clock. The
 pins cover DiLOS, Fastswap and AIFM over sequential, Redis, k-means,
-dataframe and LLM workloads, the replicated KV chaos run, and every
-``python -m repro perf`` case, whose checksums and simulated times are
-thereby held bit-identical.
+dataframe and LLM workloads, the replicated KV chaos run, the serve
+presets, and every ``python -m repro perf`` case, whose checksums and
+simulated times are thereby held bit-identical. Every serve scenario
+pinned in ``TRACE_DIGESTS`` must also reproduce its per-request trace
+digest, which holds routing, admission and the trace-line format fixed.
 
 The first digests were captured on the *unoptimized* hot path, before
 the coalesced-TLB/fast-clock work landed. Any refactor that shifts
@@ -20,10 +22,11 @@ component, a new metric), print fresh pins for the affected scenarios::
 
     PYTHONPATH=src python tests/test_golden_master.py [NAME ...]
 
-paste them over the stale rows of ``GOLDEN`` (re-run ``python -m repro
-perf`` when perf cases moved, so ``BENCH_perf.json`` agrees), and
-explain why in the commit message. A new registry scenario is pinned
-the same way: print its row and add it.
+paste them over the stale rows of ``GOLDEN`` and ``TRACE_DIGESTS``
+(re-run ``python -m repro perf`` when perf cases moved, so
+``BENCH_perf.json`` agrees), and explain why in the commit message. A
+new registry scenario is pinned the same way: print its rows and add
+them.
 """
 
 from __future__ import annotations
@@ -137,6 +140,47 @@ GOLDEN = {
     "kv_get_replicated": (
         "787c19fa327006b0bf90fc26c5669a0a666e948bc987d45a902a82a2abbffc82",
         559.1403457391355),
+    # The serve presets: admission shedding (flash_crowd), the token
+    # bucket with TTFT/TPOT recording (llm_flash_crowd), hash routing
+    # (hot_key_skew), least-outstanding routing around a laggard
+    # (slow_tenant_isolation), and the default rack preset.
+    "flash_crowd": (
+        "d49f7f3cfa60934426b8e40298e5bbd493c12440a1b0b32c8a54968895c6d686",
+        6880.394209391396),
+    "llm_flash_crowd": (
+        "d768da8599f589f4d841b01630882ee8c6a83442854802df46df51803ad2bb39",
+        793.8481739130189),
+    "hot_key_skew": (
+        "3c92e739e4c8956a1a93c5bc23b5e31d14e98e267ac55910f94fef19ab743056",
+        11390.122527307478),
+    "slow_tenant_isolation": (
+        "a60563e84be72b8c6d241305c20ae5a3f8e5b5a311e5014c2cdccfab8246d0ad",
+        7654.423551304407),
+    "rack": (
+        "a97876ab7969806478a8a8538df5fbf9bdcabaa775c412896f071759b7d7f5d4",
+        8014.499804521779),
+}
+
+#: serve scenario -> SHA-256 of its per-request trace lines (arrival
+#: time, client, tenant, op, routing key, admit/shed, latency), which
+#: pins the trace-line format and every routing and admission decision.
+TRACE_DIGESTS = {
+    "flash_crowd":
+        "f87723d01a87233c6d18b42c555a3e73354a29a9d2b7bb5cd62c2f15b3841429",
+    "llm_flash_crowd":
+        "2fac100de7a60eed4cb8885f20f23accd572d7a1e45cb1a039eba4e919ac10cc",
+    "hot_key_skew":
+        "bc9bf4f638f0d02f661e509bf078ca64a82d8e4be1d9177a107a235473ab5737",
+    "slow_tenant_isolation":
+        "1aba7050d7a09f0f143771fd9d4b8fcdf58cdfbe6f6fc78cbe39a15f826562f1",
+    "rack":
+        "bc4a941992a5241a5a64d983e2cd70d7a05b9e183212dc6fb484f21c97ec6cc2",
+    "kv_failover":
+        "ab14f13d7adc39e36d6efb2387e8b5c69ef8598638008a0596577eeae003b38f",
+    "kv_get_replicated":
+        "0870c36377793d13445ca8eba746565895f2f465eac4940b927a6d5d38038f74",
+    "rack_redis_pool":
+        "db4737c2c8985fdf272ec94423809af11ed5b55f31fd831207a6d8ac5788ce24",
 }
 
 
@@ -153,6 +197,15 @@ def test_golden_master(name):
         f"{name}: metrics digest changed while the clock matched — some "
         "counter/gauge/histogram shifted. Diff the canonical JSON:\n"
         f"{snapshot.canonical_json()}")
+    if name in TRACE_DIGESTS:
+        assert run.report.trace_digest == TRACE_DIGESTS[name], (
+            f"{name}: serve trace digest changed while the metrics held — "
+            "a request's arrival, routing, admission or latency moved, or "
+            "the trace-line format did.")
+
+
+def test_every_trace_pin_is_a_golden_scenario():
+    assert set(TRACE_DIGESTS) <= set(GOLDEN)
 
 
 def test_digest_is_stable_within_process():
@@ -163,8 +216,17 @@ def test_digest_is_stable_within_process():
 
 
 if __name__ == "__main__":
+    traces = {}
+    print("GOLDEN = {")
     for name in sys.argv[1:] or sorted(GOLDEN):
         run = SCENARIOS[name].build()
         print(f'    "{name}": (\n'
               f'        "{run.digest()}",\n'
               f'        {run.sim_us!r}),')
+        digest = getattr(run.report, "trace_digest", None)
+        if digest is not None:
+            traces[name] = digest
+    print("}\n\nTRACE_DIGESTS = {")
+    for name, digest in traces.items():
+        print(f'    "{name}":\n        "{digest}",')
+    print("}")

@@ -207,6 +207,42 @@ class TestFailoverAndExhaustion:
         assert node.read_bytes(256, 64) == b"\x00" * 64
 
 
+class TestScatterGather:
+    """The SG verbs move every piece on the attempt that gets through,
+    and nothing on an attempt the wire loses or damages."""
+
+    def test_sg_write_lands_whole_on_the_surviving_attempt(self):
+        clock, model, node, stats, registry, rqp = build_transport(
+            script=["drop", "corrupt", None])
+        completion = rqp.wait(rqp.post_write_sg(
+            [(0, b"abcd"), (4096, b"efgh")]))
+        assert completion.retries == 2 and completion.size == 8
+        assert node.read_bytes(0, 4) == b"abcd"
+        assert node.read_bytes(4096, 4) == b"efgh"
+        assert registry.value("net.ops") == 1
+        assert registry.value("net.corrupt_detected") == 1
+
+    def test_lost_sg_write_leaves_every_piece_untouched(self):
+        policy = RetryPolicy(timeout_us=50.0, max_attempts=2,
+                             failover_after=99)
+        clock, model, node, stats, registry, rqp = build_transport(
+            script=["drop", "corrupt"], policy=policy)
+        with pytest.raises(TransportError):
+            rqp.post_write_sg([(0, b"\xff" * 8), (4096, b"\xff" * 8)])
+        assert node.read_bytes(0, 8) == bytes(8)
+        assert node.read_bytes(4096, 8) == bytes(8)
+
+    def test_sg_read_gathers_in_order_past_a_corrupt_attempt(self):
+        clock, model, node, stats, registry, rqp = build_transport(
+            script=["corrupt", None])
+        node.write_bytes(0, b"head")
+        node.write_bytes(8192, b"tail")
+        completion = rqp.wait(rqp.post_read_sg([(8192, 4), (0, 4)]))
+        assert completion.data == b"tailhead"
+        assert completion.retries == 1
+        assert registry.value("net.corrupt_detected") == 1
+
+
 class TestLinkFlap:
     def test_flap_window_times_out_then_recovers(self):
         plan = FaultPlan()
@@ -230,6 +266,32 @@ class TestLinkFlap:
         assert not plan.link_down(500.0)
         assert plan.link_down(1099.0)
         assert not plan.link_down(1100.0)
+
+
+class TestFlapSpec:
+    """A periodic flap needs both a period and a down window shorter
+    than it; half a flap used to parse and never take the link down."""
+
+    @pytest.mark.parametrize("text", [
+        "flap=2000", "flap=2000:0", "flap=2000:", "flap=:100",
+        "flap=100:100", "flap=100:200"])
+    def test_spec_needs_period_and_shorter_down_window(self, text):
+        with pytest.raises(ValueError):
+            FaultPlan.from_spec(text)
+
+    def test_valid_flap_round_trips(self):
+        plan = FaultPlan.from_spec("flap=2000:100,seed=3")
+        assert (plan.flap_period_us, plan.flap_down_us) == (2000.0, 100.0)
+        assert "flap=2000:100" in plan.spec()
+        assert FaultPlan.from_spec(plan.spec()).spec() == plan.spec()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"flap_period_us": 2000.0},
+        {"flap_down_us": 100.0},
+        {"flap_period_us": -2000.0, "flap_down_us": 100.0}])
+    def test_constructor_rejects_half_a_flap(self, kwargs):
+        with pytest.raises(ValueError, match="periodic flap"):
+            FaultPlan(**kwargs)
 
 
 class TestDeterminism:

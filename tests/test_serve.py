@@ -13,6 +13,7 @@ from repro.core.spec import SystemSpec
 from repro.harness.scenarios import SCENARIOS, preset
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
+    ARRIVAL_SPEC_EXAMPLES,
     ServeSpec,
     arrival_kinds,
     balancer_kinds,
@@ -76,6 +77,25 @@ class TestServeSpec:
             ServeSpec.from_spec("uniform:rate=1k")
         with pytest.raises(ValueError, match="unknown serve spec key"):
             ServeSpec.from_spec("poisson:rate=1k,think=5ms")
+
+    def test_rejects_keys_the_kind_never_reads(self):
+        # Both used to parse and play a stream that ignored the key: no
+        # poisson stream reads a burst window, and no kind read idle_rate.
+        with pytest.raises(ValueError, match="unknown serve spec key 'on'"):
+            ServeSpec.from_spec("poisson:rate=5k,on=3ms")
+        with pytest.raises(ValueError, match="idle_rate"):
+            ServeSpec.from_spec("bursty:rate=2k,idle_rate=10")
+        with pytest.raises(ValueError, match="own keys: floor, period"):
+            ServeSpec(kind="diurnal", params={"burst_rate": 5e3})
+
+    def test_every_shipped_spec_parses(self):
+        texts = list(ARRIVAL_SPEC_EXAMPLES) + [
+            scenario.params["serve"] for scenario in SCENARIOS.values()
+            if "serve" in scenario.params]
+        assert len(texts) > len(ARRIVAL_SPEC_EXAMPLES)
+        for text in texts:
+            spec = ServeSpec.from_spec(text)
+            assert ServeSpec.from_spec(spec.to_spec()) == spec
 
     def test_rejects_nonpositive_fields(self):
         for bad in ("rate=0", "clients=0", "slo=0", "requests=0"):
@@ -228,6 +248,8 @@ class TestBalancers:
             "least", [f"t{i}" for i in range(len(depths))])
         pick = balancer.pick(b"key", depths)
         assert depths[pick] == min(depths)
+        # Ties go to the earliest-enrolled tenant of minimal depth.
+        assert pick == depths.index(min(depths))
 
     @given(st.binary(min_size=1, max_size=16))
     @settings(max_examples=60, deadline=None)
