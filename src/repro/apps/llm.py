@@ -137,9 +137,9 @@ def _registry_of(system: Any) -> Any:
 
 def _blake(*fields: int) -> bytes:
     """One 64-byte BLAKE2b block keyed by integer coordinates."""
-    h = hashlib.blake2b(digest_size=64)
-    h.update(struct.pack("<%dq" % (len(fields) + 1), _MODEL_VERSION, *fields))
-    return h.digest()
+    return hashlib.blake2b(
+        struct.pack("<%dq" % (len(fields) + 1), _MODEL_VERSION, *fields),
+        digest_size=64).digest()
 
 
 def kv_entry(token: int, pos: int, layer: int, half: int,
@@ -177,10 +177,9 @@ def attn_positions(seed: int, pos: int, layer: int,
     concentrating). Depends only on the sequence seed and coordinates,
     never on the kernel executing the gather.
     """
-    span = min(window, pos)
-    block = _blake(3, seed, pos, layer)
-    return [struct.unpack_from("<I", block, 4 * i)[0] % pos
-            for i in range(span)]
+    draws = struct.unpack_from("<%dI" % min(window, pos),
+                               _blake(3, seed, pos, layer))
+    return [draw % pos for draw in draws]
 
 
 def next_token(gathered: bytes, pos: int, vocab: int) -> int:
@@ -231,27 +230,23 @@ class KvCache:
         self.config = config
         self.region = system.mmap(config.seq_bytes, ddc=True, name=name)
         self.n_tokens = 0
-
-    def _va(self, layer: int, half: int, pos: int) -> int:
-        cfg = self.config
-        return (self.region.base
-                + ((layer * 2 + half) * cfg.max_tokens + pos)
-                * cfg.entry_bytes)
+        self._entry = config.entry_bytes
+        run_bytes = config.max_tokens * self._entry
+        #: Base address of run ``layer * 2 + half`` (a layer's K or V
+        #: entries); entry ``pos`` sits ``pos * _entry`` bytes past it.
+        self._runs = [self.region.base + run * run_bytes
+                      for run in range(2 * config.layers)]
 
     def write_prompt(self, tokens: Sequence[int]) -> int:
         """Sequential prefill: per layer, one K span + one V span."""
         cfg = self.config
         if self.n_tokens or len(tokens) > cfg.max_tokens:
             raise ValueError("prompt must be written first and fit")
-        vas: List[int] = []
-        datas: List[bytes] = []
-        for layer in range(cfg.layers):
-            for half in (0, 1):
-                vas.append(self._va(layer, half, 0))
-                datas.append(b"".join(
-                    kv_entry(token, pos, layer, half, cfg.entry_bytes)
-                    for pos, token in enumerate(tokens)))
-        self._write(vas, datas)
+        entry = self._entry
+        datas = [b"".join(kv_entry(token, pos, layer, half, entry)
+                          for pos, token in enumerate(tokens))
+                 for layer in range(cfg.layers) for half in (0, 1)]
+        self._write(self._runs, datas)
         self.n_tokens = len(tokens)
         return sum(len(d) for d in datas)
 
@@ -261,62 +256,56 @@ class KvCache:
         pos = self.n_tokens
         if pos >= cfg.max_tokens:
             raise ValueError("KV cache full")
-        vas = []
-        datas = []
-        for layer in range(cfg.layers):
-            for half in (0, 1):
-                vas.append(self._va(layer, half, pos))
-                datas.append(kv_entry(token, pos, layer, half,
-                                      cfg.entry_bytes))
-        self._write(vas, datas)
+        entry = self._entry
+        offset = pos * entry
+        datas = [kv_entry(token, pos, layer, half, entry)
+                 for layer in range(cfg.layers) for half in (0, 1)]
+        self._write([run + offset for run in self._runs], datas)
         self.n_tokens = pos + 1
         return sum(len(d) for d in datas)
 
     def gather(self, layer: int, positions: Sequence[int]) -> bytes:
         """Random attention gather: K then V entries at ``positions``."""
-        cfg = self.config
-        vas = ([self._va(layer, 0, pos) for pos in positions]
-               + [self._va(layer, 1, pos) for pos in positions])
-        sizes = [cfg.entry_bytes] * len(vas)
-        return b"".join(self._read(vas, sizes))
+        entry = self._entry
+        k_run = self._runs[2 * layer]
+        v_run = self._runs[2 * layer + 1]
+        vas = ([k_run + pos * entry for pos in positions]
+               + [v_run + pos * entry for pos in positions])
+        return b"".join(self._read(vas, [entry] * len(vas)))
 
     def pin_hot(self, hot_layers: int) -> None:
         """Re-touch the hot layers' live prefix so reclaim keeps them
         resident (touch faults pages in without moving bytes)."""
         if not self.n_tokens:
             return
-        cfg = self.config
-        span = self.n_tokens * cfg.entry_bytes
-        for layer in range(min(hot_layers, cfg.layers)):
-            for half in (0, 1):
-                self.system.memory.touch(self._va(layer, half, 0), span)
+        span = self.n_tokens * self._entry
+        touch = self.system.memory.touch
+        for run in self._runs[:2 * hot_layers]:
+            touch(run, span)
 
     def kv_digest(self) -> str:
         """SHA-256 of the live KV bytes, read back through the paging
         path (layer-major, K then V per layer)."""
-        cfg = self.config
-        span = self.n_tokens * cfg.entry_bytes
+        span = self.n_tokens * self._entry
         h = hashlib.sha256()
         if span:
-            vas = [self._va(layer, half, 0)
-                   for layer in range(cfg.layers) for half in (0, 1)]
-            for chunk in self._read(vas, [span] * len(vas)):
+            for chunk in self._read(self._runs, [span] * len(self._runs)):
                 h.update(chunk)
         return h.hexdigest()
 
     def read_layer(self, layer: int, half: int) -> bytes:
         """One whole live K/V run (the KV-transfer unit)."""
-        span = self.n_tokens * self.config.entry_bytes
+        span = self.n_tokens * self._entry
         if not span:
             return b""
-        return self._read([self._va(layer, half, 0)], [span])[0]
+        return self._read([self._runs[layer * 2 + half]], [span])[0]
 
     def write_layer(self, layer: int, half: int, data: bytes,
                     n_tokens: int) -> None:
         """Ingest one transferred K/V run (decode side of P:D)."""
-        if len(data) != n_tokens * self.config.entry_bytes:
+        if len(data) != n_tokens * self._entry:
             raise ValueError("transferred run has the wrong size")
-        self._write([self._va(layer, half, 0)], [data])
+        self._write([self._runs[layer * 2 + half]], [data])
         self.n_tokens = max(self.n_tokens, n_tokens)
 
     def free(self) -> None:
@@ -459,6 +448,15 @@ class SequenceRun:
     kv_digest: str = ""
 
 
+def _check_lengths(config: LlmConfig, prompt_len: int,
+                   out_len: int) -> None:
+    """Reject a sequence that cannot run on ``config``'s KV capacity."""
+    if prompt_len <= 0 or out_len < 0:
+        raise ValueError("prompt_len must be positive, out_len >= 0")
+    if prompt_len + out_len > config.max_tokens:
+        raise ValueError("sequence exceeds max_tokens")
+
+
 def generate(system: Any, cache: Any, config: LlmConfig, seed: int,
              prompt_len: int, out_len: int,
              tiering: TieringPolicy = TieringPolicy(),
@@ -471,10 +469,7 @@ def generate(system: Any, cache: Any, config: LlmConfig, seed: int,
     memory system returns the bytes that were written — which is exactly
     what the differential suite asserts.
     """
-    if prompt_len <= 0 or out_len < 0:
-        raise ValueError("prompt_len must be positive, out_len >= 0")
-    if prompt_len + out_len > config.max_tokens:
-        raise ValueError("sequence exceeds max_tokens")
+    _check_lengths(config, prompt_len, out_len)
     clock = system.clock
     t0 = clock.now
     prompt = prompt_tokens(seed, prompt_len, config.vocab)
@@ -694,6 +689,10 @@ class LlmService:
                                  "out_len)")
         try:
             self._counters.request()
+            # Before mapping: a rejected request must leave no cache
+            # behind (AIFM's bump-allocated remote heap never gets it
+            # back, even when the cache is freed).
+            _check_lengths(self.config, prompt_len, out_len)
             cache = make_kv_cache(self.system, self.config,
                                   name=f"llm.kv.{self._seq}")
             run = generate(self.system, cache, self.config, seed,
@@ -966,17 +965,17 @@ PD_CONFIG = LlmConfig(layers=4, heads=4, head_dim=32, max_tokens=96,
                       attn_window=8)
 
 
-def run_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
-           split: str = "1:1", backend: Any = "sharded:2",
-           n_requests: int = 12, seed: int = 31,
-           config: LlmConfig = PD_CONFIG,
-           tiering: TieringPolicy = TieringPolicy(),
-           prompt_min: int = 24, prompt_max: int = 56,
-           out_min: int = 8, out_max: int = 16,
-           quantum_us: float = 150.0, idle_us: float = 40.0,
-           remote_mem_bytes: int = 64 * MIB,
-           net_faults: Any = None, net_retry: Any = None) -> PdResult:
-    """One prefill/decode disaggregation run on a shared cluster.
+def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
+             split: str = "1:1", backend: Any = "sharded:2",
+             n_requests: int = 12, seed: int = 31,
+             config: LlmConfig = PD_CONFIG,
+             tiering: TieringPolicy = TieringPolicy(),
+             prompt_min: int = 24, prompt_max: int = 56,
+             out_min: int = 8, out_max: int = 16,
+             quantum_us: float = 150.0, idle_us: float = 40.0,
+             remote_mem_bytes: int = 64 * MIB,
+             net_faults: Any = None, net_retry: Any = None) -> "PdRun":
+    """Boot one prefill/decode disaggregation cluster, not yet run.
 
     P prefill tenants and D decode tenants (``split="P:D"``) round-robin
     on one shared clock and one shared cluster backend. The sweep's
@@ -1032,32 +1031,54 @@ def run_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
         cluster.add_tenant(f"decode{d}", decode_spec,
                            _decode_tenant(coord, requests, d, n_jobs,
                                           config, tiering, idle_us))
-    snapshot = cluster.run()
+    return PdRun(kind=kind, ratio=ratio, split=f"{n_prefill}:{n_decode}",
+                 cluster=cluster, coord=coord)
 
-    runs = [run for run in coord.runs]
-    if any(run is None for run in runs):
-        raise RuntimeError("P:D run finished with undecoded requests")
-    outputs = [run.output for run in runs]
-    per_tenant = {
-        t.name: {"ops": float(t.ops), "run_us": t.run_us,
-                 "major_faults": snapshot.value(
-                     f"tenant.{t.name}.fault.major")}
-        for t in cluster.tenants}
-    return PdResult(
-        kind=kind,
-        split=f"{n_prefill}:{n_decode}",
-        ratio=ratio,
-        backend=cluster.backend_label,
-        makespan_us=cluster.clock.now,
-        token_digest=token_stream_digest(outputs),
-        kv_digest=combine_kv_digests([run.kv_digest for run in runs]),
-        requests=n_requests,
-        decoded_tokens=sum(len(o) for o in outputs),
-        kv_transfer_bytes=coord.transfer_bytes,
-        ttft_us=list(coord.ttft_us),
-        per_tenant=per_tenant,
-        snapshot_digest=snapshot.digest(),
-    )
+
+@dataclass
+class PdRun:
+    """A booted P:D cluster (:func:`build_pd`) and its KV rendezvous."""
+
+    kind: str
+    ratio: float
+    split: str
+    cluster: Any
+    coord: _PdCoordinator
+
+    def run(self) -> PdResult:
+        """Schedule every tenant to completion and summarize the run."""
+        cluster, coord = self.cluster, self.coord
+        snapshot = cluster.run()
+        runs = [run for run in coord.runs]
+        if any(run is None for run in runs):
+            raise RuntimeError("P:D run finished with undecoded requests")
+        outputs = [run.output for run in runs]
+        per_tenant = {
+            t.name: {"ops": float(t.ops), "run_us": t.run_us,
+                     "major_faults": snapshot.value(
+                         f"tenant.{t.name}.fault.major")}
+            for t in cluster.tenants}
+        return PdResult(
+            kind=self.kind,
+            split=self.split,
+            ratio=self.ratio,
+            backend=cluster.backend_label,
+            makespan_us=cluster.clock.now,
+            token_digest=token_stream_digest(outputs),
+            kv_digest=combine_kv_digests([run.kv_digest for run in runs]),
+            requests=len(runs),
+            decoded_tokens=sum(len(o) for o in outputs),
+            kv_transfer_bytes=coord.transfer_bytes,
+            ttft_us=list(coord.ttft_us),
+            per_tenant=per_tenant,
+            snapshot_digest=snapshot.digest(),
+        )
+
+
+def run_pd(*args: Any, **kwargs: Any) -> PdResult:
+    """One prefill/decode disaggregation run on a shared cluster:
+    :func:`build_pd` with the same arguments, run to completion."""
+    return build_pd(*args, **kwargs).run()
 
 
 class PdSweepRunner:
@@ -1114,10 +1135,12 @@ __all__ = [
     "PdResult",
     "PdSweepRunner",
     "SequenceRun",
+    "PdRun",
     "TieringPolicy",
     "attn_positions",
     "best_split_per_ratio",
     "build_llm_service",
+    "build_pd",
     "combine_kv_digests",
     "generate",
     "kv_entry",

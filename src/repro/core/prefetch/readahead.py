@@ -29,7 +29,7 @@ class ReadaheadPrefetcher(Prefetcher):
         return max(self.min_window, min(self.base_window, scaled))
 
     def on_major_fault(self, vpn: int, ops: PrefetchOps) -> None:
-        window = self.current_window(ops)
-        for offset in range(1, window):
-            if ops.prefetch(vpn + offset):
+        prefetch = ops.prefetch
+        for offset in range(1, self.current_window(ops)):
+            if prefetch(vpn + offset):
                 self.issued += 1

@@ -297,6 +297,17 @@ def llm(kind: str, ratio: float = 0.25, backend: BackendSpec = "node",
     return Run(system, result.decoded_tokens)
 
 
+def llm_pd(**params: Any) -> Run:
+    """Prefill/decode-disaggregated LLM inference on one shared cluster
+    (:func:`repro.apps.llm.build_pd` arguments); the report is the
+    :class:`~repro.apps.llm.PdResult`."""
+    from repro.apps.llm import build_pd
+
+    job = build_pd(**params)
+    result = job.run()
+    return Run(job.cluster, result.decoded_tokens, result)
+
+
 # -- cluster builders --------------------------------------------------------
 
 def _spec(kind: str, local_bytes: int) -> SystemSpec:
@@ -702,6 +713,11 @@ SCENARIOS: Dict[str, Scenario] = {
                   config=dict(heads=8, max_tokens=192),
                   prompt_min=24, prompt_max=80, out_min=8, out_max=16),
         perf=True),
+    # perfbench's llm_pd chunk: the same run_pd arguments at seed 31.
+    "llm_pd": Scenario(
+        "DiLOS P:D-disaggregated LLM inference, 1:1 over sharded:2",
+        llm_pd, dict(kind=_DILOS, ratio=0.25, split="1:1",
+                     backend="sharded:2", n_requests=12, seed=31)),
     "rack": Scenario(
         "redis tenants striped over a pooled rack (repro rack)", rack),
     "rack_redis_pool": Scenario(
@@ -741,6 +757,7 @@ __all__ = [
     "kmeans_tenant",
     "kv_failover",
     "llm",
+    "llm_pd",
     "preset",
     "quicksort",
     "rack",

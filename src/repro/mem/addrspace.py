@@ -12,11 +12,12 @@ the lifetime of the mapping so REMOTE PTEs can simply carry the remote pfn.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import InvalidAddressError
-from repro.common.units import PAGE_SHIFT, PAGE_SIZE, align_up
+from repro.common.units import PAGE_SIZE, align_up
 from repro.mem.page_table import PageTable
 from repro.mem.remote import MemoryNode
 
@@ -36,9 +37,6 @@ class Region:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, va: int) -> bool:
-        return self.base <= va < self.end
-
 
 class AddressSpace:
     """The single address space shared by the app and the LibOS."""
@@ -49,7 +47,10 @@ class AddressSpace:
     def __init__(self, memory_node: Optional[MemoryNode]) -> None:
         self.page_table = PageTable()
         self._memory_node = memory_node
+        #: Live regions in base order (``mmap`` only ever maps above
+        #: every earlier region), with their bases for bisection.
         self._regions: List[Region] = []
+        self._bases: List[int] = []
         self._next_base = self._MMAP_BASE
         #: vpn -> (remote pfn, its byte offset in the remote region).
         self._remote_slot: Dict[int, Tuple[int, int]] = {}
@@ -68,6 +69,7 @@ class AddressSpace:
         # Leave an unmapped guard page between regions.
         self._next_base = region.end + PAGE_SIZE
         self._regions.append(region)
+        self._bases.append(region.base)
         return region
 
     def munmap(self, region: Region) -> None:
@@ -76,12 +78,16 @@ class AddressSpace:
         The caller (kernel) is responsible for having released its frames,
         PTEs and remote slots first.
         """
-        self._regions.remove(region)
+        index = self._regions.index(region)
+        del self._regions[index]
+        del self._bases[index]
 
     def region_for(self, va: int) -> Region:
         """The region containing ``va``; raises on unmapped addresses."""
-        for region in self._regions:
-            if region.contains(va):
+        index = bisect_right(self._bases, va) - 1
+        if index >= 0:
+            region = self._regions[index]
+            if va < region.base + region.size:
                 return region
         raise InvalidAddressError(f"address {va:#x} is not mapped")
 
@@ -122,9 +128,3 @@ class AddressSpace:
         backing = self._remote_slot.pop(vpn, None)
         if backing is not None and self._memory_node is not None:
             self._memory_node.free_slot(backing[0])
-
-    # -- conveniences -----------------------------------------------------------
-
-    @staticmethod
-    def vpn(va: int) -> int:
-        return va >> PAGE_SHIFT

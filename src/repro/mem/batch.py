@@ -4,28 +4,37 @@ Applications touch far memory through per-page Python loops in
 :meth:`repro.mem.vm.VirtualMemory.read` / ``write``; at hundreds of
 nanoseconds of interpreter overhead per page those loops dominate wall
 time once the simulated machinery around them has been optimized. This
-module executes whole access runs instead: it splits a run into **spans
-of consecutive TLB hits** and moves each span's bytes with a single numpy
-fancy-index gather/scatter over the frame pool's shared 2-D view
-(:meth:`repro.mem.frames.FramePool.as_ndarray`), falling back to the
-scalar fault path (:meth:`VirtualMemory._translate`) only at span
-boundaries.
+module executes whole batches instead:
+
+* an element larger than :data:`SPAN_THRESHOLD` is split into **spans
+  of consecutive TLB hits**, and each span's bytes move with a single
+  numpy fancy-index gather/scatter over the frame pool's shared 2-D view
+  (:meth:`repro.mem.frames.FramePool.as_ndarray`), falling back to the
+  scalar fault path (:meth:`VirtualMemory._translate`) only at span
+  boundaries;
+* a **sub-page** element (one inside a single page, such as a 128-byte
+  KV entry) runs in one shared loop over the batch, with no
+  ``vm.read``/``vm.write`` call of its own: the loop performs that
+  call's one-page step, copying the bytes as soon as the page is
+  translated;
+* any other element (empty, or crossing a page boundary within
+  :data:`SPAN_THRESHOLD`) takes one scalar ``vm.read``/``vm.write``
+  call.
 
 Determinism contract (pinned by ``tests/test_batch_differential.py`` and
 the golden masters):
 
 * **Identical accounting.** Per page: one TLB hit count and one LRU
-  refresh, in access order; accrued hits flush before every slow-path
-  entry (exactly the scalar fast path's rule). Per element: one clock
-  charge of ``size * cpu_copy_per_byte`` *after* the element's pages, and
-  one ``bytes_read`` / ``bytes_written`` counter add — so timers fire at
-  the same simulated instants, in the same states, as under per-element
-  scalar calls.
-* **Copy-before-fault.** A span's bytes are gathered before the next
-  slow-path translation: a later fault in the same element may evict and
-  reuse an earlier page's frame, so data movement never outlives the
-  translation that produced it. Within a pure-hit span nothing advances
-  the clock, so deferring the gather to the span boundary is safe.
+  refresh, in access order. Per element: one clock charge of
+  ``size * cpu_copy_per_byte`` *after* the element's pages, and one
+  ``bytes_read`` / ``bytes_written`` counter add. Timers therefore fire
+  at the same simulated instants, in the same states, as under
+  per-element scalar calls.
+* **Copy-before-fault.** Bytes are copied before the next slow-path
+  translation: a later fault may evict and reuse an earlier page's
+  frame, so data movement never outlives the translation that produced
+  it. Within a pure-hit span nothing advances the clock, so deferring
+  the gather to the span boundary is safe.
 * **No new metrics.** The engine adds no counters of its own; a batch run
   and the equivalent scalar run produce byte-identical metrics snapshots.
 
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
@@ -47,16 +57,11 @@ _PAGE_MASK = PAGE_SIZE - 1
 #: Engine kill switch (``REPRO_BATCH=0`` restores the scalar loops).
 ENABLED = os.environ.get("REPRO_BATCH", "1") not in ("0", "false", "off")
 
-#: Elements at or below this size run through the scalar per-page loop
-#: even on the batch path: a span of one or two pages cannot amortize
-#: numpy's per-call overhead, and both paths are accounting-identical, so
-#: the choice is pure wall-clock strategy.
+#: Elements at or below this size never take the span gathers: a span of
+#: one or two pages cannot amortize numpy's per-call overhead, and every
+#: path is accounting-identical, so the choice is pure wall-clock
+#: strategy.
 SPAN_THRESHOLD = 2 * PAGE_SIZE
-
-
-def enabled() -> bool:
-    """Whether ported call sites should take the batch path."""
-    return ENABLED
 
 
 @contextmanager
@@ -212,32 +217,17 @@ def _scatter(frames_nd, span_frames: List[int], values, pos: int) -> None:
 
 
 def read_batch(vm, vas: Sequence[int], sizes: Sequence[int]) -> List[bytes]:
-    """Batched loads: ``[vm.read(va, size) for va, size in zip(...)]``,
-    with each element's pure-hit spans executed as single gathers."""
-    import numpy as np
+    """Batched loads: ``[vm.read(va, size) for va, size in zip(...)]``."""
     if len(vas) != len(sizes):
         raise ValueError("vas and sizes must have equal length")
-    results: List[bytes] = []
-    for va, size in zip(vas, sizes):
-        if size <= SPAN_THRESHOLD:
-            results.append(vm.read(va, size))
-            continue
-        out = np.empty(size, dtype=np.uint8)
-        read_span_into(vm, va, out)
-        results.append(out.tobytes())
-    return results
+    return _execute(vm, zip(repeat("r"), vas, sizes))
 
 
 def write_batch(vm, vas: Sequence[int], datas: Sequence[bytes]) -> None:
     """Batched stores: ``[vm.write(va, data) for va, data in zip(...)]``."""
-    import numpy as np
     if len(vas) != len(datas):
         raise ValueError("vas and datas must have equal length")
-    for va, data in zip(vas, datas):
-        if len(data) <= SPAN_THRESHOLD:
-            vm.write(va, data)
-            continue
-        write_span_from(vm, va, np.frombuffer(data, dtype=np.uint8))
+    _execute(vm, zip(repeat("w"), vas, datas))
 
 
 def apply_trace(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
@@ -247,23 +237,66 @@ def apply_trace(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
     Element ordering — including clock charges and therefore timer firing
     points — matches issuing the same scalar calls one by one.
     """
-    import numpy as np
+    return _execute(vm, ops)
+
+
+def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
+    """The engine behind the three batch calls (see the module doc)."""
+    advance = vm._clock.advance
+    count = vm.counters.add
+    tlb = vm.tlb
+    tlb_get = tlb.entries.get
+    tlb_move = tlb.entries.move_to_end
+    frame_bufs = vm._frames._data
+    translate = vm._translate
+    copy_cost = vm._copy_cost
+    span_threshold = SPAN_THRESHOLD
     results: List[Optional[bytes]] = []
-    for op in ops:
-        kind, va, arg = op
+    append = results.append
+    for kind, va, arg in ops:
         if kind == "r":
-            if arg <= SPAN_THRESHOLD:
-                results.append(vm.read(va, arg))
-            else:
-                out = np.empty(arg, dtype=np.uint8)
-                read_span_into(vm, va, out)
-                results.append(out.tobytes())
+            is_write = False
+            size = arg
         elif kind == "w":
-            if len(arg) <= SPAN_THRESHOLD:
-                vm.write(va, arg)
-            else:
-                write_span_from(vm, va, np.frombuffer(arg, dtype=np.uint8))
-            results.append(None)
+            is_write = True
+            size = len(arg)
         else:
             raise ValueError(f"unknown trace op {kind!r}")
+        offset = va & _PAGE_MASK
+        end = offset + size
+        if size <= 0 or end > PAGE_SIZE:
+            # Empty, negative or page-crossing: one scalar call, or the
+            # span engine past SPAN_THRESHOLD.
+            if size <= span_threshold:
+                append(vm.write(va, arg) if is_write else vm.read(va, size))
+            else:
+                import numpy as np
+                if is_write:
+                    write_span_from(vm, va, np.frombuffer(arg, dtype=np.uint8))
+                    append(None)
+                else:
+                    out = np.empty(size, dtype=np.uint8)
+                    read_span_into(vm, va, out)
+                    append(out.tobytes())
+            continue
+        # A sub-page element: vm.read / vm.write's one-page step, in its
+        # order (hit, bytes, clock charge, byte counter).
+        vpn = va >> PAGE_SHIFT
+        entry = tlb_get(vpn)
+        if entry is not None and (not is_write or entry[1] and entry[2]):
+            tlb_move(vpn)
+            tlb.hits += 1
+            frame = entry[0]
+        else:
+            frame = translate(vpn, is_write)
+        if is_write:
+            frame_bufs[frame][offset:end] = arg
+            advance(size * copy_cost)
+            count("bytes_written", size)
+            append(None)
+        else:
+            data = bytes(frame_bufs[frame][offset:end])
+            advance(size * copy_cost)
+            count("bytes_read", size)
+            append(data)
     return results

@@ -23,12 +23,13 @@ the Hypothesis differential suite pin this equivalence.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Tuple
+from typing import Callable
 
 from repro.common.clock import Clock
 from repro.common.errors import FaultError, ProtectionError
 from repro.common.stats import Counter
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
+from repro.mem import batch
 from repro.mem import pte as pte_mod
 from repro.mem.frames import FramePool
 from repro.mem.page_table import PageTable
@@ -120,16 +121,6 @@ class VirtualMemory:
             f"page {vpn:#x} still not present after "
             f"{_MAX_FAULT_RETRIES} fault retries")
 
-    def _chunks(self, va: int, size: int) -> Iterator[Tuple[int, int, int]]:
-        """Split ``[va, va+size)`` into per-page ``(vpn, offset, length)``."""
-        while size > 0:
-            vpn = va >> PAGE_SHIFT
-            offset = va & _PAGE_MASK
-            length = min(PAGE_SIZE - offset, size)
-            yield vpn, offset, length
-            va += length
-            size -= length
-
     # -- data access --------------------------------------------------------
 
     def read(self, va: int, size: int) -> bytes:
@@ -212,40 +203,16 @@ class VirtualMemory:
         self._clock.advance(size * self._copy_cost)
         self.counters.add("bytes_written", size)
 
-    # -- batch access -------------------------------------------------------
-
-    def read_into(self, va: int, out) -> None:
-        """Read ``len(out)`` bytes at ``va`` into a writable C-contiguous
-        1-D uint8 numpy array, executing pure-TLB-hit spans as single
-        fancy-index gathers. Accounting is identical to one
-        :meth:`read` call (see :mod:`repro.mem.batch`)."""
-        from repro.mem import batch
-        batch.read_span_into(self, va, out)
-
-    def write_from(self, va: int, values) -> None:
-        """Write a C-contiguous 1-D uint8 numpy array at ``va``; the batch
-        counterpart of one :meth:`write` call."""
-        from repro.mem import batch
-        batch.write_span_from(self, va, values)
-
-    def read_batch(self, vas, sizes):
-        """Batched loads: element ``i`` behaves exactly like
-        ``read(vas[i], sizes[i])`` — per-element clock charge and counter —
-        with hit spans vectorized. Returns a list of bytes."""
-        from repro.mem import batch
-        return batch.read_batch(self, vas, sizes)
-
-    def write_batch(self, vas, datas) -> None:
-        """Batched stores; element ``i`` behaves exactly like
-        ``write(vas[i], datas[i])``."""
-        from repro.mem import batch
-        batch.write_batch(self, vas, datas)
-
-    def apply_trace(self, ops):
-        """Execute ``("r", va, size)`` / ``("w", va, data)`` tuples in
-        order; returns per-op results (bytes for reads, None for writes)."""
-        from repro.mem import batch
-        return batch.apply_trace(self, ops)
+    # -- batch access (repro.mem.batch) ---------------------------------------
+    #
+    # The engine's functions, as methods: element ``i`` of a batch
+    # behaves exactly like the scalar ``read``/``write`` call it stands
+    # for, and ``read_into``/``write_from`` like one whole-run call.
+    read_into = batch.read_span_into
+    write_from = batch.write_span_from
+    read_batch = batch.read_batch
+    write_batch = batch.write_batch
+    apply_trace = batch.apply_trace
 
     def touch(self, va: int, size: int, is_write: bool = False) -> None:
         """Fault in (and mark accessed/dirty) every page of a range without

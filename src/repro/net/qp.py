@@ -277,7 +277,8 @@ class QueuePair:
                                  when - self._clock.now,
                                  {"qp": self.name, "bytes": len(data)})
         completion = Completion(when, "write", len(data), None)
-        self._register(completion, on_complete)
+        if self._listening or on_complete is not None:
+            self._register(completion, on_complete)
         return completion
 
     def post_read_sg(

@@ -14,6 +14,10 @@ ways:
   ``write_from``) and the other through scalar ``read``/``write`` loops,
   with evictions and shootdowns interleaved so batches cross page,
   fault, and span-threshold boundaries;
+* the same twin stacks running batches of many sub-page elements while
+  probe timers fire mid-batch (periodic, and one-shot ones armed at or
+  before the current time), which is where the order of the sub-page
+  loop's clock, TLB-hit and byte-counter accounting shows;
 * booted-kernel differentials for all three kernels (DiLOS, Fastswap,
   AIFM) comparing data, final clock, and metrics digests;
 * the same kernel differential under a ``net_faults`` plan, where every
@@ -23,7 +27,10 @@ ways:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,7 +158,12 @@ def test_batch_vm_matches_scalar_vm(ops):
         want = _apply_scalar(op, s_vm, s_pager)
         assert got == want, f"returned bytes diverged on {op}"
         assert b_clock.now == s_clock.now, f"clock diverged on {op}"
+    _assert_twins_agree(b_vm, b_pager, s_vm, s_pager)
 
+
+def _assert_twins_agree(b_vm, b_pager, s_vm, s_pager):
+    """Final state of twin stacks: faults, TLB counts and LRU order,
+    byte counters, page contents and PTEs."""
     assert b_pager.faults == s_pager.faults
     assert b_vm.tlb.hits == s_vm.tlb.hits
     assert b_vm.tlb.misses == s_vm.tlb.misses
@@ -161,6 +173,149 @@ def test_batch_vm_matches_scalar_vm(ops):
         assert b_pager.page_bytes(vpn) == s_pager.page_bytes(vpn), (
             f"page {vpn} contents diverged")
         assert b_vm._pt.get(vpn) == s_vm._pt.get(vpn), f"PTE {vpn} diverged"
+
+
+# -- sub-page batches with timers firing mid-batch ---------------------------
+#
+# The sub-page loop does a scalar call's one-page step itself, so its
+# accounting order (hit, copy, clock charge, byte counter) is what a
+# timer firing inside a batch sees: a probe must see exactly the state
+# the scalar run shows it, and may evict a page the rest of the batch
+# then faults on again.
+
+_MAX_BATCH = 32
+_sub_elem = st.tuples(
+    st.integers(0, N_PAGES - 1),
+    # Offsets near the page end make elements cross the boundary.
+    st.one_of(st.integers(0, PAGE_SIZE - 1),
+              st.integers(PAGE_SIZE - 256, PAGE_SIZE - 1)),
+    st.integers(1, 256))
+_sub_batch = st.lists(_sub_elem, min_size=1, max_size=_MAX_BATCH)
+_sub_op = st.one_of(
+    st.tuples(st.just("read_batch"), _sub_batch),
+    st.tuples(st.just("write_batch"), _sub_batch, st.integers(0, 255)),
+    st.tuples(st.just("trace"),
+              st.lists(st.tuples(st.booleans(), _sub_elem), min_size=1,
+                       max_size=_MAX_BATCH),
+              st.integers(0, 255)),
+    st.tuples(st.just("evict"), st.integers(0, N_PAGES - 1)),
+    # A one-shot probe armed between batches, due 0 or 1 ns in the past.
+    st.tuples(st.just("arm"), st.sampled_from([0.0, 0.001])),
+)
+
+
+def _sub_page_op(op):
+    """Map a sub-page op onto the ``_apply_batch``/``_apply_scalar``
+    vocabulary (byte addresses, clamped to the span)."""
+    def cell(elem):
+        page, offset, size = elem
+        va = page * PAGE_SIZE + offset
+        return va, _clamp(va, size)
+    if op[0] == "trace":
+        return ("trace", [(w, cell(e)) for w, e in op[1]], op[2])
+    if op[0] in ("evict", "arm"):
+        return op
+    return (op[0], [cell(e) for e in op[1]]) + tuple(op[2:])
+
+
+class _Probes:
+    """A periodic probe timer on one twin stack, plus one-shot probes
+    armed at or before the current time, by the pager's fault handler
+    or between batches.
+
+    Each firing logs the clock, TLB counts and byte counters, and the
+    ``victims`` plan decides whether it evicts a page; the twins share
+    the plan, so their logs agree only if every firing sees the same
+    state at the same simulated instant.
+    """
+
+    def __init__(self, vm, pager, clock, period, victims, shots):
+        self.vm, self.pager, self.clock = vm, pager, clock
+        self.period = period
+        self.victims = victims
+        self.log = []
+        self.faults = 0
+        handle = pager.handle_fault
+
+        def handle_fault(va, is_write):
+            handle(va, is_write)
+            back = shots[self.faults % len(shots)]
+            self.faults += 1
+            if back is not None:
+                self.arm(back)
+
+        vm.attach_kernel(handle_fault)
+        clock.call_after(period, self.tick)
+
+    def arm(self, back):
+        self.clock.call_at(self.clock.now - back, lambda: self.fire("shot"))
+
+    def tick(self):
+        self.fire("tick")
+        self.clock.call_after(self.period, self.tick)
+
+    def fire(self, tag):
+        vm = self.vm
+        self.log.append((tag, self.clock.now, vm.tlb.hits, vm.tlb.misses,
+                         sorted(vm.counters.as_dict().items())))
+        victim = self.victims[len(self.log) % len(self.victims)]
+        if victim is not None:
+            self.pager.evict_vpn(victim)
+
+
+def _check_timed_batches(ops, period_ns, victims, shots):
+    stacks = []
+    for _ in range(2):
+        vm, pager, clock = _build(VirtualMemory)
+        stacks.append((vm, pager, clock,
+                       _Probes(vm, pager, clock, period_ns / 1000.0,
+                               victims, shots)))
+    (b_vm, b_pager, b_clock, b_probes), (s_vm, s_pager, s_clock, s_probes) \
+        = stacks
+    for op in map(_sub_page_op, ops):
+        if op[0] == "arm":
+            b_probes.arm(op[1])
+            s_probes.arm(op[1])
+            continue
+        got = _apply_batch(op, b_vm, b_pager)
+        want = _apply_scalar(op, s_vm, s_pager)
+        assert got == want, f"returned bytes diverged on {op}"
+        assert b_clock.now == s_clock.now, f"clock diverged on {op}"
+        assert b_probes.log == s_probes.log, f"probe log diverged on {op}"
+    _assert_twins_agree(b_vm, b_pager, s_vm, s_pager)
+
+
+_timed = (
+    st.lists(_sub_op, min_size=1, max_size=12),
+    # Probe period in ns: an element charges 0.1-25.6 ns of copy time.
+    st.integers(1, 60),
+    st.lists(st.one_of(st.none(), st.integers(0, N_PAGES - 1)),
+             min_size=1, max_size=8),
+    # Per fault: no one-shot probe, or one due 0 or 1 ns in the past.
+    st.lists(st.sampled_from([None, None, 0.0, 0.001]), min_size=1,
+             max_size=8),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_timed)
+def test_sub_page_batches_match_scalar_with_timers(ops, period_ns, victims,
+                                                   shots):
+    """Twin stacks with probe timers firing mid-batch: the batch APIs and
+    the scalar loops agree on bytes, clock, TLB counts and LRU order,
+    counters, page contents and every probe firing."""
+    _check_timed_batches(ops, period_ns, victims, shots)
+
+
+@pytest.mark.slow
+@settings(max_examples=int(os.environ.get("REPRO_CHAOS_EXAMPLES", "200")),
+          deadline=None)
+@given(*_timed)
+def test_sub_page_batches_match_scalar_with_timers_slow(ops, period_ns,
+                                                        victims, shots):
+    """The timer differential above at volume (scale it with
+    ``REPRO_CHAOS_EXAMPLES``)."""
+    _check_timed_batches(ops, period_ns, victims, shots)
 
 
 # -- booted kernels ----------------------------------------------------------

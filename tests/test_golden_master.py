@@ -6,9 +6,10 @@ reproduce a SHA-256 digest of its full
 :class:`~repro.obs.snapshot.MetricsSnapshot` (every counter, gauge,
 breakdown and histogram summary) plus its final simulated clock. The
 pins cover DiLOS, Fastswap and AIFM over sequential, Redis, k-means,
-dataframe and LLM workloads, the replicated KV chaos run, the serve
-presets, and every ``python -m repro perf`` case, whose checksums and
-simulated times are thereby held bit-identical. Every serve scenario
+dataframe and LLM workloads (the P:D run the benchmark times included),
+the replicated KV chaos run, the serve presets, and every ``python -m
+repro perf`` case, whose checksums and simulated times are thereby held
+bit-identical. Every serve scenario
 pinned in ``TRACE_DIGESTS`` must also reproduce its per-request trace
 digest, which holds routing, admission and the trace-line format fixed.
 
@@ -134,6 +135,12 @@ GOLDEN = {
     "llm_decode_dilos": (
         "7e8c01e138845ebe0416d0c96ace45f4035ace99eefc494de9a74801ae8745bf",
         1486.9782316524168),
+    # The run_pd call perfbench's llm_pd workload times, at seed 31: the
+    # benchmark itself only compares tokens and KV bytes, so this row is
+    # what holds P:D's clock and metrics fixed.
+    "llm_pd": (
+        "94ec5e975568393d46b8b790642a60448dd4965cf0ca1934ed2bd29afe273c62",
+        4262.0802379130155),
     "rack_redis_pool": (
         "49f9ae7bb1c427fa690c051c5d36614bcca6146ef712bd7acf0fea2047198403",
         1999.4197405216028),

@@ -219,6 +219,29 @@ def test_llm_service_handles_generate_and_rejects_junk():
     assert again.value["last_token"] == good.value["last_token"]
 
 
+#: What a leaked KV cache leaves behind on each engine: a mapped region
+#: (paged kernels) or remote heap the bump allocator never returns (AIFM).
+_KV_FOOTPRINT = {
+    "dilos-readahead": lambda system: len(system.addr_space.regions()),
+    "aifm-rdma": lambda system: system._remote_bump,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KV_FOOTPRINT))
+def test_llm_service_rejected_request_maps_no_kv_cache(kind):
+    """A generate that fails length validation maps no KV cache, but
+    still counts as a request."""
+    system = _system(kind)
+    service = SERVICES.build("llm", system)  # max_tokens=64
+    footprint = _KV_FOOTPRINT[kind]
+    before = footprint(system)
+    for seed in range(5):
+        reply = service.handle(Request("generate", args=(seed, 60, 10)))
+        assert not reply.ok and "exceeds max_tokens" in reply.error
+    assert footprint(system) == before
+    assert system.metrics().value("llm.requests") == 5
+
+
 def test_llm_service_evicts_finished_sequences_beyond_capacity():
     system = _system()
     service = SERVICES.build("llm", system, capacity_tokens=24)
