@@ -23,25 +23,9 @@ from repro.common.units import MIB
 from repro.core.spec import BACKEND_SPEC_EXAMPLES, make_backend
 from repro.harness import SYSTEM_KINDS, format_table, local_bytes_for, make_system
 from repro.net.faults import FaultPlan
-from repro.alloc import Mimalloc
-from repro.apps.dataframe import TaxiAnalyticsWorkload
-from repro.apps.gapbs import (
-    BcFrontierGuide,
-    BetweennessWorkload,
-    CsrGraph,
-    PageRankWorkload,
-    generate_power_law_graph,
-)
-from repro.apps.kmeans import KMeansWorkload
-from repro.apps.quicksort import QuicksortWorkload
-from repro.apps.redis import (
-    GetWorkload,
-    LRangeWorkload,
-    RedisPrefetchGuide,
-    RedisServer,
-)
-from repro.apps.seqrw import SequentialWorkload
-from repro.apps.snappy import SnappyWorkload
+
+# Each command imports its app modules itself: most apps are numpy-native,
+# and the serving, KV, rack and repair commands boot without numpy.
 
 
 def _print_metrics(headline: str, metrics: Dict) -> None:
@@ -82,6 +66,10 @@ def cmd_trace(args) -> int:
     """Run one workload with event tracing on, print a Fig.-6-style fault
     breakdown computed from the recorded spans, and export the trace as
     Chrome ``trace_event`` JSON (Perfetto-loadable) and/or JSONL."""
+    from repro.apps.dataframe import TaxiAnalyticsWorkload
+    from repro.apps.kmeans import KMeansWorkload
+    from repro.apps.quicksort import QuicksortWorkload
+    from repro.apps.seqrw import SequentialWorkload
     from repro.obs import (
         Observability,
         fault_breakdown_from_spans,
@@ -143,10 +131,13 @@ def _sweep_workload(name: str, size):
     """Build one sweep workload instance (module-level so the --jobs
     fan-out can rebuild it inside pool workers)."""
     if name == "quicksort":
+        from repro.apps.quicksort import QuicksortWorkload
         return QuicksortWorkload(count=size or (1 << 16))
     if name == "kmeans":
+        from repro.apps.kmeans import KMeansWorkload
         return KMeansWorkload(n_points=size or (1 << 15))
     if name == "taxi":
+        from repro.apps.dataframe import TaxiAnalyticsWorkload
         return TaxiAnalyticsWorkload(rows=size or (1 << 16))
     raise KeyError(name)
 
@@ -343,6 +334,8 @@ def cmd_systems(_args) -> int:
 
 def cmd_seqrw(args) -> int:
     """Sequential read/write microbenchmark (Tables 1-3, Figure 6)."""
+    from repro.apps.seqrw import SequentialWorkload
+
     workload = SequentialWorkload(args.ws_mib * MIB)
     system = _boot(args, workload.footprint_bytes)
     result = workload.run(system, args.mode, verify=(args.mode == "read"))
@@ -354,6 +347,8 @@ def cmd_seqrw(args) -> int:
 
 def cmd_quicksort(args) -> int:
     """Quicksort over a far-memory array (Figure 7(a))."""
+    from repro.apps.quicksort import QuicksortWorkload
+
     workload = QuicksortWorkload(count=args.count)
     system = _boot(args, workload.footprint_bytes)
     result = workload.run(system, verify=True)
@@ -365,6 +360,8 @@ def cmd_quicksort(args) -> int:
 
 def cmd_kmeans(args) -> int:
     """K-means clustering (Figure 7(b))."""
+    from repro.apps.kmeans import KMeansWorkload
+
     workload = KMeansWorkload(n_points=args.points)
     system = _boot(args, workload.footprint_bytes)
     result = workload.run(system)
@@ -377,6 +374,8 @@ def cmd_kmeans(args) -> int:
 
 def cmd_snappy(args) -> int:
     """Snappy-like compression/decompression (Figures 7(c,d))."""
+    from repro.apps.snappy import SnappyWorkload
+
     workload = SnappyWorkload()
     system = _boot(args, workload.footprint_bytes)
     if args.system.startswith("aifm"):
@@ -395,6 +394,8 @@ def cmd_snappy(args) -> int:
 
 def cmd_taxi(args) -> int:
     """NYC-taxi DataFrame analytics (Figure 8)."""
+    from repro.apps.dataframe import TaxiAnalyticsWorkload
+
     workload = TaxiAnalyticsWorkload(rows=args.rows)
     system = _boot(args, workload.footprint_bytes)
     result = (workload.run_aifm(system) if args.system.startswith("aifm")
@@ -408,6 +409,8 @@ def cmd_taxi(args) -> int:
 
 
 def _build_graph(args):
+    from repro.apps.gapbs import CsrGraph, generate_power_law_graph
+
     offsets, edges = generate_power_law_graph(n=args.nodes,
                                               target_m=args.edges)
     footprint = (len(offsets) + len(edges)) * 8
@@ -417,6 +420,8 @@ def _build_graph(args):
 
 def cmd_pagerank(args) -> int:
     """GAPBS PageRank (Figure 9(a))."""
+    from repro.apps.gapbs import PageRankWorkload
+
     system, graph = _build_graph(args)
     result = PageRankWorkload().run(system, graph)
     _print_metrics(
@@ -428,6 +433,8 @@ def cmd_pagerank(args) -> int:
 
 def cmd_bc(args) -> int:
     """GAPBS betweenness centrality (Figure 9(b)), optionally guided."""
+    from repro.apps.gapbs import BcFrontierGuide, BetweennessWorkload
+
     system, graph = _build_graph(args)
     guide = None
     if args.guide:
@@ -447,6 +454,9 @@ def cmd_bc(args) -> int:
 
 
 def _redis_server(args, footprint: int):
+    from repro.alloc import Mimalloc
+    from repro.apps.redis import RedisPrefetchGuide, RedisServer
+
     guide = RedisPrefetchGuide() if args.app_aware else None
     if args.app_aware and not args.system.startswith("dilos"):
         print("error: --app-aware requires a DiLOS system", file=sys.stderr)
@@ -461,6 +471,8 @@ def _redis_server(args, footprint: int):
 
 def cmd_redis_get(args) -> int:
     """Redis GET serving throughput (Figures 10(a-c))."""
+    from repro.apps.redis import GetWorkload
+
     size = "mixed" if args.value_size == "mixed" else int(args.value_size)
     workload = GetWorkload(value_size=size, n_keys=args.keys,
                            n_queries=args.queries)
@@ -479,6 +491,8 @@ def cmd_redis_get(args) -> int:
 
 def cmd_redis_lrange(args) -> int:
     """Redis LRANGE throughput (Figure 10(d))."""
+    from repro.apps.redis import LRangeWorkload
+
     workload = LRangeWorkload(n_queries=args.queries)
     server = _redis_server(args, workload.footprint_bytes)
     if server is None:

@@ -29,8 +29,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import BackendSpec, SystemSpec, make_backend
 from repro.harness.experiment import local_bytes_for, make_system
@@ -106,6 +104,8 @@ def kmeans_tenant(n_points: int = 32768, dims: int = 4, iters: int = 2,
     Lloyd iterations as chunked scans (one op per chunk)."""
 
     def factory(system) -> Iterator[str]:
+        import numpy as np
+
         from repro.apps.views import PagedArray
 
         def gen() -> Iterator[str]:

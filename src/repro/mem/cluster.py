@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Union
 
-import numpy as np
-
 from repro.common.errors import OutOfMemoryError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.remote import MemoryNode, NodeFailedError
@@ -525,6 +523,8 @@ class ParityStripedMemory(_ClusterBackend):
     def _xor(a: bytes, b: bytes) -> bytes:
         # Vectorized: parity spans whole pages, and a per-byte Python loop
         # dominates reconstruction/write time at 4 KiB granularity.
+        import numpy as np
+
         n = min(len(a), len(b))
         return np.bitwise_xor(np.frombuffer(a, np.uint8, n),
                               np.frombuffer(b, np.uint8, n)).tobytes()

@@ -12,9 +12,8 @@ table walk cost, which is folded into the fabric base latency.
 
 from __future__ import annotations
 
+import mmap
 from typing import Callable, List
-
-import numpy as np
 
 from repro.common.errors import OutOfMemoryError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
@@ -35,12 +34,14 @@ class MemoryNode:
             raise ValueError("capacity must be a positive multiple of the page size")
         self.capacity = capacity_bytes
         self.name = name
-        # numpy zeros is calloc-backed: a multi-GiB registered region
-        # costs nothing until pages are actually written, where a
-        # bytearray would memset the whole capacity at boot. The store
-        # is a byte view of it, so payloads are sliced in and out as
-        # they are, never wrapped in numpy arrays.
-        self._store = memoryview(np.zeros(capacity_bytes, dtype=np.uint8))
+        # A private anonymous mapping: the kernel hands out zero pages
+        # and commits each one on first write, so a multi-GiB registered
+        # region costs nothing at boot (a bytearray would memset all of
+        # it). MAP_PRIVATE keeps it copy-on-write across fork, so a
+        # forked worker never writes into its parent's node. Payloads
+        # are sliced in and out of a byte view as they are.
+        self._store = memoryview(mmap.mmap(
+            -1, capacity_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         total_slots = capacity_bytes >> PAGE_SHIFT
         self._free_slots: List[int] = list(range(total_slots - 1, -1, -1))
         # One byte per slot (1 = free) so free_slot can reject double
@@ -115,7 +116,7 @@ class MemoryNode:
 
     def read_bytes(self, offset: int, size: int) -> bytes:
         self._check_alive()
-        if offset < 0 or offset + size > self.capacity:
+        if offset < 0 or size < 0 or offset + size > self.capacity:
             raise ValueError(f"remote read [{offset}, {offset + size}) out of bounds")
         return self._store[offset:offset + size].tobytes()
 

@@ -1,11 +1,17 @@
 """Unit tests for the frame pool and the memory node."""
 
+import multiprocessing
+import os
+
 import pytest
 
+from repro.common.clock import Clock
 from repro.common.errors import OutOfMemoryError
-from repro.common.units import KIB, PAGE_SIZE
+from repro.common.units import GIB, KIB, MIB, PAGE_SIZE
 from repro.mem.frames import FramePool
 from repro.mem.remote import MemoryNode
+from repro.net.latency import LatencyModel
+from repro.net.qp import NetStats, QueuePair
 
 
 class TestFramePool:
@@ -71,6 +77,38 @@ class TestMemoryNode:
         with pytest.raises(ValueError):
             node.write_bytes(-1, b"x")
 
+    def test_negative_read_size_rejected(self):
+        """A negative size must not reach the slice, whose negative stop
+        gives b"" when offset + size >= 0 and nearly the whole node when
+        it is below 0."""
+        node = MemoryNode(1024 * KIB)
+        with pytest.raises(ValueError):
+            node.read_bytes(0, -PAGE_SIZE)
+        with pytest.raises(ValueError):
+            node.read_bytes(2 * PAGE_SIZE, -PAGE_SIZE)
+
+    def test_rejected_negative_read_leaves_the_wire_alone(self):
+        """The rejected verb must not move the QP's wire time back or
+        subtract from the byte counters: a twin QP that never saw it
+        completes its next read at the same time, with the same totals."""
+        def fabric():
+            clock, stats = Clock(), NetStats()
+            qp = QueuePair("q", clock, LatencyModel(),
+                           MemoryNode(1024 * KIB), stats)
+            qp.post_read(0, PAGE_SIZE)
+            return clock, stats, qp
+
+        clock, stats, qp = fabric()
+        twin_clock, twin_stats, twin = fabric()
+        with pytest.raises(ValueError):
+            qp.post_read(0, -PAGE_SIZE)
+        assert clock.now == twin_clock.now
+        assert (stats.bytes_read, stats.ops_read, qp.posted) == \
+            (twin_stats.bytes_read, twin_stats.ops_read, twin.posted) == \
+            (PAGE_SIZE, 1, 1)
+        assert qp.post_read(PAGE_SIZE, PAGE_SIZE).time == \
+            twin.post_read(PAGE_SIZE, PAGE_SIZE).time
+
     def test_slot_allocation(self):
         node = MemoryNode(4 * PAGE_SIZE)
         slots = [node.alloc_slot() for _ in range(4)]
@@ -135,3 +173,48 @@ class TestMemoryNode:
             node.write_bytes(0, b"x")
         node.recover()
         assert node.read_bytes(0, 5) == b"alive"
+
+
+def _write_in_child(node):
+    node.write_bytes(0, b"child")
+    raise SystemExit(0 if node.read_bytes(0, 5) == b"child" else 1)
+
+
+class TestMemoryNodeStore:
+    """The store behaves like calloc'd memory that fork copies on write."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc")
+    def test_large_node_boots_without_committing_its_capacity(self):
+        def resident_bytes():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = resident_bytes()
+        node = MemoryNode(1 * GIB)
+        # The slot free list is nearly all of the growth (~10 MiB).
+        assert resident_bytes() - before < 16 * MIB
+        assert node.capacity == 1 * GIB
+
+    def test_reads_zeros_at_first_and_last_page(self):
+        node = MemoryNode(1 * GIB)
+        assert node.read_bytes(0, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert node.read_bytes(1 * GIB - PAGE_SIZE, PAGE_SIZE) == \
+            bytes(PAGE_SIZE)
+
+    def test_write_at_last_byte_round_trips(self):
+        node = MemoryNode(1 * GIB)
+        node.write_bytes(1 * GIB - 1, b"\xff")
+        assert node.read_bytes(1 * GIB - 2, 2) == b"\x00\xff"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_fork_child_write_is_not_visible_in_parent(self):
+        node = MemoryNode(64 * KIB)
+        child = multiprocessing.get_context("fork").Process(
+            target=_write_in_child, args=(node,))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert node.read_bytes(0, 5) == bytes(5)
