@@ -46,16 +46,16 @@ class PagedArray:
     def load(self, start: int, stop: int) -> np.ndarray:
         """Read elements ``[start, stop)`` through the paging path.
 
-        With the batch engine on, TLB-hit spans arrive as single
-        fancy-index gathers straight into the result array; accounting is
-        identical to the scalar ``memory.read`` path below.
+        With the batch engine on, a load above ``SPAN_THRESHOLD`` copies
+        each page straight into the result array as it is translated;
+        accounting is identical to the scalar ``memory.read`` path below.
         """
         self._check(start, stop)
         va = self.base + start * self.itemsize
         nbytes = (stop - start) * self.itemsize
         if batch.ENABLED and nbytes > batch.SPAN_THRESHOLD:
             out = np.empty(stop - start, dtype=self.dtype)
-            self.system.memory.read_into(va, out.view(np.uint8))
+            self.system.memory.read_into(va, out)
             return out
         raw = self.system.memory.read(va, nbytes)
         return np.frombuffer(raw, dtype=self.dtype).copy()
@@ -66,7 +66,7 @@ class PagedArray:
         self._check(start, start + len(values))
         va = self.base + start * self.itemsize
         if batch.ENABLED and values.nbytes > batch.SPAN_THRESHOLD:
-            self.system.memory.write_from(va, values.view(np.uint8))
+            self.system.memory.write_from(va, values)
             return
         self.system.memory.write(va, values.tobytes())
 

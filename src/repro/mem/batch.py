@@ -1,4 +1,4 @@
-"""Vectorized batch execution over the MMU (the batch access engine).
+"""Batch execution over the MMU (the batch access engine).
 
 Applications touch far memory through per-page Python loops in
 :meth:`repro.mem.vm.VirtualMemory.read` / ``write``; at hundreds of
@@ -6,20 +6,23 @@ nanoseconds of interpreter overhead per page those loops dominate wall
 time once the simulated machinery around them has been optimized. This
 module executes whole batches instead:
 
-* an element larger than :data:`SPAN_THRESHOLD` is split into **spans
-  of consecutive TLB hits**, and each span's bytes move with a single
-  numpy fancy-index gather/scatter over the frame pool's shared 2-D view
-  (:meth:`repro.mem.frames.FramePool.as_ndarray`), falling back to the
-  scalar fault path (:meth:`VirtualMemory._translate`) only at span
-  boundaries;
 * a **sub-page** element (one inside a single page, such as a 128-byte
   KV entry) runs in one shared loop over the batch, with no
   ``vm.read``/``vm.write`` call of its own: the loop performs that
   call's one-page step, copying the bytes as soon as the page is
   translated;
-* any other element (empty, or crossing a page boundary within
-  :data:`SPAN_THRESHOLD`) takes one scalar ``vm.read``/``vm.write``
-  call.
+* a read larger than :data:`SPAN_THRESHOLD` goes through
+  :func:`read_span_into`, which copies each page through a
+  ``memoryview`` slice of the frame pool into one result buffer as soon
+  as the page is translated, instead of building a ``bytes`` per page;
+* any other element (a write that crosses a page, an empty element, or
+  a page-crossing read within :data:`SPAN_THRESHOLD`) takes one scalar
+  ``vm.read``/``vm.write`` call.
+
+:func:`read_span_into` and :func:`write_span_from` (``vm.read_into`` /
+``vm.write_from``) move one whole run straight into or out of any
+C-contiguous byte buffer: a numpy array, a ``bytearray`` or ``bytes``.
+The engine needs no numpy.
 
 Determinism contract (pinned by ``tests/test_batch_differential.py`` and
 the golden masters):
@@ -30,11 +33,9 @@ the golden masters):
   ``bytes_read`` / ``bytes_written`` counter add. Timers therefore fire
   at the same simulated instants, in the same states, as under
   per-element scalar calls.
-* **Copy-before-fault.** Bytes are copied before the next slow-path
-  translation: a later fault may evict and reuse an earlier page's
-  frame, so data movement never outlives the translation that produced
-  it. Within a pure-hit span nothing advances the clock, so deferring
-  the gather to the span boundary is safe.
+* **Copy at translation.** A page's bytes move before the next page is
+  translated: a later fault may evict and reuse an earlier page's frame,
+  so data movement never outlives the translation that produced it.
 * **No new metrics.** The engine adds no counters of its own; a batch run
   and the equivalent scalar run produce byte-identical metrics snapshots.
 
@@ -57,10 +58,15 @@ _PAGE_MASK = PAGE_SIZE - 1
 #: Engine kill switch (``REPRO_BATCH=0`` restores the scalar loops).
 ENABLED = os.environ.get("REPRO_BATCH", "1") not in ("0", "false", "off")
 
-#: Elements at or below this size never take the span gathers: a span of
-#: one or two pages cannot amortize numpy's per-call overhead, and every
-#: path is accounting-identical, so the choice is pure wall-clock
-#: strategy.
+#: Reads at or below this size take one scalar ``vm.read``; larger ones
+#: go through a buffer (:func:`read_span_into`), and ``PagedArray``
+#: makes the same cut for its loads and stores. For a ``bytes`` result
+#: the buffer saves a ``bytes`` object per page but adds one
+#: whole-element copy, and the two cross over at a few pages: pure-hit,
+#: page-aligned reads on a 2-vCPU container took 2.4 us as one scalar
+#: call against 2.7 us through a buffer at 2 pages, about the same at 3
+#: to 5 pages, and 21 us against 15-19 us at 16 pages. Every path is
+#: accounting-identical, so the choice is pure wall-clock strategy.
 SPAN_THRESHOLD = 2 * PAGE_SIZE
 
 
@@ -75,29 +81,29 @@ def force(on: bool):
         ENABLED = saved
 
 
-# -- span execution ----------------------------------------------------------
+# -- one run into or out of a caller's buffer --------------------------------
 
 
 def read_span_into(vm, va: int, out) -> None:
-    """Read ``out.nbytes`` bytes at ``va`` into uint8 array ``out``.
+    """Fill ``out`` with the bytes at ``va``.
 
-    ``out`` must be a writable C-contiguous 1-D uint8 numpy array; its
-    length is the read size. Accounting is exactly one scalar
-    ``vm.read(va, len(out))`` call.
+    ``out`` is any writable C-contiguous buffer (a numpy array, a
+    ``bytearray``); its size in bytes is the read size. Each page is
+    copied as soon as it is translated. Accounting is exactly one scalar
+    ``vm.read(va, size)`` call.
     """
-    size = len(out)
+    dst = memoryview(out).cast("B")
+    size = len(dst)
     if size == 0:
         return
     tlb = vm.tlb
     tlb_get = tlb.entries.get
     tlb_move = tlb.entries.move_to_end
-    frames_nd = vm._frames.as_ndarray()
+    frame_bufs = vm._frames._data
     translate = vm._translate
     pos = 0
     remaining = size
     hits = 0
-    span_frames: List[int] = []
-    span_pos = 0
     while remaining > 0:
         vpn = va >> PAGE_SHIFT
         offset = va & _PAGE_MASK
@@ -108,109 +114,31 @@ def read_span_into(vm, va: int, out) -> None:
         if entry is not None:
             tlb_move(vpn)
             hits += 1
-            if length == PAGE_SIZE:  # implies offset == 0
-                if not span_frames:
-                    span_pos = pos
-                span_frames.append(entry[0])
-            else:
-                if span_frames:
-                    _gather(frames_nd, span_frames, out, span_pos)
-                    span_frames = []
-                out[pos:pos + length] = \
-                    frames_nd[entry[0], offset:offset + length]
+            frame = entry[0]
         else:
-            # Span and hit flush before the slow path: the fault may evict
-            # span frames, and accounting must be exact if it raises.
-            if span_frames:
-                _gather(frames_nd, span_frames, out, span_pos)
-                span_frames = []
+            # Hits flush before the slow path, so accounting is exact
+            # even if translation raises mid-access.
             tlb.hits += hits
             hits = 0
             frame = translate(vpn, False)
-            out[pos:pos + length] = frames_nd[frame, offset:offset + length]
+        dst[pos:pos + length] = frame_bufs[frame][offset:offset + length]
         pos += length
         va += length
         remaining -= length
-    if span_frames:
-        _gather(frames_nd, span_frames, out, span_pos)
     tlb.hits += hits
     vm._clock.advance(size * vm._copy_cost)
     vm.counters.add("bytes_read", size)
 
 
 def write_span_from(vm, va: int, values) -> None:
-    """Write uint8 array ``values`` at ``va``; one scalar ``vm.write``'s
-    worth of accounting (first write through a clean translation walks the
-    PTE via the slow path, exactly like the scalar loop)."""
-    size = len(values)
-    if size == 0:
-        return
-    tlb = vm.tlb
-    tlb_get = tlb.entries.get
-    tlb_move = tlb.entries.move_to_end
-    frames_nd = vm._frames.as_ndarray()
-    translate = vm._translate
-    pos = 0
-    remaining = size
-    hits = 0
-    span_frames: List[int] = []
-    span_pos = 0
-    while remaining > 0:
-        vpn = va >> PAGE_SHIFT
-        offset = va & _PAGE_MASK
-        length = PAGE_SIZE - offset
-        if length > remaining:
-            length = remaining
-        entry = tlb_get(vpn)
-        if entry is not None and entry[1] and entry[2]:
-            tlb_move(vpn)
-            hits += 1
-            if length == PAGE_SIZE:
-                if not span_frames:
-                    span_pos = pos
-                span_frames.append(entry[0])
-            else:
-                if span_frames:
-                    _scatter(frames_nd, span_frames, values, span_pos)
-                    span_frames = []
-                frames_nd[entry[0], offset:offset + length] = \
-                    values[pos:pos + length]
-        else:
-            if span_frames:
-                _scatter(frames_nd, span_frames, values, span_pos)
-                span_frames = []
-            tlb.hits += hits
-            hits = 0
-            frame = translate(vpn, True)
-            frames_nd[frame, offset:offset + length] = values[pos:pos + length]
-        pos += length
-        va += length
-        remaining -= length
-    if span_frames:
-        _scatter(frames_nd, span_frames, values, span_pos)
-    tlb.hits += hits
-    vm._clock.advance(size * vm._copy_cost)
-    vm.counters.add("bytes_written", size)
+    """Write the bytes of ``values`` at ``va``: one scalar ``vm.write``.
 
-
-def _gather(frames_nd, span_frames: List[int], out, pos: int) -> None:
-    """One fancy-index gather of whole frames into ``out`` at ``pos``."""
-    k = len(span_frames)
-    if k == 1:
-        out[pos:pos + PAGE_SIZE] = frames_nd[span_frames[0]]
-    else:
-        out[pos:pos + k * PAGE_SIZE].reshape(k, PAGE_SIZE)[:] = \
-            frames_nd[span_frames]
-
-
-def _scatter(frames_nd, span_frames: List[int], values, pos: int) -> None:
-    """One fancy-index scatter of whole frames from ``values`` at ``pos``."""
-    k = len(span_frames)
-    if k == 1:
-        frames_nd[span_frames[0]] = values[pos:pos + PAGE_SIZE]
-    else:
-        frames_nd[span_frames] = \
-            values[pos:pos + k * PAGE_SIZE].reshape(k, PAGE_SIZE)
+    ``values`` is any C-contiguous buffer (a numpy array, ``bytes``, a
+    ``bytearray``); ``vm.write`` copies each page from a slice of its
+    byte view as soon as the page is translated, so no whole-buffer copy
+    is made.
+    """
+    vm.write(va, memoryview(values).cast("B"))
 
 
 # -- element-batch API -------------------------------------------------------
@@ -265,19 +193,16 @@ def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
         offset = va & _PAGE_MASK
         end = offset + size
         if size <= 0 or end > PAGE_SIZE:
-            # Empty, negative or page-crossing: one scalar call, or the
-            # span engine past SPAN_THRESHOLD.
-            if size <= span_threshold:
-                append(vm.write(va, arg) if is_write else vm.read(va, size))
+            # Empty, negative or page-crossing: one scalar call, or a
+            # read through one buffer past SPAN_THRESHOLD.
+            if is_write:
+                append(vm.write(va, arg))
+            elif size <= span_threshold:
+                append(vm.read(va, size))
             else:
-                import numpy as np
-                if is_write:
-                    write_span_from(vm, va, np.frombuffer(arg, dtype=np.uint8))
-                    append(None)
-                else:
-                    out = np.empty(size, dtype=np.uint8)
-                    read_span_into(vm, va, out)
-                    append(out.tobytes())
+                out = bytearray(size)
+                read_span_into(vm, va, out)
+                append(bytes(out))
             continue
         # A sub-page element: vm.read / vm.write's one-page step, in its
         # order (hit, bytes, clock charge, byte counter).

@@ -292,6 +292,8 @@ class ShardedMemory(_ClusterBackend):
     # -- data path (splits page-crossing requests) ---------------------------
 
     def read_bytes(self, offset: int, size: int) -> bytes:
+        if size < 0:
+            raise ValueError(f"negative remote read size {size}")
         parts = []
         while size > 0:
             node, local = self._route(offset)
@@ -554,6 +556,8 @@ class ParityStripedMemory(_ClusterBackend):
         return acc
 
     def read_bytes(self, offset: int, size: int) -> bytes:
+        if size < 0:
+            raise ValueError(f"negative remote read size {size}")
         parts = []
         while size > 0:
             index, local = self._route(offset)

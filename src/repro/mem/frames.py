@@ -6,11 +6,9 @@ a wrong counter.
 
 All frames live in **one contiguous buffer**; each frame is exposed as a
 ``memoryview`` slice (supporting the same reads, slice-assignments and
-``bytes()`` conversions a per-frame ``bytearray`` did), and the whole pool
-doubles as a zero-copy ``(total_frames, PAGE_SIZE)`` uint8 numpy array via
-:meth:`FramePool.as_ndarray`. That 2-D view is what the batch execution
-engine (:mod:`repro.mem.batch`) fancy-indexes to gather or scatter a whole
-run of frames in a single vector operation.
+``bytes()`` conversions a per-frame ``bytearray`` did). The MMU and the
+batch execution engine (:mod:`repro.mem.batch`) copy page bytes through
+these slices directly.
 """
 
 from __future__ import annotations
@@ -26,16 +24,13 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 class FramePool:
     """Fixed-size pool of local physical frames with a free list."""
 
-    __slots__ = ("total_frames", "_buf", "_nd", "_data", "_free", "_is_free",
-                 "_ever_used")
+    __slots__ = ("total_frames", "_data", "_free", "_is_free", "_ever_used")
 
     def __init__(self, total_frames: int) -> None:
         if total_frames <= 0:
             raise ValueError("frame pool needs at least one frame")
         self.total_frames = total_frames
-        self._buf = bytearray(total_frames * PAGE_SIZE)
-        self._nd = None
-        view = memoryview(self._buf)
+        view = memoryview(bytearray(total_frames * PAGE_SIZE))
         self._data: List[memoryview] = [
             view[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
             for i in range(total_frames)]
@@ -80,15 +75,3 @@ class FramePool:
         if not self._ever_used[frame]:
             raise ValueError(f"frame {frame} not allocated")
         return self._data[frame]
-
-    def as_ndarray(self):
-        """Zero-copy ``(total_frames, PAGE_SIZE)`` uint8 view of the pool.
-
-        Writable and always current: it aliases the same buffer the
-        per-frame memoryviews write through.
-        """
-        if self._nd is None:
-            import numpy as np
-            self._nd = np.frombuffer(self._buf, dtype=np.uint8).reshape(
-                self.total_frames, PAGE_SIZE)
-        return self._nd

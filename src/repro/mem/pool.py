@@ -392,6 +392,8 @@ class PooledMemory(_ClusterBackend):
     # -- data path (splits page-crossing requests) --------------------------
 
     def read_bytes(self, offset: int, size: int) -> bytes:
+        if size < 0:
+            raise ValueError(f"negative remote read size {size}")
         if 0 < size <= PAGE_SIZE - (offset & (PAGE_SIZE - 1)):
             # Within one page (a paging fetch): one route, no join.
             node, local = self._route(offset)

@@ -3,8 +3,9 @@
 The paper's memory node is a thin server — after setup, the RNIC services
 all one-sided reads and writes without host involvement (§5). Accordingly
 this model is a flat byte store addressed by offset; allocation of remote
-page frames (by the computing node's kernel) is a simple bump/free-list
-allocator over page-sized slots.
+page frames (by the computing node's kernel) is a bump pointer plus a
+stack of freed page-sized slots, so booting a node builds nothing per
+slot but one byte of allocation map.
 
 The 2 MiB huge-page optimization of §5 affects only the remote NIC's page
 table walk cost, which is folded into the fabric base latency.
@@ -26,8 +27,8 @@ class NodeFailedError(Exception):
 class MemoryNode:
     """Remote memory pool with page-slot allocation and raw byte access."""
 
-    __slots__ = ("capacity", "name", "_store", "_free_slots", "_slot_free",
-                 "total_slots", "_failed", "_failure_listeners")
+    __slots__ = ("capacity", "name", "_store", "_next_slot", "_freed",
+                 "_allocated", "total_slots", "_failed", "_failure_listeners")
 
     def __init__(self, capacity_bytes: int, name: str = "memnode") -> None:
         if capacity_bytes <= 0 or capacity_bytes % PAGE_SIZE:
@@ -43,10 +44,16 @@ class MemoryNode:
         self._store = memoryview(mmap.mmap(
             -1, capacity_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         total_slots = capacity_bytes >> PAGE_SHIFT
-        self._free_slots: List[int] = list(range(total_slots - 1, -1, -1))
-        # One byte per slot (1 = free) so free_slot can reject double
-        # frees in O(1) without a Python set over 100k+ slot ids.
-        self._slot_free = bytearray(b"\x01" * total_slots)
+        # Slots at or above the bump pointer were never handed out; freed
+        # ones go on a stack and are reused last-freed-first. Allocation
+        # order is therefore 0, 1, 2, ... with frees reused first, and
+        # boot builds no per-slot Python objects.
+        self._next_slot = 0
+        self._freed: List[int] = []
+        # One byte per slot (1 = allocated), zero-filled at boot, so
+        # free_slot rejects double frees and frees of never-allocated
+        # slots in O(1).
+        self._allocated = bytearray(total_slots)
         self.total_slots = total_slots
         self._failed = False
         self._failure_listeners: List[Callable[[], None]] = []
@@ -84,27 +91,32 @@ class MemoryNode:
 
     @property
     def free_slots(self) -> int:
-        return len(self._free_slots)
+        return self.total_slots - self._next_slot + len(self._freed)
 
     def alloc_slot(self) -> int:
         """Reserve one remote page frame; returns its remote pfn."""
-        if not self._free_slots:
-            raise OutOfMemoryError("memory node exhausted")
-        slot = self._free_slots.pop()
-        self._slot_free[slot] = 0
+        if self._freed:
+            slot = self._freed.pop()
+        else:
+            slot = self._next_slot
+            if slot == self.total_slots:
+                raise OutOfMemoryError("memory node exhausted")
+            self._next_slot = slot + 1
+        self._allocated[slot] = 1
         return slot
 
     def free_slot(self, remote_pfn: int) -> None:
         if not 0 <= remote_pfn < self.total_slots:
             raise ValueError(f"remote pfn {remote_pfn} out of range")
-        if self._slot_free[remote_pfn]:
+        if not self._allocated[remote_pfn]:
             # A double free (or a free of a never-allocated slot) would
-            # put the pfn on the free list twice and hand the same remote
-            # frame to two pages.
+            # put the pfn on the stack twice, or hand out a slot the bump
+            # pointer will reach again, giving one remote frame to two
+            # pages.
             raise ValueError(
                 f"remote pfn {remote_pfn} is not allocated (double free?)")
-        self._slot_free[remote_pfn] = 1
-        self._free_slots.append(remote_pfn)
+        self._allocated[remote_pfn] = 0
+        self._freed.append(remote_pfn)
 
     # An instance method so that clustered backends (repro.mem.cluster)
     # can define their own slot layouts behind the same interface.

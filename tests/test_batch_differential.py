@@ -1,19 +1,19 @@
 """Differential suite: batch execution vs scalar, byte-exact.
 
-The vectorized batch engine (:mod:`repro.mem.batch`) promises that
-splitting an access run into TLB-hit spans and executing each span as a
-single numpy gather/scatter changes *nothing observable in the
-simulation*: every byte returned, the simulated clock, every counter,
-the TLB's LRU order, and the canonical metrics digest must all match the
-scalar per-page loops exactly. This suite checks that promise three
-ways:
+The batch engine (:mod:`repro.mem.batch`) promises that running a batch
+in one shared loop, and moving a large element straight into or out of
+a caller's buffer, changes *nothing observable in the simulation*:
+every byte returned, the simulated clock, every counter, the TLB's LRU
+order, and the canonical metrics digest must all match the scalar
+per-page loops exactly. This suite checks that promise three ways:
 
 * a Hypothesis property over twin ``VirtualMemory`` stacks (tiny TLB,
   tiny frame pool, a FIFO-evicting pager) driving one through the batch
   APIs (``read_batch``/``write_batch``/``apply_trace``/``read_into``/
-  ``write_from``) and the other through scalar ``read``/``write`` loops,
-  with evictions and shootdowns interleaved so batches cross page,
-  fault, and span-threshold boundaries;
+  ``write_from``, the last two with numpy, ``bytearray`` and ``bytes``
+  buffers) and the other through scalar ``read``/``write`` loops, with
+  evictions and shootdowns interleaved so batches cross page, fault,
+  and span-threshold boundaries;
 * the same twin stacks running batches of many sub-page elements while
   probe timers fire mid-batch (periodic, and one-shot ones armed at or
   before the current time), which is where the order of the sub-page
@@ -43,7 +43,7 @@ from tests.test_vm_differential import N_PAGES, SimplePager, _build
 
 _SPAN = N_PAGES * PAGE_SIZE
 #: Element sizes straddle ``batch.SPAN_THRESHOLD`` (2 pages) so every
-#: run exercises both the numpy span path and the scalar fallback.
+#: run exercises both the buffer path and the scalar fallback.
 _MAX_ELEM = 3 * PAGE_SIZE
 
 
@@ -62,8 +62,10 @@ _op = st.one_of(
               st.lists(st.tuples(st.booleans(), _elem), min_size=1,
                        max_size=5),
               st.integers(0, 255)),
-    st.tuples(st.just("read_into"), _elem),
-    st.tuples(st.just("write_from"), _elem, st.integers(0, 255)),
+    st.tuples(st.just("read_into"), _elem,
+              st.sampled_from(["ndarray", "bytearray"])),
+    st.tuples(st.just("write_from"), _elem, st.integers(0, 255),
+              st.sampled_from(["ndarray", "bytearray", "bytes"])),
     st.tuples(st.just("shootdown"), st.integers(0, N_PAGES - 1)),
     st.tuples(st.just("evict"), st.integers(0, N_PAGES - 1)),
 )
@@ -95,14 +97,21 @@ def _apply_batch(op, vm, pager):
     if kind == "read_into":
         va, size = op[1]
         size = _clamp(va, size)
-        out = np.empty(size, dtype=np.uint8)
+        if op[2] == "ndarray":
+            out = np.empty(size, dtype=np.uint8)
+        else:
+            out = bytearray(size)
         vm.read_into(va, out)
-        return out.tobytes()
+        return bytes(out)
     if kind == "write_from":
         va, size = op[1]
-        size = _clamp(va, size)
-        vm.write_from(va, np.frombuffer(_payload(op[2], size),
-                                        dtype=np.uint8))
+        payload = _payload(op[2], _clamp(va, size))
+        if op[3] == "ndarray":
+            vm.write_from(va, np.frombuffer(payload, dtype=np.uint8))
+        elif op[3] == "bytearray":
+            vm.write_from(va, bytearray(payload))
+        else:
+            vm.write_from(va, payload)
         return None
     if kind == "shootdown":
         pager.shootdown(op[1])

@@ -7,11 +7,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.clock import Clock
 from repro.common.errors import OutOfMemoryError
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory, ShardedMemory
+from repro.mem.pool import PooledMemory
 from repro.mem.remote import MemoryNode, NodeFailedError
+from repro.net.latency import LatencyModel
+from repro.net.qp import NetStats, QueuePair
 
 
 def make_nodes(n, capacity=4 * MIB):
@@ -161,6 +165,35 @@ def test_parity_reconstruction_property(seed, n_nodes, fail_index):
     nodes[victim].fail()
     for page, data in shadow.items():
         assert cluster.read_bytes(page * PAGE_SIZE, 32) == data
+
+
+_BACKENDS = {
+    "sharded": lambda: ShardedMemory(make_nodes(2)),
+    "replicated": lambda: ReplicatedMemory(make_nodes(2)),
+    "parity": lambda: ParityStripedMemory(make_nodes(3)),
+    "pooled": lambda: PooledMemory(make_nodes(2)),
+    "pool_client": lambda: PooledMemory(make_nodes(2)).client("t0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_negative_read_size_rejected_before_the_wire(kind):
+    """Every backend rejects a negative read size, as a single node does,
+    before any member or the wire sees it: looping ``while size > 0``
+    returned b"" and let the QP move its wire time back and subtract the
+    size from the byte counter."""
+    clock, stats = Clock(), NetStats()
+    qp = QueuePair("q", clock, LatencyModel(), _BACKENDS[kind](), stats)
+    qp.post_read(0, PAGE_SIZE)
+
+    def wire():
+        return (qp._wire_free, clock.now, stats.bytes_read, stats.ops_read,
+                qp.posted)
+
+    before = wire()
+    with pytest.raises(ValueError):
+        qp.post_read(0, -PAGE_SIZE)
+    assert wire() == before
 
 
 class TestDilosOnClusters:

@@ -2,8 +2,11 @@
 
 import multiprocessing
 import os
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.clock import Clock
 from repro.common.errors import OutOfMemoryError
@@ -175,6 +178,101 @@ class TestMemoryNode:
         assert node.read_bytes(0, 5) == b"alive"
 
 
+class _ListSlotAllocator:
+    """Reference model: the allocator MemoryNode used to build at boot, a
+    descending list of every slot (pop from the end) plus a free flag per
+    slot."""
+
+    def __init__(self, total_slots):
+        self.total_slots = total_slots
+        self.free = list(range(total_slots - 1, -1, -1))
+        self.is_free = bytearray(b"\x01" * total_slots)
+
+    @property
+    def free_slots(self):
+        return len(self.free)
+
+    def alloc_slot(self):
+        if not self.free:
+            raise OutOfMemoryError("memory node exhausted")
+        slot = self.free.pop()
+        self.is_free[slot] = 0
+        return slot
+
+    def free_slot(self, pfn):
+        if not 0 <= pfn < self.total_slots:
+            raise ValueError(f"remote pfn {pfn} out of range")
+        if self.is_free[pfn]:
+            raise ValueError(f"remote pfn {pfn} is not allocated")
+        self.is_free[pfn] = 1
+        self.free.append(pfn)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (OutOfMemoryError, ValueError) as exc:
+        return type(exc)
+
+
+_slot_ops = st.lists(st.one_of(
+    st.just(("alloc",)),
+    # Free the n-th live slot (a valid free, in varying order).
+    st.tuples(st.just("free_live"), st.integers(0, 63)),
+    # Free any pfn: double frees, never-allocated slots below and above
+    # the bump pointer, and out-of-range pfns.
+    st.tuples(st.just("free_any"), st.integers(-1, 17)),
+), max_size=80)
+
+
+class TestSlotAllocatorContract:
+    """The bump-pointer node allocator against the list it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 16), _slot_ops)
+    def test_matches_the_list_allocator(self, total_slots, ops):
+        node = MemoryNode(total_slots * PAGE_SIZE)
+        ref = _ListSlotAllocator(total_slots)
+        live = []
+        for op in ops:
+            if op[0] == "alloc":
+                got = _outcome(node.alloc_slot)
+                assert got == _outcome(ref.alloc_slot), op
+                if got is OutOfMemoryError:
+                    assert len(live) == total_slots
+                else:
+                    assert got not in live
+                    live.append(got)
+            else:
+                if op[0] == "free_live":
+                    if not live:
+                        continue
+                    pfn = live[op[1] % len(live)]
+                else:
+                    pfn = op[1]
+                got = _outcome(node.free_slot, pfn)
+                assert got == _outcome(ref.free_slot, pfn), op
+                if pfn in live:
+                    assert got is None
+                    live.remove(pfn)
+                else:
+                    assert got is ValueError
+            assert node.free_slots == ref.free_slots == \
+                total_slots - len(live)
+
+    def test_boot_does_no_per_slot_work(self):
+        """A 1 GiB node (262,144 slots) boots with under 1 MiB of Python
+        heap: its allocation map is one byte per slot, not a list."""
+        tracemalloc.start()
+        try:
+            node = MemoryNode(1 * GIB)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert node.free_slots == node.total_slots == GIB // PAGE_SIZE
+        assert peak < 1 * MIB
+
+
 def _write_in_child(node):
     node.write_bytes(0, b"child")
     raise SystemExit(0 if node.read_bytes(0, 5) == b"child" else 1)
@@ -192,7 +290,8 @@ class TestMemoryNodeStore:
 
         before = resident_bytes()
         node = MemoryNode(1 * GIB)
-        # The slot free list is nearly all of the growth (~10 MiB).
+        # The slot allocation map (one byte per slot, 256 KiB) is the only
+        # per-capacity growth.
         assert resident_bytes() - before < 16 * MIB
         assert node.capacity == 1 * GIB
 

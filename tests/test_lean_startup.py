@@ -1,9 +1,9 @@
-"""The serving path boots without numpy.
+"""The serving and paging paths boot and run without numpy.
 
 Importing numpy takes longer than building most serving scenarios, so only
-the numpy-native apps and the vectorized paths import it, and only when
-they run. Each case runs in a fresh interpreter, because an earlier test
-in this process has long since loaded numpy.
+the numpy-native apps and parity XOR import it, and only when they run.
+Each case runs in a fresh interpreter, because an earlier test in this
+process has long since loaded numpy.
 """
 
 from __future__ import annotations
@@ -76,7 +76,13 @@ def test_serving_kv_rack_and_repair_scenarios_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["systems", "kv"])
+def test_llm_scenarios_page_through_the_batch_engine_without_numpy():
+    proc = _run(_BUILDS, "llm_pd", "llm_dilos", "llm_dilos_batch")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["systems", "kv", "llm",
+                                     "llm --pd-split 1:1"])
 def test_cli_command_does_not_load_numpy(command):
-    proc = _run(_MAIN, command)
+    proc = _run(_MAIN, *command.split())
     assert proc.returncode == 0, proc.stderr
