@@ -46,29 +46,25 @@ class PagedArray:
     def load(self, start: int, stop: int) -> np.ndarray:
         """Read elements ``[start, stop)`` through the paging path.
 
-        With the batch engine on, a load above ``SPAN_THRESHOLD`` copies
-        each page straight into the result array as it is translated;
-        accounting is identical to the scalar ``memory.read`` path below.
+        With the batch engine on, each page is copied straight into the
+        result array as it is translated; accounting is identical to the
+        scalar ``memory.read`` path below.
         """
         self._check(start, stop)
         va = self.base + start * self.itemsize
-        nbytes = (stop - start) * self.itemsize
-        if batch.ENABLED and nbytes > batch.SPAN_THRESHOLD:
+        if batch.ENABLED:
             out = np.empty(stop - start, dtype=self.dtype)
-            self.system.memory.read_into(va, out)
+            self.system.memory.read_into(va, out.view(np.uint8))
             return out
-        raw = self.system.memory.read(va, nbytes)
+        raw = self.system.memory.read(va, (stop - start) * self.itemsize)
         return np.frombuffer(raw, dtype=self.dtype).copy()
 
     def store(self, start: int, values: np.ndarray) -> None:
         """Write ``values`` at ``start`` through the paging path."""
         values = np.ascontiguousarray(values, dtype=self.dtype)
         self._check(start, start + len(values))
-        va = self.base + start * self.itemsize
-        if batch.ENABLED and values.nbytes > batch.SPAN_THRESHOLD:
-            self.system.memory.write_from(va, values)
-            return
-        self.system.memory.write(va, values.tobytes())
+        self.system.memory.write(self.base + start * self.itemsize,
+                                 memoryview(values.view(np.uint8)))
 
     # -- element access --------------------------------------------------------
 

@@ -93,7 +93,12 @@ class Trace:
 
 
 class RecordingMemory:
-    """A proxy over :class:`VirtualMemory` that logs every access."""
+    """A proxy over :class:`VirtualMemory` that logs ``read``, ``write``,
+    ``touch`` and ``read_into`` calls.
+
+    The other batch calls (``read_batch``, ``write_batch``,
+    ``apply_trace``, ``write_from``) pass through unrecorded.
+    """
 
     def __init__(self, system: BaseSystem) -> None:
         self._inner = system.vm
@@ -115,6 +120,11 @@ class RecordingMemory:
     def write(self, va: int, data: bytes) -> None:
         self._log("write", va, len(data))
         self._inner.write(va, data)
+        self._last_time = self._clock.now
+
+    def read_into(self, va: int, out) -> None:
+        self._log("read", va, memoryview(out).nbytes)
+        self._inner.read_into(va, out)
         self._last_time = self._clock.now
 
     def touch(self, va: int, size: int, is_write: bool = False) -> None:

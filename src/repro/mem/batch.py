@@ -11,18 +11,16 @@ module executes whole batches instead:
   ``vm.read``/``vm.write`` call of its own: the loop performs that
   call's one-page step, copying the bytes as soon as the page is
   translated;
-* a read larger than :data:`SPAN_THRESHOLD` goes through
-  :func:`read_span_into`, which copies each page through a
-  ``memoryview`` slice of the frame pool into one result buffer as soon
-  as the page is translated, instead of building a ``bytes`` per page;
-* any other element (a write that crosses a page, an empty element, or
-  a page-crossing read within :data:`SPAN_THRESHOLD`) takes one scalar
-  ``vm.read``/``vm.write`` call.
+* any other element (one that crosses a page, or an empty one) takes
+  one scalar ``vm.read``/``vm.write`` call.
 
 :func:`read_span_into` and :func:`write_span_from` (``vm.read_into`` /
 ``vm.write_from``) move one whole run straight into or out of any
 C-contiguous byte buffer: a numpy array, a ``bytearray`` or ``bytes``.
-The engine needs no numpy.
+``read_span_into`` copies each page through a ``memoryview`` slice of
+the frame pool into the buffer as soon as the page is translated, so a
+caller that wants its result in an array of its own (``PagedArray``)
+gets no ``bytes`` per page. The engine needs no numpy.
 
 Determinism contract (pinned by ``tests/test_batch_differential.py`` and
 the golden masters):
@@ -57,17 +55,6 @@ _PAGE_MASK = PAGE_SIZE - 1
 
 #: Engine kill switch (``REPRO_BATCH=0`` restores the scalar loops).
 ENABLED = os.environ.get("REPRO_BATCH", "1") not in ("0", "false", "off")
-
-#: Reads at or below this size take one scalar ``vm.read``; larger ones
-#: go through a buffer (:func:`read_span_into`), and ``PagedArray``
-#: makes the same cut for its loads and stores. For a ``bytes`` result
-#: the buffer saves a ``bytes`` object per page but adds one
-#: whole-element copy, and the two cross over at a few pages: pure-hit,
-#: page-aligned reads on a 2-vCPU container took 2.4 us as one scalar
-#: call against 2.7 us through a buffer at 2 pages, about the same at 3
-#: to 5 pages, and 21 us against 15-19 us at 16 pages. Every path is
-#: accounting-identical, so the choice is pure wall-clock strategy.
-SPAN_THRESHOLD = 2 * PAGE_SIZE
 
 
 @contextmanager
@@ -178,7 +165,6 @@ def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
     frame_bufs = vm._frames._data
     translate = vm._translate
     copy_cost = vm._copy_cost
-    span_threshold = SPAN_THRESHOLD
     results: List[Optional[bytes]] = []
     append = results.append
     for kind, va, arg in ops:
@@ -193,16 +179,8 @@ def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
         offset = va & _PAGE_MASK
         end = offset + size
         if size <= 0 or end > PAGE_SIZE:
-            # Empty, negative or page-crossing: one scalar call, or a
-            # read through one buffer past SPAN_THRESHOLD.
-            if is_write:
-                append(vm.write(va, arg))
-            elif size <= span_threshold:
-                append(vm.read(va, size))
-            else:
-                out = bytearray(size)
-                read_span_into(vm, va, out)
-                append(bytes(out))
+            # Empty, negative or page-crossing: one scalar call.
+            append(vm.write(va, arg) if is_write else vm.read(va, size))
             continue
         # A sub-page element: vm.read / vm.write's one-page step, in its
         # order (hit, bytes, clock charge, byte counter).

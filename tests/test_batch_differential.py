@@ -1,8 +1,8 @@
 """Differential suite: batch execution vs scalar, byte-exact.
 
 The batch engine (:mod:`repro.mem.batch`) promises that running a batch
-in one shared loop, and moving a large element straight into or out of
-a caller's buffer, changes *nothing observable in the simulation*:
+in one shared loop, and moving a run straight into or out of a
+caller's buffer, changes *nothing observable in the simulation*:
 every byte returned, the simulated clock, every counter, the TLB's LRU
 order, and the canonical metrics digest must all match the scalar
 per-page loops exactly. This suite checks that promise three ways:
@@ -12,8 +12,8 @@ per-page loops exactly. This suite checks that promise three ways:
   APIs (``read_batch``/``write_batch``/``apply_trace``/``read_into``/
   ``write_from``, the last two with numpy, ``bytearray`` and ``bytes``
   buffers) and the other through scalar ``read``/``write`` loops, with
-  evictions and shootdowns interleaved so batches cross page, fault,
-  and span-threshold boundaries;
+  evictions and shootdowns interleaved so batches cross page and
+  fault boundaries;
 * the same twin stacks running batches of many sub-page elements while
   probe timers fire mid-batch (periodic, and one-shot ones armed at or
   before the current time), which is where the order of the sub-page
@@ -42,8 +42,8 @@ from repro.net.faults import RetryPolicy
 from tests.test_vm_differential import N_PAGES, SimplePager, _build
 
 _SPAN = N_PAGES * PAGE_SIZE
-#: Element sizes straddle ``batch.SPAN_THRESHOLD`` (2 pages) so every
-#: run exercises both the buffer path and the scalar fallback.
+#: Elements run up to 3 pages, so batches mix sub-page elements with
+#: ones that cross one or two page boundaries.
 _MAX_ELEM = 3 * PAGE_SIZE
 
 

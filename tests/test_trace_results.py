@@ -1,12 +1,15 @@
 """Tests for trace record/replay and result persistence."""
 
+import numpy as np
 import pytest
 
+from repro.apps.views import PagedArray
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem
 from repro.harness import Measurement, make_system
 from repro.harness.results import load_csv, load_json, save_csv, save_json
 from repro.harness.trace import Trace, TraceEvent, TraceRecorder
+from repro.mem import batch
 
 
 def record_sequential(ws_mib=2):
@@ -47,6 +50,23 @@ class TestRecording:
         trace = recorder.finish()
         system.memory.write(region.base, b"y")  # not recorded
         assert len(trace) == 1
+
+    @pytest.mark.parametrize("engine", [True, False], ids=["batch", "scalar"])
+    def test_paged_array_accesses_recorded(self, engine):
+        """A ``PagedArray`` load reads through ``read_into`` under the
+        batch engine; it is recorded like the scalar read it stands for."""
+        system = DilosSystem(DilosConfig(local_mem_bytes=1 * MIB,
+                                         remote_mem_bytes=32 * MIB))
+        with batch.force(engine):
+            recorder = TraceRecorder(system)
+            arr = PagedArray(system, 4 * PAGE_SIZE // 8, np.int64)
+            arr.store(0, np.arange(arr.count))
+            assert arr.load(1, 3).tolist() == [1, 2]
+            arr.load(0, arr.count)
+            trace = recorder.finish()
+        assert [(e.op, e.va - arr.base, e.size) for e in trace.events] == [
+            ("write", 0, 4 * PAGE_SIZE), ("read", 8, 16),
+            ("read", 0, 4 * PAGE_SIZE)]
 
     def test_regions_recorded(self):
         trace, _ = record_sequential(ws_mib=3)
