@@ -26,8 +26,8 @@ def measure():
                              cleaner_period_us=period)
         result = workload.run(system, "write")
         out[period] = (result.gb_per_s,
-                       result.metrics["direct_reclaims"],
-                       result.metrics["pages_cleaned"])
+                       result.metrics.value("reclaim.direct"),
+                       result.metrics.value("reclaim.pages_cleaned"))
     return out
 
 

@@ -23,7 +23,7 @@ def run(direct_only: bool):
     result = workload.run(system)
     breakdown = system.kernel.breakdown.averages()
     return (result.elapsed_us / 1000.0, breakdown.get("reclaim", 0.0),
-            result.metrics["direct_reclaims"])
+            result.metrics.value("reclaim.direct"))
 
 
 def measure():

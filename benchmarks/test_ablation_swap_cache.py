@@ -33,8 +33,8 @@ def test_ablation_swap_cache(benchmark):
     results = bench_once(benchmark, measure)
     rows = []
     for name, (gbps, metrics) in results.items():
-        rows.append([name, gbps, metrics["major_faults"],
-                     metrics["minor_faults"]])
+        rows.append([name, gbps, metrics.value("fault.major"),
+                     metrics.value("fault.minor")])
     emit(format_table(
         "Ablation: unified page table vs swap cache (seq read, 12.5%)",
         ["design", "GB/s", "major", "minor"], rows))
@@ -42,6 +42,6 @@ def test_ablation_swap_cache(benchmark):
     unified_gbps, unified_metrics = results["unified"]
     cached_gbps, cached_metrics = results["swap-cache"]
     # The indirection converts prefetch hits into minor faults...
-    assert cached_metrics["minor_faults"] > 2 * unified_metrics["minor_faults"]
+    assert cached_metrics.value("fault.minor") > 2 * unified_metrics.value("fault.minor")
     # ...and costs real throughput.
     assert unified_gbps > 1.15 * cached_gbps

@@ -41,8 +41,8 @@ def measure():
                               guide=guide)
         tops.add(result.top_vertex)
         out[variant] = (result.elapsed_us / 1000.0,
-                        result.metrics["major_faults"],
-                        result.metrics["minor_faults"])
+                        result.metrics.value("fault.major"),
+                        result.metrics.value("fault.minor"))
     assert len(tops) == 1, "guide changed the algorithm's result"
     return out
 

@@ -23,8 +23,8 @@ def measure():
 
 def test_table1_fault_split(benchmark):
     metrics = bench_once(benchmark, measure)
-    major = metrics["major_faults"]
-    minor = metrics["minor_faults"]
+    major = metrics.value("fault.major")
+    minor = metrics.value("fault.minor")
     total = major + minor
     emit(format_table(
         "Table 1: page faults, sequential read on Fastswap (12.5% local)",

@@ -23,7 +23,7 @@ def measure():
         workload = SequentialWorkload(WORKING_SET)
         system = make_system(kind, local_bytes_for(WORKING_SET, 0.125))
         metrics = workload.run(system, "read").metrics
-        counts[kind] = (metrics["major_faults"], metrics["minor_faults"])
+        counts[kind] = (metrics.value("fault.major"), metrics.value("fault.minor"))
     return counts
 
 

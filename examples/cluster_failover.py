@@ -42,13 +42,10 @@ def run_scenario(label, backend, victim):
             continue
         if data != i.to_bytes(4, "little") * 8:
             corrupt += 1
-    counters = getattr(backend, "counters", None)
-    extras = []
-    if counters is not None:
-        for key in ("failover_reads", "degraded_reads",
-                    "reconstruction_bytes"):
-            if counters.get(key):
-                extras.append(f"{key}={counters.get(key):,}")
+    extras = [f"{key}={backend.registry.value(key):,}"
+              for key in ("cluster.failover_reads", "cluster.degraded_reads",
+                          "cluster.reconstruction_bytes")
+              if backend.registry.value(key)]
     status = ("OK — all data intact" if corrupt == unreachable == 0
               else f"LOST {unreachable} pages unreachable, {corrupt} corrupt")
     print(f"  {label:28s} {status}"

@@ -49,20 +49,20 @@ def main() -> None:
           f"{elapsed / 1000:.2f} simulated ms  ->  {throughput:.2f} GB/s")
     print(f"data integrity: {'OK' if corrupt == 0 else f'{corrupt} BAD PAGES'}")
     print("\nwhat the paging subsystem did:")
-    for key in ("major_faults", "minor_faults", "first_touch_faults",
-                "prefetches_issued", "pages_evicted", "pages_cleaned",
-                "direct_reclaims"):
-        print(f"  {key:22s} {metrics[key]:>10,}")
+    for key in ("fault.major", "fault.minor", "fault.first_touch",
+                "prefetch.issued", "reclaim.pages_evicted",
+                "reclaim.pages_cleaned", "reclaim.direct"):
+        print(f"  {key:22s} {metrics.value(key):>10,}")
     print(f"  {'wire bytes read':22s} "
-          f"{format_bytes(metrics['net_bytes_read']):>10}")
+          f"{format_bytes(metrics.value('net.bytes_read')):>10}")
     print(f"  {'wire bytes written':22s} "
-          f"{format_bytes(metrics['net_bytes_written']):>10}")
+          f"{format_bytes(metrics.value('net.bytes_written')):>10}")
     print(f"  {'prefetch hit ratio':22s} "
-          f"{metrics['prefetch_hit_ratio']:>10.2f}")
+          f"{metrics.value('prefetch.hit_ratio'):>10.2f}")
     assert corrupt == 0
-    assert metrics["direct_reclaims"] == 0, \
+    assert metrics.value("reclaim.direct") == 0, \
         "DiLOS must never reclaim on the fault path"
-    print("\nnote: direct_reclaims == 0 — reclamation stayed in the "
+    print("\nnote: reclaim.direct == 0 — reclamation stayed in the "
           "background, the paper's central design goal.")
 
 

@@ -35,8 +35,9 @@ def main() -> None:
                  "dilos-stride"):
         system = make_system(kind, local)
         metrics = trace.replay(system)
-        print(f"{kind:22s} {metrics['replay_us'] / 1000:>12.2f} "
-              f"{metrics['major_faults']:>8,} {metrics['minor_faults']:>8,}")
+        print(f"{kind:22s} {metrics.extra['replay_us'] / 1000:>12.2f} "
+              f"{metrics.value('fault.major'):>8,} "
+              f"{metrics.value('fault.minor'):>8,}")
     print("\n-> identical byte-for-byte access sequence; only the paging")
     print("   subsystem differs, so every gap in the table is paging design:")
     print("   Fastswap's swap-cache software path vs DiLOS' unified page")

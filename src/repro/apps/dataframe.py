@@ -296,7 +296,7 @@ class TaxiAnalyticsWorkload:
             arr._chunks[ci].write(raw[cursor:cursor + take], offset)
             cursor += take
             index += take // arr.item_size
-        arr._runtime.counters.add("bulk_stores")
+        arr._runtime.registry.add("dataframe.bulk_stores")
 
 
 # -- the Service port ----------------------------------------------------------

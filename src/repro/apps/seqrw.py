@@ -65,7 +65,8 @@ class SequentialWorkload:
 
         The pass is emitted as one access trace through the batch engine
         (per-page elements, so clock charges and timer firings match the
-        scalar loop exactly); ``REPRO_BATCH=0`` restores the scalar loop.
+        scalar loop exactly); ``batch.force(False)`` restores the scalar
+        loop.
         """
         if mode not in ("read", "write"):
             raise ValueError(f"unknown mode {mode!r}")

@@ -24,12 +24,7 @@ from repro.baselines.aifm.config import AifmConfig
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.net.qp import Completion, NetStats, QueuePair
 from repro.net.reliable import ReliableQP
-from repro.obs import (
-    AIFM_ALIASES,
-    LegacyCounters,
-    MetricsSnapshot,
-    Observability,
-)
+from repro.obs import MetricsSnapshot, Observability
 
 
 class _Object:
@@ -99,8 +94,6 @@ class AifmRuntime:
         self.obs = obs or Observability.default()
         self.registry = self.obs.registry
         self.tracer = self.obs.tracer
-        self.registry.register_aliases(AIFM_ALIASES)
-        self.counters = LegacyCounters(self.registry)
         for key in ("fault.major", "fault.minor", "deref.total",
                     "prefetch.issued", "reclaim.pages_evicted",
                     "reclaim.pages_cleaned"):

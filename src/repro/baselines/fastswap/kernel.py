@@ -32,12 +32,7 @@ from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.mem.vm import VirtualMemory
 from repro.net.qp import NetStats, QueuePair
 from repro.net.reliable import ReliableQP
-from repro.obs import (
-    FASTSWAP_ALIASES,
-    LegacyCounters,
-    MetricsSnapshot,
-    Observability,
-)
+from repro.obs import MetricsSnapshot, Observability
 
 Tag = pte_mod.Tag
 
@@ -67,8 +62,6 @@ class FastswapKernel:
         self.obs = obs or Observability.default()
         self.registry = self.obs.registry
         self.tracer = self.obs.tracer
-        self.registry.register_aliases(FASTSWAP_ALIASES)
-        self.counters = LegacyCounters(self.registry)
         for key in ("fault.major", "fault.minor", "fault.first_touch",
                     "prefetch.issued", "reclaim.direct",
                     "reclaim.pages_evicted", "reclaim.pages_cleaned"):

@@ -17,24 +17,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.units import MIB
 from repro.core.spec import BACKEND_SPEC_EXAMPLES, make_backend
 from repro.harness import SYSTEM_KINDS, format_table, local_bytes_for, make_system
 from repro.net.faults import FaultPlan
+from repro.obs import MetricsSnapshot
 
 # Each command imports its app modules itself: most apps are numpy-native,
 # and the serving, KV, rack and repair commands boot without numpy.
 
 
-def _print_metrics(headline: str, metrics: Dict) -> None:
+def _print_metrics(headline: str, metrics: MetricsSnapshot) -> None:
     print(headline)
-    interesting = ("major_faults", "minor_faults", "first_touch_faults",
-                   "prefetches_issued", "direct_reclaims", "pages_evicted",
-                   "pages_cleaned", "net_bytes_read", "net_bytes_written",
-                   "derefs", "object_misses", "objects_evacuated")
-    rows = [[key, metrics[key]] for key in interesting if key in metrics]
+    interesting = ("fault.major", "fault.minor", "fault.first_touch",
+                   "prefetch.issued", "reclaim.direct",
+                   "reclaim.pages_evicted", "reclaim.pages_cleaned",
+                   "net.bytes_read", "net.bytes_written", "deref.total")
+    rows = [[key, metrics.counters[key]] for key in interesting
+            if key in metrics.counters]
     print(format_table("paging counters", ["counter", "value"], rows))
 
 

@@ -8,7 +8,7 @@ from repro.common.errors import (
     OutOfMemoryError,
     ProtectionError,
 )
-from repro.common.stats import Counter, Histogram, LatencyBreakdown, percentile
+from repro.common.stats import Histogram, LatencyBreakdown, percentile
 from repro.common.units import (
     KIB,
     MIB,
@@ -23,7 +23,6 @@ from repro.common.units import (
 
 __all__ = [
     "Clock",
-    "Counter",
     "FaultError",
     "GIB",
     "Histogram",

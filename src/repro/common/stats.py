@@ -1,8 +1,10 @@
-"""Counters, histograms, and latency breakdowns.
+"""Histograms, latency breakdowns and percentiles.
 
-Every kernel (DiLOS, Fastswap, AIFM runtime) owns a :class:`Counter` bundle
-and a few :class:`Histogram`/:class:`LatencyBreakdown` instances; the harness
-reads them after a run to produce the paper's tables and figures.
+The :mod:`repro.obs` instruments of the same names build on these
+classes, and every kernel (DiLOS, Fastswap, AIFM runtime) keeps them in
+its :class:`~repro.obs.MetricsRegistry`; the harness reads them after a
+run to produce the paper's tables and figures. Counters live only in the
+registry.
 """
 
 from __future__ import annotations
@@ -32,31 +34,6 @@ def percentile(samples: Iterable[float], pct: float) -> float:
         return data[lo]
     frac = rank - lo
     return data[lo] * (1.0 - frac) + data[hi] * frac
-
-
-class Counter:
-    """A named bag of monotonically increasing integer counters."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self) -> None:
-        self._values: Dict[str, int] = defaultdict(int)
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._values[name] += amount
-
-    def get(self, name: str) -> int:
-        return self._values.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._values)
-
-    def reset(self) -> None:
-        self._values.clear()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
-        return f"Counter({inner})"
 
 
 class Histogram:

@@ -80,9 +80,8 @@ class BaseSystem(abc.ABC):
 
         The snapshot is built from the system's
         :class:`~repro.obs.MetricsRegistry` under canonical dotted names
-        (``fault.major``, ``net.bytes_read``, ...). It also implements
-        the mapping protocol over ``as_flat_dict()``, so historical
-        ``metrics()["major_faults"]`` subscripting keeps working.
+        (``fault.major``, ``net.bytes_read``, ...); read one with
+        ``metrics().value("fault.major")``.
         """
 
     @property

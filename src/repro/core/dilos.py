@@ -38,12 +38,7 @@ from repro.mem.frames import FramePool
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.mem.vm import VirtualMemory
 from repro.net.qp import Completion
-from repro.obs import (
-    DILOS_ALIASES,
-    LegacyCounters,
-    MetricsSnapshot,
-    Observability,
-)
+from repro.obs import MetricsSnapshot, Observability
 
 Tag = pte_mod.Tag
 
@@ -95,11 +90,8 @@ class DilosKernel:
         self.obs = obs or Observability.default()
         self.registry = self.obs.registry
         self.tracer = self.obs.tracer
-        self.registry.register_aliases(DILOS_ALIASES)
-        #: Legacy flat-name view over the registry (``counters.get("major_faults")``).
-        self.counters = LegacyCounters(self.registry)
         # Pre-register the headline counters so metrics() always carries
-        # them (at zero), matching the historical flat dict's key set.
+        # them, at zero on a run that never bumps them.
         for key in ("fault.major", "fault.minor", "fault.first_touch",
                     "prefetch.issued", "reclaim.direct",
                     "reclaim.pages_evicted", "reclaim.pages_cleaned"):

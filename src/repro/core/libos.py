@@ -87,7 +87,8 @@ class LibOS:
         """The system's :class:`~repro.obs.MetricsSnapshot` with heap and
         loader figures added to its ``extra`` bag."""
         metrics = self.system.metrics()
-        metrics["heap_live_allocations"] = self.allocator.live_allocations
-        metrics["heap_allocated_bytes"] = self.allocator.allocated_bytes
-        metrics["patched_symbols"] = self.loader.patched_symbols
+        metrics.extra.update(
+            heap_live_allocations=self.allocator.live_allocations,
+            heap_allocated_bytes=self.allocator.allocated_bytes,
+            patched_symbols=self.loader.patched_symbols)
         return metrics

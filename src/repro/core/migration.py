@@ -107,7 +107,7 @@ def checkpoint(system: DilosSystem) -> MachineImage:
                 + nbytes * model.rdma_per_byte
                 + len(pages) * model.rdma_post_overhead)
     system.clock.advance(downtime)
-    system.kernel.counters.add("checkpoints")
+    system.kernel.registry.add("migration.checkpoints")
     return MachineImage(regions=regions, pages=pages,
                         captured_at_us=system.clock.now,
                         downtime_us=downtime,
@@ -132,5 +132,5 @@ def restore(image: MachineImage, config: Optional[DilosConfig] = None,
         remote_pfn = space.remote_pfn_for(vpn)
         system.node.write_bytes(system.node.slot_offset(remote_pfn), content)
         space.page_table.set(vpn, pte_mod.make_remote(remote_pfn))
-    system.kernel.counters.add("restored_pages", len(image.pages))
+    system.kernel.registry.add("migration.restored_pages", len(image.pages))
     return system

@@ -36,7 +36,7 @@ from repro.mem.frames import FramePool
 from repro.mem.page_table import PageTable
 from repro.mem.remote import NodeFailedError
 from repro.mem.tlb import Tlb
-from repro.obs import Counter, LegacyCounters, Observability
+from repro.obs import Counter, Observability
 
 Range = Tuple[int, int]
 
@@ -82,7 +82,6 @@ class PageManager:
         #: The manager module's QP, bound on the first write-back (the
         #: communication module creates QPs in first-use order).
         self._qp: Optional[Any] = None
-        self.counters = LegacyCounters(self._registry)
         total = frames.total_frames
         # Watermarks scale with the pool but never reserve more than a
         # quarter of it — a tiny cache must still mostly hold pages.

@@ -10,6 +10,7 @@ the grid and collects :class:`Measurement` rows the report module formats.
 from __future__ import annotations
 
 import inspect
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -107,14 +108,11 @@ class Measurement:
     def record_metrics(self, system) -> "Measurement":
         """Attach ``system``'s metrics snapshot under ``extra["metrics"]``.
 
-        The snapshot is flattened so saved measurement JSON stays plain
-        (canonical dotted keys plus legacy spellings). Returns ``self``
-        so runners can ``return measurement.record_metrics(system)``.
+        The snapshot is saved as its canonical JSON object, so saved
+        measurement JSON stays plain. Returns ``self`` so runners can
+        ``return measurement.record_metrics(system)``.
         """
-        snapshot = system.metrics()
-        flat = (snapshot.as_flat_dict()
-                if hasattr(snapshot, "as_flat_dict") else dict(snapshot))
-        self.extra["metrics"] = flat
+        self.extra["metrics"] = json.loads(system.metrics().canonical_json())
         return self
 
 

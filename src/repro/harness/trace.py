@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.api import BaseSystem
 
@@ -69,7 +69,7 @@ class Trace:
     def replay(self, system: BaseSystem):
         """Re-create the regions and drive the accesses; returns the
         system's :class:`~repro.obs.MetricsSnapshot` with the replay's
-        simulated duration added under ``replay_us``."""
+        simulated duration in ``extra["replay_us"]``."""
         for size, ddc, name in self.regions:
             system.mmap(size, ddc=ddc, name=name)
         start = system.clock.now
@@ -88,16 +88,18 @@ class Trace:
             else:
                 raise ValueError(f"unknown trace op {event.op!r}")
         metrics = system.metrics()
-        metrics["replay_us"] = system.clock.now - start
+        metrics.extra["replay_us"] = system.clock.now - start
         return metrics
 
 
 class RecordingMemory:
-    """A proxy over :class:`VirtualMemory` that logs ``read``, ``write``,
-    ``touch`` and ``read_into`` calls.
+    """A proxy over :class:`VirtualMemory` that logs every access.
 
-    The other batch calls (``read_batch``, ``write_batch``,
-    ``apply_trace``, ``write_from``) pass through unrecorded.
+    ``read``, ``write``, ``touch`` and ``read_into`` log one event per
+    call. The batch calls (``read_batch``, ``write_batch``,
+    ``apply_trace``) issue one recorded ``read``/``write`` per element:
+    the batch engine's contract makes that the same simulation, so a
+    trace does not depend on whether the engine is on.
     """
 
     def __init__(self, system: BaseSystem) -> None:
@@ -131,6 +133,31 @@ class RecordingMemory:
         self._log("touch", va, size)
         self._inner.touch(va, size, is_write)
         self._last_time = self._clock.now
+
+    def read_batch(self, vas: Sequence[int],
+                   sizes: Sequence[int]) -> List[bytes]:
+        if len(vas) != len(sizes):
+            raise ValueError("vas and sizes must have equal length")
+        return [self.read(va, size) for va, size in zip(vas, sizes)]
+
+    def write_batch(self, vas: Sequence[int],
+                    datas: Sequence[bytes]) -> None:
+        if len(vas) != len(datas):
+            raise ValueError("vas and datas must have equal length")
+        for va, data in zip(vas, datas):
+            self.write(va, data)
+
+    def apply_trace(self, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
+        results: List[Optional[bytes]] = []
+        for kind, va, arg in ops:
+            if kind == "r":
+                results.append(self.read(va, arg))
+            elif kind == "w":
+                self.write(va, arg)
+                results.append(None)
+            else:
+                raise ValueError(f"unknown trace op {kind!r}")
+        return results
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

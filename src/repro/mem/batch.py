@@ -14,37 +14,36 @@ module executes whole batches instead:
 * any other element (one that crosses a page, or an empty one) takes
   one scalar ``vm.read``/``vm.write`` call.
 
-:func:`read_span_into` and :func:`write_span_from` (``vm.read_into`` /
-``vm.write_from``) move one whole run straight into or out of any
-C-contiguous byte buffer: a numpy array, a ``bytearray`` or ``bytes``.
-``read_span_into`` copies each page through a ``memoryview`` slice of
+:func:`read_span_into` (``vm.read_into``) moves one whole run straight
+into any writable C-contiguous byte buffer, a numpy array or a
+``bytearray``. It copies each page through a ``memoryview`` slice of
 the frame pool into the buffer as soon as the page is translated, so a
 caller that wants its result in an array of its own (``PagedArray``)
-gets no ``bytes`` per page. The engine needs no numpy.
+gets no ``bytes`` per page. Writing from a buffer needs no engine call:
+``vm.write`` takes any bytes-like object and slices it per page. The
+engine needs no numpy.
 
 Determinism contract (pinned by ``tests/test_batch_differential.py`` and
 the golden masters):
 
 * **Identical accounting.** Per page: one TLB hit count and one LRU
   refresh, in access order. Per element: one clock charge of
-  ``size * cpu_copy_per_byte`` *after* the element's pages, and one
-  ``bytes_read`` / ``bytes_written`` counter add. Timers therefore fire
-  at the same simulated instants, in the same states, as under
-  per-element scalar calls.
+  ``size * cpu_copy_per_byte`` *after* the element's pages. Timers
+  therefore fire at the same simulated instants, in the same states, as
+  under per-element scalar calls.
 * **Copy at translation.** A page's bytes move before the next page is
   translated: a later fault may evict and reuse an earlier page's frame,
   so data movement never outlives the translation that produced it.
 * **No new metrics.** The engine adds no counters of its own; a batch run
   and the equivalent scalar run produce byte-identical metrics snapshots.
 
-``REPRO_BATCH=0`` in the environment disables the engine; ported call
-sites then take their original scalar loops. The differential suite uses
-the same switch (via :func:`force`) to compare both paths in-process.
+The engine is on unless :func:`force` switches it off in-process; ported
+call sites then take their original scalar loops. The differential
+suites and the golden master's scalar twins compare both paths that way.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -53,8 +52,8 @@ from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 
 _PAGE_MASK = PAGE_SIZE - 1
 
-#: Engine kill switch (``REPRO_BATCH=0`` restores the scalar loops).
-ENABLED = os.environ.get("REPRO_BATCH", "1") not in ("0", "false", "off")
+#: Engine switch, flipped only through :func:`force`.
+ENABLED = True
 
 
 @contextmanager
@@ -114,18 +113,6 @@ def read_span_into(vm, va: int, out) -> None:
         remaining -= length
     tlb.hits += hits
     vm._clock.advance(size * vm._copy_cost)
-    vm.counters.add("bytes_read", size)
-
-
-def write_span_from(vm, va: int, values) -> None:
-    """Write the bytes of ``values`` at ``va``: one scalar ``vm.write``.
-
-    ``values`` is any C-contiguous buffer (a numpy array, ``bytes``, a
-    ``bytearray``); ``vm.write`` copies each page from a slice of its
-    byte view as soon as the page is translated, so no whole-buffer copy
-    is made.
-    """
-    vm.write(va, memoryview(values).cast("B"))
 
 
 # -- element-batch API -------------------------------------------------------
@@ -158,7 +145,6 @@ def apply_trace(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
 def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
     """The engine behind the three batch calls (see the module doc)."""
     advance = vm._clock.advance
-    count = vm.counters.add
     tlb = vm.tlb
     tlb_get = tlb.entries.get
     tlb_move = tlb.entries.move_to_end
@@ -183,7 +169,7 @@ def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
             append(vm.write(va, arg) if is_write else vm.read(va, size))
             continue
         # A sub-page element: vm.read / vm.write's one-page step, in its
-        # order (hit, bytes, clock charge, byte counter).
+        # order (hit, bytes, clock charge).
         vpn = va >> PAGE_SHIFT
         entry = tlb_get(vpn)
         if entry is not None and (not is_write or entry[1] and entry[2]):
@@ -195,11 +181,9 @@ def _execute(vm, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
         if is_write:
             frame_bufs[frame][offset:end] = arg
             advance(size * copy_cost)
-            count("bytes_written", size)
             append(None)
         else:
             data = bytes(frame_bufs[frame][offset:end])
             advance(size * copy_cost)
-            count("bytes_read", size)
             append(data)
     return results

@@ -30,9 +30,8 @@ The same hooks (:meth:`_ClusterBackend.resilver_page`,
 :meth:`_ClusterBackend.scrub_page`) back the periodic scrubber.
 
 Counters live in a per-backend :class:`~repro.obs.registry.MetricsRegistry`
-under canonical ``cluster.*`` names; the historical ``backend.counters``
-attribute remains as a :class:`~repro.obs.registry.LegacyCounters` view
-(``counters.get("failover_reads")`` keeps working).
+under canonical ``cluster.*`` names: read one with
+``backend.registry.value("cluster.failover_reads")``.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from repro.common.errors import OutOfMemoryError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.mem.repair import RepairJournal, ScrubReport
-from repro.obs.names import CLUSTER_ALIASES
-from repro.obs.registry import LegacyCounters, MetricsRegistry
+from repro.obs.names import CLUSTER_KEYS
+from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import MetricsSnapshot
 
 
@@ -66,11 +65,8 @@ class _ClusterBackend:
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.registry.register_aliases(CLUSTER_ALIASES)
-        for canonical in sorted(set(CLUSTER_ALIASES.values())):
-            self.registry.counter(canonical)
-        #: Historical flat-counter surface (``counters.get(...)``).
-        self.counters = LegacyCounters(self.registry, namespace="cluster")
+        for name in sorted(CLUSTER_KEYS):
+            self.registry.counter(name)
         #: Ranges dirtied while a member was down or stale.
         self.journal = RepairJournal()
         #: Members back up but not yet proven clean everywhere.
@@ -173,7 +169,7 @@ class _ClusterBackend:
             # Recovered out-of-band with stale ranges: genuine rejoin.
         else:
             target.recover()
-        self.counters.add("rejoins")
+        self.registry.add("cluster.rejoins")
         if self.journal.dirty_count(member) == 0:
             return True
         self._syncing.add(member)
@@ -364,17 +360,17 @@ class ReplicatedMemory(_ClusterBackend):
     def read_bytes(self, offset: int, size: int) -> bytes:
         for member, replica in enumerate(self._replicas):
             if replica.failed:
-                self.counters.add("failover_reads")
+                self.registry.add("cluster.failover_reads")
                 continue
             if self.journal.is_dirty(member, offset, size):
                 # The replica is up but this range went stale while it
                 # was away and the resilver has not replayed it yet.
-                self.counters.add("stale_reads_avoided")
+                self.registry.add("cluster.stale_reads_avoided")
                 continue
             try:
                 data = replica.read_bytes(offset, size)
             except NodeFailedError:
-                self.counters.add("failover_reads")
+                self.registry.add("cluster.failover_reads")
                 continue
             return data
         raise NodeFailedError("no replica holds a clean copy of this range")
@@ -388,7 +384,7 @@ class ReplicatedMemory(_ClusterBackend):
                 replica.write_bytes(offset, data)
                 wrote += 1
             except NodeFailedError:
-                self.counters.add("writes_skipped_dead_replica")
+                self.registry.add("cluster.writes_skipped_dead_replica")
                 missed.append(member)
             else:
                 # A write-through onto a stale range freshens it: pages
@@ -552,7 +548,7 @@ class ParityStripedMemory(_ClusterBackend):
                     "cannot reconstruct: a second stripe member is down "
                     "or stale for this row")
             acc = self._xor(acc, node.read_bytes(local, size))
-        self.counters.add("reconstruction_bytes", size * self.k)
+        self.registry.add("cluster.reconstruction_bytes", size * self.k)
         return acc
 
     def read_bytes(self, offset: int, size: int) -> bytes:
@@ -566,13 +562,13 @@ class ParityStripedMemory(_ClusterBackend):
             if self.journal.is_dirty(index, local, take):
                 # Up (rejoined) but stale here: reconstruct instead of
                 # serving the pre-crash bytes.
-                self.counters.add("stale_reads_avoided")
+                self.registry.add("cluster.stale_reads_avoided")
                 parts.append(self._survivor_xor(index, local, take))
             else:
                 try:
                     parts.append(node.read_bytes(local, take))
                 except NodeFailedError:
-                    self.counters.add("degraded_reads")
+                    self.registry.add("cluster.degraded_reads")
                     parts.append(self._survivor_xor(index, local, take))
             offset += take
             size -= take
@@ -622,7 +618,7 @@ class ParityStripedMemory(_ClusterBackend):
                 "for this row")
         self.parity_node.write_bytes(local, acc)
         self.journal.record_range(index, local, take)
-        self.counters.add("degraded_writes")
+        self.registry.add("cluster.degraded_writes")
 
     def _sync_write(self, index: int, node: MemoryNode,
                     local: int, piece: bytes) -> None:
@@ -649,7 +645,7 @@ class ParityStripedMemory(_ClusterBackend):
                 acc = self._xor(acc, other.read_bytes(local, take))
         self.parity_node.write_bytes(local, acc)
         self.journal.clear_covered(index, local, take)
-        self.counters.add("sync_writes")
+        self.registry.add("cluster.sync_writes")
 
     def _update_parity(self, local: int, old: bytes, piece: bytes) -> None:
         parity_member = self.k
@@ -660,7 +656,7 @@ class ParityStripedMemory(_ClusterBackend):
             # would corrupt the row further. Journal it for the
             # resilver; redundancy is simply lost meanwhile.
             self.journal.record_range(parity_member, local, take)
-            self.counters.add("parity_writes_skipped")
+            self.registry.add("cluster.parity_writes_skipped")
             return
         try:
             # Read-modify-write the parity: P ^= old ^ new.
@@ -669,7 +665,7 @@ class ParityStripedMemory(_ClusterBackend):
                 local, self._xor(parity_old, self._xor(old, piece)))
         except NodeFailedError:
             self.journal.record_range(parity_member, local, take)
-            self.counters.add("parity_writes_skipped")
+            self.registry.add("cluster.parity_writes_skipped")
 
     def resilver_page(self, member: int, page: int) -> int:
         local = page << PAGE_SHIFT

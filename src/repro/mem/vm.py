@@ -19,6 +19,11 @@ per-page path — one TLB hit count and one LRU refresh per page, misses and
 protection checks through ``_translate`` — and the clock is still charged
 exactly once per call, after the loop. ``tests/test_golden_master.py`` and
 the Hypothesis differential suite pin this equivalence.
+
+The VM keeps no counters of its own. TLB hits and misses live on
+:class:`~repro.mem.tlb.Tlb`, where the kernels' ``tlb.*`` gauges read
+them; fault and network counters live in the kernel's
+:class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from typing import Callable
 
 from repro.common.clock import Clock
 from repro.common.errors import FaultError, ProtectionError
-from repro.common.stats import Counter
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.mem import batch
 from repro.mem import pte as pte_mod
@@ -51,7 +55,7 @@ class VirtualMemory:
     """Byte-granular load/store engine over the paged address space."""
 
     __slots__ = ("_clock", "_pt", "_frames", "_copy_cost", "tlb",
-                 "counters", "_fault_handler")
+                 "_fault_handler")
 
     def __init__(self, clock: Clock, page_table: PageTable,
                  frames: FramePool, copy_cost_per_byte: float) -> None:
@@ -60,7 +64,6 @@ class VirtualMemory:
         self._frames = frames
         self._copy_cost = copy_cost_per_byte
         self.tlb = Tlb()
-        self.counters = Counter()
         self._fault_handler: FaultHandler = self._no_kernel
 
     @staticmethod
@@ -160,7 +163,6 @@ class VirtualMemory:
             remaining -= length
         tlb.hits += hits
         self._clock.advance(size * self._copy_cost)
-        self.counters.add("bytes_read", size)
         return b"".join(parts) if len(parts) > 1 else parts[0]
 
     def write(self, va: int, data: bytes) -> None:
@@ -201,15 +203,13 @@ class VirtualMemory:
             remaining -= length
         tlb.hits += hits
         self._clock.advance(size * self._copy_cost)
-        self.counters.add("bytes_written", size)
 
     # -- batch access (repro.mem.batch) ---------------------------------------
     #
     # The engine's functions, as methods: element ``i`` of a batch
     # behaves exactly like the scalar ``read``/``write`` call it stands
-    # for, and ``read_into``/``write_from`` like one whole-run call.
+    # for, and ``read_into`` like one whole-run ``read``.
     read_into = batch.read_span_into
-    write_from = batch.write_span_from
     read_batch = batch.read_batch
     write_batch = batch.write_batch
     apply_trace = batch.apply_trace

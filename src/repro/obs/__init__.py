@@ -11,9 +11,6 @@ Perfetto). See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.names import (
-    AIFM_ALIASES,
-    DILOS_ALIASES,
-    FASTSWAP_ALIASES,
     NET_RELIABILITY_KEYS,
     SERVE_KEYS,
     SHARED_KEYS,
@@ -24,7 +21,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     LatencyBreakdown,
-    LegacyCounters,
     LogHistogram,
     MetricsRegistry,
     Observability,
@@ -41,14 +37,10 @@ from repro.obs.export import (
 )
 
 __all__ = [
-    "AIFM_ALIASES",
     "Counter",
-    "DILOS_ALIASES",
-    "FASTSWAP_ALIASES",
     "Gauge",
     "Histogram",
     "LatencyBreakdown",
-    "LegacyCounters",
     "LogHistogram",
     "MetricsRegistry",
     "MetricsSnapshot",

@@ -1,18 +1,24 @@
-"""The canonical metric namespace and the per-kernel legacy alias tables.
+"""The canonical metric namespace.
 
 Canonical names are dotted and lowercase (``fault.major``,
-``net.bytes_read``). Shared concepts use *identical* keys on every kernel:
-a DiLOS major fault, a Fastswap major fault, and an AIFM object miss all
-land on ``fault.major``, so cross-system tables and dashboards never need
-per-kernel key translation. The alias tables map each kernel's historical
-flat names onto the canonical set; ``MetricsSnapshot.as_flat_dict`` emits
-both spellings so pre-existing benchmarks keep working.
+``net.bytes_read``), and they are the only names a counter has. Shared
+concepts use *identical* keys on every kernel, so cross-system tables and
+dashboards never need per-kernel key translation:
+
+* a DiLOS major fault, a Fastswap major fault and an AIFM object miss all
+  land on ``fault.major``;
+* DiLOS prefetches, Fastswap readahead and AIFM prefetches on
+  ``prefetch.issued``;
+* page eviction and AIFM object evacuation on ``reclaim.pages_evicted``;
+* page cleaning, Fastswap frontswap write-backs and AIFM evacuation
+  write-backs on ``reclaim.pages_cleaned``.
+
+``docs/OBSERVABILITY.md`` lists every key and the kernel concept behind it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
@@ -78,82 +84,20 @@ SERVE_KEYS = frozenset({
     "serve.goodput_rps",
 })
 
-#: DiLOS kernel + page manager: legacy flat name -> canonical name.
-DILOS_ALIASES: Dict[str, str] = {
-    "major_faults": "fault.major",
-    "minor_faults": "fault.minor",
-    "first_touch_faults": "fault.first_touch",
-    "first_touch_inline_reclaims": "fault.first_touch_inline_reclaims",
-    "resolved_during_exception": "fault.resolved_during_exception",
-    "prefetches_issued": "prefetch.issued",
-    "prefetch_skipped_no_frames": "prefetch.skipped_no_frames",
-    "prefetch_hit_ratio": "prefetch.hit_ratio",
-    "guide_handled_faults": "guide.handled_faults",
-    "guide_subpage_fetches": "guide.subpage_fetches",
-    "action_fetches": "guide.action_fetches",
-    "swap_cache_installs": "swapcache.installs",
-    "fetch_node_failures": "net.fetch_node_failures",
-    "fetches_dropped": "net.fetches_dropped",
-    "writeback_node_failures": "net.writeback_node_failures",
-    "net_bytes_read": "net.bytes_read",
-    "net_bytes_written": "net.bytes_written",
-    "direct_reclaims": "reclaim.direct",
-    "direct_reclaimed_pages": "reclaim.direct_reclaimed_pages",
-    "pages_evicted": "reclaim.pages_evicted",
-    "pages_cleaned": "reclaim.pages_cleaned",
-    "cleaned_full_pages": "reclaim.cleaned_full_pages",
-    "cleaned_guided_pages": "reclaim.cleaned_guided_pages",
-    "cleaned_empty_pages": "reclaim.cleaned_empty_pages",
-    "madvise_willneed_pages": "madvise.willneed_pages",
-    "madvise_dontneed_pages": "madvise.dontneed_pages",
-    "tlb_hits": "tlb.hits",
-    "tlb_misses": "tlb.misses",
-    "checkpoints": "migration.checkpoints",
-    "restored_pages": "migration.restored_pages",
-}
-
-#: Fastswap kernel: legacy flat name -> canonical name. Note the drift
-#: fixes: ``readahead_issued`` and DiLOS' ``prefetches_issued`` were two
-#: spellings of the same concept; both now land on ``prefetch.issued``,
-#: and frontswap ``writebacks`` are ``reclaim.pages_cleaned``.
-FASTSWAP_ALIASES: Dict[str, str] = {
-    "major_faults": "fault.major",
-    "minor_faults": "fault.minor",
-    "first_touch_faults": "fault.first_touch",
-    "spurious_faults": "fault.spurious",
-    "prefetches_issued": "prefetch.issued",
-    "readahead_issued": "prefetch.issued",
-    "readahead_skipped_no_frames": "prefetch.skipped_no_frames",
-    "fetch_node_failures": "net.fetch_node_failures",
-    "writeback_node_failures": "net.writeback_node_failures",
-    "net_bytes_read": "net.bytes_read",
-    "net_bytes_written": "net.bytes_written",
-    "direct_reclaims": "reclaim.direct",
-    "pages_evicted": "reclaim.pages_evicted",
-    "pages_cleaned": "reclaim.pages_cleaned",
-    "writebacks": "reclaim.pages_cleaned",
-    "kswapd_runs": "reclaim.kswapd_runs",
-    "swapcache_reclaimed": "swapcache.reclaimed",
-    "swap_cache_size": "swapcache.size",
-    "tlb_hits": "tlb.hits",
-    "tlb_misses": "tlb.misses",
-}
-
-#: Cluster memory backends (repro.mem.cluster): historical ad-hoc
-#: ``Counter()`` names -> canonical ``cluster.*`` names. The backends
-#: keep their ``.counters`` attribute as a :class:`LegacyCounters` view
-#: over these, so ``backend.counters.get("failover_reads")`` still works.
-CLUSTER_ALIASES: Dict[str, str] = {
-    "failover_reads": "cluster.failover_reads",
-    "replicated_writes": "cluster.replicated_writes",
-    "writes_skipped_dead_replica": "cluster.writes_skipped_dead_replica",
-    "degraded_reads": "cluster.degraded_reads",
-    "degraded_writes": "cluster.degraded_writes",
-    "reconstruction_bytes": "cluster.reconstruction_bytes",
-    "parity_writes_skipped": "cluster.parity_writes_skipped",
-    "stale_reads_avoided": "cluster.stale_reads_avoided",
-    "rejoins": "cluster.rejoins",
-}
+#: Cluster memory backends (:mod:`repro.mem.cluster`): the counters every
+#: backend registers at boot, at zero. Backends also mint
+#: ``cluster.sync_writes`` lazily, on a parity backend's first sync write.
+CLUSTER_KEYS = frozenset({
+    "cluster.failover_reads",
+    "cluster.replicated_writes",
+    "cluster.writes_skipped_dead_replica",
+    "cluster.degraded_reads",
+    "cluster.degraded_writes",
+    "cluster.reconstruction_bytes",
+    "cluster.parity_writes_skipped",
+    "cluster.stale_reads_avoided",
+    "cluster.rejoins",
+})
 
 #: Repair/scrub keys minted by :class:`repro.mem.repair.RepairManager`
 #: in the backend's registry (documented here; created lazily):
@@ -162,19 +106,3 @@ CLUSTER_ALIASES: Dict[str, str] = {
 #: ``repair.nodes_promoted``, ``scrub.pages_checked``,
 #: ``scrub.mismatches``, ``scrub.repaired``, ``scrub.quarantined``,
 #: ``scrub.passes``.
-
-#: AIFM runtime: legacy flat name -> canonical name. An object miss is
-#: AIFM's major fault; evacuation is its eviction; evacuation write-backs
-#: are its page cleaning.
-AIFM_ALIASES: Dict[str, str] = {
-    "derefs": "deref.total",
-    "object_misses": "fault.major",
-    "prefetches_issued": "prefetch.issued",
-    "objects_evacuated": "reclaim.pages_evicted",
-    "evacuation_writebacks": "reclaim.pages_cleaned",
-    "objects_allocated": "heap.objects_allocated",
-    "objects_freed": "heap.objects_freed",
-    "heap_used": "heap.bytes_used",
-    "net_bytes_read": "net.bytes_read",
-    "net_bytes_written": "net.bytes_written",
-}

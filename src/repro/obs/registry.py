@@ -11,16 +11,14 @@ Four instrument kinds, all registered under canonical dotted names
   (``fault.breakdown``, the Figure 1/6 data).
 
 ``registry.snapshot(...)`` freezes everything into a
-:class:`~repro.obs.snapshot.MetricsSnapshot`. :class:`LegacyCounters` is a
-drop-in view with the old ``Counter.add(raw_name)`` surface, so code and
-tests written against a kernel's historical flat counter names keep
-working while the storage is canonical.
+:class:`~repro.obs.snapshot.MetricsSnapshot`. An instrument has one name,
+its canonical one: there are no aliases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.common import stats as _stats
 from repro.obs.names import validate_name
@@ -148,7 +146,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
-        self._aliases: Dict[str, str] = {}
 
     # -- instrument factories ------------------------------------------------
 
@@ -211,23 +208,6 @@ class MetricsRegistry:
         """All registered canonical names, sorted."""
         return sorted(self._instruments)
 
-    # -- legacy aliasing -----------------------------------------------------
-
-    def alias(self, legacy: str, canonical: str) -> None:
-        """Map a legacy flat name onto a canonical one (for flat views)."""
-        existing = self._aliases.get(legacy)
-        if existing is not None and existing != canonical:
-            raise ValueError(f"alias {legacy!r} already maps to {existing!r}")
-        self._aliases[legacy] = validate_name(canonical)
-
-    def register_aliases(self, table: Mapping[str, str]) -> None:
-        for legacy, canonical in table.items():
-            self.alias(legacy, canonical)
-
-    @property
-    def aliases(self) -> Dict[str, str]:
-        return dict(self._aliases)
-
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self) -> None:
@@ -240,73 +220,21 @@ class MetricsRegistry:
     def snapshot(self, system: str = "", time_us: float = 0.0) -> MetricsSnapshot:
         """Freeze every instrument into a typed snapshot."""
         counters: Dict[str, float] = {}
-        raw_counters: Dict[str, int] = {}
         breakdowns: Dict[str, Dict[str, float]] = {}
         breakdown_counts: Dict[str, int] = {}
         histograms: Dict[str, Dict[str, float]] = {}
         for name, inst in self._instruments.items():
-            if isinstance(inst, Counter):
-                counters[name] = inst.value
-            elif isinstance(inst, Gauge):
+            if isinstance(inst, (Counter, Gauge)):
                 counters[name] = inst.value
             elif isinstance(inst, (Histogram, LogHistogram)):
                 histograms[name] = inst.summary()
             else:
                 breakdowns[name] = inst.averages()
                 breakdown_counts[name] = inst.fault_count
-        counter_names = {n for n, i in self._instruments.items()
-                         if isinstance(i, Counter)}
-        for legacy, canonical in self._aliases.items():
-            if canonical in counter_names:
-                raw_counters[legacy] = int(counters[canonical])
         return MetricsSnapshot(
             system=system, time_us=time_us, counters=counters,
             breakdowns=breakdowns, breakdown_counts=breakdown_counts,
-            histograms=histograms, aliases=dict(self._aliases),
-            raw_counters=raw_counters)
-
-
-class LegacyCounters:
-    """The old per-kernel ``Counter`` bag surface over a registry.
-
-    ``add``/``get`` translate historical flat names through the kernel's
-    alias table; unknown names are auto-namespaced under ``misc.`` so
-    third-party code can still mint ad-hoc counters.
-    """
-
-    def __init__(self, registry: MetricsRegistry,
-                 namespace: str = "misc") -> None:
-        self._registry = registry
-        self._namespace = namespace
-
-    def _canonical(self, raw: str) -> str:
-        canonical = self._registry._aliases.get(raw)
-        if canonical is None:
-            canonical = f"{self._namespace}.{raw}"
-            self._registry.alias(raw, canonical)
-        return canonical
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._registry.add(self._canonical(name), amount)
-
-    def get(self, name: str) -> int:
-        return int(self._registry.value(self._canonical(name)))
-
-    def as_dict(self) -> Dict[str, int]:
-        registry = self._registry
-        out = {}
-        for raw, canonical in registry._aliases.items():
-            inst = registry._instruments.get(canonical)
-            if isinstance(inst, Counter):
-                out[raw] = inst.value
-        return out
-
-    def reset(self) -> None:
-        self._registry.reset()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
-        return f"LegacyCounters({inner})"
+            histograms=histograms)
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Typed, frozen view of a :class:`~repro.obs.registry.MetricsRegistry`.
 
-``MetricsSnapshot`` is the return type of ``BaseSystem.metrics()``. It is
-a dataclass for typed consumers and simultaneously a ``Mapping`` over its
-flat view, because the pre-existing surface treats ``metrics()`` as a
-plain dict: benchmarks subscript it, ``Trace.replay`` and ``LibOS``
-assign new keys into it, and reports iterate ``.items()``. Assignment
-lands in :attr:`extra` so the registry data stays immutable.
+``MetricsSnapshot`` is the return type of ``BaseSystem.metrics()``. Read
+a counter or gauge with :meth:`MetricsSnapshot.value` (or the
+:attr:`~MetricsSnapshot.counters` dict) under its canonical name. Harness
+code that adds presentation values (``Trace.replay``'s ``replay_us``,
+``LibOS``'s heap figures) writes them into :attr:`~MetricsSnapshot.extra`,
+which the determinism digest leaves out.
 """
 
 from __future__ import annotations
@@ -13,15 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping
-
-# Keys historically emitted as plain gauges (not integer counters) whose
-# flat spelling must not be re-emitted under ``counter.<name>``.
-_GAUGE_FLAT_KEYS = ("prefetch_hit_ratio", "swap_cache_size", "heap_used")
+from typing import Any, Dict
 
 
 @dataclass
-class MetricsSnapshot(Mapping):
+class MetricsSnapshot:
     """One system's metrics at one simulated instant.
 
     Attributes:
@@ -31,9 +27,7 @@ class MetricsSnapshot(Mapping):
         breakdowns: canonical name -> per-component average latency (µs).
         breakdown_counts: canonical name -> number of recorded samples.
         histograms: canonical name -> summary stats (count/mean/p50/...).
-        aliases: legacy flat name -> canonical name (this kernel's table).
-        raw_counters: legacy flat name -> value, for old consumers.
-        extra: mutable overflow bag; ``snapshot[key] = value`` writes here.
+        extra: mutable bag for presentation values added after the run.
     """
 
     system: str = ""
@@ -42,11 +36,7 @@ class MetricsSnapshot(Mapping):
     breakdowns: Dict[str, Dict[str, float]] = field(default_factory=dict)
     breakdown_counts: Dict[str, int] = field(default_factory=dict)
     histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    aliases: Dict[str, str] = field(default_factory=dict)
-    raw_counters: Dict[str, int] = field(default_factory=dict)
     extra: Dict[str, Any] = field(default_factory=dict)
-
-    # -- typed accessors -----------------------------------------------------
 
     def value(self, canonical: str, default: float = 0) -> float:
         """Counter/gauge value under its canonical name."""
@@ -57,9 +47,9 @@ class MetricsSnapshot(Mapping):
     def canonical_json(self) -> str:
         """Canonical JSON over every registry-owned field of the snapshot.
 
-        ``extra`` is excluded: it is a mutable overflow bag that harness
-        code writes presentation values into, not simulation output. Keys
-        are sorted and floats use ``repr`` (via ``json``), so the string —
+        ``extra`` is excluded: it is a mutable bag that harness code
+        writes presentation values into, not simulation output. Keys are
+        sorted and floats use ``repr`` (via ``json``), so the string —
         and therefore :meth:`digest` — is stable across interpreter runs
         and Python versions for identical simulation results.
         """
@@ -71,7 +61,6 @@ class MetricsSnapshot(Mapping):
                 "breakdowns": self.breakdowns,
                 "breakdown_counts": self.breakdown_counts,
                 "histograms": self.histograms,
-                "raw_counters": self.raw_counters,
             },
             sort_keys=True, separators=(",", ":"))
 
@@ -83,63 +72,3 @@ class MetricsSnapshot(Mapping):
         gauges, same breakdown averages, same histogram summaries.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    # -- flat compatibility view ---------------------------------------------
-
-    def as_flat_dict(self) -> Dict[str, Any]:
-        """The historical flat-dict form of ``metrics()``.
-
-        Emits ``system``/``time_us`` metadata, every canonical counter and
-        gauge, every legacy spelling (``major_faults`` next to
-        ``fault.major``), the old ``counter.<raw>`` entries, and ``extra``.
-        Later sources win, so an ``extra`` assignment can shadow anything.
-        """
-        flat: Dict[str, Any] = {"system": self.system, "time_us": self.time_us}
-        flat.update(self.counters)
-        for legacy, canonical in self.aliases.items():
-            if canonical in self.counters:
-                flat[legacy] = self.counters[canonical]
-        for raw, value in self.raw_counters.items():
-            if raw not in _GAUGE_FLAT_KEYS:
-                flat[f"counter.{raw}"] = value
-        for name, components in self.breakdowns.items():
-            for component, avg_us in components.items():
-                flat[f"{name}.avg_{component}_us"] = avg_us
-        for name, summary in self.histograms.items():
-            for stat, value in summary.items():
-                flat[f"{name}.{stat}"] = value
-        flat.update(self.extra)
-        return flat
-
-    # -- Mapping protocol (over the flat view) -------------------------------
-
-    def __getitem__(self, key: str) -> Any:
-        if key in self.extra:
-            return self.extra[key]
-        flat = self.as_flat_dict()
-        return flat[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self.extra[key] = value
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.as_flat_dict())
-
-    def __len__(self) -> int:
-        return len(self.as_flat_dict())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.as_flat_dict()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        flat = self.as_flat_dict()
-        return flat.get(key, default)
-
-    def keys(self):
-        return self.as_flat_dict().keys()
-
-    def values(self):
-        return self.as_flat_dict().values()
-
-    def items(self):
-        return self.as_flat_dict().items()

@@ -54,7 +54,7 @@ class TestEvacuation:
         for i in range(1000):
             rt.allocate(4 * KIB, data=bytes([i % 256]) * 16)
         assert rt.heap_used <= rt.config.local_heap_bytes
-        assert rt.counters.get("objects_evacuated") > 0
+        assert rt.registry.value("reclaim.pages_evicted") > 0
 
     def test_data_survives_evacuation(self):
         rt = make_runtime(heap_mib=1)
@@ -69,7 +69,7 @@ class TestEvacuation:
         assert not ptrs[0].is_local()
         ptrs[0].read(0, 1)
         assert ptrs[0].is_local()
-        assert rt.counters.get("object_misses") >= 1
+        assert rt.registry.value("fault.major") >= 1
 
     def test_tcp_miss_slower_than_rdma(self):
         def miss_time(transport):
@@ -98,7 +98,7 @@ class TestRemArray:
         arr = RemArray(rt, count=4096, item_size=512)  # 2 MiB > 1 MiB heap
         for i in range(4096):
             arr.set(i, i.to_bytes(8, "little") * 64)
-        assert rt.counters.get("objects_evacuated") > 0
+        assert rt.registry.value("reclaim.pages_evicted") > 0
         for i in range(4096):
             assert arr.get(i) == i.to_bytes(8, "little") * 64
 
@@ -163,7 +163,7 @@ class TestRemList:
         values = list(lst)
         assert len(values) == 3000
         assert values[1234] == (1234).to_bytes(4, "little") * 256
-        assert rt.counters.get("objects_evacuated") > 0
+        assert rt.registry.value("reclaim.pages_evicted") > 0
 
     def test_runahead_overlaps_fetches_with_compute(self):
         """Pointer chasing serializes at fetch latency — the pipeline can
@@ -182,7 +182,7 @@ class TestRemList:
             t0 = rt.clock.now
             for _payload in lst:
                 rt.cpu(0.5)
-            return rt.clock.now - t0, rt.counters.get("object_misses")
+            return rt.clock.now - t0, rt.registry.value("fault.major")
 
         t_none, misses_none = traverse(0)
         t_ahead, misses_ahead = traverse(2)
@@ -195,9 +195,9 @@ class TestRemList:
         lst = RemList(rt)
         for i in range(20):
             lst.append(b"n")
-        allocated = rt.counters.get("objects_allocated")
+        allocated = rt.registry.value("heap.objects_allocated")
         lst.free()
-        assert rt.counters.get("objects_freed") == allocated
+        assert rt.registry.value("heap.objects_freed") == allocated
         assert list(lst) == []
 
 
@@ -220,7 +220,7 @@ class TestRemHashTable:
         table.put(b"k", b"old" * 100)
         table.put(b"k", b"new" * 100)
         assert table.get(b"k") == b"new" * 100
-        assert rt.counters.get("objects_freed") == 1
+        assert rt.registry.value("heap.objects_freed") == 1
 
     def test_values_survive_evacuation(self):
         rt = make_runtime(heap_mib=1)
@@ -228,6 +228,6 @@ class TestRemHashTable:
         table = RemHashTable(rt)
         for i in range(2000):
             table.put(b"key:%d" % i, bytes([i % 251]) * 1024)
-        assert rt.counters.get("objects_evacuated") > 0
+        assert rt.registry.value("reclaim.pages_evicted") > 0
         for i in range(0, 2000, 17):
             assert table.get(b"key:%d" % i) == bytes([i % 251]) * 1024

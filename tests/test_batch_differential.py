@@ -1,23 +1,24 @@
 """Differential suite: batch execution vs scalar, byte-exact.
 
 The batch engine (:mod:`repro.mem.batch`) promises that running a batch
-in one shared loop, and moving a run straight into or out of a
-caller's buffer, changes *nothing observable in the simulation*:
-every byte returned, the simulated clock, every counter, the TLB's LRU
-order, and the canonical metrics digest must all match the scalar
-per-page loops exactly. This suite checks that promise three ways:
+in one shared loop, and moving a run straight into a caller's buffer,
+changes *nothing observable in the simulation*: every byte returned,
+the simulated clock, the TLB's counts and LRU order, and the canonical
+metrics digest must all match the scalar per-page loops exactly. This
+suite checks that promise three ways:
 
 * a Hypothesis property over twin ``VirtualMemory`` stacks (tiny TLB,
   tiny frame pool, a FIFO-evicting pager) driving one through the batch
-  APIs (``read_batch``/``write_batch``/``apply_trace``/``read_into``/
-  ``write_from``, the last two with numpy, ``bytearray`` and ``bytes``
-  buffers) and the other through scalar ``read``/``write`` loops, with
-  evictions and shootdowns interleaved so batches cross page and
-  fault boundaries;
+  APIs (``read_batch``/``write_batch``/``apply_trace``/``read_into``,
+  the last with numpy and ``bytearray`` buffers) and through
+  ``vm.write`` of buffers (a ``bytearray``, a memoryview over a numpy
+  array), and the other through scalar ``read``/``write`` loops over
+  ``bytes``, with evictions and shootdowns interleaved so batches cross
+  page and fault boundaries;
 * the same twin stacks running batches of many sub-page elements while
   probe timers fire mid-batch (periodic, and one-shot ones armed at or
   before the current time), which is where the order of the sub-page
-  loop's clock, TLB-hit and byte-counter accounting shows;
+  loop's clock and TLB-hit accounting shows;
 * booted-kernel differentials for all three kernels (DiLOS, Fastswap,
   AIFM) comparing data, final clock, and metrics digests;
 * the same kernel differential under a ``net_faults`` plan, where every
@@ -64,8 +65,8 @@ _op = st.one_of(
               st.integers(0, 255)),
     st.tuples(st.just("read_into"), _elem,
               st.sampled_from(["ndarray", "bytearray"])),
-    st.tuples(st.just("write_from"), _elem, st.integers(0, 255),
-              st.sampled_from(["ndarray", "bytearray", "bytes"])),
+    st.tuples(st.just("write_buffer"), _elem, st.integers(0, 255),
+              st.sampled_from(["ndarray", "bytearray"])),
     st.tuples(st.just("shootdown"), st.integers(0, N_PAGES - 1)),
     st.tuples(st.just("evict"), st.integers(0, N_PAGES - 1)),
 )
@@ -103,15 +104,13 @@ def _apply_batch(op, vm, pager):
             out = bytearray(size)
         vm.read_into(va, out)
         return bytes(out)
-    if kind == "write_from":
+    if kind == "write_buffer":
         va, size = op[1]
         payload = _payload(op[2], _clamp(va, size))
         if op[3] == "ndarray":
-            vm.write_from(va, np.frombuffer(payload, dtype=np.uint8))
-        elif op[3] == "bytearray":
-            vm.write_from(va, bytearray(payload))
+            vm.write(va, memoryview(np.frombuffer(payload, dtype=np.uint8)))
         else:
-            vm.write_from(va, payload)
+            vm.write(va, bytearray(payload))
         return None
     if kind == "shootdown":
         pager.shootdown(op[1])
@@ -141,7 +140,7 @@ def _apply_scalar(op, vm, pager):
     if kind == "read_into":
         va, size = op[1]
         return vm.read(va, _clamp(va, size))
-    if kind == "write_from":
+    if kind == "write_buffer":
         va, size = op[1]
         size = _clamp(va, size)
         vm.write(va, _payload(op[2], size))
@@ -157,8 +156,8 @@ def _apply_scalar(op, vm, pager):
 @given(st.lists(_op, max_size=40))
 def test_batch_vm_matches_scalar_vm(ops):
     """Twin VM stacks: batch APIs vs scalar loops, exact equality on
-    bytes, clock, TLB state (including LRU order), counters, and page
-    contents — with faults, evictions, and shootdowns interleaved."""
+    bytes, clock, TLB state (including LRU order), and page contents —
+    with faults, evictions, and shootdowns interleaved."""
     b_vm, b_pager, b_clock = _build(VirtualMemory)
     s_vm, s_pager, s_clock = _build(VirtualMemory)
 
@@ -172,12 +171,11 @@ def test_batch_vm_matches_scalar_vm(ops):
 
 def _assert_twins_agree(b_vm, b_pager, s_vm, s_pager):
     """Final state of twin stacks: faults, TLB counts and LRU order,
-    byte counters, page contents and PTEs."""
+    page contents and PTEs."""
     assert b_pager.faults == s_pager.faults
     assert b_vm.tlb.hits == s_vm.tlb.hits
     assert b_vm.tlb.misses == s_vm.tlb.misses
     assert list(b_vm.tlb.entries) == list(s_vm.tlb.entries)
-    assert b_vm.counters.as_dict() == s_vm.counters.as_dict()
     for vpn in range(N_PAGES):
         assert b_pager.page_bytes(vpn) == s_pager.page_bytes(vpn), (
             f"page {vpn} contents diverged")
@@ -187,10 +185,10 @@ def _assert_twins_agree(b_vm, b_pager, s_vm, s_pager):
 # -- sub-page batches with timers firing mid-batch ---------------------------
 #
 # The sub-page loop does a scalar call's one-page step itself, so its
-# accounting order (hit, copy, clock charge, byte counter) is what a
-# timer firing inside a batch sees: a probe must see exactly the state
-# the scalar run shows it, and may evict a page the rest of the batch
-# then faults on again.
+# accounting order (hit, copy, clock charge) is what a timer firing
+# inside a batch sees: a probe must see exactly the state the scalar run
+# shows it, and may evict a page the rest of the batch then faults on
+# again.
 
 _MAX_BATCH = 32
 _sub_elem = st.tuples(
@@ -232,10 +230,10 @@ class _Probes:
     armed at or before the current time, by the pager's fault handler
     or between batches.
 
-    Each firing logs the clock, TLB counts and byte counters, and the
-    ``victims`` plan decides whether it evicts a page; the twins share
-    the plan, so their logs agree only if every firing sees the same
-    state at the same simulated instant.
+    Each firing logs the clock and TLB counts, and the ``victims`` plan
+    decides whether it evicts a page; the twins share the plan, so their
+    logs agree only if every firing sees the same state at the same
+    simulated instant.
     """
 
     def __init__(self, vm, pager, clock, period, victims, shots):
@@ -265,8 +263,7 @@ class _Probes:
 
     def fire(self, tag):
         vm = self.vm
-        self.log.append((tag, self.clock.now, vm.tlb.hits, vm.tlb.misses,
-                         sorted(vm.counters.as_dict().items())))
+        self.log.append((tag, self.clock.now, vm.tlb.hits, vm.tlb.misses))
         victim = self.victims[len(self.log) % len(self.victims)]
         if victim is not None:
             self.pager.evict_vpn(victim)
@@ -312,7 +309,7 @@ def test_sub_page_batches_match_scalar_with_timers(ops, period_ns, victims,
                                                    shots):
     """Twin stacks with probe timers firing mid-batch: the batch APIs and
     the scalar loops agree on bytes, clock, TLB counts and LRU order,
-    counters, page contents and every probe firing."""
+    page contents and every probe firing."""
     _check_timed_batches(ops, period_ns, victims, shots)
 
 

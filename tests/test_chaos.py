@@ -65,7 +65,7 @@ def test_random_workload_survives_single_node_crash(
         assert system.memory.read(region.base + page * PAGE_SIZE, 16) == \
             payload
     # Paging invariants survived the chaos too.
-    assert system.kernel.counters.get("direct_reclaims") == 0
+    assert system.kernel.registry.value("reclaim.direct") == 0
     used = system.frames.used_frames
     resident = system.kernel.page_manager.resident_pages
     assert used >= resident  # frames backing the LRU all accounted for

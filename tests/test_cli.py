@@ -36,7 +36,7 @@ class TestCommands:
         assert main(["seqrw", "--ws-mib", "2"]) == 0
         out = capsys.readouterr().out
         assert "GB/s" in out
-        assert "major_faults" in out
+        assert "fault.major" in out
 
     def test_seqrw_on_fastswap(self, capsys):
         assert main(["seqrw", "--ws-mib", "2", "--system", "fastswap",

@@ -83,7 +83,7 @@ class TestReplicated:
         cluster.write_bytes(0, b"durable")
         nodes[0].fail()
         assert cluster.read_bytes(0, 7) == b"durable"
-        assert cluster.counters.get("failover_reads") == 1
+        assert cluster.registry.value("cluster.failover_reads") == 1
 
     def test_all_dead_raises(self):
         nodes = make_nodes(2)
@@ -100,7 +100,7 @@ class TestReplicated:
         cluster = ReplicatedMemory(nodes)
         nodes[2].fail()
         cluster.write_bytes(0, b"two-copies")
-        assert cluster.counters.get("writes_skipped_dead_replica") == 1
+        assert cluster.registry.value("cluster.writes_skipped_dead_replica") == 1
         assert cluster.read_bytes(0, 10) == b"two-copies"
 
 
@@ -125,8 +125,8 @@ class TestParityStriped:
         nodes[1].fail()  # one data node dies
         for page, data in payloads.items():
             assert cluster.read_bytes(page * PAGE_SIZE, 64) == data, page
-        assert cluster.counters.get("degraded_reads") > 0
-        assert cluster.counters.get("reconstruction_bytes") > 0
+        assert cluster.registry.value("cluster.degraded_reads") > 0
+        assert cluster.registry.value("cluster.reconstruction_bytes") > 0
 
     def test_degraded_write_recoverable(self):
         nodes = make_nodes(3)
@@ -134,7 +134,7 @@ class TestParityStriped:
         nodes[0].fail()
         # Page 0 routes to data node 0 (global page 0 % k=2 == 0).
         cluster.write_bytes(0, b"ghost-write")
-        assert cluster.counters.get("degraded_writes") == 1
+        assert cluster.registry.value("cluster.degraded_writes") == 1
         assert cluster.read_bytes(0, 11) == b"ghost-write"
 
     def test_parity_node_failure_is_tolerated(self):
@@ -143,7 +143,7 @@ class TestParityStriped:
         nodes[-1].fail()  # parity down
         cluster.write_bytes(0, b"no-parity")
         assert cluster.read_bytes(0, 9) == b"no-parity"
-        assert cluster.counters.get("parity_writes_skipped") == 1
+        assert cluster.registry.value("cluster.parity_writes_skipped") == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -229,7 +229,7 @@ class TestDilosOnClusters:
         system.clock.advance(5000)  # everything cleaned to both replicas
         nodes[0].fail()
         self.verify(system, region, pages)
-        assert backend.counters.get("failover_reads") > 0
+        assert backend.registry.value("cluster.failover_reads") > 0
 
     def test_dilos_survives_data_node_loss_with_parity(self):
         nodes = make_nodes(4, capacity=4 * MIB)
@@ -238,7 +238,7 @@ class TestDilosOnClusters:
         system.clock.advance(5000)
         nodes[2].fail()
         self.verify(system, region, pages)
-        assert backend.counters.get("degraded_reads") > 0
+        assert backend.registry.value("cluster.degraded_reads") > 0
 
     def test_unprotected_node_loss_is_fatal(self):
         """Without redundancy a dead node loses data — the §5.1 motivation."""

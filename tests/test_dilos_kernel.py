@@ -29,8 +29,8 @@ class TestFaultTaxonomy:
         region = system.mmap(1 * MIB)
         system.memory.write(region.base, b"x")
         m = system.metrics()
-        assert m["first_touch_faults"] == 1
-        assert m["major_faults"] == 0
+        assert m.value("fault.first_touch") == 1
+        assert m.value("fault.major") == 0
 
     def test_unmapped_access_raises(self):
         system = make_system()
@@ -45,7 +45,7 @@ class TestFaultTaxonomy:
             system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
         system.clock.advance(1000)
         system.memory.read(region.base, 8)
-        assert system.metrics()["major_faults"] >= 1
+        assert system.metrics().value("fault.major") >= 1
 
     def test_no_prefetch_means_no_minor_faults(self):
         system = make_system(local_mib=1, prefetcher="none")
@@ -56,8 +56,8 @@ class TestFaultTaxonomy:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 16)
         m = system.metrics()
-        assert m["minor_faults"] == 0
-        assert m["prefetches_issued"] == 0
+        assert m.value("fault.minor") == 0
+        assert m.value("prefetch.issued") == 0
 
 
 class TestDataIntegrity:
@@ -70,7 +70,7 @@ class TestDataIntegrity:
         for i in range(pages):
             got = system.memory.read(region.base + i * PAGE_SIZE, 64)
             assert got == fill_pattern(i), f"page {i} corrupted"
-        assert system.metrics()["pages_evicted"] > 0
+        assert system.metrics().value("reclaim.pages_evicted") > 0
 
     def test_random_access_roundtrip(self):
         system = make_system(local_mib=1, prefetcher="trend")
@@ -111,8 +111,8 @@ class TestReclamationOffCriticalPath:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 64)
         m = system.metrics()
-        assert m["pages_evicted"] > pages  # real pressure
-        assert m["direct_reclaims"] == 0  # the DiLOS claim
+        assert m.value("reclaim.pages_evicted") > pages  # real pressure
+        assert m.value("reclaim.direct") == 0  # the DiLOS claim
 
     def test_fault_breakdown_has_no_reclaim_component(self):
         system = make_system(local_mib=1, prefetcher="none")
@@ -136,7 +136,7 @@ class TestReclamationOffCriticalPath:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 8)
         m = system.metrics()
-        assert m["direct_reclaims"] > 0
+        assert m.value("reclaim.direct") > 0
         assert system.kernel.breakdown.averages()["reclaim"] > 0
 
 
@@ -150,9 +150,9 @@ class TestPrefetchInstall:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 64)
         m = system.metrics()
-        assert m["prefetches_issued"] > 0
+        assert m.value("prefetch.issued") > 0
         # Sequential read: roughly one major per readahead window.
-        assert m["major_faults"] < pages // 4
+        assert m.value("fault.major") < pages // 4
 
     def test_prefetch_never_triggers_reclaim(self):
         system = make_system(local_mib=1, prefetcher="readahead")
@@ -161,12 +161,12 @@ class TestPrefetchInstall:
         pages = region.size // PAGE_SIZE
         for i in range(pages):
             system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
-        skipped = kernel.counters.get("prefetch_skipped_no_frames")
+        skipped = kernel.registry.value("prefetch.skipped_no_frames")
         # Prefetch requests beyond the reserve must be skipped, not force
         # reclamation; re-reading guarantees such requests existed.
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 8)
-        assert kernel.counters.get("direct_reclaims") == 0
+        assert kernel.registry.value("reclaim.direct") == 0
         assert skipped >= 0  # counter exists and never went negative
 
 
@@ -186,8 +186,8 @@ class TestSwapCacheAblation:
                 got = system.memory.read(region.base + i * PAGE_SIZE, 64)
                 assert got == fill_pattern(i)
             results[name] = (system.clock.now - t0, system.metrics())
-        assert results["cached"][1]["minor_faults"] > \
-            results["unified"][1]["minor_faults"]
+        assert results["cached"][1].value("fault.minor") > \
+            results["unified"][1].value("fault.minor")
         assert results["cached"][0] > results["unified"][0]
 
 
@@ -219,7 +219,7 @@ class TestGuidedPaging:
         system.clock.advance(2000)
         for va, expect in live.items():
             assert system.memory.read(va, 128) == expect
-        assert system.kernel.counters.get("action_fetches") > 0
+        assert system.kernel.registry.value("guide.action_fetches") > 0
 
     def test_guided_paging_reduces_wire_bytes(self):
         def run(guided):

@@ -102,8 +102,8 @@ class TestStridePrefetcher:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 32)
         m = system.metrics()
-        assert m["prefetches_issued"] > 0
-        assert m["major_faults"] < pages
+        assert m.value("prefetch.issued") > 0
+        assert m.value("fault.major") < pages
 
 
 class TestMediaProfiles:

@@ -125,7 +125,7 @@ class TestFarDict:
         for i in range(1000):
             d.put(b"key:%d" % i, i)
         system.clock.advance(5000)
-        assert system.metrics()["pages_evicted"] > 0
+        assert system.metrics().value("reclaim.pages_evicted") > 0
         for i in range(0, 1000, 13):
             assert d.get(b"key:%d" % i) == i
 

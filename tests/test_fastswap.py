@@ -60,10 +60,10 @@ class TestFaultSplit:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 64)
         m = system.metrics()
-        total = m["major_faults"] + m["minor_faults"]
+        total = m.value("fault.major") + m.value("fault.minor")
         # Most pages fault (the tail of the populate pass is still resident).
         assert total > 0.8 * pages
-        major_frac = m["major_faults"] / total
+        major_frac = m.value("fault.major") / total
         assert 0.10 < major_frac < 0.20  # ~12.5%, readahead sometimes skips
 
     def test_no_minor_faults_without_pressure(self):
@@ -73,8 +73,8 @@ class TestFaultSplit:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 8)
         m = system.metrics()
-        assert m["major_faults"] == 0
-        assert m["minor_faults"] == 0
+        assert m.value("fault.major") == 0
+        assert m.value("fault.minor") == 0
 
     def test_random_read_mostly_major(self):
         """Random access defeats readahead: majors dominate."""
@@ -86,7 +86,7 @@ class TestFaultSplit:
             i = rng.randrange(pages)
             system.memory.read(region.base + i * PAGE_SIZE, 8)
         m = system.metrics()
-        assert m["major_faults"] > m["minor_faults"]
+        assert m.value("fault.major") > m.value("fault.minor")
 
 
 class TestReclaim:
@@ -98,7 +98,7 @@ class TestReclaim:
         for i in range(pages):
             system.memory.read(region.base + i * PAGE_SIZE, 64)
         m = system.metrics()
-        assert m["direct_reclaims"] > 0
+        assert m.value("reclaim.direct") > 0
         assert system.kernel.breakdown.averages()["reclaim"] > 0
 
     def test_dirty_eviction_writes_back(self):
@@ -106,7 +106,7 @@ class TestReclaim:
         region = system.mmap(4 * MIB)
         populate(system, region)
         system.clock.advance(5000)
-        assert system.metrics()["net_bytes_written"] > 0
+        assert system.metrics().value("net.bytes_written") > 0
 
     def test_write_slower_than_read(self):
         """Table 2: frontswap stores on the critical path halve writes."""

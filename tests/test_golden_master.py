@@ -25,14 +25,26 @@ component, a new metric), print fresh pins for the affected scenarios::
 
 paste them over the stale rows of ``GOLDEN`` and ``TRACE_DIGESTS``
 (re-run ``python -m repro perf`` when perf cases moved, so
-``BENCH_perf.json`` agrees), and explain why in the commit message. A
-new registry scenario is pinned the same way: print its rows and add
-them.
+``BENCH_perf.json`` agrees; ``test_bench_perf_rows_match_golden``
+checks that it does), and explain why in the commit message. A new
+registry scenario is pinned the same way: print its rows and add them.
+
+A change that alters only the digest's *format* (what
+``MetricsSnapshot.canonical_json`` serializes) and no simulated result
+re-pins with a proof rather than an assertion. In a scratch copy of the
+parent commit, apply only the format change to ``canonical_json``, run
+this file as a script there, and check that it prints exactly the
+change's ``GOLDEN`` rows; ``perfbench/run.py --workload all --seed 1
+--seconds 1 --trace 0`` must print the same ``fingerprint`` lines on both
+trees too. The clocks and ``TRACE_DIGESTS`` do not move. Then paste the
+digests here and into the ``checksum`` fields of ``BENCH_perf.json``.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,130 +53,130 @@ from repro.harness.scenarios import SCENARIOS
 #: registry scenario -> (metrics digest, final simulated clock in us).
 GOLDEN = {
     "seqread_dilos_small": (
-        "82f68d85aa88a847569fcc953fea561e461c6a6a5fc87d10657f3567a82ee93f",
+        "2fbec84365ccb96b9e5fdac74f44b22556f8a94406ed954389e1db4fb7702bf2",
         527.5879199999995),
     "seqread_fastswap_small": (
-        "0db0fcfbc87f7b421a57c0bb0ccedfd6b19c8fb0d70cd826ee735dfe9da36217",
+        "3f5de7ce3cea54b0c8f15daf02d8359a03f0c2161dc179402ffb96d133599d64",
         2187.0835519999628),
     "seqscan_aifm_small": (
-        "aa8168eb9db9d59bb2918a03a064a9fc4913fc233216b8b708a07a95610eb6f1",
+        "7490ad2722c6ae4625d089a9e6b94abf8b4fb54c3ff3e7b17fc4b05f10ee9462",
         14.888069565217304),
     "redis_get_dilos_small": (
-        "4688a2b5e4f86b069c0c959b6ba52a7bbaeaacaa779d5a8c3fb21813dc8c7965",
+        "b86bc46688f06da110df4d46419149e8c598e83174235e746c65a63b5edf0cb2",
         5362.223680695648),
     "redis_get_fastswap_small": (
-        "16bcfef36370161a3ea18e9e18dfe35d8f705ffe8f6e06c62614731a61947533",
+        "8225c78f09ea96ba7690e5ea897d278fa50e729a6538b6aeb587fe5f1a4e9dab",
         5899.989016695649),
     "kmeans_dilos_small": (
-        "e6414fdf35a08e3e53cdf640213262d32dfe4727e999788af7a98f9712b748c6",
+        "aef5b1968470991932ca89059c4e3d5edaf74a3adaff5a4c6479fa86bc8427f0",
         160.3185391304348),
     "dataframe_dilos_small": (
-        "6cdd6fe25f70a1a625f18c3b97e96ddb2f1d910873306d682f2a41d0a9a3456c",
+        "218b6c08018427cef9838d165a185dca01e79fe648c69697523e7fe1fd924680",
         372.0654045217385),
     # The *_batch scenarios force the vectorized batch engine on and are
     # pinned to the SAME digests as their *_small scalar twins above: the
     # batch engine's exactness contract (see repro/mem/batch.py) is that
     # span-vectorized execution changes nothing the simulation observes.
     "redis_get_dilos_batch": (
-        "4688a2b5e4f86b069c0c959b6ba52a7bbaeaacaa779d5a8c3fb21813dc8c7965",
+        "b86bc46688f06da110df4d46419149e8c598e83174235e746c65a63b5edf0cb2",
         5362.223680695648),
     "kmeans_dilos_batch": (
-        "e6414fdf35a08e3e53cdf640213262d32dfe4727e999788af7a98f9712b748c6",
+        "aef5b1968470991932ca89059c4e3d5edaf74a3adaff5a4c6479fa86bc8427f0",
         160.3185391304348),
     "dataframe_dilos_batch": (
-        "6cdd6fe25f70a1a625f18c3b97e96ddb2f1d910873306d682f2a41d0a9a3456c",
+        "218b6c08018427cef9838d165a185dca01e79fe648c69697523e7fe1fd924680",
         372.0654045217385),
     # LLM inference: prefill writes + windowed random decode gathers over
     # the paged KV cache (see repro/apps/llm.py).
     "llm_dilos": (
-        "5c2712afaa8e365d5c16c9c60a3759f9c31db2523afc6698f165dc924d5667a9",
+        "c787bb267157a0f0d69087078f17aba8edf65e79de42173ad1b6629debdfd6de",
         106.2514086956507),
     "llm_fastswap": (
-        "93abac674986ec97196d24fecff9c2ca99376c2c35b29e52e679f604386f7944",
+        "b2804aec630773a195ad790871547e9781adae5e481840e41e7cf3e07ab437e3",
         126.0914086956507),
     "llm_aifm": (
-        "f9ff1806039b972ddc774f3ecaf25cb4a9c59f7ad1d9527288f26313a69e588c",
+        "4176a25d3e6768e650d5a42a7fcf15a64b4e04c1c70fd70e4004c36eee1e3dd9",
         125.61444730435211),
     # Deliberately the SAME row as llm_dilos: a healthy sharded backend
     # changes page *placement*, never anything the simulation observes.
     "llm_dilos_sharded": (
-        "5c2712afaa8e365d5c16c9c60a3759f9c31db2523afc6698f165dc924d5667a9",
+        "c787bb267157a0f0d69087078f17aba8edf65e79de42173ad1b6629debdfd6de",
         106.2514086956507),
     # Batch twin, same digest as the scalar run — the exactness contract.
     "llm_dilos_batch": (
-        "5c2712afaa8e365d5c16c9c60a3759f9c31db2523afc6698f165dc924d5667a9",
+        "c787bb267157a0f0d69087078f17aba8edf65e79de42173ad1b6629debdfd6de",
         106.2514086956507),
     # The replicated KV service under the full chaos schedule (lossy
     # wire, lease-holder kill, rejoin + background resilver at serving
     # load); the digest includes the end-of-run lost-update audit.
     "kv_failover": (
-        "69916c60cde3dfb0b14a49af9278085817846c0d68ebc85aa35095375ac6b507",
+        "d41afa6b0ee825fb24bab650e11f1ff4723af19ddaf5c8deda23f03b414d294e",
         1006.9989255652341),
     # The perf suite's cases (``python -m repro perf``), pinned to the
     # checksums and simulated times in BENCH_perf.json.
     "seqread_dilos": (
-        "f2112cf86807e048fcb052200cfe308111027c234cb8043b38004025d2e35c52",
+        "b78a19fa0337e2ee3e90103a3c30175faf7e377f380065024e434cc75504ff1d",
         1293.1071999999942),
     "seqread_dilos_cold": (
-        "ae520dc3652b00b38dd01aed1fb9c4282b001064258195464f28fe5b5555867a",
+        "6c814568a879f168527008a026a89304357c660a180ffb64056e5ac84d6cba77",
         870.426623999977),
     "seqwrite_dilos": (
-        "96d22aabc481f296ecfd11e36b7fb674ec1d9c33597a776476ed2bbdd2579c1d",
+        "fd961790af1e87fb8116326cd3c07a20ee758a55a3bc7d9124854f8371f4e9e3",
         870.426623999977),
     "seqread_fastswap": (
-        "b7060fb39ee67122c40239c9108f264173e7c76d405c2050fa38e6f8471de520",
+        "64464f8aa4c96fdc9de015dfe64db6d81f0567f14c8adc95b8faffcd62541e66",
         4213.588528000009),
     "seqscan_aifm": (
-        "196cc8cf3257533f4db2969d6859bb95c91b95c105852137502e71d20e635dfd",
+        "d1d1a1598cded6c5e405acb35e37f68eece13e233a5151c209709cb3425e2d0b",
         220.38768417390605),
     "quicksort_dilos": (
-        "d77366519ef14aec80f587fef03ddae6161b11876ab2241a4035e7f80e7fc20e",
+        "238afe06b92df5a94a7f5f45e0330adcc722cc77d19d24c91aebe06eb8bde439",
         314.87032542493654),
     "redis_get_dilos": (
-        "b9f7929081adb42591ba16674931c693e9227b00850d8895e9114bd57b66c5ac",
+        "a780bba3e6e8b5063a54a062bd196f965acb5f6a3dc010cd063e7c9f085f2b70",
         9855.08205843394),
     "redis_get_fastswap": (
-        "2823a71abb88203892daa2b69e035bbecb857b27cf0db906649bbbeb6e703a15",
+        "4ce3fa8ba6b11557459148fd7326bdb8e9830dfb63cdaa253a691871a7759a77",
         20147.906122433225),
     "kmeans_dilos": (
-        "fd28ffc2c0c56c70d07fcd789690119dbcd584a9bc93912615c98ca56f56811a",
+        "9b67a0fb7a34af5b068961a9aa1a54804b19742181d03b877d7f11b554506596",
         5523.134733217407),
     "dataframe_dilos": (
-        "6d22243ca124a8bf98a4fefd33f7ab36bf2ccb9a5fcee128bc6b99b5bc8679a6",
+        "85c96ef31e9cb72147e286c5791f3a0dd2037389502329b1b78116029cf952b2",
         2655.1676681739054),
     "llm_decode_dilos": (
-        "7e8c01e138845ebe0416d0c96ace45f4035ace99eefc494de9a74801ae8745bf",
+        "aff07399b027e7a0525ddd6e0cb08a0aed4ea0dbc3a93616f5fc123a1715b385",
         1486.9782316524168),
     # The run_pd call perfbench's llm_pd workload times, at seed 31: the
     # benchmark itself only compares tokens and KV bytes, so this row is
     # what holds P:D's clock and metrics fixed.
     "llm_pd": (
-        "94ec5e975568393d46b8b790642a60448dd4965cf0ca1934ed2bd29afe273c62",
+        "0e5954c04d2a0accb17ddbb9290df21cc9e71bc480b0a7cc0678e6f40450ba8c",
         4262.0802379130155),
     "rack_redis_pool": (
-        "49f9ae7bb1c427fa690c051c5d36614bcca6146ef712bd7acf0fea2047198403",
+        "bc265f9e660c9e4911762f003909c191d4c75725467c420ee1b9346836e14b8e",
         1999.4197405216028),
     "kv_get_replicated": (
-        "787c19fa327006b0bf90fc26c5669a0a666e948bc987d45a902a82a2abbffc82",
+        "ca179a610aa0e77140625a5b1789da1b54ba4793b440502fe377dd79ae26415c",
         559.1403457391355),
     # The serve presets: admission shedding (flash_crowd), the token
     # bucket with TTFT/TPOT recording (llm_flash_crowd), hash routing
     # (hot_key_skew), least-outstanding routing around a laggard
     # (slow_tenant_isolation), and the default rack preset.
     "flash_crowd": (
-        "d49f7f3cfa60934426b8e40298e5bbd493c12440a1b0b32c8a54968895c6d686",
+        "6fc5765f3faa6bf31aee011d37ffcdb75eceab7726830b01dde10ac230fc0c73",
         6880.394209391396),
     "llm_flash_crowd": (
-        "d768da8599f589f4d841b01630882ee8c6a83442854802df46df51803ad2bb39",
+        "cd16d34cf99752a8fb09f5a182795f74596830879e1f3f2673e0352de3c53282",
         793.8481739130189),
     "hot_key_skew": (
-        "3c92e739e4c8956a1a93c5bc23b5e31d14e98e267ac55910f94fef19ab743056",
+        "4ccf1edabf49be7195606061bbee4cabea4ab523126579914df2cce0e590b558",
         11390.122527307478),
     "slow_tenant_isolation": (
-        "a60563e84be72b8c6d241305c20ae5a3f8e5b5a311e5014c2cdccfab8246d0ad",
+        "cff206dba0ccc50282091d673770a82f31aaef7f4eb1f8001cb116f8436806dd",
         7654.423551304407),
     "rack": (
-        "a97876ab7969806478a8a8538df5fbf9bdcabaa775c412896f071759b7d7f5d4",
+        "ae47dfdbfcf358238f6ec199f9189d2993fd21702c4286b13cf8bfe8f1eb6fdd",
         8014.499804521779),
 }
 
@@ -213,6 +225,17 @@ def test_golden_master(name):
 
 def test_every_trace_pin_is_a_golden_scenario():
     assert set(TRACE_DIGESTS) <= set(GOLDEN)
+
+
+def test_bench_perf_rows_match_golden():
+    """Every ``BENCH_perf.json`` row carries its scenario's pinned metrics
+    digest (as ``checksum``) and simulated clock; no simulation runs."""
+    path = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
+    rows = json.loads(path.read_text())["benchmarks"]
+    assert rows
+    for row in rows:
+        assert (row["checksum"], row["sim_us"]) == GOLDEN[row["name"]], \
+            row["name"]
 
 
 def test_digest_is_stable_within_process():

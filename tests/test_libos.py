@@ -27,7 +27,7 @@ class TestDdcApi:
         for i, va in enumerate(vas):
             libos.memory.write(va, bytes([i % 251]) * 64)
         libos.clock.advance(5000)
-        assert libos.metrics()["pages_evicted"] > 0
+        assert libos.metrics().value("reclaim.pages_evicted") > 0
         for i, va in enumerate(vas):
             assert libos.memory.read(va, 64) == bytes([i % 251]) * 64
 
@@ -35,8 +35,8 @@ class TestDdcApi:
         libos = make_libos()
         libos.ddc_malloc(100)
         metrics = libos.metrics()
-        assert metrics["heap_live_allocations"] == 1
-        assert metrics["heap_allocated_bytes"] == 100
+        assert metrics.extra["heap_live_allocations"] == 1
+        assert metrics.extra["heap_allocated_bytes"] == 100
 
 
 class TestBinaryCompat:
@@ -64,8 +64,8 @@ class TestBinaryCompat:
             "free": lambda va: pytest.fail("libc free leaked through"),
         })
         assert app_main(binary, libos.memory) == 0
-        assert libos.metrics()["patched_symbols"] == 2
-        assert libos.metrics()["heap_live_allocations"] == 0
+        assert libos.metrics().extra["patched_symbols"] == 2
+        assert libos.metrics().extra["heap_live_allocations"] == 0
 
     def test_hooking_through_facade(self):
         libos = make_libos()
@@ -89,7 +89,7 @@ class TestGuidesThroughFacade:
         libos.clock.advance(8000)
         for va in vas[1::2]:
             assert libos.memory.read(va, 128) == b"g" * 128
-        assert libos.system.kernel.counters.get("action_fetches") > 0
+        assert libos.system.kernel.registry.value("guide.action_fetches") > 0
 
     def test_attach_prefetch_guide(self):
         from repro.core.guides import GuideContext, PrefetchGuide

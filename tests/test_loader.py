@@ -81,6 +81,6 @@ class TestHooking:
         for i, va in enumerate(vas):
             system.memory.write(va, bytes([i % 251]) * 64)
         system.clock.advance(5000)
-        assert system.metrics()["pages_evicted"] > 0
+        assert system.metrics().value("reclaim.pages_evicted") > 0
         for i, va in enumerate(vas):
             assert system.memory.read(va, 64) == bytes([i % 251]) * 64

@@ -83,7 +83,7 @@ class TestRestore:
                                             remote_mem_bytes=32 * MIB))
         assert target.frames.used_frames == 0  # cold local cache
         target.memory.read(region.base, 8)
-        assert target.metrics()["major_faults"] >= 1  # warmup faulting
+        assert target.metrics().value("fault.major") >= 1  # warmup faulting
 
     def test_restore_to_different_local_size(self):
         source = make_system(local_mib=1)
@@ -132,9 +132,9 @@ class TestRestore:
                 f"shard {node.name} received no migrated pages"
 
         # Warmup is real demand paging on the new backend.
-        faults_before = target.metrics()["major_faults"]
+        faults_before = target.metrics().value("fault.major")
         assert target.memory.read(region.base, 64) == pattern(0)
-        assert target.metrics()["major_faults"] > faults_before
+        assert target.metrics().value("fault.major") > faults_before
 
         # Byte-exact contents across the whole image.
         for i in range(pages):
@@ -196,7 +196,7 @@ class TestRestore:
             else:
                 live[va] = pattern(i, 128)
         source.clock.advance(5000)  # evict via guided paging
-        assert source.kernel.counters.get("pages_evicted") > 0
+        assert source.kernel.registry.value("reclaim.pages_evicted") > 0
         image = checkpoint(source)
         target = restore(image, DilosConfig(local_mem_bytes=1 * MIB,
                                             remote_mem_bytes=32 * MIB))

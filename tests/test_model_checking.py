@@ -115,7 +115,7 @@ class PagingMachine(RuleBasedStateMachine):
 
     @invariant()
     def fault_path_never_reclaims(self):
-        assert self.system.kernel.counters.get("direct_reclaims") == 0
+        assert self.system.kernel.registry.value("reclaim.direct") == 0
 
     @invariant()
     def frames_never_exceed_pool(self):

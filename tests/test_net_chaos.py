@@ -68,7 +68,7 @@ def run_paging_workload(kind, plan, seed, steps=250):
     for page, payload in shadow.items():
         assert system.memory.read(region.base + page * PAGE_SIZE, 16) == \
             payload, f"{kind}: page {page} lost under {plan.spec()}"
-    return system.metrics().as_flat_dict()
+    return system.metrics().counters
 
 
 def assert_bounded_retries(metrics):
@@ -109,7 +109,7 @@ def test_aifm_preserves_objects_under_random_faults(plan, seed):
             ptr.prefetch()
         assert ptr.read() == bytes([i % 251]) * 2048, (
             f"object {i} corrupted under {plan.spec()}")
-    assert_bounded_retries(runtime.metrics().as_flat_dict())
+    assert_bounded_retries(runtime.metrics().counters)
 
 
 #: A fixed degraded wire (>= 1% drop plus corruption) that every kernel

@@ -1,13 +1,14 @@
 """Tests for the observability layer: registry, snapshot, tracer, export.
 
-Covers the unified-telemetry contract: canonical namespacing with legacy
-aliases, typed snapshots that still behave like the historical flat dicts,
-ring-buffered tracing with zero-overhead-when-disabled dispatch, exporter
-validity (JSONL and Chrome ``trace_event``), and the E-F6 regression —
-fault-handler span sums must agree with the Fig.-6 latency breakdown.
+Covers the unified-telemetry contract: canonical namespacing, typed
+snapshots read by canonical name, ring-buffered tracing with
+zero-overhead-when-disabled dispatch, exporter validity (JSONL and Chrome
+``trace_event``), and the E-F6 regression — fault-handler span sums must
+agree with the Fig.-6 latency breakdown.
 """
 
 import json
+from collections.abc import Mapping
 
 import pytest
 
@@ -94,13 +95,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.value("fault.wait_us")
 
-    def test_alias_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.alias("major_faults", "fault.major")
-        registry.alias("major_faults", "fault.major")  # idempotent
-        with pytest.raises(ValueError):
-            registry.alias("major_faults", "fault.minor")
-
     def test_reset_zeroes_counters_keeps_gauges(self):
         registry = MetricsRegistry()
         registry.add("fault.major", 9)
@@ -111,59 +105,37 @@ class TestRegistry:
         assert registry.value("net.bytes_read") == 123
         assert registry.histogram("fault.wait_us").count == 0
 
-    def test_snapshot_carries_aliases_and_raw_counters(self):
+    def test_snapshot_carries_counters_and_gauges(self):
         registry = MetricsRegistry()
-        registry.register_aliases({"major_faults": "fault.major",
-                                   "heap_used": "heap.bytes_used"})
         registry.add("fault.major", 5)
         registry.gauge("heap.bytes_used", fn=lambda: 4096)
         snap = registry.snapshot("toy", time_us=12.5)
         assert snap.system == "toy"
         assert snap.time_us == 12.5
-        assert snap.counters["fault.major"] == 5
-        assert snap.counters["heap.bytes_used"] == 4096
-        # Only Counter-backed aliases appear in raw_counters.
-        assert snap.raw_counters == {"major_faults": 5}
+        assert snap.counters == {"fault.major": 5, "heap.bytes_used": 4096}
 
 
 class TestSnapshotMapping:
     def make(self):
         registry = MetricsRegistry()
-        registry.register_aliases({"major_faults": "fault.major"})
         registry.add("fault.major", 3)
         return registry.snapshot("toy", 1.0)
-
-    def test_flat_dict_emits_both_spellings(self):
-        flat = self.make().as_flat_dict()
-        assert flat["fault.major"] == 3
-        assert flat["major_faults"] == 3
-        assert flat["counter.major_faults"] == 3
-        assert flat["system"] == "toy"
-
-    def test_mapping_protocol(self):
-        snap = self.make()
-        assert snap["fault.major"] == 3
-        assert "major_faults" in snap
-        assert snap.get("nope") is None
-        assert len(snap) == len(snap.as_flat_dict())
-        assert dict(snap.items())["major_faults"] == 3
-
-    def test_setitem_lands_in_extra_and_shadows(self):
-        snap = self.make()
-        snap["replay_us"] = 42.0
-        snap["fault.major"] = "shadowed"
-        assert snap.extra == {"replay_us": 42.0, "fault.major": "shadowed"}
-        assert snap["replay_us"] == 42.0
-        assert snap["fault.major"] == "shadowed"
-        assert snap.counters["fault.major"] == 3  # registry data untouched
 
     def test_typed_value_accessor(self):
         snap = self.make()
         assert snap.value("fault.major") == 3
         assert snap.value("fault.minor", default=-1) == -1
 
-    def test_metrics_snapshot_is_mapping(self):
-        assert isinstance(self.make(), MetricsSnapshot)
+    def test_metrics_snapshot_is_not_a_mapping(self):
+        # Values are read by canonical name through value()/counters;
+        # presentation values go in ``extra``, which the digest skips.
+        snap = self.make()
+        assert isinstance(snap, MetricsSnapshot)
+        assert not isinstance(snap, Mapping)
+        digest = snap.digest()
+        snap.extra["replay_us"] = 42.0
+        assert snap.digest() == digest
+        assert "extra" not in json.loads(snap.canonical_json())
 
 
 class TestTracer:
@@ -369,4 +341,4 @@ class TestTracedDilos:
                                          remote_mem_bytes=64 * MIB))
         SequentialWorkload(ws).run(system, mode="read")
         assert len(system.obs.tracer) == 0
-        assert system.metrics()["major_faults"] > 0
+        assert system.metrics().value("fault.major") > 0

@@ -11,13 +11,18 @@ from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.baselines.aifm import AifmConfig, AifmRuntime
 from repro.baselines.fastswap import FastswapConfig, FastswapSystem
 from repro.core import DilosConfig, DilosSystem
-from repro.obs import SHARED_KEYS, MetricsRegistry, MetricsSnapshot
+from repro.obs import (
+    SHARED_KEYS,
+    MetricsRegistry,
+    MetricsSnapshot,
+    Observability,
+)
 from repro.harness import make_system
 
 
-def exercised_dilos():
+def exercised_dilos(obs=None):
     system = DilosSystem(DilosConfig(local_mem_bytes=1 * MIB,
-                                     remote_mem_bytes=64 * MIB))
+                                     remote_mem_bytes=64 * MIB), obs=obs)
     region = system.mmap(4 * MIB)
     for i in range(region.size // PAGE_SIZE):
         system.memory.write(region.base + i * PAGE_SIZE, b"d")
@@ -25,9 +30,10 @@ def exercised_dilos():
     return system
 
 
-def exercised_fastswap():
+def exercised_fastswap(obs=None):
     system = FastswapSystem(FastswapConfig(local_mem_bytes=1 * MIB,
-                                           remote_mem_bytes=64 * MIB))
+                                           remote_mem_bytes=64 * MIB),
+                            obs=obs)
     region = system.mmap(4 * MIB)
     for i in range(region.size // PAGE_SIZE):
         system.memory.write(region.base + i * PAGE_SIZE, b"f")
@@ -35,9 +41,9 @@ def exercised_fastswap():
     return system
 
 
-def exercised_aifm():
+def exercised_aifm(obs=None):
     runtime = AifmRuntime(AifmConfig(local_heap_bytes=256 * KIB,
-                                     remote_mem_bytes=64 * MIB))
+                                     remote_mem_bytes=64 * MIB), obs=obs)
     ptrs = [runtime.allocate(16 * KIB, data=b"a" * 16) for _ in range(32)]
     for ptr in ptrs:
         ptr.read(0, 16)
@@ -63,46 +69,41 @@ class TestSharedKeyContract:
         assert isinstance(system.obs.registry, MetricsRegistry)
         assert system.metrics().counters["fault.major"] > 0
 
+    @staticmethod
+    def traced(build, event):
+        """Run ``build`` traced: its snapshot and the count of ``event``."""
+        obs = Observability.tracing()
+        snap = build(obs).metrics()
+        assert obs.tracer.dropped == 0
+        return snap, sum(r.name == event for r in obs.tracer.events())
+
     def test_major_fault_key_identical_across_kernels(self):
-        # The drift fix: one canonical spelling, three kernels — each
-        # kernel's historical name (major_faults, object_misses) aliases
-        # onto it.
+        # One canonical spelling, three kernels: a DiLOS or Fastswap
+        # major fault and an AIFM object miss each count once on
+        # fault.major, once per fault.major span the kernel traces.
         for build in ALL_KERNELS:
-            snap = build().metrics()
-            legacy_names = [legacy for legacy, canonical
-                            in snap.aliases.items()
-                            if canonical == "fault.major"]
-            assert legacy_names
-            for legacy in legacy_names:
-                assert snap[legacy] == snap.counters["fault.major"]
+            snap, spans = self.traced(build, "fault.major")
+            assert snap.counters["fault.major"] == spans > 0, build.__name__
 
     def test_prefetch_issued_unified(self):
-        # Fastswap's readahead_issued and DiLOS/AIFM's prefetches_issued
-        # all map onto prefetch.issued.
-        fs = exercised_fastswap().metrics()
-        assert fs["readahead_issued"] == fs.counters["prefetch.issued"]
-        assert fs["prefetches_issued"] == fs.counters["prefetch.issued"]
-        dl = exercised_dilos().metrics()
-        assert dl["prefetches_issued"] == dl.counters["prefetch.issued"]
+        # Fastswap readahead and DiLOS prefetches both count on
+        # prefetch.issued, once per traced prefetch.issue; no readahead
+        # counter exists beside it.
+        for build in (exercised_fastswap, exercised_dilos):
+            snap, issued = self.traced(build, "prefetch.issue")
+            assert snap.counters["prefetch.issued"] == issued > 0
+            assert not [key for key in snap.counters if "readahead" in key]
 
     def test_eviction_unified(self):
         # AIFM evacuation counts as reclaim.pages_evicted, like paging
-        # kernels' evictions; Fastswap frontswap writebacks land on
-        # reclaim.pages_cleaned.
+        # kernels' evictions: 512 KiB of objects through a 256 KiB heap
+        # evacuate at least 16 of them. Fastswap frontswap write-backs
+        # land on reclaim.pages_cleaned: 4 MiB of dirty pages through
+        # 1 MiB of local memory write back at least 768.
         aifm = exercised_aifm().metrics()
-        assert aifm["objects_evacuated"] == \
-            aifm.counters["reclaim.pages_evicted"]
+        assert aifm.counters["reclaim.pages_evicted"] >= 16
         fs = exercised_fastswap().metrics()
-        assert fs["writebacks"] == fs.counters["reclaim.pages_cleaned"]
-
-    def test_legacy_flat_values_match_canonical(self):
-        for build, name in zip(ALL_KERNELS, ["dilos", "fastswap", "aifm"]):
-            snap = build().metrics()
-            flat = snap.as_flat_dict()
-            for legacy, canonical in snap.aliases.items():
-                if canonical in snap.counters:
-                    assert flat[legacy] == snap.counters[canonical], \
-                        f"{name}: {legacy} != {canonical}"
+        assert fs.counters["reclaim.pages_cleaned"] >= 768
 
     def test_net_bytes_flow_on_all_kernels(self):
         for build in ALL_KERNELS:

@@ -52,7 +52,7 @@ class TestCleaner:
             system.memory.write(region.base + i * PAGE_SIZE, b"dirty")
         system.clock.advance(5000)
         # No memory pressure, yet the cleaner proactively wrote everything.
-        assert system.kernel.counters.get("pages_cleaned") == pages
+        assert system.kernel.registry.value("reclaim.pages_cleaned") == pages
         assert system.kernel.comm.stats.bytes_written > 0
 
     def test_cleaning_clears_dirty_bit(self):

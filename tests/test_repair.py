@@ -137,7 +137,7 @@ class TestReplicatedRejoin:
         nodes[0].fail()
         with pytest.raises(NodeFailedError):
             backend.read_bytes(0, 64)
-        assert backend.counters.get("stale_reads_avoided") > 0
+        assert backend.registry.value("cluster.stale_reads_avoided") > 0
 
     def test_reads_prefer_clean_replica_over_stale_one(self):
         nodes = make_nodes(2)
@@ -148,7 +148,7 @@ class TestReplicatedRejoin:
         nodes[0].recover()
         # The stale primary is up, but the read must come from the mirror.
         assert backend.read_bytes(0, 64) == b"B" * 64
-        assert backend.counters.get("stale_reads_avoided") == 1
+        assert backend.registry.value("cluster.stale_reads_avoided") == 1
 
     def test_rejoin_without_manager_resilvers_synchronously(self):
         nodes = make_nodes(2)
@@ -163,7 +163,7 @@ class TestReplicatedRejoin:
         nodes[0].fail()
         assert backend.read_bytes(0, 64) == b"B" * 64
         assert backend.read_bytes(PAGE_SIZE, 64) == b"C" * 64
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
 
     def test_background_resilver_is_paced_on_the_clock(self):
         nodes = make_nodes(2)
@@ -293,10 +293,10 @@ class TestParityRejoin:
         backend.write_bytes(0, b"A" * PAGE_SIZE)
         nodes[0].fail()
         backend.write_bytes(0, b"B" * PAGE_SIZE)  # degraded: parity only
-        assert backend.counters.get("degraded_writes") == 1
+        assert backend.registry.value("cluster.degraded_writes") == 1
         nodes[0].recover()  # bypasses rejoin() entirely
         assert backend.read_bytes(0, 64) == b"B" * 64
-        assert backend.counters.get("stale_reads_avoided") > 0
+        assert backend.registry.value("cluster.stale_reads_avoided") > 0
 
     def test_rejoin_then_second_failure_reads_correctly(self):
         nodes = make_nodes(3)
@@ -334,7 +334,7 @@ class TestParityRejoin:
         backend.write_bytes(0, b"A" * PAGE_SIZE)
         nodes[-1].fail()  # parity down
         backend.write_bytes(0, b"B" * PAGE_SIZE)
-        assert backend.counters.get("parity_writes_skipped") == 1
+        assert backend.registry.value("cluster.parity_writes_skipped") == 1
         assert backend.stale_slots == 1  # the parity row is stale
         assert backend.rejoin(nodes[-1]) is True
         assert backend.stale_slots == 0
@@ -368,7 +368,7 @@ class TestParityRejoin:
         # before the resilver ever reaches it.
         backend.write_bytes(0, b"C" * PAGE_SIZE)
         assert backend.stale_slots == 0
-        assert backend.counters.get("sync_writes") == 1
+        assert backend.registry.value("cluster.sync_writes") == 1
         nodes[1].fail()
         assert backend.read_bytes(0, 64) == b"C" * 64
 
@@ -475,7 +475,7 @@ class TestShardedRejoin:
         assert backend.degraded
         assert backend.rejoin(nodes[0]) is True
         assert not backend.degraded
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
         assert backend.read_bytes(0, 64) == b"A" * 64  # content survived
 
     def test_no_redundancy_means_no_resilver_and_no_scrub(self):
@@ -515,7 +515,7 @@ class TestRejoinIdempotency:
         assert backend.rejoin(nodes[1]) is False
         assert backend.rejoin(1) is False
         assert backend.syncing_members() == [1]
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
         assert manager._sync_started == started  # sync clock not reset
         clock.advance(400)
         assert backend.stale_slots == 0
@@ -524,7 +524,7 @@ class TestRejoinIdempotency:
         assert backend.registry.value("repair.bytes_resilvered") == \
             8 * PAGE_SIZE
         assert backend.registry.value("repair.nodes_promoted") == 1
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
         assert manager._sync_started == {}
 
     def test_rejoin_on_healthy_clean_member_is_a_noop(self):
@@ -532,7 +532,7 @@ class TestRejoinIdempotency:
         backend = ReplicatedMemory(nodes)
         backend.write_bytes(0, b"A" * PAGE_SIZE)
         assert backend.rejoin(nodes[1]) is True
-        assert backend.counters.get("rejoins") == 0
+        assert backend.registry.value("cluster.rejoins") == 0
 
     def test_double_rejoin_without_manager_retries_fallback_only(self):
         """No manager: the sync fallback can stall (no clean source);
@@ -547,10 +547,10 @@ class TestRejoinIdempotency:
         assert backend.rejoin(nodes[1]) is False  # stalled, still syncing
         assert backend.syncing_members() == [1]
         assert backend.rejoin(nodes[1]) is False  # idempotent retry
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
         nodes[0].recover()
         assert backend.rejoin(nodes[1]) is True  # retry now succeeds
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
         assert backend.stale_slots == 0
         nodes[0].fail()
         assert backend.read_bytes(0, 64) == b"B" * 64
@@ -619,21 +619,18 @@ class TestPrematurePromote:
 
 
 class TestMetricsAndWiring:
-    def test_counters_are_canonical_with_legacy_aliases(self):
+    def test_counters_are_canonical(self):
         nodes = make_nodes(2)
         backend = ReplicatedMemory(nodes)
         backend.write_bytes(0, b"A" * 64)
         nodes[1].fail()
         backend.write_bytes(0, b"B" * 64)
-        # The legacy surface and the canonical registry are one store.
-        assert backend.counters.get("writes_skipped_dead_replica") == 1
         assert backend.registry.value(
             "cluster.writes_skipped_dead_replica") == 1
         snap = backend.metrics()
         # Per-replica write-throughs: 2 while healthy + 1 degraded.
         assert snap.counters["cluster.replicated_writes"] == 3
-        flat = snap.as_flat_dict()
-        assert flat["writes_skipped_dead_replica"] == 1  # legacy spelling
+        assert snap.counters["cluster.writes_skipped_dead_replica"] == 1
         assert snap.counters["cluster.stale_slots"] == 1.0
         assert snap.counters["cluster.degraded"] == 1.0
 
@@ -755,14 +752,14 @@ class TestEndToEndAcceptance:
         nodes = make_nodes(2, capacity=4 * MIB)
         backend = ReplicatedMemory(nodes)
         self._run(backend, nodes, victim=nodes[1], second=nodes[0])
-        assert backend.counters.get("rejoins") == 1
+        assert backend.registry.value("cluster.rejoins") == 1
         assert backend.registry.value("repair.pages_resilvered") > 0
 
     def test_parity_full_lifecycle(self):
         nodes = make_nodes(4, capacity=2 * MIB)
         backend = ParityStripedMemory(nodes)
         self._run(backend, nodes, victim=nodes[0], second=nodes[1])
-        assert backend.counters.get("degraded_writes") > 0
+        assert backend.registry.value("cluster.degraded_writes") > 0
         assert backend.registry.value("repair.pages_resilvered") > 0
 
 

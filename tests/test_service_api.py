@@ -99,7 +99,7 @@ class TestConformance:
         assert stats.requests == 60
         assert stats.errors == 0
         assert stats.elapsed_us > 0
-        assert stats.metrics["fault.major"] >= 0
+        assert stats.metrics.value("fault.major") >= 0
 
 
 # -- the registry ------------------------------------------------------------

@@ -155,7 +155,7 @@ class TestBackendSmoke:
                 assert system.memory.read(region.base + i, 8) == b"%08d" % i
             # With 512 KiB local against a 2 MiB working set the smoke
             # run must actually exercise the backend's data path.
-            assert system.metrics()["major_faults"] > 0
+            assert system.metrics().value("fault.major") > 0
 
     def test_default_backend_unchanged(self):
         """`make_system` without a backend still boots the historical

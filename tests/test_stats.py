@@ -1,8 +1,8 @@
-"""Unit tests for counters, histograms, percentiles, breakdowns."""
+"""Unit tests for histograms, percentiles, breakdowns."""
 
 import pytest
 
-from repro.common.stats import Counter, Histogram, LatencyBreakdown, percentile
+from repro.common.stats import Histogram, LatencyBreakdown, percentile
 
 
 class TestPercentile:
@@ -28,30 +28,6 @@ class TestPercentile:
 
     def test_unsorted_input(self):
         assert percentile([5.0, 1.0, 3.0], 50) == 3.0
-
-
-class TestCounter:
-    def test_default_zero(self):
-        assert Counter().get("nothing") == 0
-
-    def test_add_and_get(self):
-        c = Counter()
-        c.add("faults")
-        c.add("faults", 4)
-        assert c.get("faults") == 5
-
-    def test_as_dict_isolated(self):
-        c = Counter()
-        c.add("x")
-        d = c.as_dict()
-        d["x"] = 99
-        assert c.get("x") == 1
-
-    def test_reset(self):
-        c = Counter()
-        c.add("x", 3)
-        c.reset()
-        assert c.get("x") == 0
 
 
 class TestHistogram:

@@ -11,8 +11,8 @@ and evictions), and must agree on:
 
 * every byte returned by every read,
 * the final contents of every page (resident or evicted),
-* fault counts, TLB hit/miss totals, byte counters, and the simulated
-  clock — exactly, not approximately.
+* fault counts, TLB hit/miss totals, and the simulated clock — exactly,
+  not approximately.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import Clock
-from repro.common.stats import Counter
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.mem import pte as pte_mod
 from repro.mem.frames import FramePool
@@ -46,7 +45,6 @@ class NaiveVirtualMemory:
         self._frames = frames
         self._copy_cost = copy_cost_per_byte
         self.tlb = Tlb()
-        self.counters = Counter()
         self._fault_handler = None
 
     def attach_kernel(self, handler):
@@ -95,7 +93,6 @@ class NaiveVirtualMemory:
             frame = self._translate(vpn, is_write=False)
             parts.append(bytes(self._frames.data(frame)[offset:offset + length]))
         self._clock.advance(size * self._copy_cost)
-        self.counters.add("bytes_read", size)
         return b"".join(parts) if len(parts) > 1 else parts[0]
 
     def write(self, va, data):
@@ -109,7 +106,6 @@ class NaiveVirtualMemory:
                 data[cursor:cursor + length]
             cursor += length
         self._clock.advance(size * self._copy_cost)
-        self.counters.add("bytes_written", size)
 
     def touch(self, va, size, is_write=False):
         if size <= 0:
@@ -244,7 +240,6 @@ def test_optimized_vm_matches_naive_reference(ops):
     assert fast_vm.tlb.hits == ref_vm.tlb.hits
     assert fast_vm.tlb.misses == ref_vm.tlb.misses
     assert list(fast_vm.tlb.entries) == list(ref_vm.tlb.entries)
-    assert fast_vm.counters.as_dict() == ref_vm.counters.as_dict()
     for vpn in range(N_PAGES):
         assert fast_pager.page_bytes(vpn) == ref_pager.page_bytes(vpn), (
             f"page {vpn} contents diverged")

@@ -96,14 +96,14 @@ class TestConcurrentFaulting:
             results.append(data)
 
         reads_before = system.kernel.comm.stats.ops_read
-        majors_before = system.kernel.counters.get("major_faults")
+        majors_before = system.kernel.registry.value("fault.major")
         Workers([worker(), worker()]).run(system)
         reads_after = system.kernel.comm.stats.ops_read
         assert results == [bytes([0] * 32)] * 2
         # The first worker's fault fetched the page once; the second
         # worker's access is a plain hit — one wire read total.
         assert reads_after - reads_before == 1
-        assert system.kernel.counters.get("major_faults") - majors_before == 1
+        assert system.kernel.registry.value("fault.major") - majors_before == 1
 
     def test_disjoint_streams_share_the_cache_fairly(self):
         system = make_system(local_mib=1, prefetcher="readahead")
@@ -124,7 +124,7 @@ class TestConcurrentFaulting:
         pool = Workers([scanner(0, half), scanner(half, pages)])
         pool.run(system)
         assert pool.ops_executed == 2 * pages
-        assert system.kernel.counters.get("direct_reclaims") == 0
+        assert system.kernel.registry.value("reclaim.direct") == 0
 
     def test_many_workers_on_hot_page_cheap(self):
         system = make_system(local_mib=1)
