@@ -46,7 +46,8 @@ def iter_modules():
         yield importlib.import_module(info.name)
 
 
-def main() -> int:
+def render() -> str:
+    """The text of ``docs/API.md``."""
     lines = [
         "# API reference",
         "",
@@ -75,8 +76,14 @@ def main() -> int:
             lines.append(f"- **`{kind} {name}{signature}`** — "
                          f"{first_paragraph(member) or '(undocumented)'}")
         lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    text = render()
     out = Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(text)
+    lines = text.splitlines()
     undocumented = sum(1 for line in lines if "(undocumented)" in line)
     print(f"wrote {out} ({len(lines)} lines, "
           f"{undocumented} undocumented members)")

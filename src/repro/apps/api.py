@@ -27,13 +27,15 @@ thin loops over ``Service.handle``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 try:  # Protocol is 3.8+; runtime_checkable keeps isinstance() working.
     from typing import Protocol, runtime_checkable
 except ImportError:  # pragma: no cover - not reachable on supported pythons
     from typing_extensions import Protocol, runtime_checkable  # type: ignore
+
+from repro.obs.snapshot import MetricsSnapshot
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ class ClosedLoopStats:
     requests: int
     errors: int
     elapsed_us: float
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    metrics: Optional[MetricsSnapshot] = None
 
 
 def run_closed_loop(service: Service, system: Any, requests: int,

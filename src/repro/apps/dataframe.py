@@ -21,13 +21,14 @@ from scratch at simulation scale:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.baselines.aifm import AifmRuntime, RemArray
 from repro.apps.views import PagedArray
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Elements per processed chunk (4 pages of float64).
 CHUNK = 2048
@@ -174,7 +175,7 @@ class TaxiResult:
     rows: int
     elapsed_us: float
     answers: Dict[str, float]
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class TaxiAnalyticsWorkload:

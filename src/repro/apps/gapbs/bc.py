@@ -11,12 +11,13 @@ the far-memory working set is dominated by the O(E) edge array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.apps.gapbs.graph import CsrGraph
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Charged compute per edge relaxed (depth check, sigma update).
 EDGE_CYCLES = 4.0
@@ -32,7 +33,7 @@ class BetweennessResult:
     sources: int
     elapsed_us: float
     top_vertex: int
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class BetweennessWorkload:

@@ -10,12 +10,13 @@ Access pattern: frontier-ordered random reads of adjacency slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.apps.gapbs.graph import CsrGraph
+from repro.obs.snapshot import MetricsSnapshot
 
 EDGE_CYCLES = 2.0
 THREADS = 4
@@ -30,7 +31,7 @@ class BfsResult:
     reached: int
     max_depth: int
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class BfsWorkload:

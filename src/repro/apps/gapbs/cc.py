@@ -10,12 +10,12 @@ sequential graph workload beside PageRank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.apps.gapbs.graph import CsrGraph
+from repro.obs.snapshot import MetricsSnapshot
 
 EDGE_CYCLES = 2.5
 THREADS = 4
@@ -29,7 +29,7 @@ class ComponentsResult:
     components: int
     iterations: int
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class ConnectedComponentsWorkload:

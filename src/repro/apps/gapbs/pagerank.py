@@ -10,12 +10,12 @@ exactly why Fastswap edges out DiLOS here when memory is plentiful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.apps.gapbs.graph import CsrGraph
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Charged compute per edge (load target, add contribution).
 EDGE_CYCLES = 3.0
@@ -31,7 +31,7 @@ class PageRankResult:
     iterations: int
     elapsed_us: float
     top_vertex: int
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class PageRankWorkload:

@@ -11,12 +11,12 @@ iteration, with distance arithmetic charged per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.apps.views import PagedArray
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Points per processed chunk (rows loaded per step).
 CHUNK_POINTS = 256
@@ -31,7 +31,7 @@ class KMeansResult:
     iterations: int
     inertia: float
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class KMeansWorkload:

@@ -14,9 +14,9 @@ The two inference phases stress the memory system in opposite ways:
 
 Everything the model "computes" is a pure function of token identities,
 so the decoded token stream and the final KV bytes are *exactly*
-reproducible across kernels (DiLOS/Fastswap/AIFM), local-memory ratios,
-scalar-vs-batch execution, and seeded net-fault plans — the paper's
-compatibility invariant, enforced by ``tests/test_llm_differential.py``:
+reproducible across kernels (DiLOS/Fastswap/AIFM), local-memory ratios
+and seeded net-fault plans — the paper's compatibility invariant,
+enforced by ``tests/test_llm_differential.py``:
 
 * a K/V entry for ``(token, pos, layer)`` is a BLAKE2b keystream;
 * the attention gather for step ``pos`` reads a seeded sample of past
@@ -53,7 +53,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.apps.api import Request, Response, SERVICES
 from repro.common.units import KIB, MIB
-from repro.mem import batch
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Model-recipe version, mixed into every derived byte/token so a future
 #: change to the recipe shows up as a digest change, never silently.
@@ -146,8 +146,8 @@ def kv_entry(token: int, pos: int, layer: int, half: int,
              nbytes: int) -> bytes:
     """The K (``half=0``) or V (``half=1``) entry bytes for a token.
 
-    A pure function of its coordinates — every kernel, batch mode and
-    fault plan must end up with these exact bytes in memory.
+    A pure function of its coordinates — every kernel and fault plan
+    must end up with these exact bytes in memory.
     """
     block = _blake(1, token, pos, layer, half)
     reps = -(-nbytes // len(block))
@@ -209,9 +209,7 @@ def combine_kv_digests(digests: Sequence[str]) -> str:
 # Both engines expose the same surface: write_prompt / append / gather /
 # kv_digest / free. The paged engine stores the cache layer-major in one
 # far-memory region; the AIFM engine stores it in a RemArray with the
-# same index math. Scalar and batch execution issue the *same* (va,
-# data/size) element lists, so the batch engine's exactness contract
-# carries over untouched.
+# same index math.
 
 
 class KvCache:
@@ -311,22 +309,11 @@ class KvCache:
     def free(self) -> None:
         self.system.munmap(self.region)
 
-    # Scalar and batch paths issue identical element lists; only the
-    # execution engine differs (repro.mem.batch's exactness contract).
-
     def _write(self, vas: List[int], datas: List[bytes]) -> None:
-        memory = self.system.memory
-        if batch.ENABLED:
-            memory.write_batch(vas, datas)
-        else:
-            for va, data in zip(vas, datas):
-                memory.write(va, data)
+        self.system.memory.write_batch(vas, datas)
 
     def _read(self, vas: List[int], sizes: List[int]) -> List[bytes]:
-        memory = self.system.memory
-        if batch.ENABLED:
-            return memory.read_batch(vas, sizes)
-        return [memory.read(va, size) for va, size in zip(vas, sizes)]
+        return self.system.memory.read_batch(vas, sizes)
 
 
 class AifmKvCache:
@@ -408,17 +395,10 @@ class AifmKvCache:
         self.array.free()
 
     def _set(self, indices: List[int], items: List[bytes]) -> None:
-        if batch.ENABLED:
-            self.array.set_batch(indices, items)
-        else:
-            for index, item in zip(indices, items):
-                self.array.set(index, item)
+        for index, item in zip(indices, items):
+            self.array.set(index, item)
 
     def _get(self, indices: List[int]) -> List[bytes]:
-        if not indices:
-            return []
-        if batch.ENABLED:
-            return self.array.get_batch(indices)
         return [self.array.get(index) for index in indices]
 
 
@@ -579,7 +559,7 @@ class LlmResult:
     ttft_us: List[float] = field(default_factory=list)
     tpot_us: List[float] = field(default_factory=list)
     outputs: List[List[int]] = field(default_factory=list)
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    metrics: Optional[MetricsSnapshot] = None
 
 
 class LlmWorkload:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Callable, Dict, List
 
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core.api import BaseSystem
+from repro.obs.snapshot import MetricsSnapshot
 
 
 def sequential(pages: int, rng: random.Random) -> List[int]:
@@ -69,7 +70,7 @@ class PatternResult:
     pattern: str
     accesses: int
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
     @property
     def us_per_access(self) -> float:

@@ -12,13 +12,14 @@ Figure 7(a) sweeps across local-memory ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.apps.views import PagedArray
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Segments at or below this many elements are loaded and sorted in memory.
 SMALL_SEGMENT = 2048
@@ -34,7 +35,7 @@ SORT_CYCLES = 4.0
 class QuicksortResult:
     count: int
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class QuicksortWorkload:
@@ -89,7 +90,7 @@ class QuicksortWorkload:
                 segment = arr.load(lo, hi)
                 segment.sort()
                 arr.store(lo, segment)
-                system.cpu_cycles(n * max(1.0, np.log2(n)) * SORT_CYCLES)
+                system.cpu_cycles(n * max(1.0, math.log2(n)) * SORT_CYCLES)
                 continue
             lt, gt = self._partition(system, arr, scratch, lo, hi)
             # Recurse smaller side last so the stack stays shallow.

@@ -16,13 +16,14 @@ open-loop experiments drive the ``redis`` service through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.common.stats import Histogram
 from repro.apps.api import Request
 from repro.apps.redis.server import RedisServer
 from repro.apps.redis.service import RedisService
+from repro.obs.snapshot import MetricsSnapshot
 
 #: The Facebook photo-serving mix (§6.2): six equally distributed sizes.
 PHOTO_MIX_SIZES = (4096, 8192, 16384, 32768, 65536, 131072)
@@ -44,7 +45,7 @@ class RequestStats:
     queries: int
     elapsed_us: float
     latencies: Histogram
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    metrics: Optional[MetricsSnapshot] = None
 
     @property
     def requests_per_second(self) -> float:

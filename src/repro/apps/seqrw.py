@@ -9,11 +9,10 @@ breakdown).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core.api import BaseSystem
-from repro.mem import batch
+from repro.obs.snapshot import MetricsSnapshot
 
 
 @dataclass
@@ -23,7 +22,7 @@ class SeqResult:
     mode: str
     bytes_moved: int
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
     @property
     def gb_per_s(self) -> float:
@@ -50,52 +49,27 @@ class SequentialWorkload:
     def populate(self, system: BaseSystem):
         region = system.mmap(self.working_set_bytes, name="seqrw")
         pages = self.working_set_bytes // PAGE_SIZE
-        if batch.ENABLED:
-            system.memory.write_batch(
-                [region.base + i * PAGE_SIZE for i in range(pages)],
-                [self._pattern(i) for i in range(pages)])
-            return region
         for i in range(pages):
             system.memory.write(region.base + i * PAGE_SIZE, self._pattern(i))
         return region
 
     def run(self, system: BaseSystem, mode: str = "read",
             verify: bool = False) -> SeqResult:
-        """One full pass; ``mode`` is ``read`` or ``write``.
-
-        The pass is emitted as one access trace through the batch engine
-        (per-page elements, so clock charges and timer firings match the
-        scalar loop exactly); ``batch.force(False)`` restores the scalar
-        loop.
-        """
+        """One full pass; ``mode`` is ``read`` or ``write``."""
         if mode not in ("read", "write"):
             raise ValueError(f"unknown mode {mode!r}")
         region = self.populate(system)
         pages = self.working_set_bytes // PAGE_SIZE
         start = system.clock.now
-        if batch.ENABLED:
+        fill = b"\xC5" * PAGE_SIZE
+        for i in range(pages):
+            va = region.base + i * PAGE_SIZE
             if mode == "read":
-                ops = [("r", region.base + i * PAGE_SIZE, PAGE_SIZE)
-                       for i in range(pages)]
-                results = system.memory.apply_trace(ops)
-                if verify:
-                    for i, data in enumerate(results):
-                        if data[:32] != self._pattern(i):
-                            raise AssertionError(f"page {i} corrupted")
+                data = system.memory.read(va, PAGE_SIZE)
+                if verify and data[:32] != self._pattern(i):
+                    raise AssertionError(f"page {i} corrupted")
             else:
-                fill = b"\xC5" * PAGE_SIZE
-                system.memory.apply_trace(
-                    [("w", region.base + i * PAGE_SIZE, fill)
-                     for i in range(pages)])
-        else:
-            for i in range(pages):
-                va = region.base + i * PAGE_SIZE
-                if mode == "read":
-                    data = system.memory.read(va, PAGE_SIZE)
-                    if verify and data[:32] != self._pattern(i):
-                        raise AssertionError(f"page {i} corrupted")
-                else:
-                    system.memory.write(va, b"\xC5" * PAGE_SIZE)
+                system.memory.write(va, fill)
         elapsed = system.clock.now - start
         return SeqResult(mode=mode, bytes_moved=pages * PAGE_SIZE,
                          elapsed_us=elapsed, metrics=system.metrics())

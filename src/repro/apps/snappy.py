@@ -20,13 +20,14 @@ Both the paging version (unmodified POSIX-ish code) and the AIFM port
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.core.api import BaseSystem
 from repro.baselines.aifm import AifmRuntime, RemArray
 from repro.apps.views import PagedBytes
+from repro.obs.snapshot import MetricsSnapshot
 
 #: Streaming block size (16 pages).
 BLOCK = 64 * 1024
@@ -120,7 +121,7 @@ class SnappyResult:
     input_bytes: int
     output_bytes: int
     elapsed_us: float
-    metrics: Dict[str, Any]
+    metrics: MetricsSnapshot
 
 
 class SnappyWorkload:

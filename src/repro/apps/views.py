@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.common.units import PAGE_SIZE
 from repro.core.api import BaseSystem
-from repro.mem import batch
 from repro.mem.addrspace import Region
 
 
@@ -44,19 +43,10 @@ class PagedArray:
     # -- bulk access ---------------------------------------------------------
 
     def load(self, start: int, stop: int) -> np.ndarray:
-        """Read elements ``[start, stop)`` through the paging path.
-
-        With the batch engine on, each page is copied straight into the
-        result array as it is translated; accounting is identical to the
-        scalar ``memory.read`` path below.
-        """
+        """Read elements ``[start, stop)`` through the paging path."""
         self._check(start, stop)
-        va = self.base + start * self.itemsize
-        if batch.ENABLED:
-            out = np.empty(stop - start, dtype=self.dtype)
-            self.system.memory.read_into(va, out.view(np.uint8))
-            return out
-        raw = self.system.memory.read(va, (stop - start) * self.itemsize)
+        raw = self.system.memory.read(self.base + start * self.itemsize,
+                                      (stop - start) * self.itemsize)
         return np.frombuffer(raw, dtype=self.dtype).copy()
 
     def store(self, start: int, values: np.ndarray) -> None:
@@ -109,9 +99,6 @@ class PagedBytes:
     def read(self, offset: int, size: int) -> bytes:
         if not 0 <= offset <= offset + size <= self.nbytes:
             raise IndexError("read outside buffer")
-        if batch.ENABLED and size:
-            return self.system.memory.read_batch(
-                [self.base + offset], [size])[0]
         return self.system.memory.read(self.base + offset, size)
 
     def write(self, offset: int, data: bytes) -> None:

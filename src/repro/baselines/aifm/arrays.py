@@ -58,31 +58,6 @@ class RemArray:
         ci, offset = self._locate(index)
         self._chunks[ci].write(data, offset)
 
-    def get_batch(self, indices) -> List[bytes]:
-        """Batched element reads via the runtime's batch dereference API;
-        item ``i`` pays exactly the accounting of ``get(indices[i])``."""
-        oids, offsets = [], []
-        for index in indices:
-            ci, offset = self._locate(index)
-            oids.append(self._chunks[ci]._oid)
-            offsets.append(offset)
-        return self._runtime.deref_read_batch(
-            oids, offsets, [self.item_size] * len(oids))
-
-    def set_batch(self, indices, items) -> None:
-        """Batched element writes; item ``i`` pays exactly the accounting
-        of ``set(indices[i], items[i])``."""
-        if len(indices) != len(items):
-            raise ValueError("indices and items must have equal length")
-        oids, offsets = [], []
-        for index, data in zip(indices, items):
-            if len(data) != self.item_size:
-                raise ValueError("item size mismatch")
-            ci, offset = self._locate(index)
-            oids.append(self._chunks[ci]._oid)
-            offsets.append(offset)
-        self._runtime.deref_write_batch(oids, list(items), offsets)
-
     # -- bulk chunk access (one deref per chunk) ------------------------------
 
     def read_chunk(self, ci: int) -> bytes:

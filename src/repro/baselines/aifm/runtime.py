@@ -219,82 +219,6 @@ class AifmRuntime:
         obj.dirty = True
         self.clock.advance(len(data) * self.model.cpu_copy_per_byte)
 
-    # -- batched dereferencing ---------------------------------------------
-
-    def deref_read_batch(self, oids, offsets=None, sizes=None):
-        """Batched dereferences: element ``i`` behaves exactly like
-        ``deref_read(oids[i], offsets[i], sizes[i])`` — one presence-check
-        charge, one ``deref.total`` count, one LRU refresh and one
-        copy-cost charge per element, in order. Runs of already-local
-        objects take a flattened loop (no per-element call stack); any
-        remote or in-flight object falls back to the scalar resolve path
-        mid-run. Returns a list of bytes."""
-        n = len(oids)
-        offs = [0] * n if offsets is None else offsets
-        szs = [None] * n if sizes is None else sizes
-        if len(offs) != n or len(szs) != n:
-            raise ValueError("oids/offsets/sizes must have equal length")
-        clock = self.clock
-        check = self.model.aifm_deref_check
-        copy = self.model.cpu_copy_per_byte
-        objects_get = self._objects.get
-        lru = self._lru
-        move = lru.move_to_end
-        add = self.registry.add
-        results = []
-        for i in range(n):
-            oid = oids[i]
-            obj = objects_get(oid)
-            if (obj is not None and obj.local is not None
-                    and obj.inflight is None):
-                clock.advance(check)
-                add("deref.total")
-                lru[oid] = None
-                move(oid)
-            else:
-                obj = self._resolve(oid)
-            offset = offs[i]
-            end = obj.size if szs[i] is None else offset + szs[i]
-            if offset < 0 or end > obj.size:
-                raise ValueError("dereference outside object bounds")
-            data = bytes(obj.local[offset:end])
-            clock.advance(len(data) * copy)
-            results.append(data)
-        return results
-
-    def deref_write_batch(self, oids, datas, offsets=None) -> None:
-        """Batched writing dereferences; element ``i`` behaves exactly
-        like ``deref_write(oids[i], datas[i], offsets[i])``."""
-        n = len(oids)
-        offs = [0] * n if offsets is None else offsets
-        if len(datas) != n or len(offs) != n:
-            raise ValueError("oids/datas/offsets must have equal length")
-        clock = self.clock
-        check = self.model.aifm_deref_check
-        copy = self.model.cpu_copy_per_byte
-        objects_get = self._objects.get
-        lru = self._lru
-        move = lru.move_to_end
-        add = self.registry.add
-        for i in range(n):
-            oid = oids[i]
-            obj = objects_get(oid)
-            if (obj is not None and obj.local is not None
-                    and obj.inflight is None):
-                clock.advance(check)
-                add("deref.total")
-                lru[oid] = None
-                move(oid)
-            else:
-                obj = self._resolve(oid)
-            data = datas[i]
-            offset = offs[i]
-            if offset < 0 or offset + len(data) > obj.size:
-                raise ValueError("dereference outside object bounds")
-            obj.local[offset:offset + len(data)] = data
-            obj.dirty = True
-            clock.advance(len(data) * copy)
-
     def _fetch(self, obj: _Object) -> None:
         """Demand-fetch a remote object (synchronous, user-level)."""
         assert obj.inflight is None, "in-flight objects are local-reserved"

@@ -118,6 +118,7 @@ CASES: List[PerfCase] = [
 
 
 def case_by_name(name: str) -> PerfCase:
+    """The registered perf case called ``name`` (``KeyError`` if none)."""
     for case in CASES:
         if case.name == name:
             return case
@@ -151,6 +152,7 @@ def run_case(case: PerfCase, iterations: int = 3) -> PerfResult:
 
 
 def load_baseline(path: Path) -> Dict[str, Any]:
+    """Read a wall-time baseline file; an empty one if ``path`` is absent."""
     if not path.exists():
         return {"schema": BASELINE_SCHEMA, "pre_pr": {}, "reference": {},
                 "tolerance": DEFAULT_TOLERANCE}
@@ -200,6 +202,7 @@ def _run_case_cell(cell) -> PerfResult:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """``repro perf``: run the suite, write the report, gate on regression."""
     parser = argparse.ArgumentParser(
         prog="repro perf",
         description="Run the wall-clock perf suite; write BENCH_perf.json "

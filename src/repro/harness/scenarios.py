@@ -65,9 +65,6 @@ class Scenario:
     description: str
     builder: Callable[..., Run]
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: Force the vectorized batch engine on or off for the whole run
-    #: (``None`` keeps the process default).
-    batch: Optional[bool] = None
     #: The CLI subcommand that offers this scenario as a preset.
     command: Optional[str] = None
     #: ``(label, ServeSpec overrides)`` of the naive run a serve preset
@@ -88,11 +85,7 @@ class Scenario:
                       if value is not None)
         if naive:
             params["contrast"] = self.contrast[1]
-        if self.batch is None:
-            return self.builder(**params)
-        from repro.mem import batch
-        with batch.force(self.batch):
-            return self.builder(**params)
+        return self.builder(**params)
 
 
 # -- tenant workload factories ----------------------------------------------
@@ -627,8 +620,7 @@ SCENARIOS: Dict[str, Scenario] = {
         repair_demo),
     # -- golden and perf cases, one workload family at a time. The
     # "_small" golden cases are smaller than the perf cases they share a
-    # builder with; their "_batch" twins force the vectorized engine on
-    # and are pinned to the same values (batch == scalar).
+    # builder with.
     "seqread_dilos": Scenario(
         "DiLOS resident 4 MiB sequential read (TLB-hit fast path)",
         seqrw, dict(kind=_DILOS, mib=4, ratio=1.0), perf=True),
@@ -663,11 +655,8 @@ SCENARIOS: Dict[str, Scenario] = {
         "Fastswap Redis GET, Facebook mixed value sizes",
         redis_get, dict(_REDIS_MIXED, kind="fastswap"), perf=True),
     "redis_get_dilos_small": Scenario(
-        "DiLOS Redis GET, 4 KiB values, scalar engine",
-        redis_get, dict(_REDIS_SMALL, kind=_DILOS), batch=False),
-    "redis_get_dilos_batch": Scenario(
-        "DiLOS Redis GET, 4 KiB values, batch engine",
-        redis_get, dict(_REDIS_SMALL, kind=_DILOS), batch=True),
+        "DiLOS Redis GET, 4 KiB values",
+        redis_get, dict(_REDIS_SMALL, kind=_DILOS)),
     "redis_get_fastswap_small": Scenario(
         "Fastswap Redis GET, 4 KiB values",
         redis_get, dict(_REDIS_SMALL, kind="fastswap")),
@@ -676,28 +665,19 @@ SCENARIOS: Dict[str, Scenario] = {
         kmeans, dict(n_points=1 << 14, clusters=10, iterations=4, ratio=0.5),
         perf=True),
     "kmeans_dilos_small": Scenario(
-        "DiLOS k-means over 2K points at 25% local, scalar engine",
-        kmeans, _KMEANS_SMALL, batch=False),
-    "kmeans_dilos_batch": Scenario(
-        "DiLOS k-means over 2K points at 25% local, batch engine",
-        kmeans, _KMEANS_SMALL, batch=True),
+        "DiLOS k-means over 2K points at 25% local",
+        kmeans, _KMEANS_SMALL),
     "dataframe_dilos": Scenario(
         "DiLOS taxi analytics over 64K far-memory rows at 50% local",
         dataframe, dict(rows=1 << 16, ratio=0.5), perf=True),
     "dataframe_dilos_small": Scenario(
-        "DiLOS taxi analytics over 8K rows at 25% local, scalar engine",
-        dataframe, _DATAFRAME_SMALL, batch=False),
-    "dataframe_dilos_batch": Scenario(
-        "DiLOS taxi analytics over 8K rows at 25% local, batch engine",
-        dataframe, _DATAFRAME_SMALL, batch=True),
+        "DiLOS taxi analytics over 8K rows at 25% local",
+        dataframe, _DATAFRAME_SMALL),
     # LLM inference: prefill writes + windowed random decode gathers over
     # the paged KV cache (see repro/apps/llm.py).
     "llm_dilos": Scenario(
-        "DiLOS LLM inference, 4 requests at 25% local, scalar engine",
-        llm, dict(_LLM_SMALL, kind=_DILOS), batch=False),
-    "llm_dilos_batch": Scenario(
-        "DiLOS LLM inference, 4 requests at 25% local, batch engine",
-        llm, dict(_LLM_SMALL, kind=_DILOS), batch=True),
+        "DiLOS LLM inference, 4 requests at 25% local",
+        llm, dict(_LLM_SMALL, kind=_DILOS)),
     "llm_dilos_sharded": Scenario(
         "DiLOS LLM inference over a healthy sharded:2 backend",
         llm, dict(_LLM_SMALL, kind=_DILOS, backend="sharded:2")),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.api import BaseSystem
 
@@ -95,11 +95,11 @@ class Trace:
 class RecordingMemory:
     """A proxy over :class:`VirtualMemory` that logs every access.
 
-    ``read``, ``write``, ``touch`` and ``read_into`` log one event per
-    call. The batch calls (``read_batch``, ``write_batch``,
-    ``apply_trace``) issue one recorded ``read``/``write`` per element:
-    the batch engine's contract makes that the same simulation, so a
-    trace does not depend on whether the engine is on.
+    ``read``, ``write`` and ``touch`` log one event per call. The batch
+    calls (``read_batch``, ``write_batch``) issue one recorded
+    ``read``/``write`` per element: the VM's batch contract makes that the
+    same simulation, so a trace does not depend on how the accesses were
+    grouped.
     """
 
     def __init__(self, system: BaseSystem) -> None:
@@ -124,14 +124,9 @@ class RecordingMemory:
         self._inner.write(va, data)
         self._last_time = self._clock.now
 
-    def read_into(self, va: int, out) -> None:
-        self._log("read", va, memoryview(out).nbytes)
-        self._inner.read_into(va, out)
-        self._last_time = self._clock.now
-
-    def touch(self, va: int, size: int, is_write: bool = False) -> None:
+    def touch(self, va: int, size: int) -> None:
         self._log("touch", va, size)
-        self._inner.touch(va, size, is_write)
+        self._inner.touch(va, size)
         self._last_time = self._clock.now
 
     def read_batch(self, vas: Sequence[int],
@@ -146,18 +141,6 @@ class RecordingMemory:
             raise ValueError("vas and datas must have equal length")
         for va, data in zip(vas, datas):
             self.write(va, data)
-
-    def apply_trace(self, ops: Iterable[Tuple]) -> List[Optional[bytes]]:
-        results: List[Optional[bytes]] = []
-        for kind, va, arg in ops:
-            if kind == "r":
-                results.append(self.read(va, arg))
-            elif kind == "w":
-                self.write(va, arg)
-                results.append(None)
-            else:
-                raise ValueError(f"unknown trace op {kind!r}")
-        return results
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

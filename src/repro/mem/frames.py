@@ -6,9 +6,9 @@ a wrong counter.
 
 All frames live in **one contiguous buffer**; each frame is exposed as a
 ``memoryview`` slice (supporting the same reads, slice-assignments and
-``bytes()`` conversions a per-frame ``bytearray`` did). The MMU and the
-batch execution engine (:mod:`repro.mem.batch`) copy page bytes through
-these slices directly.
+``bytes()`` conversions a per-frame ``bytearray`` did). The MMU
+(:class:`~repro.mem.vm.VirtualMemory`) copies page bytes through these
+slices directly.
 """
 
 from __future__ import annotations

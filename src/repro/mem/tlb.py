@@ -48,23 +48,21 @@ class Tlb:
         self.hits += 1
         return entry
 
-    def lookup_run(self, vpn: int, count: int, is_write: bool = False) -> int:
-        """Coalesced lookup: the length of the pure-hit run at ``vpn``.
+    def lookup_run(self, vpn: int, count: int) -> int:
+        """Coalesced lookup: the length of the hit run at ``vpn``.
 
         Walks up to ``count`` consecutive pages, counting a hit and
-        refreshing LRU position for each pure hit — identical accounting
-        to ``count`` individual :meth:`lookup` calls. Stops at the first
-        page that is absent or (for writes) not yet writable-and-dirty;
-        that page is *not* counted here — the caller's slow path performs
-        the one real lookup for it, so totals match the per-page path.
+        refreshing LRU position for each — identical accounting to
+        ``count`` individual :meth:`lookup` calls. Stops at the first
+        absent page; that page is *not* counted here — the caller's slow
+        path performs the one real lookup for it, so totals match the
+        per-page path.
         """
         entries = self.entries
-        get = entries.get
         move = entries.move_to_end
         n = 0
         for v in range(vpn, vpn + count):
-            entry = get(v)
-            if entry is None or (is_write and not (entry[1] and entry[2])):
+            if v not in entries:
                 break
             move(v)
             n += 1

@@ -20,6 +20,25 @@ protection checks through ``_translate`` — and the clock is still charged
 exactly once per call, after the loop. ``tests/test_golden_master.py`` and
 the Hypothesis differential suite pin this equivalence.
 
+``read_batch`` and ``write_batch`` run a list of loads, or of stores, in
+one loop. A sub-page element (one inside a single page, such as a
+128-byte KV entry) gets ``read``/``write``'s one-page step inline; any
+other element (one that crosses a page, or an empty one) is one scalar
+call. Element ``i`` of a batch is, to the simulation, the scalar call it
+stands for (``tests/test_batch_differential.py`` and the golden masters
+pin this against scalar loops):
+
+* **Identical accounting.** Per page: one TLB hit count and one LRU
+  refresh, in access order. Per element: one clock charge of
+  ``size * cpu_copy_per_byte`` *after* the element's pages. Timers
+  therefore fire at the same simulated instants, in the same states, as
+  under per-element scalar calls.
+* **Copy at translation.** A page's bytes move before the next page is
+  translated: a later fault may evict and reuse an earlier page's frame,
+  so data movement never outlives the translation that produced it.
+* **No new metrics.** A batch run and the equivalent scalar run produce
+  byte-identical metrics snapshots.
+
 The VM keeps no counters of its own. TLB hits and misses live on
 :class:`~repro.mem.tlb.Tlb`, where the kernels' ``tlb.*`` gauges read
 them; fault and network counters live in the kernel's
@@ -28,12 +47,11 @@ them; fault and network counters live in the kernel's
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List, Optional, Sequence
 
 from repro.common.clock import Clock
 from repro.common.errors import FaultError, ProtectionError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
-from repro.mem import batch
 from repro.mem import pte as pte_mod
 from repro.mem.frames import FramePool
 from repro.mem.page_table import PageTable
@@ -204,18 +222,8 @@ class VirtualMemory:
         tlb.hits += hits
         self._clock.advance(size * self._copy_cost)
 
-    # -- batch access (repro.mem.batch) ---------------------------------------
-    #
-    # The engine's functions, as methods: element ``i`` of a batch
-    # behaves exactly like the scalar ``read``/``write`` call it stands
-    # for, and ``read_into`` like one whole-run ``read``.
-    read_into = batch.read_span_into
-    read_batch = batch.read_batch
-    write_batch = batch.write_batch
-    apply_trace = batch.apply_trace
-
-    def touch(self, va: int, size: int, is_write: bool = False) -> None:
-        """Fault in (and mark accessed/dirty) every page of a range without
+    def touch(self, va: int, size: int) -> None:
+        """Fault in (and mark accessed) every page of a range without
         moving bytes — used by workloads whose computation is modeled by an
         explicit CPU charge rather than byte-by-byte copies."""
         if size <= 0:
@@ -225,21 +233,65 @@ class VirtualMemory:
         tlb = self.tlb
         translate = self._translate
         while vpn <= last:
-            vpn += tlb.lookup_run(vpn, last - vpn + 1, is_write)
+            vpn += tlb.lookup_run(vpn, last - vpn + 1)
             if vpn <= last:
-                translate(vpn, is_write)
+                translate(vpn, False)
                 vpn += 1
 
-    # -- typed helpers ----------------------------------------------------
+    # -- batch access ---------------------------------------------------------
 
-    def read_u64(self, va: int) -> int:
-        return int.from_bytes(self.read(va, 8), "little")
+    def read_batch(self, vas: Sequence[int],
+                   sizes: Sequence[int]) -> List[bytes]:
+        """Batched loads: ``[self.read(va, size) for ...]``, in order."""
+        if len(vas) != len(sizes):
+            raise ValueError("vas and sizes must have equal length")
+        return self._batch(vas, sizes, False)
 
-    def write_u64(self, va: int, value: int) -> None:
-        self.write(va, (value & (2 ** 64 - 1)).to_bytes(8, "little"))
+    def write_batch(self, vas: Sequence[int], datas: Sequence[bytes]) -> None:
+        """Batched stores: ``[self.write(va, data) for ...]``, in order."""
+        if len(vas) != len(datas):
+            raise ValueError("vas and datas must have equal length")
+        self._batch(vas, datas, True)
 
-    def read_u32(self, va: int) -> int:
-        return int.from_bytes(self.read(va, 4), "little")
-
-    def write_u32(self, va: int, value: int) -> None:
-        self.write(va, (value & (2 ** 32 - 1)).to_bytes(4, "little"))
+    def _batch(self, vas: Sequence[int], args: Sequence,
+               is_write: bool) -> list:
+        """The loop behind both batch calls; ``args`` are read sizes or
+        write payloads (see the module doc for the contract)."""
+        advance = self._clock.advance
+        tlb = self.tlb
+        tlb_get = tlb.entries.get
+        tlb_move = tlb.entries.move_to_end
+        frame_bufs = self._frames._data
+        translate = self._translate
+        copy_cost = self._copy_cost
+        # One result slot per element; a write's slot is None.
+        results: List[Optional[bytes]] = []
+        append = results.append
+        for va, arg in zip(vas, args):
+            size = len(arg) if is_write else arg
+            offset = va & _PAGE_MASK
+            end = offset + size
+            if size <= 0 or end > PAGE_SIZE:
+                # Empty, negative or page-crossing: one scalar call.
+                append(self.write(va, arg) if is_write
+                       else self.read(va, size))
+                continue
+            # A sub-page element: the scalar call's one-page step, in its
+            # order (hit or translate, bytes, clock charge).
+            vpn = va >> PAGE_SHIFT
+            entry = tlb_get(vpn)
+            if entry is not None and (not is_write or entry[1] and entry[2]):
+                tlb_move(vpn)
+                tlb.hits += 1
+                frame = entry[0]
+            else:
+                frame = translate(vpn, is_write)
+            if is_write:
+                frame_bufs[frame][offset:end] = arg
+                advance(size * copy_cost)
+                append(None)
+            else:
+                data = bytes(frame_bufs[frame][offset:end])
+                advance(size * copy_cost)
+                append(data)
+        return results

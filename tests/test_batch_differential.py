@@ -1,26 +1,25 @@
-"""Differential suite: batch execution vs scalar, byte-exact.
+"""Differential suite: batch calls vs scalar loops, byte-exact.
 
-The batch engine (:mod:`repro.mem.batch`) promises that running a batch
-in one shared loop, and moving a run straight into a caller's buffer,
-changes *nothing observable in the simulation*: every byte returned,
-the simulated clock, the TLB's counts and LRU order, and the canonical
-metrics digest must all match the scalar per-page loops exactly. This
-suite checks that promise three ways:
+``VirtualMemory.read_batch``/``write_batch`` promise that running a batch
+in one shared loop changes *nothing observable in the simulation*: every
+byte returned, the simulated clock, the TLB's counts and LRU order, and
+the canonical metrics digest must all match the scalar per-element
+``read``/``write`` loops exactly. This suite checks that promise four
+ways:
 
 * a Hypothesis property over twin ``VirtualMemory`` stacks (tiny TLB,
   tiny frame pool, a FIFO-evicting pager) driving one through the batch
-  APIs (``read_batch``/``write_batch``/``apply_trace``/``read_into``,
-  the last with numpy and ``bytearray`` buffers) and through
-  ``vm.write`` of buffers (a ``bytearray``, a memoryview over a numpy
-  array), and the other through scalar ``read``/``write`` loops over
-  ``bytes``, with evictions and shootdowns interleaved so batches cross
-  page and fault boundaries;
+  calls and through ``vm.write`` of buffers (a ``bytearray``, a
+  memoryview over a numpy array), and the other through scalar
+  ``read``/``write`` loops over ``bytes``, with evictions and shootdowns
+  interleaved so batches cross page and fault boundaries;
 * the same twin stacks running batches of many sub-page elements while
   probe timers fire mid-batch (periodic, and one-shot ones armed at or
   before the current time), which is where the order of the sub-page
   loop's clock and TLB-hit accounting shows;
-* booted-kernel differentials for all three kernels (DiLOS, Fastswap,
-  AIFM) comparing data, final clock, and metrics digests;
+* booted-kernel differentials for DiLOS and Fastswap comparing data,
+  final clock, and metrics digests, with :func:`scalar_batches` as the
+  reference;
 * the same kernel differential under a ``net_faults`` plan, where every
   remote transfer rides the reliable transport's drop/corrupt/delay
   schedule.
@@ -29,6 +28,8 @@ suite checks that promise three ways:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, nullcontext
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -37,10 +38,31 @@ from hypothesis import strategies as st
 
 from repro.common.units import MIB, PAGE_SIZE
 from repro.harness import make_system
-from repro.mem import batch
 from repro.mem.vm import VirtualMemory
 from repro.net.faults import RetryPolicy
 from tests.test_vm_differential import N_PAGES, SimplePager, _build
+
+
+@contextmanager
+def scalar_batches():
+    """Run every ``VirtualMemory`` batch call as the scalar loop it
+    stands for: the reference the batch differentials compare against."""
+    saved = VirtualMemory.read_batch, VirtualMemory.write_batch
+
+    def read_batch(vm, vas, sizes):
+        return [vm.read(va, size) for va, size in zip(vas, sizes)]
+
+    def write_batch(vm, vas, datas):
+        for va, data in zip(vas, datas):
+            vm.write(va, data)
+
+    VirtualMemory.read_batch = read_batch
+    VirtualMemory.write_batch = write_batch
+    try:
+        yield
+    finally:
+        VirtualMemory.read_batch, VirtualMemory.write_batch = saved
+
 
 _SPAN = N_PAGES * PAGE_SIZE
 #: Elements run up to 3 pages, so batches mix sub-page elements with
@@ -59,12 +81,6 @@ _op = st.one_of(
     st.tuples(st.just("write_batch"),
               st.lists(_elem, min_size=1, max_size=4),
               st.integers(0, 255)),
-    st.tuples(st.just("trace"),
-              st.lists(st.tuples(st.booleans(), _elem), min_size=1,
-                       max_size=5),
-              st.integers(0, 255)),
-    st.tuples(st.just("read_into"), _elem,
-              st.sampled_from(["ndarray", "bytearray"])),
     st.tuples(st.just("write_buffer"), _elem, st.integers(0, 255),
               st.sampled_from(["ndarray", "bytearray"])),
     st.tuples(st.just("shootdown"), st.integers(0, N_PAGES - 1)),
@@ -86,24 +102,6 @@ def _apply_batch(op, vm, pager):
         vm.write_batch([c[0] for c in cells],
                        [_payload(op[2], c[1]) for c in cells])
         return None
-    if kind == "trace":
-        ops = []
-        for is_write, (va, size) in op[1]:
-            size = _clamp(va, size)
-            if is_write:
-                ops.append(("w", va, _payload(op[2], size)))
-            else:
-                ops.append(("r", va, size))
-        return vm.apply_trace(ops)
-    if kind == "read_into":
-        va, size = op[1]
-        size = _clamp(va, size)
-        if op[2] == "ndarray":
-            out = np.empty(size, dtype=np.uint8)
-        else:
-            out = bytearray(size)
-        vm.read_into(va, out)
-        return bytes(out)
     if kind == "write_buffer":
         va, size = op[1]
         payload = _payload(op[2], _clamp(va, size))
@@ -127,19 +125,6 @@ def _apply_scalar(op, vm, pager):
         for va, size in op[1]:
             vm.write(va, _payload(op[2], _clamp(va, size)))
         return None
-    if kind == "trace":
-        results = []
-        for is_write, (va, size) in op[1]:
-            size = _clamp(va, size)
-            if is_write:
-                vm.write(va, _payload(op[2], size))
-                results.append(None)
-            else:
-                results.append(vm.read(va, size))
-        return results
-    if kind == "read_into":
-        va, size = op[1]
-        return vm.read(va, _clamp(va, size))
     if kind == "write_buffer":
         va, size = op[1]
         size = _clamp(va, size)
@@ -201,10 +186,6 @@ _sub_batch = st.lists(_sub_elem, min_size=1, max_size=_MAX_BATCH)
 _sub_op = st.one_of(
     st.tuples(st.just("read_batch"), _sub_batch),
     st.tuples(st.just("write_batch"), _sub_batch, st.integers(0, 255)),
-    st.tuples(st.just("trace"),
-              st.lists(st.tuples(st.booleans(), _sub_elem), min_size=1,
-                       max_size=_MAX_BATCH),
-              st.integers(0, 255)),
     st.tuples(st.just("evict"), st.integers(0, N_PAGES - 1)),
     # A one-shot probe armed between batches, due 0 or 1 ns in the past.
     st.tuples(st.just("arm"), st.sampled_from([0.0, 0.001])),
@@ -218,8 +199,6 @@ def _sub_page_op(op):
         page, offset, size = elem
         va = page * PAGE_SIZE + offset
         return va, _clamp(va, size)
-    if op[0] == "trace":
-        return ("trace", [(w, cell(e)) for w, e in op[1]], op[2])
     if op[0] in ("evict", "arm"):
         return op
     return (op[0], [cell(e) for e in op[1]]) + tuple(op[2:])
@@ -344,26 +323,20 @@ def _run_kernel(kind: str, ops, batched: bool, net_faults=None):
                  "net_retry": RetryPolicy(max_attempts=10)}
     system = make_system(kind, _LOCAL, remote_bytes=16 * MIB, **extra)
     region = system.mmap(_REGION, name="batchdiff")
-    trace = []
-    for is_write, va, size, fill in ops:
-        va += region.base
-        size = min(size, region.base + _REGION - va)
-        if is_write:
-            trace.append(("w", va, _payload(fill, size)))
-        else:
-            trace.append(("r", va, size))
-    if batched:
-        with batch.force(True):
-            results = system.memory.apply_trace(trace)
-    else:
-        results = []
-        with batch.force(False):
-            for op in trace:
-                if op[0] == "r":
-                    results.append(system.memory.read(op[1], op[2]))
-                else:
-                    system.memory.write(op[1], op[2])
-                    results.append(None)
+    results = []
+    # Each run of consecutive reads, or of writes, is one batch call.
+    with nullcontext() if batched else scalar_batches():
+        for is_write, run in groupby(ops, key=lambda op: op[0]):
+            cells = [(region.base + va,
+                      min(size, _REGION - va), fill)
+                     for _w, va, size, fill in run]
+            vas = [va for va, _size, _fill in cells]
+            if is_write:
+                system.memory.write_batch(
+                    vas, [_payload(fill, size) for _va, size, fill in cells])
+            else:
+                results.extend(system.memory.read_batch(
+                    vas, [size for _va, size, _fill in cells]))
     return results, system.clock.now, system.metrics().digest()
 
 
@@ -393,35 +366,3 @@ def test_batch_matches_scalar_under_net_faults(ops, kind, seed):
     s = _run_kernel(kind, ops, batched=False, net_faults=plan)
     assert b == s, f"{kind}: batch diverged from scalar under {plan}"
 
-
-# -- AIFM --------------------------------------------------------------------
-
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 511),
-                          st.integers(0, 255)),
-                min_size=1, max_size=60))
-def test_aifm_batch_deref_matches_scalar(ops):
-    """AIFM's batched dereference vs per-item get/set on twin runtimes
-    sized to force evictions mid-batch."""
-    from repro.baselines.aifm.arrays import RemArray
-
-    def run(batched: bool):
-        system = make_system("aifm", 64 * 1024, remote_bytes=4 * MIB)
-        array = RemArray(system, count=512, item_size=64)
-        out = []
-        reads = [(i, idx) for i, (w, idx, _f) in enumerate(ops) if not w]
-        writes = [(i, idx, _payload(f, 64))
-                  for i, (w, idx, f) in enumerate(ops) if w]
-        if batched:
-            if writes:
-                array.set_batch([w[1] for w in writes],
-                                [w[2] for w in writes])
-            if reads:
-                out = array.get_batch([r[1] for r in reads])
-        else:
-            for _i, idx, data in writes:
-                array.set(idx, data)
-            out = [array.get(idx) for _i, idx in reads]
-        return out, system.clock.now, system.metrics().digest()
-
-    assert run(True) == run(False)

@@ -73,19 +73,6 @@ GOLDEN = {
     "dataframe_dilos_small": (
         "218b6c08018427cef9838d165a185dca01e79fe648c69697523e7fe1fd924680",
         372.0654045217385),
-    # The *_batch scenarios force the vectorized batch engine on and are
-    # pinned to the SAME digests as their *_small scalar twins above: the
-    # batch engine's exactness contract (see repro/mem/batch.py) is that
-    # span-vectorized execution changes nothing the simulation observes.
-    "redis_get_dilos_batch": (
-        "b86bc46688f06da110df4d46419149e8c598e83174235e746c65a63b5edf0cb2",
-        5362.223680695648),
-    "kmeans_dilos_batch": (
-        "aef5b1968470991932ca89059c4e3d5edaf74a3adaff5a4c6479fa86bc8427f0",
-        160.3185391304348),
-    "dataframe_dilos_batch": (
-        "218b6c08018427cef9838d165a185dca01e79fe648c69697523e7fe1fd924680",
-        372.0654045217385),
     # LLM inference: prefill writes + windowed random decode gathers over
     # the paged KV cache (see repro/apps/llm.py).
     "llm_dilos": (
@@ -100,10 +87,6 @@ GOLDEN = {
     # Deliberately the SAME row as llm_dilos: a healthy sharded backend
     # changes page *placement*, never anything the simulation observes.
     "llm_dilos_sharded": (
-        "c787bb267157a0f0d69087078f17aba8edf65e79de42173ad1b6629debdfd6de",
-        106.2514086956507),
-    # Batch twin, same digest as the scalar run — the exactness contract.
-    "llm_dilos_batch": (
         "c787bb267157a0f0d69087078f17aba8edf65e79de42173ad1b6629debdfd6de",
         106.2514086956507),
     # The replicated KV service under the full chaos schedule (lossy
@@ -207,6 +190,9 @@ TRACE_DIGESTS = {
 def test_golden_master(name):
     run = SCENARIOS[name].build()
     want_digest, want_clock = GOLDEN[name]
+    # A numpy scalar in the clock would make it depend on numpy's math
+    # library, and would print as ``np.float64(...)`` below.
+    assert type(run.sim_us) is float, type(run.sim_us)
     assert run.sim_us == want_clock, (
         f"{name}: simulated clock moved — {run.sim_us} us, "
         f"golden {want_clock} us. A hot-path change altered simulated "

@@ -77,7 +77,7 @@ def test_serving_kv_rack_and_repair_scenarios_do_not_load_numpy():
 
 
 def test_llm_scenarios_page_through_the_batch_engine_without_numpy():
-    proc = _run(_BUILDS, "llm_pd", "llm_dilos", "llm_dilos_batch")
+    proc = _run(_BUILDS, "llm_pd", "llm_dilos")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -9,7 +9,8 @@ the simulator can vary placement and movement:
 
 * across kernels (DiLOS, Fastswap, the AIFM port) and local-memory
   ratios — paging and eviction must not perturb a byte;
-* batch vs scalar execution engines, byte-, clock- and digest-exact;
+* the KV cache's batch calls vs the scalar loops they stand for, byte-,
+  clock- and digest-exact;
 * under seeded ``net_faults`` plans, where remote transfers ride the
   reliable transport's drop/delay schedule — timing moves, data never;
 * single-node vs every prefill/decode disaggregation split, where KV
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 
 from repro.apps.llm import PD_CONFIG, LlmConfig, LlmWorkload, run_pd
 from repro.harness import local_bytes_for, make_system
-from repro.mem import batch
 from repro.net.faults import RetryPolicy
+from tests.test_batch_differential import scalar_batches
 
 #: Small enough that one generate() run is milliseconds, big enough
 #: that quarter-local runs actually page (4 layers of KV per token).
@@ -36,7 +37,7 @@ _KINDS = ["dilos-readahead", "fastswap", "aifm-rdma"]
 
 
 def _run_single(kind: str, seed: int, ratio: float = 0.25,
-                n: int = 3, batch_on=None, net_faults=None,
+                n: int = 3, net_faults=None,
                 backend="node", config: LlmConfig = _CONFIG,
                 **bounds):
     workload = LlmWorkload(n_requests=n, seed=seed, config=config,
@@ -51,17 +52,12 @@ def _run_single(kind: str, seed: int, ratio: float = 0.25,
     system = make_system(kind,
                          local_bytes_for(workload.footprint_bytes, ratio),
                          backend=backend, **extra)
-    if batch_on is None:
-        result = workload.run(system)
-    else:
-        with batch.force(batch_on):
-            result = workload.run(system)
-    return result, system
+    return workload.run(system), system
 
 
 @functools.lru_cache(maxsize=None)
 def _reference(seed: int):
-    """Ground truth: everything local, DiLOS, default engine."""
+    """Ground truth: everything local, DiLOS."""
     result, _ = _run_single("dilos-readahead", seed, ratio=1.0)
     return result.token_digest, result.kv_digest, result.decoded_tokens
 
@@ -86,10 +82,12 @@ def test_tokens_invariant_across_kernels_and_ratios(seed, kind, ratio):
 @given(seed=st.integers(0, 2 ** 16),
        kind=st.sampled_from(["dilos-readahead", "fastswap"]))
 def test_batch_matches_scalar_exactly(seed, kind):
-    """The vectorized engine is invisible: not just tokens but the
-    simulated clock and the full metrics digest must collide."""
-    b, b_sys = _run_single(kind, seed, batch_on=True)
-    s, s_sys = _run_single(kind, seed, batch_on=False)
+    """The KV cache's batch calls are invisible: run as scalar loops,
+    not just tokens but the simulated clock and the full metrics digest
+    must collide."""
+    b, b_sys = _run_single(kind, seed)
+    with scalar_batches():
+        s, s_sys = _run_single(kind, seed)
     assert b.token_digest == s.token_digest
     assert b.kv_digest == s.kv_digest
     assert b_sys.clock.now == s_sys.clock.now

@@ -115,8 +115,8 @@ def test_committed_bench_report_claims_headline_speedup():
         f"{headline['speedup_vs_baseline']}x")
 
 
-#: App-level benchmarks (whole workloads through the batch engine, not
-#: raw access-loop microbenchmarks).
+#: App-level benchmarks (whole workloads, not raw access-loop
+#: microbenchmarks).
 APP_LEVEL_CASES = {"quicksort_dilos", "seqscan_aifm", "redis_get_dilos",
                    "redis_get_fastswap", "kmeans_dilos", "dataframe_dilos"}
 
@@ -134,7 +134,7 @@ def test_app_level_cases_covered_by_baseline():
 
 def test_injected_slowdown_in_batch_benchmark_fires_gate(
         tmp_path, monkeypatch):
-    """Red-green for the regression gate on a batch-engine benchmark:
+    """Red-green for the regression gate on an app-level benchmark:
     the same reference passes an honest run (green) and catches an
     injected slowdown (red)."""
     import time as _time

@@ -1,16 +1,17 @@
 """Tests for trace record/replay and result persistence."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.apps.seqrw import SequentialWorkload
 from repro.apps.views import PagedArray
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem
 from repro.harness import Measurement, make_system
 from repro.harness.results import load_csv, load_json, save_csv, save_json
 from repro.harness.trace import Trace, TraceEvent, TraceRecorder
-from repro.mem import batch
+from tests.test_batch_differential import scalar_batches
 
 
 def record_sequential(ws_mib=2):
@@ -52,19 +53,16 @@ class TestRecording:
         system.memory.write(region.base, b"y")  # not recorded
         assert len(trace) == 1
 
-    @pytest.mark.parametrize("engine", [True, False], ids=["batch", "scalar"])
-    def test_paged_array_accesses_recorded(self, engine):
-        """A ``PagedArray`` load reads through ``read_into`` under the
-        batch engine; it is recorded like the scalar read it stands for."""
+    def test_paged_array_accesses_recorded(self):
+        """``PagedArray`` loads and stores are one recorded access each."""
         system = DilosSystem(DilosConfig(local_mem_bytes=1 * MIB,
                                          remote_mem_bytes=32 * MIB))
-        with batch.force(engine):
-            recorder = TraceRecorder(system)
-            arr = PagedArray(system, 4 * PAGE_SIZE // 8, np.int64)
-            arr.store(0, np.arange(arr.count))
-            assert arr.load(1, 3).tolist() == [1, 2]
-            arr.load(0, arr.count)
-            trace = recorder.finish()
+        recorder = TraceRecorder(system)
+        arr = PagedArray(system, 4 * PAGE_SIZE // 8, np.int64)
+        arr.store(0, np.arange(arr.count))
+        assert arr.load(1, 3).tolist() == [1, 2]
+        arr.load(0, arr.count)
+        trace = recorder.finish()
         assert [(e.op, e.va - arr.base, e.size) for e in trace.events] == [
             ("write", 0, 4 * PAGE_SIZE), ("read", 8, 16),
             ("read", 0, 4 * PAGE_SIZE)]
@@ -72,22 +70,38 @@ class TestRecording:
     @pytest.mark.parametrize("mode", ["read", "write"])
     @pytest.mark.parametrize("engine", [True, False], ids=["batch", "scalar"])
     def test_batch_calls_recorded(self, engine, mode):
-        """A sequential pass runs through ``write_batch`` and
-        ``apply_trace`` under the batch engine; it is recorded one event
-        per element, exactly as the scalar loop records, and recording
-        moves no simulated time."""
-        def run(on, record):
-            system = make_system("dilos-readahead", 1 * MIB)
-            with batch.force(on):
+        """``read_batch``/``write_batch`` calls, with sub-page and
+        page-crossing elements, are recorded one event per element,
+        exactly as the scalar loop (``scalar_batches``) records, and
+        recording moves no simulated time."""
+        # Offsets and sizes within a 64-page region: sub-page elements,
+        # one that ends on a page boundary and ones that cross 1-2 pages.
+        cells = [(8, 128), (PAGE_SIZE - 64, 64), (PAGE_SIZE - 16, 32),
+                 (3 * PAGE_SIZE + 100, 2 * PAGE_SIZE), (40 * PAGE_SIZE, 8),
+                 (63 * PAGE_SIZE, PAGE_SIZE)]
+
+        def run(batched, record):
+            system = make_system("dilos-readahead", 32 * PAGE_SIZE)
+            region = system.mmap(64 * PAGE_SIZE, name="batched")
+            vas = [region.base + offset for offset, _size in cells]
+            with nullcontext() if batched else scalar_batches():
                 recorder = TraceRecorder(system) if record else None
-                SequentialWorkload(2 * MIB).run(system, mode)
+                for _ in range(2):
+                    if mode == "write":
+                        system.memory.write_batch(
+                            vas, [b"\x5A" * size for _off, size in cells])
+                    else:
+                        system.memory.read_batch(
+                            vas, [size for _off, size in cells])
+                    system.cpu(0.5)
             events = recorder.finish().events if recorder else []
-            return ([(e.op, e.va, e.size, e.gap_us) for e in events],
-                    system.clock.now)
+            return ([(e.op, e.va - region.base, e.size, e.gap_us)
+                     for e in events], system.clock.now)
 
         want, want_clock = run(False, record=True)
         got, got_clock = run(engine, record=True)
-        assert len(want) == 2 * (2 * MIB // PAGE_SIZE)
+        assert [event[:3] for event in want] == 2 * [
+            (mode, offset, size) for offset, size in cells]
         assert got == want
         assert got_clock == want_clock == run(engine, record=False)[1]
 

@@ -79,13 +79,6 @@ class TestAccess:
         vm.read(0x1000, PAGE_SIZE)
         assert clock.now - t == pytest.approx(PAGE_SIZE * 1e-4)
 
-    def test_u64_helpers(self, vm_setup):
-        _, _, _, vm, _ = vm_setup
-        vm.write_u64(0x7000, 0xDEADBEEF12345678)
-        assert vm.read_u64(0x7000) == 0xDEADBEEF12345678
-        vm.write_u32(0x7010, 0xCAFEBABE)
-        assert vm.read_u32(0x7010) == 0xCAFEBABE
-
     def test_unserviceable_fault_bounded(self, vm_setup):
         _, _, _, vm, kernel = vm_setup
         kernel.handle_fault = lambda va, w: None

@@ -107,11 +107,11 @@ class NaiveVirtualMemory:
             cursor += length
         self._clock.advance(size * self._copy_cost)
 
-    def touch(self, va, size, is_write=False):
+    def touch(self, va, size):
         if size <= 0:
             return
         for vpn, _offset, _length in self._chunks(va, size):
-            self._translate(vpn, is_write)
+            self._translate(vpn, is_write=False)
 
 
 class SimplePager:
@@ -193,8 +193,7 @@ _op = st.one_of(
               st.integers(0, 255)),
     st.tuples(st.just("touch"),
               st.integers(0, _SPAN - 1),
-              st.integers(1, 4 * PAGE_SIZE),
-              st.booleans()),
+              st.integers(1, 4 * PAGE_SIZE)),
     st.tuples(st.just("shootdown"), st.integers(0, N_PAGES - 1)),
     st.tuples(st.just("evict"), st.integers(0, N_PAGES - 1)),
 )
@@ -213,9 +212,9 @@ def _apply(op, vm, pager):
         vm.write(va, data)
         return None
     if kind == "touch":
-        _, va, size, is_write = op
+        _, va, size = op
         size = min(size, _SPAN - va)
-        vm.touch(va, size, is_write)
+        vm.touch(va, size)
         return None
     if kind == "shootdown":
         pager.shootdown(op[1])
