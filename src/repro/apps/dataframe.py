@@ -60,10 +60,6 @@ class DataFrame:
         except KeyError:
             raise KeyError(f"no column {name!r}") from None
 
-    @property
-    def column_names(self) -> List[str]:
-        return list(self._columns)
-
     # -- chunked operators ----------------------------------------------------
 
     def _scan(self, names: List[str]):

@@ -437,6 +437,38 @@ def _check_lengths(config: LlmConfig, prompt_len: int,
         raise ValueError("sequence exceeds max_tokens")
 
 
+def _prefill(system: Any, cache: Any, config: LlmConfig, seed: int,
+             prompt_len: int,
+             counters: Optional["_LlmCounters"]) -> List[int]:
+    """Write one sequence's prompt KV into ``cache`` and charge the
+    prefill compute; returns the prompt tokens."""
+    prompt = prompt_tokens(seed, prompt_len, config.vocab)
+    written = cache.write_prompt(prompt)
+    system.cpu_cycles(prompt_len * config.prefill_cycles_per_token)
+    if counters is not None:
+        counters.prefill(prompt_len, written)
+    return prompt
+
+
+def _decode_step(system: Any, cache: Any, config: LlmConfig, seed: int,
+                 tiering: TieringPolicy, output: List[int],
+                 counters: Optional["_LlmCounters"]) -> None:
+    """Decode one token: gather the attention window of every layer,
+    append the next token's KV, and add the token to ``output``."""
+    pos = cache.n_tokens
+    gathered = b"".join(
+        cache.gather(layer,
+                     attn_positions(seed, pos, layer, config.attn_window))
+        for layer in range(config.layers))
+    token = next_token(gathered, pos, config.vocab)
+    written = cache.append(token)
+    cache.pin_hot(tiering.hot_layers)
+    system.cpu_cycles(config.decode_cycles_per_token)
+    output.append(token)
+    if counters is not None:
+        counters.decode(len(gathered), written)
+
+
 def generate(system: Any, cache: Any, config: LlmConfig, seed: int,
              prompt_len: int, out_len: int,
              tiering: TieringPolicy = TieringPolicy(),
@@ -452,29 +484,13 @@ def generate(system: Any, cache: Any, config: LlmConfig, seed: int,
     _check_lengths(config, prompt_len, out_len)
     clock = system.clock
     t0 = clock.now
-    prompt = prompt_tokens(seed, prompt_len, config.vocab)
-    written = cache.write_prompt(prompt)
-    system.cpu_cycles(prompt_len * config.prefill_cycles_per_token)
-    if counters is not None:
-        counters.prefill(prompt_len, written)
+    _prefill(system, cache, config, seed, prompt_len, counters)
 
     output: List[int] = []
     ttft_us = clock.now - t0
     t_first = clock.now
     for _ in range(out_len):
-        pos = cache.n_tokens
-        gathered = b"".join(
-            cache.gather(layer,
-                         attn_positions(seed, pos, layer,
-                                        config.attn_window))
-            for layer in range(config.layers))
-        token = next_token(gathered, pos, config.vocab)
-        written = cache.append(token)
-        cache.pin_hot(tiering.hot_layers)
-        system.cpu_cycles(config.decode_cycles_per_token)
-        output.append(token)
-        if counters is not None:
-            counters.decode(len(gathered), written)
+        _decode_step(system, cache, config, seed, tiering, output, counters)
         if len(output) == 1:
             ttft_us = clock.now - t0
             t_first = clock.now
@@ -783,10 +799,7 @@ class _PdCoordinator:
     """
 
     def __init__(self, requests: List[LlmRequest], n_decode: int) -> None:
-        self.requests = requests
         self.queues: List[deque] = [deque() for _ in range(n_decode)]
-        self.prefill_done = 0
-        self.n_prefill_jobs = len(requests)
         self.runs: List[Optional[SequenceRun]] = [None] * len(requests)
         self.ttft_us: List[float] = [0.0] * len(requests)
         self.transfer_bytes = 0
@@ -794,12 +807,7 @@ class _PdCoordinator:
     def push(self, req_index: int, n_decode: int, prompt: List[int],
              runs: List[bytes]) -> None:
         self.queues[req_index % n_decode].append((req_index, prompt, runs))
-        self.prefill_done += 1
         self.transfer_bytes += sum(len(r) for r in runs)
-
-    @property
-    def all_prefilled(self) -> bool:
-        return self.prefill_done >= self.n_prefill_jobs
 
 
 def _prefill_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
@@ -816,12 +824,8 @@ def _prefill_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
                 req = requests[i]
                 counters.request()
                 cache = KvCache(system, config, name=f"llm.prefill.{i}")
-                prompt = prompt_tokens(req.seed, req.prompt_len,
-                                       config.vocab)
-                written = cache.write_prompt(prompt)
-                system.cpu_cycles(req.prompt_len
-                                  * config.prefill_cycles_per_token)
-                counters.prefill(req.prompt_len, written)
+                prompt = _prefill(system, cache, config, req.seed,
+                                  req.prompt_len, counters)
                 yield "prefill"
                 runs = [cache.read_layer(layer, half)
                         for layer in range(config.layers)
@@ -902,19 +906,8 @@ def _decode_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
                     continue
                 rr %= len(active)
                 seq = active[rr]
-                pos = seq.cache.n_tokens
-                gathered = b"".join(
-                    seq.cache.gather(layer,
-                                     attn_positions(seq.req.seed, pos,
-                                                    layer,
-                                                    config.attn_window))
-                    for layer in range(config.layers))
-                token = next_token(gathered, pos, config.vocab)
-                written = seq.cache.append(token)
-                seq.cache.pin_hot(tiering.hot_layers)
-                system.cpu_cycles(config.decode_cycles_per_token)
-                seq.output.append(token)
-                counters.decode(len(gathered), written)
+                _decode_step(system, seq.cache, config, seq.req.seed,
+                             tiering, seq.output, counters)
                 if len(seq.output) == 1:
                     coord.ttft_us[seq.index] = clock.now - seq.t0
                     seq.t_first = clock.now

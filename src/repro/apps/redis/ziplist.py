@@ -38,11 +38,6 @@ def ziplist_new(system: BaseSystem, alloc: Mimalloc,
     return va
 
 
-def ziplist_bytes(system: BaseSystem, va: int) -> int:
-    """Read ``zlbytes`` — the guide's second subpage target."""
-    return int.from_bytes(system.memory.read(va, 4), "little")
-
-
 def ziplist_entries(system: BaseSystem, va: int) -> int:
     """Number of entries (the ``zllen`` header field)."""
     return int.from_bytes(system.memory.read(va + 4, 2), "little")

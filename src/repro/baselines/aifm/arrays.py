@@ -60,9 +60,6 @@ class RemArray:
 
     # -- bulk chunk access (one deref per chunk) ------------------------------
 
-    def read_chunk(self, ci: int) -> bytes:
-        return self._chunks[ci].read()
-
     def write_chunk(self, ci: int, data: bytes) -> None:
         self._chunks[ci].write(data)
 

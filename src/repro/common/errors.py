@@ -10,7 +10,8 @@ class InvalidAddressError(ReproError):
 
 
 class ProtectionError(ReproError):
-    """Write to a read-only mapping, or a malformed PTE transition."""
+    """Write to a read-only mapping, a malformed PTE transition, or a pool
+    client's access to a slot it does not own."""
 
 
 class OutOfMemoryError(ReproError):

@@ -127,11 +127,6 @@ class LogHistogram:
     def count(self) -> int:
         return self._count
 
-    @property
-    def bucket_count(self) -> int:
-        """Number of occupied buckets (the actual memory footprint)."""
-        return len(self._counts)
-
     def mean(self) -> float:
         if not self._count:
             raise ValueError("mean of empty histogram")

@@ -68,12 +68,6 @@ class BaseSystem(abc.ABC):
         primitives (OSv's are less mature than Linux's, §6.2)."""
         return self.model.sync_overhead_linux
 
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def local_capacity_pages(self) -> int:
-        return self.frames.total_frames
-
     @abc.abstractmethod
     def metrics(self) -> MetricsSnapshot:
         """A typed snapshot of every instrument the harness reports on.

@@ -41,7 +41,6 @@ from repro.mem.cluster import (
     ReplicatedMemory,
     ShardedMemory,
 )
-from repro.mem.pool import PooledMemory
 from repro.mem.remote import MemoryNode
 from repro.mem.repair import RepairManager, RepairPolicy, coerce_repair_policy
 from repro.net.faults import (
@@ -128,8 +127,7 @@ def backend_kinds() -> Tuple[str, ...]:
 
 
 #: Spec templates for help text: every registered kind with its argument.
-BACKEND_SPEC_EXAMPLES = ("node", "sharded:4", "replicated:3", "parity:4+1",
-                         "pool:4/locality")
+BACKEND_SPEC_EXAMPLES = ("node", "sharded:4", "replicated:3", "parity:4+1")
 
 
 def _node_capacity(total_bytes: int, nodes: int) -> int:
@@ -183,16 +181,6 @@ def _make_parity(arg: str, remote_bytes: int) -> ParityStripedMemory:
     nodes = [MemoryNode(capacity, name=f"data{i}") for i in range(k)]
     nodes.append(MemoryNode(capacity, name="parity"))
     return ParityStripedMemory(nodes)
-
-
-@register_backend("pool")
-def _make_pool(arg: str, remote_bytes: int) -> PooledMemory:
-    count_txt, _, policy = (arg or "2").partition("/")
-    count = _parse_count(count_txt, "pool:N[/policy]", 1)
-    capacity = _node_capacity(remote_bytes, count)
-    return PooledMemory([MemoryNode(capacity, name=f"pool{i}")
-                         for i in range(count)],
-                        policy=policy or "load")
 
 
 def make_backend(spec: BackendSpec, remote_bytes: int) -> BackendLike:
@@ -413,7 +401,7 @@ class SystemSpec:
                 self._fabric_port is None:
             # A bare topology (not a pre-bound port): this node is
             # compute 0, routed by the backend's offset->node map when
-            # it has one (PooledMemory), else everything goes home.
+            # it has one (a PoolClient), else everything goes home.
             resolver = getattr(backend, "node_of", None)
             self._fabric_port = self.topology.port(0, resolver=resolver)
         system = builder(self, backend)

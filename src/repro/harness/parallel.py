@@ -4,16 +4,10 @@
 (one booted system per workload × kernel × ratio, or one perf case per
 cell); each cell is deterministic given its spec, so the grid can be
 distributed across cores without changing a single result. This module
-is the one place that policy lives:
-
-* :func:`fanout` — order-preserving parallel map over picklable cells.
-  ``jobs <= 1`` (or a single cell) degrades to the plain serial loop, so
-  serial and parallel runs share one code path and produce identical
-  merged results.
-* :func:`cell_seed` — a stable per-cell seed derived from the cell's
-  identity (not from worker index or scheduling order), so any cell that
-  wants its own RNG stream gets the same stream no matter which process
-  runs it or in which order.
+is the one place that policy lives: :func:`fanout` is an
+order-preserving parallel map over picklable cells. ``jobs <= 1`` (or a
+single cell) degrades to the plain serial loop, so serial and parallel
+runs share one code path and produce identical merged results.
 
 Workers must be module-level functions and cells must be picklable; the
 pool uses ``fork`` where available (no re-import cost) and falls back to
@@ -23,28 +17,10 @@ pool uses ``fork`` where available (no re-import cost) and falls back to
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-import zlib
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 Cell = TypeVar("Cell")
 Result = TypeVar("Result")
-
-
-def cell_seed(*identity, base: int = 0) -> int:
-    """A deterministic 31-bit seed from the cell's identity.
-
-    ``cell_seed("kmeans", "dilos-readahead", 0.5)`` is stable across
-    processes, hosts and Python versions (CRC-32 of the repr, not
-    ``hash()``, which is salted per process).
-    """
-    text = "\x1f".join(repr(part) for part in identity)
-    return (zlib.crc32(text.encode()) ^ base) & 0x7FFFFFFF
-
-
-def default_jobs() -> int:
-    """A sensible worker count: the CPU count, capped at 8."""
-    return min(os.cpu_count() or 1, 8)
 
 
 def fanout(worker: Callable[[Cell], Result], cells: Sequence[Cell],

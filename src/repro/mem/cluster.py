@@ -36,7 +36,7 @@ under canonical ``cluster.*`` names: read one with
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Union
+from typing import List, Sequence, Set, Tuple, Union
 
 from repro.common.errors import OutOfMemoryError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
@@ -231,16 +231,16 @@ class _ClusterBackend:
         raise NotImplementedError
 
 
-class ShardedMemory(_ClusterBackend):
-    """Pages striped across ``nodes``: global page g lives on node g % n.
-
-    No redundancy: a dead shard's pages are simply unavailable, so there
+class _PlainCluster(_ClusterBackend):
+    """The backends without redundancy (sharded, pooled): each page lives
+    on exactly one of ``self.nodes``, found by the subclass's
+    :meth:`_route`. A dead node's pages are simply unavailable, so there
     is nothing to journal and nothing to resilver — ``rejoin`` is
     ``recover`` plus bookkeeping, and the scrubber has no invariant to
     check."""
 
-    def __init__(self, nodes: Sequence[MemoryNode]) -> None:
-        _check_nodes(nodes, 2)
+    def __init__(self, nodes: Sequence[MemoryNode], minimum: int) -> None:
+        _check_nodes(nodes, minimum)
         self.nodes: List[MemoryNode] = list(nodes)
         super().__init__()
 
@@ -259,37 +259,22 @@ class ShardedMemory(_ClusterBackend):
     def free_slots(self) -> int:
         return sum(node.free_slots for node in self.nodes)
 
-    # -- slots -------------------------------------------------------------
-
-    def alloc_slot(self) -> int:
-        """A global slot on the node with the most free capacity."""
-        best = max(range(len(self.nodes)),
-                   key=lambda i: self.nodes[i].free_slots)
-        if self.nodes[best].free_slots == 0:
-            raise OutOfMemoryError("memory cluster exhausted")
-        local = self.nodes[best].alloc_slot()
-        return local * len(self.nodes) + best
-
-    def free_slot(self, global_slot: int) -> None:
-        node_index = global_slot % len(self.nodes)
-        self.nodes[node_index].free_slot(global_slot // len(self.nodes))
-
     def slot_offset(self, global_slot: int) -> int:
         return global_slot << PAGE_SHIFT
 
-    def _route(self, offset: int):
+    def _route(self, offset: int) -> Tuple[MemoryNode, int]:
         """Map a global offset to (node, local offset)."""
-        global_page = offset >> PAGE_SHIFT
-        node = self.nodes[global_page % len(self.nodes)]
-        local = ((global_page // len(self.nodes)) << PAGE_SHIFT) \
-            | (offset & (PAGE_SIZE - 1))
-        return node, local
+        raise NotImplementedError
 
     # -- data path (splits page-crossing requests) ---------------------------
 
     def read_bytes(self, offset: int, size: int) -> bytes:
         if size < 0:
             raise ValueError(f"negative remote read size {size}")
+        if 0 < size <= PAGE_SIZE - (offset & (PAGE_SIZE - 1)):
+            # Within one page (a paging fetch): one route, no join.
+            node, local = self._route(offset)
+            return node.read_bytes(local, size)
         parts = []
         while size > 0:
             node, local = self._route(offset)
@@ -311,6 +296,35 @@ class ShardedMemory(_ClusterBackend):
 
     def resilver_page(self, member: int, page: int) -> int:
         return -1  # no redundant copy to rebuild from
+
+
+class ShardedMemory(_PlainCluster):
+    """Pages striped across ``nodes``: global page g lives on node g % n."""
+
+    def __init__(self, nodes: Sequence[MemoryNode]) -> None:
+        super().__init__(nodes, 2)
+
+    # -- slots -------------------------------------------------------------
+
+    def alloc_slot(self) -> int:
+        """A global slot on the node with the most free capacity."""
+        best = max(range(len(self.nodes)),
+                   key=lambda i: self.nodes[i].free_slots)
+        if self.nodes[best].free_slots == 0:
+            raise OutOfMemoryError("memory cluster exhausted")
+        local = self.nodes[best].alloc_slot()
+        return local * len(self.nodes) + best
+
+    def free_slot(self, global_slot: int) -> None:
+        node_index = global_slot % len(self.nodes)
+        self.nodes[node_index].free_slot(global_slot // len(self.nodes))
+
+    def _route(self, offset: int) -> Tuple[MemoryNode, int]:
+        global_page = offset >> PAGE_SHIFT
+        node = self.nodes[global_page % len(self.nodes)]
+        local = ((global_page // len(self.nodes)) << PAGE_SHIFT) \
+            | (offset & (PAGE_SIZE - 1))
+        return node, local
 
 
 class ReplicatedMemory(_ClusterBackend):

@@ -28,7 +28,8 @@ to a pluggable :class:`PlacementPolicy` from the **placement registry**:
 Compute nodes allocate through per-tenant :class:`PoolClient` views
 (``pool.client(name, home=i)``), which carry the requester's identity —
 the standard backend surface (``alloc_slot``/``read_bytes``/...) has no
-argument to express it. Placement-outcome metrics land in canonical
+argument to express it — and isolate tenants: a client reaches only the
+slots it allocated. Placement-outcome metrics land in canonical
 ``pool.*`` names: ``pool.alloc``/``pool.free``/``pool.spills`` counters
 plus ``pool.stranded_slots`` (free capacity sitting above the
 fullest node's free level — space uneven placement has made cheaply
@@ -38,11 +39,11 @@ spread) gauges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
-from repro.common.errors import OutOfMemoryError
+from repro.common.errors import OutOfMemoryError, ProtectionError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
-from repro.mem.cluster import _check_nodes, _ClusterBackend
+from repro.mem.cluster import _PlainCluster
 from repro.mem.remote import MemoryNode
 
 
@@ -165,38 +166,64 @@ class InterleavePlacement(PlacementPolicy):
 
 
 class PoolClient:
-    """One compute node's (tenant's) view of a :class:`PooledMemory`.
+    """One compute node's (tenant's) view of a :class:`PooledMemory`, and
+    its protection domain.
 
     Implements the standard backend surface, so a kernel boots on it
     unchanged; allocations carry this client's home node into the
     placement policy, and the data path goes straight to the pool (the
-    fabric, not this facade, charges link traversal).
+    fabric, not this facade, charges link traversal). A client reads,
+    writes and frees only the slots it allocated: any other page raises
+    :class:`~repro.common.errors.ProtectionError` before the pool or the
+    wire sees the access — §5's protection-key check, with the client
+    object standing in for the rkey.
     """
 
-    __slots__ = ("pool", "name", "home")
+    __slots__ = ("pool", "name", "home", "_slot_owner")
 
     def __init__(self, pool: "PooledMemory", name: str, home: int) -> None:
         self.pool = pool
         self.name = name
         self.home = home
+        self._slot_owner = pool._slot_owner
+
+    def _check(self, offset: int, size: int) -> None:
+        """Raise unless every page of ``[offset, offset + size)`` (the
+        page at ``offset`` for an empty access) is a slot of this
+        client."""
+        first = offset >> PAGE_SHIFT
+        last = (offset + size - 1) >> PAGE_SHIFT if size > 0 else first
+        for page in range(first, last + 1):
+            if self._slot_owner.get(page) is not self:
+                raise ProtectionError(
+                    f"pool client {self.name!r} does not own page "
+                    f"{page:#x} of [{offset:#x}, {offset + size:#x})")
 
     # -- slots (placement-aware) -----------------------------------------
 
     def alloc_slot(self) -> int:
-        return self.pool.alloc_for(self.home, owner=self.name)
+        return self.pool.alloc_for(self.home, owner=self)
 
     def free_slot(self, slot: int) -> None:
+        self._check(slot << PAGE_SHIFT, PAGE_SIZE)
         self.pool.free_slot(slot)
 
     def slot_offset(self, slot: int) -> int:
         return self.pool.slot_offset(slot)
 
-    # -- data path / capacity (pool-wide) --------------------------------
+    # -- data path (this client's slots only) / capacity (pool-wide) -------
 
     def read_bytes(self, offset: int, size: int) -> bytes:
+        if size < 0:
+            raise ValueError(f"negative remote read size {size}")
+        # An owned one-page read (a paging fetch) pays one lookup.
+        if (size > PAGE_SIZE - (offset & (PAGE_SIZE - 1))
+                or self._slot_owner.get(offset >> PAGE_SHIFT) is not self):
+            self._check(offset, size)
         return self.pool.read_bytes(offset, size)
 
     def write_bytes(self, offset: int, data: bytes) -> None:
+        self._check(offset, len(data))
         self.pool.write_bytes(offset, data)
 
     def node_of(self, offset: int) -> int:
@@ -218,7 +245,7 @@ class PoolClient:
         return f"PoolClient({self.name!r}, home=m{self.home})"
 
 
-class PooledMemory(_ClusterBackend):
+class PooledMemory(_PlainCluster):
     """A global slot pool over equal memory nodes, placement decided
     per allocation by a :class:`PlacementPolicy`.
 
@@ -230,18 +257,20 @@ class PooledMemory(_ClusterBackend):
 
     def __init__(self, nodes: Sequence[MemoryNode],
                  policy: Union[str, PlacementPolicy, None] = "load") -> None:
-        _check_nodes(nodes, 1)
-        self.nodes: List[MemoryNode] = list(nodes)
         self.policy = make_placement(policy)
+        super().__init__(nodes, 1)
         self.node_slots = self.nodes[0].total_slots
         self._node_bytes = self.node_slots << PAGE_SHIFT
         self._clients: Dict[str, PoolClient] = {}
-        # Slot ownership: which client (by name) holds each live slot, so
-        # a departing tenant's slots can all be returned. Anonymous
-        # allocations (owner=None) are untracked, as before.
-        self._slot_owner: Dict[int, str] = {}
-        self._owned: Dict[str, Set[int]] = {}
-        super().__init__()
+        # Slot ownership: the client holding each live slot (what
+        # PoolClient checks every access against) and each client's
+        # slots, so a departing tenant's can all be returned. Keyed by
+        # client object, not name: nodes reuse freed slots last-freed-
+        # first, so a successor registered under a released name gets
+        # the released slots back, and the released client must not
+        # reach them. Anonymous allocations (owner=None) are untracked.
+        self._slot_owner: Dict[int, PoolClient] = {}
+        self._owned: Dict[PoolClient, Set[int]] = {}
         self.registry.counter("pool.alloc")
         self.registry.counter("pool.free")
         self.registry.counter("pool.spills")
@@ -254,23 +283,6 @@ class PooledMemory(_ClusterBackend):
         for index, node in enumerate(self.nodes):
             self.registry.gauge(f"pool.n{index}.free_slots",
                                 lambda n=node: float(n.free_slots))
-
-    def _member_nodes(self) -> List[MemoryNode]:
-        return self.nodes
-
-    # -- capacity ---------------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        return sum(node.capacity for node in self.nodes)
-
-    @property
-    def total_slots(self) -> int:
-        return sum(node.total_slots for node in self.nodes)
-
-    @property
-    def free_slots(self) -> int:
-        return sum(node.free_slots for node in self.nodes)
 
     # -- placement-outcome metrics ----------------------------------------
 
@@ -318,16 +330,16 @@ class PooledMemory(_ClusterBackend):
         strand capacity forever (and ``pool.stranded_slots`` drifts
         upward across tenant churn, since the leaked slots concentrate
         on whichever nodes the policy favored). Removes the cached
-        :class:`PoolClient` and returns the number of slots reclaimed.
-        Raises ``KeyError`` for an unknown client name.
+        :class:`PoolClient`, which from then on reaches no slot, and
+        returns the number of slots reclaimed. Raises ``KeyError`` for an
+        unknown client name.
         """
         client = self._clients.pop(name, None)
-        owned = self._owned.pop(name, None)
-        if client is None and owned is None:
+        if client is None:
             raise KeyError(f"no pool client {name!r}")
         freed = 0
-        for global_slot in sorted(owned or ()):
-            self._slot_owner.pop(global_slot, None)
+        for global_slot in sorted(self._owned.pop(client, ())):
+            del self._slot_owner[global_slot]
             node_index, local = divmod(global_slot, self.node_slots)
             self.nodes[node_index].free_slot(local)
             self.registry.add("pool.free")
@@ -340,12 +352,16 @@ class PooledMemory(_ClusterBackend):
 
     # -- slots -------------------------------------------------------------
 
-    def alloc_for(self, home: int, owner: Optional[str] = None) -> int:
+    def alloc_for(self, home: int,
+                  owner: Optional[PoolClient] = None) -> int:
         """Allocate one page slot for a requester homed on ``home``.
 
-        ``owner`` (a client name) records ownership so
-        :meth:`release_client` can return the slot if the tenant departs
-        without freeing it."""
+        ``owner`` (a registered client) becomes the only client that may
+        access the slot, and :meth:`release_client` returns the slot if
+        the tenant departs without freeing it. A released client raises
+        :class:`~repro.common.errors.ProtectionError`."""
+        if owner is not None and self._clients.get(owner.name) is not owner:
+            raise ProtectionError(f"pool client {owner.name!r} was released")
         node_index = self.policy.choose(self, home)
         local = self.nodes[node_index].alloc_slot()
         self.registry.add("pool.alloc")
@@ -373,9 +389,6 @@ class PooledMemory(_ClusterBackend):
                     del self._owned[owner]
         self.registry.add("pool.free")
 
-    def slot_offset(self, global_slot: int) -> int:
-        return global_slot << PAGE_SHIFT
-
     # -- routing -----------------------------------------------------------
 
     def node_of(self, offset: int) -> int:
@@ -388,37 +401,6 @@ class PooledMemory(_ClusterBackend):
     def _route(self, offset: int) -> Tuple[MemoryNode, int]:
         index = self.node_of(offset)
         return self.nodes[index], offset - index * self._node_bytes
-
-    # -- data path (splits page-crossing requests) --------------------------
-
-    def read_bytes(self, offset: int, size: int) -> bytes:
-        if size < 0:
-            raise ValueError(f"negative remote read size {size}")
-        if 0 < size <= PAGE_SIZE - (offset & (PAGE_SIZE - 1)):
-            # Within one page (a paging fetch): one route, no join.
-            node, local = self._route(offset)
-            return node.read_bytes(local, size)
-        parts = []
-        while size > 0:
-            node, local = self._route(offset)
-            take = min(PAGE_SIZE - (offset & (PAGE_SIZE - 1)), size)
-            parts.append(node.read_bytes(local, take))
-            offset += take
-            size -= take
-        return b"".join(parts)
-
-    def write_bytes(self, offset: int, data: bytes) -> None:
-        cursor = 0
-        while cursor < len(data):
-            node, local = self._route(offset)
-            take = min(PAGE_SIZE - (offset & (PAGE_SIZE - 1)),
-                       len(data) - cursor)
-            node.write_bytes(local, data[cursor:cursor + take])
-            offset += take
-            cursor += take
-
-    def resilver_page(self, member: int, page: int) -> int:
-        return -1  # no redundant copy to rebuild from
 
     def __repr__(self) -> str:
         return (f"PooledMemory({len(self.nodes)} nodes, "

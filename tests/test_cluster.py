@@ -167,12 +167,18 @@ def test_parity_reconstruction_property(seed, n_nodes, fail_index):
         assert cluster.read_bytes(page * PAGE_SIZE, 32) == data
 
 
+def _pool_client_owning_slot_0():
+    client = PooledMemory(make_nodes(2)).client("t0")
+    assert client.alloc_slot() == 0  # a client reads only its own slots
+    return client
+
+
 _BACKENDS = {
     "sharded": lambda: ShardedMemory(make_nodes(2)),
     "replicated": lambda: ReplicatedMemory(make_nodes(2)),
     "parity": lambda: ParityStripedMemory(make_nodes(3)),
     "pooled": lambda: PooledMemory(make_nodes(2)),
-    "pool_client": lambda: PooledMemory(make_nodes(2)).client("t0"),
+    "pool_client": _pool_client_owning_slot_0,
 }
 
 

@@ -17,7 +17,6 @@ from repro.harness import (
 from repro.apps.llm import PdSweepRunner
 from repro.cli import _SweepRunner
 from repro.harness.experiment import pick
-from repro.harness.parallel import cell_seed
 
 
 class TestFactories:
@@ -76,11 +75,6 @@ class TestSweep:
 class TestFanOut:
     """``--jobs`` fan-out (:mod:`repro.harness.parallel`) must merge
     results byte-identical to the serial run, in grid order."""
-
-    def test_cell_seed_depends_on_identity_only(self):
-        seed = cell_seed("kmeans", "dilos-readahead", 0.5)
-        assert seed == cell_seed("kmeans", "dilos-readahead", 0.5)
-        assert seed != cell_seed("kmeans", "dilos-readahead", 1.0)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("workload, runner, axis, ratios, backend", [

@@ -1,10 +1,12 @@
-"""Tests for the global pooled allocator (repro.mem.pool)."""
+"""Tests for the global pooled allocator (repro.mem.pool) and the
+tenant isolation its clients enforce (§5)."""
 
 import pytest
 
-from repro.common.errors import OutOfMemoryError
-from repro.common.units import MIB, PAGE_SIZE
-from repro.core.spec import make_backend
+from repro.common.errors import OutOfMemoryError, ProtectionError
+from repro.common.units import KIB, MIB, PAGE_SIZE
+from repro.core import DilosConfig, DilosSystem
+from repro.harness import SYSTEM_KINDS, make_system
 from repro.mem.pool import (
     PlacementPolicy,
     PooledMemory,
@@ -13,6 +15,7 @@ from repro.mem.pool import (
     register_placement,
 )
 from repro.mem.remote import MemoryNode
+from tests.test_spec import smoke_io
 
 
 def pool_of(nodes=3, slots=8, policy="load"):
@@ -254,23 +257,157 @@ class TestPlacementMetrics:
 
 
 class TestBackendSpec:
-    def test_pool_spec_builds(self):
-        pool = make_backend("pool:4/locality", 16 * MIB)
-        assert isinstance(pool, PooledMemory)
-        assert len(pool.nodes) == 4
-        assert pool.policy.name == "locality"
-        assert pool.capacity >= 16 * MIB
-
-    def test_default_policy_is_load(self):
-        assert make_backend("pool:2", 8 * MIB).policy.name == "load"
-        assert make_backend("pool", 8 * MIB).policy.name == "load"
-
-    def test_bad_specs(self):
-        for bad in ("pool:x", "pool:0", "pool:2/random"):
-            with pytest.raises(ValueError):
-                make_backend(bad, 8 * MIB)
-
     def test_equal_capacity_enforced(self):
         with pytest.raises(ValueError):
             PooledMemory([MemoryNode(2 * PAGE_SIZE),
                           MemoryNode(4 * PAGE_SIZE)])
+
+
+def dilos_on(client, local=1 * MIB):
+    return DilosSystem(DilosConfig(local_mem_bytes=local,
+                                   remote_mem_bytes=32 * MIB),
+                       memory_backend=client)
+
+
+class TestTenantIsolation:
+    """A :class:`PoolClient` is a protection domain: it reads, writes and
+    frees only the slots it allocated (§5's protection keys)."""
+
+    def test_slot_interface(self):
+        pool = pool_of(nodes=1, slots=4)
+        client = pool.client("a")
+        slots = [client.alloc_slot() for _ in range(4)]
+        assert len(set(slots)) == 4
+        with pytest.raises(OutOfMemoryError):
+            client.alloc_slot()
+        client.free_slot(slots[0])
+        assert client.free_slots == 1
+
+    def test_own_slots_round_trip(self):
+        pool = pool_of(nodes=2, slots=2, policy="pack")
+        client = pool.client("a")
+        for _ in range(4):
+            client.alloc_slot()
+        # An extent over two owned slots on two nodes.
+        data = bytes(range(256)) * 32
+        client.write_bytes(PAGE_SIZE, data)
+        assert client.read_bytes(PAGE_SIZE, 2 * PAGE_SIZE) == data
+        assert client.read_bytes(PAGE_SIZE + 100, 0) == b""
+
+    def test_cross_tenant_access_rejected(self):
+        pool = pool_of()
+        victim, attacker = pool.client("victim"), pool.client("attacker")
+        slot = victim.alloc_slot()
+        attacker.alloc_slot()
+        offset = victim.slot_offset(slot)
+        victim.write_bytes(offset, b"credit card numbers")
+        with pytest.raises(ProtectionError):
+            attacker.read_bytes(offset, 19)
+        with pytest.raises(ProtectionError):
+            attacker.write_bytes(offset, b"overwrite!")
+        with pytest.raises(ProtectionError):
+            attacker.free_slot(slot)
+        assert victim.read_bytes(offset, 19) == b"credit card numbers"
+        assert pool.free_slots == pool.total_slots - 2
+
+    def test_forged_and_out_of_pool_offsets_rejected(self):
+        pool = pool_of(nodes=2, slots=4)
+        client = pool.client("a")
+        client.alloc_slot()
+        anonymous = pool.alloc_slot()
+        for offset in (5 * PAGE_SIZE,              # never allocated
+                       pool.slot_offset(anonymous),  # no client's slot
+                       pool.capacity, -PAGE_SIZE):   # outside the pool
+            with pytest.raises(ProtectionError):
+                client.read_bytes(offset, 8)
+            with pytest.raises(ProtectionError):
+                client.write_bytes(offset, b"x")
+
+    def test_access_running_past_own_slot_rejected(self):
+        pool = pool_of(nodes=1, slots=4)
+        mine_client, their_client = pool.client("a"), pool.client("b")
+        mine, theirs = mine_client.alloc_slot(), their_client.alloc_slot()
+        assert theirs == mine + 1
+        their_client.write_bytes(pool.slot_offset(theirs), b"b" * 16)
+        mine_client.write_bytes(pool.slot_offset(mine), b"a" * PAGE_SIZE)
+        end = pool.slot_offset(theirs)
+        with pytest.raises(ProtectionError):
+            mine_client.read_bytes(end - 8, 16)
+        with pytest.raises(ProtectionError):
+            mine_client.write_bytes(end - 8, b"x" * 16)
+        # Rejected before either page moved.
+        assert mine_client.read_bytes(end - 8, 8) == b"a" * 8
+        assert their_client.read_bytes(end, 16) == b"b" * 16
+
+    def test_released_client_loses_slots_to_successor(self):
+        pool = pool_of(nodes=1, slots=4)
+        old = pool.client("a")
+        slot = old.alloc_slot()
+        pool.release_client("a")
+        new = pool.client("a")
+        # Nodes reuse freed slots last-freed-first: the successor
+        # registered under the released name gets the same slot back.
+        assert new is not old and new.alloc_slot() == slot
+        offset = pool.slot_offset(slot)
+        new.write_bytes(offset, b"new")
+        with pytest.raises(ProtectionError):
+            old.read_bytes(offset, 3)
+        with pytest.raises(ProtectionError):
+            old.write_bytes(offset, b"old")
+        with pytest.raises(ProtectionError):
+            old.free_slot(slot)
+        with pytest.raises(ProtectionError):
+            old.alloc_slot()
+        assert new.read_bytes(offset, 3) == b"new"
+
+    def test_released_guest_cannot_fault_in_reused_slots(self):
+        pool = PooledMemory([MemoryNode(16 * MIB)])
+        guest = dilos_on(pool.client("a"), local=256 * KIB)
+        region = guest.mmap(1 * MIB, name="ws")
+        for va in range(region.base, region.base + region.size, PAGE_SIZE):
+            guest.memory.write(va, b"aaaaaaaa")
+        # The cleaner writes every dirty page back, so the next fault
+        # evicts a clean page and goes straight to the fetch.
+        guest.clock.advance(5000)
+        freed = pool.release_client("a")
+        assert freed > 0  # the working set overflowed local memory
+        other = pool.client("b")
+        for _ in range(freed):
+            other.write_bytes(other.slot_offset(other.alloc_slot()),
+                              b"bbbbbbbb")
+        # The first page was evicted long ago; its slot is b's now.
+        with pytest.raises(ProtectionError):
+            guest.memory.read(region.base, 8)
+
+    def test_two_libos_share_one_memory_node(self):
+        """The §5 deployment: two DiLOS guests, one memory node, full
+        isolation."""
+        pool = PooledMemory([MemoryNode(64 * MIB)])
+        guests = [dilos_on(pool.client(name))
+                  for name in ("tenant-a", "tenant-b")]
+        # Identical virtual addresses must not collide remotely.
+        patterns = (b"\xAA" * 64, b"\x55" * 64)
+        mappings = []
+        for guest, pattern in zip(guests, patterns):
+            mapping = guest.mmap(4 * MIB, name="ws")
+            for va in range(mapping.base, mapping.base + mapping.size,
+                            PAGE_SIZE):
+                guest.memory.write(va, pattern)
+            mappings.append(mapping)
+        for guest, mapping, pattern in zip(guests, mappings, patterns):
+            guest.clock.advance(5000)
+            for va in range(mapping.base, mapping.base + mapping.size,
+                            PAGE_SIZE):
+                assert guest.memory.read(va, 64) == pattern
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in SYSTEM_KINDS if not k.startswith("aifm")])
+    def test_paging_kernel_runs_on_pool_client(self, kind):
+        """AIFM is left out: it bump-allocates the remote heap from
+        offset 0, so it cannot run on a slot-allocated shared pool (both
+        cluster classes reject it)."""
+        pool = PooledMemory([MemoryNode(4 * MIB, name=f"pool{i}")
+                             for i in range(4)], policy="locality")
+        system = make_system(kind, 512 * KIB, remote_bytes=16 * MIB,
+                             backend=pool.client("t0"))
+        smoke_io(system)

@@ -60,7 +60,9 @@ class TestKernelRegistry:
 class TestBackendRegistry:
     def test_registered_kinds(self):
         assert set(backend_kinds()) == {"node", "sharded", "replicated",
-                                        "parity", "pool"}
+                                        "parity"}
+        with pytest.raises(ValueError, match="unknown backend kind"):
+            make_backend("pool:2", 8 * MIB)
 
     def test_node_backend(self):
         backend = make_backend("node", 8 * MIB)
@@ -136,6 +138,18 @@ class TestSpecBoot:
         assert system.config.readahead_window == 4
 
 
+def smoke_io(system):
+    """Write and read back a 2 MiB working set on a paging kernel."""
+    region = system.mmap(2 * MIB, name="smoke")
+    for i in range(0, 2 * MIB, PAGE_SIZE):
+        system.memory.write(region.base + i, b"%08d" % i)
+    for i in range(0, 2 * MIB, PAGE_SIZE):
+        assert system.memory.read(region.base + i, 8) == b"%08d" % i
+    # With 512 KiB local against a 2 MiB working set the smoke run must
+    # actually exercise the backend's data path.
+    assert system.metrics().value("fault.major") > 0
+
+
 class TestBackendSmoke:
     """Every kernel boots and runs real IO on every backend kind."""
 
@@ -148,14 +162,7 @@ class TestBackendSmoke:
             ptr = system.allocate(PAGE_SIZE, data=b"q" * PAGE_SIZE)
             assert ptr.read(0, 8) == b"qqqqqqqq"
         else:
-            region = system.mmap(2 * MIB, name="smoke")
-            for i in range(0, 2 * MIB, PAGE_SIZE):
-                system.memory.write(region.base + i, b"%08d" % i)
-            for i in range(0, 2 * MIB, PAGE_SIZE):
-                assert system.memory.read(region.base + i, 8) == b"%08d" % i
-            # With 512 KiB local against a 2 MiB working set the smoke
-            # run must actually exercise the backend's data path.
-            assert system.metrics().value("fault.major") > 0
+            smoke_io(system)
 
     def test_default_backend_unchanged(self):
         """`make_system` without a backend still boots the historical

@@ -12,9 +12,17 @@ from repro.core.spec import (
     topology_kinds,
     topology_label,
 )
+from repro.mem.pool import PooledMemory
+from repro.mem.remote import MemoryNode
 from repro.net.latency import DEFAULT_LATENCY, LatencyModel
 from repro.net.qp import QueuePair
 from repro.net.topology import FabricPort, Link, RackTopology, coerce_topology
+
+
+def pool_client():
+    """One tenant's view of a two-node, load-placed 16 MiB pool."""
+    return PooledMemory([MemoryNode(8 * MIB, name=f"pool{i}")
+                         for i in range(2)], policy="load").client("t0")
 
 
 class TestLink:
@@ -276,7 +284,7 @@ class TestSpecBootTopology:
     def test_rack_boot_resolves_pool_routing(self):
         spec = SystemSpec(kind="dilos-readahead", local_mem_bytes=512 * 1024,
                           remote_mem_bytes=16 * MIB,
-                          backend="pool:2/load",
+                          backend=pool_client(),
                           topology="rack:compute=2,mem=2")
         system = spec.boot()
         assert system.config.fabric.resolver is not None
@@ -286,7 +294,7 @@ class TestSpecBootTopology:
             system = SystemSpec(kind="dilos-readahead",
                                 local_mem_bytes=512 * 1024,
                                 remote_mem_bytes=16 * MIB,
-                                backend="pool:2/load",
+                                backend=pool_client(),
                                 topology=topology).boot()
             region = system.mmap(2 * MIB, name="w")
             for i in range(0, 2 * MIB, PAGE_SIZE):
