@@ -283,6 +283,20 @@ class TestTenantIsolation:
         client.free_slot(slots[0])
         assert client.free_slots == 1
 
+    def test_capacity_enforced(self):
+        """Clients draw on one pool-wide capacity: once one tenant holds
+        most of it, another is refused past what is left."""
+        pool = pool_of(nodes=2, slots=4)
+        big, small = pool.client("big"), pool.client("small")
+        for _ in range(6):
+            big.alloc_slot()
+        held = [small.alloc_slot() for _ in range(2)]
+        with pytest.raises(OutOfMemoryError):
+            small.alloc_slot()
+        assert pool.free_slots == 0
+        small.free_slot(held[0])
+        assert small.alloc_slot() == held[0]
+
     def test_own_slots_round_trip(self):
         pool = pool_of(nodes=2, slots=2, policy="pack")
         client = pool.client("a")
