@@ -438,16 +438,14 @@ def _check_lengths(config: LlmConfig, prompt_len: int,
 
 
 def _prefill(system: Any, cache: Any, config: LlmConfig, seed: int,
-             prompt_len: int,
-             counters: Optional["_LlmCounters"]) -> List[int]:
+             prompt_len: int, counters: Optional["_LlmCounters"]) -> None:
     """Write one sequence's prompt KV into ``cache`` and charge the
-    prefill compute; returns the prompt tokens."""
-    prompt = prompt_tokens(seed, prompt_len, config.vocab)
-    written = cache.write_prompt(prompt)
+    prefill compute."""
+    written = cache.write_prompt(prompt_tokens(seed, prompt_len,
+                                               config.vocab))
     system.cpu_cycles(prompt_len * config.prefill_cycles_per_token)
     if counters is not None:
         counters.prefill(prompt_len, written)
-    return prompt
 
 
 def _decode_step(system: Any, cache: Any, config: LlmConfig, seed: int,
@@ -804,15 +802,13 @@ class _PdCoordinator:
         self.ttft_us: List[float] = [0.0] * len(requests)
         self.transfer_bytes = 0
 
-    def push(self, req_index: int, n_decode: int, prompt: List[int],
-             runs: List[bytes]) -> None:
-        self.queues[req_index % n_decode].append((req_index, prompt, runs))
+    def push(self, req_index: int, runs: List[bytes]) -> None:
+        self.queues[req_index % len(self.queues)].append((req_index, runs))
         self.transfer_bytes += sum(len(r) for r in runs)
 
 
 def _prefill_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
-                    indices: List[int], n_decode: int, config: LlmConfig,
-                    tiering: TieringPolicy):
+                    indices: List[int], config: LlmConfig):
     """Workload factory for one prefill tenant: prefill each assigned
     request, read the KV back (the transfer's send side), hand it to the
     coordinator, free the local copy."""
@@ -824,15 +820,15 @@ def _prefill_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
                 req = requests[i]
                 counters.request()
                 cache = KvCache(system, config, name=f"llm.prefill.{i}")
-                prompt = _prefill(system, cache, config, req.seed,
-                                  req.prompt_len, counters)
+                _prefill(system, cache, config, req.seed, req.prompt_len,
+                         counters)
                 yield "prefill"
                 runs = [cache.read_layer(layer, half)
                         for layer in range(config.layers)
                         for half in (0, 1)]
                 counters.transfer(sum(len(r) for r in runs))
                 cache.free()
-                coord.push(i, n_decode, prompt, runs)
+                coord.push(i, runs)
                 yield "transfer"
         return gen()
     return factory
@@ -879,7 +875,7 @@ def _decode_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
             rr = 0
             while done < n_jobs:
                 while queue:  # ingest everything transferred so far
-                    i, _prompt, layer_runs = queue.popleft()
+                    i, layer_runs = queue.popleft()
                     req = requests[i]
                     t0 = clock.now
                     cache = KvCache(system, config,
@@ -963,19 +959,15 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
     clock once it does. That tension is the regime crossover
     (see docs/LLM_WORKLOAD.md).
 
-    AIFM kinds are rejected here: AIFM tenants cannot share a cluster
-    backend (bump allocation), and P:D *is* a shared-backend scenario.
-    Use the single-node AIFM port (:class:`LlmWorkload`) instead.
+    AIFM kinds are rejected (``ValueError`` from the cluster's
+    enrollment): AIFM tenants cannot share a cluster backend (bump
+    allocation), and P:D *is* a shared-backend scenario. Use the
+    single-node AIFM port (:class:`LlmWorkload`) instead.
     """
     from repro.core.spec import SystemSpec
     from repro.harness.experiment import local_bytes_for
     from repro.sim.tenancy import ComputeCluster
 
-    if kind.startswith("aifm"):
-        raise ValueError(
-            "P:D disaggregation needs a shared cluster backend, which "
-            "AIFM tenants cannot join (bump allocation); run the llm "
-            "workload single-node on AIFM instead")
     n_prefill, n_decode = parse_pd_split(split)
     requests = sample_requests(n_requests, seed, prompt_min, prompt_max,
                                out_min, out_max)
@@ -997,8 +989,7 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
     for p in range(n_prefill):
         indices = [i for i in range(n_requests) if i % n_prefill == p]
         cluster.add_tenant(f"prefill{p}", prefill_spec,
-                           _prefill_tenant(coord, requests, indices,
-                                           n_decode, config, tiering))
+                           _prefill_tenant(coord, requests, indices, config))
     for d in range(n_decode):
         n_jobs = len([i for i in range(n_requests) if i % n_decode == d])
         cluster.add_tenant(f"decode{d}", decode_spec,

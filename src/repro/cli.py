@@ -823,10 +823,6 @@ def cmd_rack(args) -> int:
         print(f"error: unknown placement {args.placement!r}; pick from "
               f"{list(placement_kinds())}", file=sys.stderr)
         return 2
-    if args.system.startswith("aifm"):
-        print("error: AIFM tenants cannot share the rack's pooled backend "
-              "(bump allocation); pick a paging kernel", file=sys.stderr)
-        return 2
 
     def one():
         return SCENARIOS["rack"].build(
@@ -841,7 +837,7 @@ def cmd_rack(args) -> int:
     cluster, report = first.target, first.report
     snap = report.snapshot
     topo = cluster.topology
-    print(f"{topo.spec()} / {cluster.backend_label}: "
+    print(f"{topo.spec()} / {cluster.pool}: "
           f"{len(cluster.tenants)} tenants, {report.spec.to_spec()}")
     print(format_table("serving tail", ["metric", "value"], [
         ["offered", report.offered],

@@ -22,12 +22,8 @@ from repro.core.spec import (  # noqa: E402
     backend_label,
     kernel_kinds,
     make_backend,
-    make_topology,
     register_backend,
     register_kernel,
-    register_topology,
-    topology_kinds,
-    topology_label,
 )
 
 __all__ = [
@@ -49,10 +45,6 @@ __all__ = [
     "coalesce_ranges",
     "kernel_kinds",
     "make_backend",
-    "make_topology",
     "register_backend",
     "register_kernel",
-    "register_topology",
-    "topology_kinds",
-    "topology_label",
 ]

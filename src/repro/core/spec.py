@@ -10,7 +10,9 @@ a memory pool. This module replaces those parallel ladders:
 
 * :class:`SystemSpec` — a declarative description of one computing node:
   kernel kind, memory sizes, backend spec, observability, fault plan and
-  config overrides. ``spec.boot()`` is the only boot path.
+  config overrides. ``spec.boot()`` is the only boot path. What tenants
+  share (clock, backend, pool client, fabric port) is bound by the
+  clusters in :mod:`repro.sim`, never set here by hand.
 * the **kernel registry** — presentation keys (``"fastswap"``,
   ``"dilos-readahead"``, ``"aifm-rdma"``, ...) map to builder functions;
   :func:`register_kernel` adds new kernels without touching any caller.
@@ -26,14 +28,14 @@ bit-identical system (the golden-master suite pins this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.clock import Clock
 # The shared ``kind:key=value,...`` grammar every spec knob (backend=,
-# serve=, repair=, net_faults=, topology=) parses with. It lives in
-# repro.common so the knob modules below us in the import graph can use
-# it too; this re-export is the public face for spec authors.
+# serve=, repair=, net_faults=, RackCluster's topology=) parses with. It
+# lives in repro.common so the knob modules below us in the import graph
+# can use it too; this re-export is the public face for spec authors.
 from repro.common.specparse import Cast, parse_kv_spec, split_kind
 from repro.common.units import MIB, PAGE_SIZE, align_up
 from repro.mem.cluster import (
@@ -42,16 +44,14 @@ from repro.mem.cluster import (
     ShardedMemory,
 )
 from repro.mem.remote import MemoryNode
-from repro.mem.repair import RepairManager, RepairPolicy, coerce_repair_policy
 from repro.net.faults import (
     FaultPlan,
     RetryPolicy,
     coerce_fault_plan,
     coerce_retry_policy,
 )
-from repro.net.topology import FabricPort, RackTopology
+from repro.net.topology import FabricPort
 from repro.obs import Observability
-from repro.obs.tracer import NULL_TRACER
 
 #: A backend is anything with the :class:`~repro.mem.remote.MemoryNode`
 #: data/slot surface: ``alloc_slot``/``free_slot``/``slot_offset`` and
@@ -188,7 +188,10 @@ def make_backend(spec: BackendSpec, remote_bytes: int) -> BackendLike:
 
     ``None`` is treated as ``"node"``. A non-string object is assumed to
     be a ready backend (a shared cluster) and is returned as-is after a
-    duck-type check of the data-path surface.
+    duck-type check of the data-path surface. A raw
+    :class:`~repro.mem.pool.PooledMemory` fails that check (it has no
+    ``alloc_slot``): kernels reach a pool only through a
+    :class:`~repro.mem.pool.PoolClient`.
     """
     if spec is None:
         spec = "node"
@@ -219,88 +222,6 @@ def backend_label(spec: BackendSpec) -> str:
     return type(spec).__name__
 
 
-# -- the topology registry ---------------------------------------------------
-
-#: What a spec's ``topology`` field accepts: a registry spec string, a
-#: ready :class:`~repro.net.topology.RackTopology` (shared fabrics), a
-#: pre-bound :class:`~repro.net.topology.FabricPort` (the rack
-#: scheduler's per-tenant view), or ``None`` (the flat model).
-TopologySpec = Union[str, RackTopology, FabricPort, None]
-TopologyFactory = Callable[[str], Optional[RackTopology]]
-
-_TOPOLOGIES: Dict[str, TopologyFactory] = {}
-
-
-def register_topology(
-        name: str) -> Callable[[TopologyFactory], TopologyFactory]:
-    """Register a topology factory under spec prefix ``name`` (decorator).
-
-    The factory receives the argument text after the colon (``""`` when
-    absent) and returns a topology object — or ``None`` for the flat
-    (uncontended, fixed-latency) model.
-    """
-    def deco(factory: TopologyFactory) -> TopologyFactory:
-        if name in _TOPOLOGIES:
-            raise ValueError(f"topology kind {name!r} already registered")
-        _TOPOLOGIES[name] = factory
-        return factory
-    return deco
-
-
-def topology_kinds() -> Tuple[str, ...]:
-    """All registered topology spec prefixes, in registration order."""
-    return tuple(_TOPOLOGIES)
-
-
-#: Spec templates for help text, mirroring ``BACKEND_SPEC_EXAMPLES``.
-TOPOLOGY_SPEC_EXAMPLES = ("flat", "rack:compute=4,mem=2,link=100,oversub=4")
-
-
-@register_topology("flat")
-def _make_flat(arg: str) -> None:
-    if arg:
-        raise ValueError("topology 'flat' takes no argument")
-    return None
-
-
-@register_topology("rack")
-def _make_rack(arg: str) -> RackTopology:
-    return RackTopology.from_spec(f"rack:{arg}")
-
-
-def make_topology(spec: TopologySpec):
-    """Build (or pass through) the fabric topology for a spec.
-
-    ``None``/``"flat"``/``""`` mean the flat model (no fabric, the
-    historical timing path — golden digests pin it). A ready
-    :class:`RackTopology` or :class:`FabricPort` passes through so many
-    specs can share one contended fabric.
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, (RackTopology, FabricPort)):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(f"cannot build a topology from {spec!r}")
-    kind, arg = split_kind(spec, default="flat")
-    factory = _TOPOLOGIES.get(kind)
-    if factory is None:
-        raise ValueError(f"unknown topology kind {spec!r}; "
-                         f"pick from {TOPOLOGY_SPEC_EXAMPLES}")
-    return factory(arg)
-
-
-def topology_label(spec: TopologySpec) -> str:
-    """A short presentation label for a topology spec or object."""
-    if spec is None:
-        return "flat"
-    if isinstance(spec, str):
-        return spec or "flat"
-    if isinstance(spec, FabricPort):
-        return spec.topology.spec()
-    return spec.spec()
-
-
 # -- the spec ----------------------------------------------------------------
 
 @dataclass
@@ -329,40 +250,22 @@ class SystemSpec:
     net_faults: Optional[FaultPlan] = None
     #: Retry policy for the reliable transport.
     net_retry: Optional[RetryPolicy] = None
-    #: Online repair policy (resilver/scrub pacing) for cluster
-    #: backends: a :class:`~repro.mem.repair.RepairPolicy`, a spec
-    #: string (``"resilver_period=200,scrub_period=5000"``), or ``None``
-    #: (no manager; ``rejoin`` falls back to the synchronous resilver).
-    repair: Optional[RepairPolicy] = None
-    #: Open-loop serving configuration for this node when it is enrolled
-    #: as a service tenant: a :class:`~repro.serve.spec.ServeSpec`, a
-    #: spec string (``"poisson:rate=5k,clients=1m,slo=2ms"``), or
-    #: ``None``. Typed ``Any`` to keep :mod:`repro.serve` out of the
-    #: boot layer's import graph (it is coerced lazily below).
-    serve: Optional[Any] = None
-    #: Fabric topology this node's QPs are charged against: a registry
-    #: spec string (``"rack:compute=4,mem=2,oversub=4"``), a shared
-    #: :class:`~repro.net.topology.RackTopology`, a pre-bound
-    #: :class:`~repro.net.topology.FabricPort`, or ``None``/``"flat"``
-    #: (the historical uncontended model — golden digests pin it).
-    topology: TopologySpec = None
+    #: The fabric port this node's QPs are charged through, bound by
+    #: :class:`~repro.sim.rack.RackCluster` (compute id and pool routing),
+    #: or ``None`` for the flat model (the historical uncontended timing
+    #: path — golden digests pin it).
+    topology: Optional[FabricPort] = None
     #: Extra keyword arguments for the kernel's config dataclass.
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.net_faults = coerce_fault_plan(self.net_faults)
         self.net_retry = coerce_retry_policy(self.net_retry)
-        self.repair = coerce_repair_policy(self.repair)
-        self.topology = make_topology(self.topology)
-        # The port this boot charges verbs through; a bare topology is
-        # bound (compute 0, backend-provided resolver) in ``boot()``.
-        self._fabric_port: Optional[FabricPort] = (
-            self.topology if isinstance(self.topology, FabricPort) else None)
-        if self.serve is not None:
-            # Deferred import: repro.serve imports the apps layer, which
-            # boots through this module — a top-level import would cycle.
-            from repro.serve.spec import coerce_serve_spec
-            self.serve = coerce_serve_spec(self.serve)
+        if self.topology is not None and \
+                not isinstance(self.topology, FabricPort):
+            raise TypeError(
+                f"topology must be a FabricPort or None, not "
+                f"{self.topology!r}; RackCluster binds each tenant's port")
 
     # -- derived views -------------------------------------------------------
 
@@ -373,14 +276,9 @@ class SystemSpec:
         kwargs = dict(self.overrides)
         kwargs.setdefault("net_faults", self.net_faults)
         kwargs.setdefault("net_retry", self.net_retry)
-        if self._fabric_port is not None:
-            kwargs.setdefault("fabric", self._fabric_port)
+        if self.topology is not None:
+            kwargs.setdefault("fabric", self.topology)
         return kwargs
-
-    def with_shared(self, clock: Clock, backend: BackendLike) -> "SystemSpec":
-        """A copy of this spec bound to a shared clock and backend (the
-        tenancy scheduler's view of a tenant)."""
-        return replace(self, clock=clock, backend=backend)
 
     def boot(self):
         """Boot the described system.
@@ -397,28 +295,7 @@ class SystemSpec:
             backend = None  # kernels build their default single node
         else:
             backend = make_backend(self.backend, self.remote_mem_bytes)
-        if isinstance(self.topology, RackTopology) and \
-                self._fabric_port is None:
-            # A bare topology (not a pre-bound port): this node is
-            # compute 0, routed by the backend's offset->node map when
-            # it has one (a PoolClient), else everything goes home.
-            resolver = getattr(backend, "node_of", None)
-            self._fabric_port = self.topology.port(0, resolver=resolver)
-        system = builder(self, backend)
-        if self.repair is not None:
-            if backend is None or \
-                    not callable(getattr(backend, "attach_repair", None)):
-                raise ValueError(
-                    "repair= needs a cluster backend (replicated/parity/"
-                    f"sharded), not {backend_label(self.backend)!r}")
-            if getattr(backend, "repair", None) is None:
-                # Shared backends keep the manager of the first tenant
-                # that booted with a repair policy.
-                tracer = self.obs.tracer if self.obs is not None \
-                    else getattr(system, "tracer", NULL_TRACER)
-                RepairManager(backend, system.clock, policy=self.repair,
-                              tracer=tracer)
-        return system
+        return builder(self, backend)
 
 
 # -- the built-in kernels ----------------------------------------------------
@@ -482,20 +359,14 @@ __all__: List[str] = [
     "Cast",
     "DILOS_FLAVORS",
     "SystemSpec",
-    "TOPOLOGY_SPEC_EXAMPLES",
-    "TopologySpec",
     "backend_kinds",
     "backend_label",
     "kernel_builder",
     "kernel_kinds",
     "make_backend",
-    "make_topology",
     "parse_kv_spec",
     "register_backend",
     "register_kernel",
-    "register_topology",
     "split_kind",
-    "topology_kinds",
-    "topology_label",
     "unregister_kernel",
 ]

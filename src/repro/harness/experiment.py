@@ -74,22 +74,15 @@ def make_system(kind: str, local_bytes: int,
     dataclass; notably ``net_faults`` (a :class:`repro.net.FaultPlan`
     or a spec string such as ``"drop=0.01,corrupt=0.005,seed=7"``) and
     ``net_retry`` route all remote IO through the reliable transport —
-    the same knob every kind understands. ``repair`` (a
-    :class:`repro.mem.repair.RepairPolicy` or a spec string such as
-    ``"resilver_period=200,scrub_period=5000"``) attaches the online
-    resilver/scrub manager to a cluster backend. ``serve`` (a
-    :class:`repro.serve.ServeSpec` or a spec string such as
-    ``"poisson:rate=5k,clients=1m,slo=2ms"``) attaches an open-loop
-    serving configuration, used when the system is enrolled as a service
-    tenant (see docs/SERVING.md).
+    the same knob every kind understands. Online repair attaches after
+    boot (``RepairManager(system.node, system.clock, policy=...)``), and
+    a serve spec is the argument of a cluster's ``serve(spec)``.
     """
     spec = SystemSpec(kind=kind, local_mem_bytes=local_bytes,
                       remote_mem_bytes=remote_bytes, backend=backend,
                       obs=obs, clock=clock,
                       net_faults=overrides.pop("net_faults", None),
                       net_retry=overrides.pop("net_retry", None),
-                      repair=overrides.pop("repair", None),
-                      serve=overrides.pop("serve", None),
                       overrides=overrides)
     return spec.boot()
 

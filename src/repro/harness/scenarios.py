@@ -33,6 +33,7 @@ from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import BackendSpec, SystemSpec, make_backend
 from repro.harness.experiment import local_bytes_for, make_system
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory
+from repro.mem.repair import RepairManager
 from repro.sim.tenancy import ComputeCluster, WorkloadFactory
 
 
@@ -333,13 +334,15 @@ def serve_fleet(serve: Any,
     service tenants behind one frontend playing ``serve`` (arrivals ->
     admission -> balancer -> SLO accounting). ``contrast`` replaces
     fields of that spec for the naive run a preset argues against."""
-    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
-                             serve=serve)
-    if contrast:
-        cluster.serve_spec = cluster.serve_spec.with_overrides(**contrast)
+    from repro.serve.spec import coerce_serve_spec
+
+    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB)
     for name, local_bytes, service, params in services:
         cluster.add_service(name, _spec(kind, local_bytes), service, **params)
-    report = cluster.serve()
+    spec = coerce_serve_spec(serve)
+    if contrast:
+        spec = spec.with_overrides(**contrast)
+    report = cluster.serve(spec)
     return Run(cluster, report.completed, report)
 
 
@@ -368,8 +371,7 @@ def kv_failover(backend: BackendSpec = "replicated:3",
     serve = (f"poisson:rate=30k,clients=50k,slo=4ms,requests={requests},"
              "seed=37,balance=least")
     cluster = ComputeCluster(backend=backend, remote_mem_bytes=32 * MIB,
-                             repair="resilver_period=100,resilver_batch=32",
-                             serve=serve)
+                             repair="resilver_period=100,resilver_batch=32")
     spec = _spec(kind, 256 * KIB)
     for name in ("kv1", "kv2"):
         cluster.add_service(name, spec, "kv", n_keys=48, value_bytes=160,
@@ -383,7 +385,7 @@ def kv_failover(backend: BackendSpec = "replicated:3",
     cluster.clock.call_at(kill_at_us, victim.fail)
     cluster.clock.call_at(rejoin_at_us,
                           lambda: cluster.backend.rejoin(victim))
-    report = cluster.serve()
+    report = cluster.serve(serve)
     for tenant in cluster.tenants:
         service = tenant.extra.get("service")
         if service is not None and hasattr(service, "verify"):
@@ -391,13 +393,14 @@ def kv_failover(backend: BackendSpec = "replicated:3",
     return Run(cluster, report.completed, report)
 
 
-def rack(**kwargs: Any) -> Run:
+def rack(serve: Any = None, **kwargs: Any) -> Run:
     """The rack serving preset (:func:`repro.sim.rack.make_rack`
-    arguments), served once."""
-    from repro.sim.rack import make_rack
+    arguments), served once with ``serve`` (default
+    :data:`~repro.sim.rack.DEFAULT_RACK_SERVE`)."""
+    from repro.sim.rack import DEFAULT_RACK_SERVE, make_rack
 
     cluster = make_rack(**kwargs)
-    report = cluster.serve()
+    report = cluster.serve(serve or DEFAULT_RACK_SERVE)
     return Run(cluster, report.completed, report)
 
 
@@ -442,9 +445,9 @@ def repair_demo(backend: str = "replicated:2",
             f"repair demo needs a redundant backend, not {backend!r}")
 
     spec = SystemSpec(kind=kind, local_mem_bytes=local_bytes,
-                      remote_mem_bytes=region_bytes, backend=cluster,
-                      repair=repair)
+                      remote_mem_bytes=region_bytes, backend=cluster)
     system = spec.boot()
+    RepairManager(cluster, system.clock, policy=repair)
     clock = system.clock
     region = system.mmap(region_bytes, name="repair.ws")
     pages = region.size // PAGE_SIZE

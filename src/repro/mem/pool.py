@@ -29,17 +29,18 @@ Compute nodes allocate through per-tenant :class:`PoolClient` views
 (``pool.client(name, home=i)``), which carry the requester's identity —
 the standard backend surface (``alloc_slot``/``read_bytes``/...) has no
 argument to express it — and isolate tenants: a client reaches only the
-slots it allocated. Placement-outcome metrics land in canonical
-``pool.*`` names: ``pool.alloc``/``pool.free``/``pool.spills`` counters
-plus ``pool.stranded_slots`` (free capacity sitting above the
-fullest node's free level — space uneven placement has made cheaply
-unreachable) and ``pool.frag_imbalance`` (max-min node occupancy
-spread) gauges.
+slots it allocated. The pool itself has no ``alloc_slot``, so no kernel
+boots on it directly: every slot belongs to a client. Placement-outcome
+metrics land in canonical ``pool.*`` names: ``pool.alloc``/
+``pool.free``/``pool.spills`` counters plus ``pool.stranded_slots``
+(free capacity sitting above the fullest node's free level — space
+uneven placement has made cheaply unreachable) and
+``pool.frag_imbalance`` (max-min node occupancy spread) gauges.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Sequence, Set, Tuple, Union
 
 from repro.common.errors import OutOfMemoryError, ProtectionError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
@@ -202,7 +203,7 @@ class PoolClient:
     # -- slots (placement-aware) -----------------------------------------
 
     def alloc_slot(self) -> int:
-        return self.pool.alloc_for(self.home, owner=self)
+        return self.pool.alloc_for(self)
 
     def free_slot(self, slot: int) -> None:
         self._check(slot << PAGE_SHIFT, PAGE_SIZE)
@@ -268,7 +269,7 @@ class PooledMemory(_PlainCluster):
         # client object, not name: nodes reuse freed slots last-freed-
         # first, so a successor registered under a released name gets
         # the released slots back, and the released client must not
-        # reach them. Anonymous allocations (owner=None) are untracked.
+        # reach them.
         self._slot_owner: Dict[int, PoolClient] = {}
         self._owned: Dict[PoolClient, Set[int]] = {}
         self.registry.counter("pool.alloc")
@@ -352,41 +353,35 @@ class PooledMemory(_PlainCluster):
 
     # -- slots -------------------------------------------------------------
 
-    def alloc_for(self, home: int,
-                  owner: Optional[PoolClient] = None) -> int:
-        """Allocate one page slot for a requester homed on ``home``.
+    def alloc_for(self, owner: PoolClient) -> int:
+        """Allocate one page slot for ``owner``, placed for its home node.
 
         ``owner`` (a registered client) becomes the only client that may
         access the slot, and :meth:`release_client` returns the slot if
         the tenant departs without freeing it. A released client raises
-        :class:`~repro.common.errors.ProtectionError`."""
-        if owner is not None and self._clients.get(owner.name) is not owner:
+        :class:`~repro.common.errors.ProtectionError`. The pool has no
+        anonymous allocation: every slot belongs to a client."""
+        if self._clients.get(owner.name) is not owner:
             raise ProtectionError(f"pool client {owner.name!r} was released")
+        home = owner.home
         node_index = self.policy.choose(self, home)
         local = self.nodes[node_index].alloc_slot()
         self.registry.add("pool.alloc")
         if self.policy.prefers_home and node_index != home:
             self.registry.add("pool.spills")
         global_slot = node_index * self.node_slots + local
-        if owner is not None:
-            self._slot_owner[global_slot] = owner
-            self._owned.setdefault(owner, set()).add(global_slot)
+        self._slot_owner[global_slot] = owner
+        self._owned.setdefault(owner, set()).add(global_slot)
         return global_slot
-
-    def alloc_slot(self) -> int:
-        """Anonymous allocation (no client identity): home node 0."""
-        return self.alloc_for(0)
 
     def free_slot(self, global_slot: int) -> None:
         node_index, local = divmod(global_slot, self.node_slots)
         self.nodes[node_index].free_slot(local)
-        owner = self._slot_owner.pop(global_slot, None)
-        if owner is not None:
-            owned = self._owned.get(owner)
-            if owned is not None:
-                owned.discard(global_slot)
-                if not owned:
-                    del self._owned[owner]
+        owner = self._slot_owner.pop(global_slot)
+        owned = self._owned[owner]
+        owned.discard(global_slot)
+        if not owned:
+            del self._owned[owner]
         self.registry.add("pool.free")
 
     # -- routing -----------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.net.topology import (
     FabricPort,
     Link,
     RackTopology,
-    coerce_topology,
 )
 
 __all__ = [
@@ -39,6 +38,5 @@ __all__ = [
     "checksum",
     "coerce_fault_plan",
     "coerce_retry_policy",
-    "coerce_topology",
     "cycles_to_us",
 ]

@@ -20,7 +20,8 @@ for the link to drain, then occupies it for ``size / bandwidth``. A
 port attached add the port's contention delay to every verb —
 **queueing included** — so tail latency under an oversubscribed ToR is
 an emergent property of which memory node the allocator picked, not a
-constant. With no port attached (the default, ``topology="flat"``)
+constant. Only :class:`~repro.sim.rack.RackCluster` binds ports, one per
+tenant; with no port attached (a spec's default ``topology=None``)
 nothing in the timing path changes; the golden-master digests pin that.
 
 Spec grammar (shared with ``backend=``/``serve=``/``repair=``, see
@@ -211,8 +212,8 @@ class RackTopology:
         ``rack:`` prefix is optional when called directly)."""
         kind, args = split_kind(spec, default="rack")
         if kind != "rack":
-            raise ValueError(f"unknown topology kind {kind!r}; "
-                             "this parser handles 'rack'")
+            raise ValueError(f"unknown topology kind {kind!r}; a rack "
+                             "topology spec reads 'rack:compute=N,mem=M,...'")
         casts = {"compute": int, "mem": int, "link": float,
                  "oversub": float}
         parsed = parse_kv_spec(args, casts, what="topology spec")
@@ -266,24 +267,9 @@ class FabricPort:
         return f"FabricPort(c{self.compute_id} on {self.topology!r})"
 
 
-def coerce_topology(value) -> Optional[RackTopology]:
-    """``None``/``"flat"`` -> ``None``; spec string/ready topology ->
-    :class:`RackTopology` (the ``topology=`` coercion convention)."""
-    if value is None or isinstance(value, RackTopology):
-        return value
-    if isinstance(value, FabricPort):
-        return value.topology
-    if isinstance(value, str):
-        if value in ("", "flat"):
-            return None
-        return RackTopology.from_spec(value)
-    raise TypeError(f"cannot build a topology from {value!r}")
-
-
 __all__ = [
     "FabricPort",
     "Link",
     "OffsetResolver",
     "RackTopology",
-    "coerce_topology",
 ]

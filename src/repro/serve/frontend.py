@@ -171,7 +171,7 @@ class ServeFrontend:
         """Zero every instrument this frontend owns.
 
         The cluster registry shares instruments by name, so a second
-        ``cluster.serve()`` on the same cluster would otherwise keep
+        ``cluster.serve(spec)`` on the same cluster would otherwise keep
         accumulating into the first run's ``serve.*`` counters and
         double-count the snapshot. Each run reports itself only.
         """

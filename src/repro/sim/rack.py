@@ -23,11 +23,11 @@ fragmentation imbalance) metrics alongside the usual ``tenant.*`` and
 snapshot.
 
 :func:`make_rack` builds the standard preset — N redis service tenants
-striped round-robin across the compute nodes, an open-loop serve spec —
-and scales to hundreds of tenants. :func:`run_rack_cell` is the
-module-level (picklable) worker behind ``repro sweep rack --jobs``: one
-placement-policy × oversubscription cell per call, byte-identical
-whether run serially or fanned out.
+striped round-robin across the compute nodes, served with
+:data:`DEFAULT_RACK_SERVE` — and scales to hundreds of tenants.
+:func:`run_rack_cell` is the module-level (picklable) worker behind
+``repro sweep rack --jobs``: one placement-policy × oversubscription
+cell per call, byte-identical whether run serially or fanned out.
 
 The locality-vs-load tradeoff the sweep reproduces: ``locality``
 placement keeps traffic on direct chassis links — immune to ToR
@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.common.clock import Clock
 from repro.common.units import KIB, MIB, PAGE_SIZE, align_up
-from repro.core.spec import SystemSpec, make_topology
+from repro.core.spec import SystemSpec
 from repro.mem.pool import PooledMemory
 from repro.mem.remote import MemoryNode
 from repro.net.topology import RackTopology
@@ -55,7 +55,8 @@ from repro.sim.tenancy import ComputeCluster, Tenant, WorkloadFactory
 #: nodes, 100 Gbit/s edge links, non-blocking trunk.
 DEFAULT_RACK = "rack:compute=4,mem=4,link=100,oversub=1"
 
-#: The default open-loop serve spec for :func:`make_rack` presets.
+#: The default open-loop serve spec for :func:`make_rack` presets
+#: (``cluster.serve(DEFAULT_RACK_SERVE)``).
 DEFAULT_RACK_SERVE = ("poisson:rate=400k,clients=1m,slo=2ms,"
                       "requests=2000,seed=29,balance=round_robin")
 
@@ -72,65 +73,59 @@ class RackCluster(ComputeCluster):
             :class:`~repro.mem.pool.PlacementPolicy`.
         remote_mem_bytes: total pooled capacity, split equally over the
             topology's memory nodes.
-        quantum_us / clock / serve: as in :class:`ComputeCluster`.
+        quantum_us / clock: as in :class:`ComputeCluster`.
     """
 
     def __init__(self, topology: Union[str, RackTopology] = DEFAULT_RACK,
                  placement: Any = "locality",
                  remote_mem_bytes: int = 512 * MIB,
                  quantum_us: float = 1_000.0,
-                 clock: Optional[Clock] = None,
-                 serve: Optional[Any] = None) -> None:
-        topo = make_topology(topology)
-        if not isinstance(topo, RackTopology):
-            raise ValueError(
-                "RackCluster needs a rack topology (e.g. "
-                f"{DEFAULT_RACK!r}); for the flat fabric use "
-                "ComputeCluster")
+                 clock: Optional[Clock] = None) -> None:
+        topo = (topology if isinstance(topology, RackTopology)
+                else RackTopology.from_spec(topology))
         node_bytes = align_up(max(1, -(-remote_mem_bytes // topo.mem)),
                               PAGE_SIZE)
         pool = PooledMemory(
             [MemoryNode(node_bytes, name=f"pool{m}")
              for m in range(topo.mem)],
             policy=placement)
+        # The pool backs the cluster's backend.* gauges and merged pool.*
+        # metrics; tenants reach it only through their own PoolClient.
         super().__init__(backend=pool, remote_mem_bytes=remote_mem_bytes,
-                         quantum_us=quantum_us, clock=clock, serve=serve)
+                         quantum_us=quantum_us, clock=clock)
         self.topology = topo
         self.pool = pool
-        self.backend_label = f"pool:{topo.mem}/{pool.policy.name}"
         self._next_compute = 0
 
     # -- enrollment ----------------------------------------------------------
 
     def add_tenant(self, name: str, spec: SystemSpec,
                    workload: WorkloadFactory,
-                   share_backend: bool = True,
                    compute_id: Optional[int] = None) -> Tenant:
         """Enroll ``spec`` as one compute node of the rack.
 
         The tenant's backend becomes a pool client homed on the
         topology's home memory node for its compute id, and its QPs are
         charged through a fabric port bound to that id (round-robin over
-        compute nodes when ``compute_id`` is not given). The
-        ``share_backend`` flag is accepted for interface compatibility
-        but every rack tenant shares the pool through its client view.
+        compute nodes when ``compute_id`` is not given). A rejected
+        tenant leaves no client in the pool and does not move the
+        round-robin.
         """
-        if spec.kind.startswith("aifm"):
-            raise ValueError(
-                "AIFM tenants bump-allocate the remote heap from offset 0 "
-                "and cannot share the rack's slot-allocated pool")
+        self._check_enrollment(name, spec)
         cid = self._next_compute if compute_id is None else compute_id
         if not 0 <= cid < self.topology.compute:
             raise ValueError(f"no compute node {cid} in {self.topology!r}")
-        if compute_id is None:
-            self._next_compute = (cid + 1) % self.topology.compute
         client = self.pool.client(name, home=self.topology.home(cid))
         port = self.topology.port(cid, resolver=self.pool.node_of)
-        bound = replace(spec, backend=client, topology=port)
-        # share_backend=False: keep our client view as the tenant's
-        # backend (the base class would swap in the raw shared pool).
-        tenant = super().add_tenant(name, bound, workload,
-                                    share_backend=False)
+        try:
+            tenant = self._enroll(name, replace(
+                spec, clock=self.clock, backend=client, topology=port),
+                workload)
+        except BaseException:
+            self.pool.release_client(name)
+            raise
+        if compute_id is None:
+            self._next_compute = (cid + 1) % self.topology.compute
         tenant.extra["compute_id"] = cid
         return tenant
 
@@ -162,7 +157,6 @@ def make_rack(tenants: int = 8,
               kind: str = "dilos-readahead",
               local_mem_bytes: int = 192 * KIB,
               remote_mem_bytes: int = 256 * MIB,
-              serve: Optional[str] = DEFAULT_RACK_SERVE,
               n_keys: int = 64,
               value_bytes: int = 4096) -> RackCluster:
     """The rack serving preset: N redis tenants striped over the rack.
@@ -171,12 +165,13 @@ def make_rack(tenants: int = 8,
     repeat once tenants outnumber compute nodes); each keeps a small
     local cache so its keyspace lives in the pool and every request
     pays fabric traffic. Scales to hundreds of tenants — per-tenant
-    state is one small booted kernel plus ``n_keys`` values.
+    state is one small booted kernel plus ``n_keys`` values. Serve it
+    with ``cluster.serve(DEFAULT_RACK_SERVE)`` or any other spec.
     """
     if tenants < 1:
         raise ValueError("need at least one tenant")
     cluster = RackCluster(topology=topology, placement=placement,
-                          remote_mem_bytes=remote_mem_bytes, serve=serve)
+                          remote_mem_bytes=remote_mem_bytes)
     spec = SystemSpec(kind=kind, local_mem_bytes=local_mem_bytes,
                       remote_mem_bytes=remote_mem_bytes)
     for i in range(tenants):
@@ -204,9 +199,8 @@ def run_rack_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     cluster = make_rack(tenants=cell.get("tenants", 8),
                         topology=topology, placement=placement,
                         kind=cell.get("kind", "dilos-readahead"),
-                        serve=cell.get("serve", DEFAULT_RACK_SERVE),
                         n_keys=cell.get("n_keys", 64))
-    report = cluster.serve()
+    report = cluster.serve(cell.get("serve") or DEFAULT_RACK_SERVE)
     snap = report.snapshot
     return {
         "placement": placement,

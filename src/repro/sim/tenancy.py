@@ -92,9 +92,6 @@ class ComputeCluster:
             string) attaching the online resilver/scrub manager to the
             shared cluster backend; rebuild traffic then paces on the
             cluster's clock, interleaved with the tenants.
-        serve: default open-loop serving configuration for
-            :meth:`serve` — a :class:`~repro.serve.ServeSpec` or a spec
-            string such as ``"poisson:rate=5k,clients=1m,slo=2ms"``.
     """
 
     def __init__(self, backend: BackendSpec = "sharded:2",
@@ -102,18 +99,15 @@ class ComputeCluster:
                  quantum_us: float = 1_000.0,
                  clock: Optional[Clock] = None,
                  max_slice_ops: int = 1_000_000,
-                 repair: Optional[Any] = None,
-                 serve: Optional[Any] = None) -> None:
+                 repair: Optional[Any] = None) -> None:
         if quantum_us <= 0:
             raise ValueError("quantum must be positive")
-        if serve is not None:
-            # Deferred import: repro.serve drives *this* class, so a
-            # top-level import would cycle.
-            from repro.serve.spec import coerce_serve_spec
-            serve = coerce_serve_spec(serve)
-        self.serve_spec = serve
         self.clock = clock or Clock()
-        self.backend: BackendLike = make_backend(backend, remote_mem_bytes)
+        # A ready backend object passes through unchecked: each tenant's
+        # boot runs make_backend's surface check on what it is bound to.
+        self.backend: BackendLike = (
+            make_backend(backend, remote_mem_bytes)
+            if backend is None or isinstance(backend, str) else backend)
         self.backend_label = backend_label(backend)
         self.repair = None
         if repair is not None:
@@ -145,31 +139,35 @@ class ComputeCluster:
     # -- tenant management ---------------------------------------------------
 
     def add_tenant(self, name: str, spec: SystemSpec,
-                   workload: WorkloadFactory,
-                   share_backend: bool = True) -> Tenant:
-        """Boot ``spec`` on the shared clock/backend and enroll it.
+                   workload: WorkloadFactory) -> Tenant:
+        """Boot ``spec`` on the cluster's clock and backend and enroll it.
 
         ``workload`` receives the booted system and returns the tenant's
-        operation generator. ``share_backend=False`` gives the tenant a
-        private backend built from its own spec (it still shares the
-        clock) — required for AIFM tenants, whose bump allocator would
-        scribble over the slot allocations of co-tenants.
+        operation generator. Raises ``ValueError`` for a bad or duplicate
+        name and for AIFM kinds, before anything boots.
         """
+        self._check_enrollment(name, spec)
+        return self._enroll(name, replace(spec, clock=self.clock,
+                                          backend=self.backend), workload)
+
+    def _check_enrollment(self, name: str, spec: SystemSpec) -> None:
+        """Reject a tenant the cluster cannot enroll, with no side
+        effect."""
         if not _TENANT_NAME_RE.match(name):
             raise ValueError(
                 f"tenant name {name!r} must match {_TENANT_NAME_RE.pattern} "
                 "(it becomes a metric-name segment)")
         if name in self._by_name:
             raise ValueError(f"duplicate tenant name {name!r}")
-        if share_backend and spec.kind.startswith("aifm"):
+        if spec.kind.startswith("aifm"):
             raise ValueError(
                 "AIFM tenants bump-allocate the remote heap from offset 0 "
-                "and cannot share a slot-allocated backend; add them with "
-                "share_backend=False")
-        if share_backend:
-            bound = spec.with_shared(self.clock, self.backend)
-        else:
-            bound = replace(spec, clock=self.clock)
+                "and cannot share a cluster's slot-allocated backend; run "
+                "AIFM single-node")
+
+    def _enroll(self, name: str, bound: SystemSpec,
+                workload: WorkloadFactory) -> Tenant:
+        """Boot a checked, fully bound spec and add it to the rotation."""
         system = bound.boot()
         tenant = Tenant(name=name, spec=bound, system=system,
                         workload=iter(workload(system)))
@@ -183,7 +181,6 @@ class ComputeCluster:
 
     def add_service(self, name: str, spec: SystemSpec,
                     service: Any = "redis",
-                    share_backend: bool = True,
                     **service_kwargs: Any) -> Tenant:
         """Boot ``spec`` and enroll it as a request-driven *service*.
 
@@ -198,8 +195,7 @@ class ComputeCluster:
         """
         from repro.apps.api import SERVICES, Service
 
-        tenant = self.add_tenant(name, spec, lambda system: iter(()),
-                                 share_backend=share_backend)
+        tenant = self.add_tenant(name, spec, lambda system: iter(()))
         system = tenant.system
         if isinstance(service, str):
             service = SERVICES.build(service, system, **service_kwargs)
@@ -213,29 +209,20 @@ class ComputeCluster:
         tenant.extra["service"] = service
         return tenant
 
-    def serve(self, spec: Optional[Any] = None,
-              sampler: Optional[Any] = None):
+    def serve(self, spec: Any, sampler: Optional[Any] = None):
         """Run one open-loop serving pass over the service tenants.
 
-        ``spec`` (a :class:`~repro.serve.ServeSpec` or spec string)
-        defaults to the cluster's ``serve=`` configuration, then to the
-        first service tenant's ``SystemSpec.serve``, then to a plain
-        poisson :class:`~repro.serve.ServeSpec`. Returns the
+        ``spec`` is a :class:`~repro.serve.ServeSpec` or a spec string
+        such as ``"poisson:rate=5k,clients=1m,slo=2ms"``. Returns the
         :class:`~repro.serve.ServeReport`.
         """
+        # Deferred import: repro.serve drives *this* class, so a
+        # top-level import would cycle.
         from repro.serve.frontend import ServeFrontend
-        from repro.serve.spec import ServeSpec, coerce_serve_spec
+        from repro.serve.spec import coerce_serve_spec
 
-        resolved = coerce_serve_spec(spec) or self.serve_spec
-        if resolved is None:
-            for tenant in self.tenants:
-                tenant_serve = getattr(tenant.spec, "serve", None)
-                if tenant_serve is not None and "service" in tenant.extra:
-                    resolved = tenant_serve
-                    break
-        if resolved is None:
-            resolved = ServeSpec()
-        return ServeFrontend(self, resolved, sampler=sampler).run()
+        return ServeFrontend(self, coerce_serve_spec(spec),
+                             sampler=sampler).run()
 
     def tenant(self, name: str) -> Tenant:
         """Lookup by name; raises ``KeyError`` with the valid names."""

@@ -20,6 +20,7 @@ from repro.apps.kvstore import build_kv_service
 from repro.common.units import MIB
 from repro.harness import make_system
 from repro.harness.scenarios import SCENARIOS
+from repro.mem.repair import RepairManager
 
 pytestmark = pytest.mark.slow
 
@@ -28,8 +29,9 @@ LEASE_US = 150.0
 
 def build(backend_spec):
     system = make_system("dilos-stride", local_bytes=1 * MIB,
-                         remote_bytes=16 * MIB, backend=backend_spec,
-                         repair="resilver_period=200,resilver_batch=16")
+                         remote_bytes=16 * MIB, backend=backend_spec)
+    RepairManager(system.node, system.clock,
+                  policy="resilver_period=200,resilver_batch=16")
     service = build_kv_service(system, n_keys=24, value_bytes=96,
                                lease_us=LEASE_US, seed=11)
     return system, service
@@ -126,8 +128,9 @@ def test_chaos_wire_never_surfaces_unacked_writes(seed, backend_spec):
     record intact and an acked one must be durable — the no-partial-
     effect contract end to end."""
     system = make_system("dilos-stride", local_bytes=1 * MIB,
-                         remote_bytes=16 * MIB, backend=backend_spec,
-                         repair="resilver_period=200,resilver_batch=16")
+                         remote_bytes=16 * MIB, backend=backend_spec)
+    RepairManager(system.node, system.clock,
+                  policy="resilver_period=200,resilver_batch=16")
     service = build_kv_service(
         system, n_keys=16, value_bytes=80, lease_us=LEASE_US, seed=seed,
         net_faults=f"drop=0.02,corrupt=0.01,seed={seed}")

@@ -20,13 +20,15 @@ from repro.apps.kvstore import (
 )
 from repro.common.units import MIB, PAGE_SIZE
 from repro.harness import make_system
+from repro.mem.repair import RepairManager
 
 
 def boot(backend="replicated:3", repair=None, **kwargs):
-    extra = {"repair": repair} if repair else {}
-    return make_system("dilos-stride", local_bytes=1 * MIB,
-                       remote_bytes=8 * MIB, backend=backend, **extra,
-                       **kwargs)
+    system = make_system("dilos-stride", local_bytes=1 * MIB,
+                         remote_bytes=8 * MIB, backend=backend, **kwargs)
+    if repair:
+        RepairManager(system.node, system.clock, policy=repair)
+    return system
 
 
 def fresh_service(backend="replicated:3", repair=None, **kwargs):

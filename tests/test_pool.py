@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import OutOfMemoryError, ProtectionError
 from repro.common.units import KIB, MIB, PAGE_SIZE
-from repro.core import DilosConfig, DilosSystem
+from repro.core import DilosConfig, DilosSystem, SystemSpec
 from repro.harness import SYSTEM_KINDS, make_system
 from repro.mem.pool import (
     PlacementPolicy,
@@ -25,6 +25,11 @@ def pool_of(nodes=3, slots=8, policy="load"):
 
 def node_index(pool, slot):
     return slot // pool.node_slots
+
+
+def homed(pool, home):
+    """A client homed on ``home``: the only way to allocate a slot."""
+    return pool.client(f"h{home}", home=home)
 
 
 class TestPlacementRegistry:
@@ -50,15 +55,16 @@ class TestPlacementRegistry:
 class TestPolicies:
     def test_locality_prefers_home(self):
         pool = pool_of(policy="locality")
-        slots = [pool.alloc_for(1) for _ in range(8)]
+        slots = [homed(pool, 1).alloc_slot() for _ in range(8)]
         assert all(node_index(pool, s) == 1 for s in slots)
         assert pool.registry.snapshot().counters["pool.spills"] == 0
 
     def test_locality_spills_to_nearest(self):
         pool = pool_of(nodes=3, slots=2, policy="locality")
+        client = homed(pool, 1)
         for _ in range(2):
-            pool.alloc_for(1)
-        spilled = pool.alloc_for(1)
+            client.alloc_slot()
+        spilled = client.alloc_slot()
         # Home node 1 is full; |0-1| == |2-1| ties break to the lower
         # index.
         assert node_index(pool, spilled) == 0
@@ -66,7 +72,7 @@ class TestPolicies:
 
     def test_load_balances(self):
         pool = pool_of(policy="load")
-        slots = [pool.alloc_for(0) for _ in range(6)]
+        slots = [homed(pool, 0).alloc_slot() for _ in range(6)]
         assert sorted(node_index(pool, s) for s in slots) == [0, 0, 1, 1,
                                                              2, 2]
         # Off-home placement is the policy's job, not a spill.
@@ -74,27 +80,30 @@ class TestPolicies:
 
     def test_pack_first_fit(self):
         pool = pool_of(nodes=3, slots=2, policy="pack")
-        nodes = [node_index(pool, pool.alloc_for(2)) for _ in range(5)]
+        nodes = [node_index(pool, homed(pool, 2).alloc_slot())
+                 for _ in range(5)]
         assert nodes == [0, 0, 1, 1, 2]
 
     def test_interleave_rotates(self):
         pool = pool_of(policy="interleave")
-        nodes = [node_index(pool, pool.alloc_for(0)) for _ in range(6)]
+        nodes = [node_index(pool, homed(pool, 0).alloc_slot())
+                 for _ in range(6)]
         assert nodes == [0, 1, 2, 0, 1, 2]
 
     def test_exhaustion_raises(self):
         for policy in placement_kinds():
             pool = pool_of(nodes=2, slots=2, policy=policy)
+            client = homed(pool, 0)
             for _ in range(4):
-                pool.alloc_for(0)
+                client.alloc_slot()
             with pytest.raises(OutOfMemoryError):
-                pool.alloc_for(0)
+                client.alloc_slot()
 
 
 class TestSlotEncoding:
     def test_contiguous_per_node(self):
         pool = pool_of(nodes=2, slots=4, policy="pack")
-        slots = [pool.alloc_for(0) for _ in range(8)]
+        slots = [homed(pool, 0).alloc_slot() for _ in range(8)]
         assert slots == list(range(8))
         assert [pool.node_of(pool.slot_offset(s)) for s in slots] == \
             [0, 0, 0, 0, 1, 1, 1, 1]
@@ -106,7 +115,7 @@ class TestSlotEncoding:
 
     def test_free_slot_returns_to_owner(self):
         pool = pool_of(nodes=2, slots=2, policy="pack")
-        slot = pool.alloc_for(0)
+        slot = homed(pool, 0).alloc_slot()
         assert pool.nodes[0].free_slots == 1
         pool.free_slot(slot)
         assert pool.nodes[0].free_slots == 2
@@ -116,7 +125,7 @@ class TestSlotEncoding:
 class TestDataPath:
     def test_read_write_round_trip(self):
         pool = pool_of(nodes=2, slots=4)
-        slot = pool.alloc_slot()
+        slot = homed(pool, 0).alloc_slot()
         offset = pool.slot_offset(slot)
         pool.write_bytes(offset, b"u" * PAGE_SIZE)
         assert pool.read_bytes(offset, PAGE_SIZE) == b"u" * PAGE_SIZE
@@ -125,7 +134,7 @@ class TestDataPath:
         """An extent spanning the node boundary splits transparently."""
         pool = pool_of(nodes=2, slots=2, policy="pack")
         for _ in range(4):
-            pool.alloc_slot()
+            homed(pool, 0).alloc_slot()
         boundary = 2 * PAGE_SIZE  # last page of node 0 starts one before
         data = bytes(range(256)) * 32  # 2 pages
         pool.write_bytes(boundary - PAGE_SIZE, data)
@@ -220,21 +229,12 @@ class TestTenantTeardown:
         pool.release_client("t0")
         assert pool.client("t0", home=1).home == 1
 
-    def test_anonymous_allocations_unaffected(self):
-        pool = pool_of(nodes=2, slots=4)
-        anon = pool.alloc_slot()
-        pool.client("t0", home=0).alloc_slot()
-        pool.release_client("t0")
-        assert pool.free_slots == pool.total_slots - 1
-        pool.free_slot(anon)
-        assert pool.free_slots == pool.total_slots
-
 
 class TestPlacementMetrics:
     def test_stranding_under_locality(self):
         pool = pool_of(nodes=2, slots=8, policy="locality")
         for _ in range(8):
-            pool.alloc_for(0)
+            homed(pool, 0).alloc_slot()
         # Node 0 exhausted, node 1 idle: its free space is stranded.
         assert pool.stranded_slots == 8
         assert pool.frag_imbalance == pytest.approx(1.0)
@@ -242,7 +242,7 @@ class TestPlacementMetrics:
     def test_balanced_pool_strands_nothing(self):
         pool = pool_of(nodes=2, slots=8, policy="load")
         for _ in range(8):
-            pool.alloc_for(0)
+            homed(pool, 0).alloc_slot()
         assert pool.stranded_slots == 0
         assert pool.frag_imbalance == 0.0
 
@@ -261,6 +261,17 @@ class TestBackendSpec:
         with pytest.raises(ValueError):
             PooledMemory([MemoryNode(2 * PAGE_SIZE),
                           MemoryNode(4 * PAGE_SIZE)])
+
+    def test_raw_pool_is_not_a_backend(self):
+        """Kernels reach pooled memory only through a PoolClient: the raw
+        pool has no ``alloc_slot``, so a spec bound to it fails the
+        backend surface check instead of booting without ownership
+        checks."""
+        pool = pool_of()
+        assert not hasattr(pool, "alloc_slot")
+        with pytest.raises(TypeError, match="alloc_slot"):
+            SystemSpec(kind="dilos-readahead", local_mem_bytes=256 * KIB,
+                       backend=pool).boot()
 
 
 def dilos_on(client, local=1 * MIB):
@@ -328,9 +339,9 @@ class TestTenantIsolation:
         pool = pool_of(nodes=2, slots=4)
         client = pool.client("a")
         client.alloc_slot()
-        anonymous = pool.alloc_slot()
+        theirs = pool.client("b").alloc_slot()
         for offset in (5 * PAGE_SIZE,              # never allocated
-                       pool.slot_offset(anonymous),  # no client's slot
+                       pool.slot_offset(theirs),   # another client's slot
                        pool.capacity, -PAGE_SIZE):   # outside the pool
             with pytest.raises(ProtectionError):
                 client.read_bytes(offset, 8)

@@ -24,10 +24,10 @@ def small_spec(kind="dilos-readahead"):
                       remote_mem_bytes=16 * MIB)
 
 
-def small_rack(tenants=4, placement="locality", oversub=1, serve=SMALL_SERVE):
+def small_rack(tenants=4, placement="locality", oversub=1):
     topo = f"rack:compute=4,mem=4,link=100,oversub={oversub}"
     return make_rack(tenants=tenants, topology=topo, placement=placement,
-                     serve=serve, n_keys=16, remote_mem_bytes=16 * MIB)
+                     n_keys=16, remote_mem_bytes=16 * MIB)
 
 
 def small_cell(**over):
@@ -80,13 +80,42 @@ class TestRackCluster:
     def test_backend_label_names_pool(self):
         cluster = RackCluster(topology=SMALL_RACK, placement="pack",
                               remote_mem_bytes=16 * MIB)
-        assert cluster.backend_label == "pool:4/pack"
+        assert cluster.backend_label == "PooledMemory"
+        assert repr(cluster.pool) == "PooledMemory(4 nodes, policy='pack')"
+
+    def test_rejected_enrollment_leaves_no_trace(self):
+        """A tenant rejected for its name, a duplicate, its kind or a
+        failed boot registers no pool client and does not move the
+        round-robin striping (and so no later tenant's placement)."""
+        cluster = RackCluster(topology=SMALL_RACK,
+                              remote_mem_bytes=16 * MIB)
+        clients = cluster.pool.registry
+
+        def enroll(name, spec=None):
+            return cluster.add_tenant(name, spec or small_spec(),
+                                      lambda sys_: iter(()))
+
+        for bad in ("Bad-Name", "9lives"):
+            with pytest.raises(ValueError, match="tenant name"):
+                enroll(bad)
+        with pytest.raises(ValueError, match="AIFM"):
+            enroll("t0", small_spec(kind="aifm"))
+        assert clients.value("pool.clients") == 0
+        assert enroll("t0").extra["compute_id"] == 0
+        with pytest.raises(ValueError, match="duplicate"):
+            enroll("t0")
+        broken = SystemSpec(kind="dilos-readahead", local_mem_bytes=192 * KIB,
+                            overrides={"no_such_knob": 1})
+        with pytest.raises(TypeError):
+            enroll("t1", broken)
+        assert clients.value("pool.clients") == 1
+        assert enroll("t1").extra["compute_id"] == 1
 
 
 class TestRackMetrics:
     def test_snapshot_carries_topo_and_pool_families(self):
         cluster = small_rack()
-        cluster.serve()
+        cluster.serve(SMALL_SERVE)
         snap = cluster.metrics()
         for name in ("topo.bytes", "topo.queue_us", "topo.trunk_crossings",
                      "pool.alloc", "pool.spills", "pool.stranded_slots",
@@ -98,9 +127,9 @@ class TestRackMetrics:
 
     def test_locality_avoids_trunk_load_crosses_it(self):
         locality = small_rack(placement="locality")
-        locality.serve()
+        locality.serve(SMALL_SERVE)
         load = small_rack(placement="load")
-        load.serve()
+        load.serve(SMALL_SERVE)
         assert locality.metrics().value("topo.trunk_crossings") == 0
         assert load.metrics().value("topo.trunk_crossings") > 0
 
@@ -117,7 +146,7 @@ class TestRackMetrics:
 
     def test_link_report_shape(self):
         cluster = small_rack()
-        cluster.serve()
+        cluster.serve(SMALL_SERVE)
         report = cluster.link_report()
         assert "trunk" in report
         assert {"bytes", "queue_us", "util"} <= set(report["trunk"])
@@ -126,11 +155,11 @@ class TestRackMetrics:
 class TestServeRerun:
     def test_second_serve_does_not_double_count(self):
         """Regression: registry instruments are shared by name, so a
-        second ``serve()`` on the same cluster used to accumulate on top
+        second ``serve(spec)`` on the same cluster used to accumulate on top
         of the first run's counts."""
         cluster = small_rack(tenants=2)
-        first = cluster.serve()
-        second = cluster.serve()
+        first = cluster.serve(SMALL_SERVE)
+        second = cluster.serve(SMALL_SERVE)
         offered = first.snapshot.value("serve.offered")
         assert offered == 200
         assert second.snapshot.value("serve.offered") == offered

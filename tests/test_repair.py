@@ -650,43 +650,6 @@ class TestMetricsAndWiring:
         clock.advance(200)
         assert registry.value("repair.nodes_syncing") == 0
 
-    def test_make_system_repair_knob(self):
-        from repro.harness import make_system
-        system = make_system("dilos-readahead", local_bytes=1 * MIB,
-                             remote_bytes=8 * MIB, backend="replicated:2",
-                             repair="resilver_period=50,scrub_period=500")
-        backend = system.node
-        manager = backend.repair
-        assert isinstance(manager, RepairManager)
-        assert manager.policy.resilver_period_us == 50.0
-        assert manager.clock is system.clock
-
-    def test_repair_knob_requires_a_cluster_backend(self):
-        from repro.harness import make_system
-        with pytest.raises(ValueError):
-            make_system("dilos-readahead", local_bytes=1 * MIB,
-                        backend="node", repair="resilver_period=50")
-
-    def test_spec_coerces_repair_policy(self):
-        from repro.core.spec import SystemSpec
-        spec = SystemSpec(repair={"resilver_batch_pages": 3})
-        assert isinstance(spec.repair, RepairPolicy)
-        assert spec.repair.resilver_batch_pages == 3
-
-    def test_shared_backend_keeps_the_first_manager(self):
-        from repro.core.spec import SystemSpec
-        backend = ReplicatedMemory(make_nodes(2, capacity=16 * MIB))
-        clock = Clock()
-        first = SystemSpec(kind="dilos-readahead", local_mem_bytes=1 * MIB,
-                           backend=backend, clock=clock,
-                           repair="resilver_period=50").boot()
-        manager = backend.repair
-        SystemSpec(kind="dilos-readahead", local_mem_bytes=1 * MIB,
-                   backend=backend, clock=clock,
-                   repair="resilver_period=999").boot()
-        assert backend.repair is manager
-        assert first.node is backend
-
     def test_compute_cluster_repair_and_merged_metrics(self):
         from repro.sim.tenancy import ComputeCluster
         from repro.harness.scenarios import seqread_tenant

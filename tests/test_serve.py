@@ -323,9 +323,9 @@ class TestLogHistogram:
 
 # -- the frontend over a real cluster ---------------------------------------
 
-def _tiny_cluster(serve: str) -> ComputeCluster:
+def _tiny_cluster() -> ComputeCluster:
     cluster = ComputeCluster(backend="sharded:2",
-                             remote_mem_bytes=32 * MIB, serve=serve)
+                             remote_mem_bytes=32 * MIB)
     spec = SystemSpec(kind="dilos-readahead", local_mem_bytes=256 * KIB)
     cluster.add_service("web1", spec, "redis", n_keys=200, value_bytes=2048)
     cluster.add_service("web2", spec, "redis", n_keys=200, value_bytes=2048)
@@ -339,14 +339,13 @@ class TestServeFrontend:
     def test_admission_red_green(self):
         # Red: open-loop overload with no admission lets the backlog grow
         # for the whole burst, so the p99 blows through the SLO.
-        red = _tiny_cluster(self.OVERLOAD).serve()
+        red = _tiny_cluster().serve(self.OVERLOAD)
         assert red.shed == 0
         assert red.latency["p99"] > red.spec.slo_us
         assert red.slo_violations > 0
         # Green: bounding the queue bounds the tail; everything served
         # meets the SLO and the overflow is shed, visibly, on the counter.
-        green = _tiny_cluster(
-            self.OVERLOAD + ",admission=depth/16").serve()
+        green = _tiny_cluster().serve(self.OVERLOAD + ",admission=depth/16")
         assert green.shed > 0
         assert green.latency["p99"] < green.spec.slo_us
         assert green.slo_violations == 0
@@ -354,8 +353,8 @@ class TestServeFrontend:
         assert green.goodput_rps > red.goodput_rps
 
     def test_canonical_metrics_are_registered(self):
-        report = _tiny_cluster(
-            "poisson:rate=20k,requests=300,seed=5,slo=2ms").serve()
+        report = _tiny_cluster().serve(
+            "poisson:rate=20k,requests=300,seed=5,slo=2ms")
         snap = report.snapshot
         assert snap.value("serve.offered") == 300
         assert snap.value("serve.admitted") == 300
@@ -370,33 +369,20 @@ class TestServeFrontend:
 
     def test_trace_and_metrics_digests_are_stable(self):
         spec = "poisson:rate=20k,requests=300,seed=5,slo=2ms"
-        first = _tiny_cluster(spec).serve()
-        second = _tiny_cluster(spec).serve()
+        first = _tiny_cluster().serve(spec)
+        second = _tiny_cluster().serve(spec)
         assert first.trace_digest == second.trace_digest
         assert first.snapshot.digest() == second.snapshot.digest()
-        third = _tiny_cluster(
-            "poisson:rate=20k,requests=300,seed=6,slo=2ms").serve()
+        third = _tiny_cluster().serve(
+            "poisson:rate=20k,requests=300,seed=6,slo=2ms")
         assert third.trace_digest != first.trace_digest
-
-    def test_spec_resolution_order(self):
-        # Explicit spec beats the cluster default beats the tenant spec.
-        cluster = ComputeCluster(backend="sharded:2",
-                                 remote_mem_bytes=32 * MIB)
-        spec = SystemSpec(kind="dilos-readahead", local_mem_bytes=1 * MIB,
-                          serve="poisson:rate=9k,requests=50,seed=2")
-        cluster.add_service("web1", spec, "redis", n_keys=50,
-                            value_bytes=512)
-        report = cluster.serve()
-        assert report.spec.rate_rps == 9_000.0  # from the SystemSpec
-        report = cluster.serve("poisson:rate=7k,requests=50,seed=2")
-        assert report.spec.rate_rps == 7_000.0  # explicit argument wins
 
     def test_serve_requires_service_tenants(self):
         cluster = ComputeCluster(backend="sharded:2",
                                  remote_mem_bytes=32 * MIB)
         with pytest.raises(RuntimeError, match="no tenants enrolled|no "
                                                "service tenants"):
-            cluster.serve()
+            cluster.serve("poisson:rate=1k,requests=10,seed=1")
 
     def test_add_service_rejects_non_services(self):
         cluster = ComputeCluster(backend="sharded:2",

@@ -11,6 +11,8 @@ from repro.harness.scenarios import (
     redis_get_tenant,
     seqread_tenant,
 )
+from repro.mem.pool import PooledMemory
+from repro.mem.remote import MemoryNode
 from repro.sim.tenancy import ComputeCluster
 
 
@@ -99,28 +101,18 @@ class TestTenantValidation:
 
     def test_aifm_cannot_share_slot_backend(self):
         cluster = ComputeCluster(remote_mem_bytes=16 * MIB)
-        with pytest.raises(ValueError, match="share_backend=False"):
+        with pytest.raises(ValueError, match="AIFM"):
             cluster.add_tenant("aifm", spec(kind="aifm"), touch_tenant())
 
-    def test_aifm_private_backend_co_schedules(self):
-        def aifm_workload(runtime):
-            def gen():
-                ptrs = [runtime.allocate(4096, data=b"a" * 4096)
-                        for _ in range(8)]
-                for ptr in ptrs:
-                    assert ptr.read(0, 4) == b"aaaa"
-                    yield "read"
-            return gen()
-
-        cluster = ComputeCluster(backend="sharded:2",
-                                 remote_mem_bytes=16 * MIB, quantum_us=10.0)
-        paging = cluster.add_tenant("paging", spec(), touch_tenant())
-        aifm = cluster.add_tenant("objects", spec(kind="aifm", local=1 * MIB),
-                                  aifm_workload, share_backend=False)
-        cluster.run()
-        assert paging.done and aifm.done
-        assert aifm.system.node is not cluster.backend
-        assert aifm.system.clock is cluster.clock
+    def test_raw_pool_is_not_a_tenant_backend(self):
+        """A kernel reaches pooled memory only through a PoolClient: a
+        tenant bound to the raw pool fails the backend surface check at
+        boot, so no tenant runs without the ownership check."""
+        pool = PooledMemory([MemoryNode(4 * MIB) for _ in range(2)])
+        cluster = ComputeCluster(backend=pool, remote_mem_bytes=8 * MIB)
+        with pytest.raises(TypeError, match="alloc_slot"):
+            cluster.add_tenant("alpha", spec(), touch_tenant())
+        assert cluster.tenants == []
 
     def test_tenant_lookup(self):
         cluster = ComputeCluster(remote_mem_bytes=16 * MIB)

@@ -4,19 +4,12 @@ integration with the QP wire model and the boot layer."""
 import pytest
 
 from repro.common.units import MIB, PAGE_SIZE
-from repro.core.spec import (
-    TOPOLOGY_SPEC_EXAMPLES,
-    SystemSpec,
-    make_topology,
-    register_topology,
-    topology_kinds,
-    topology_label,
-)
+from repro.core.spec import SystemSpec
 from repro.mem.pool import PooledMemory
 from repro.mem.remote import MemoryNode
 from repro.net.latency import DEFAULT_LATENCY, LatencyModel
 from repro.net.qp import QueuePair
-from repro.net.topology import FabricPort, Link, RackTopology, coerce_topology
+from repro.net.topology import Link, RackTopology
 
 
 def pool_client():
@@ -176,17 +169,6 @@ class TestFabricPort:
         with pytest.raises(ValueError):
             topo.port(2)
 
-    def test_coerce(self):
-        topo = RackTopology(compute=2, mem=2)
-        assert coerce_topology(None) is None
-        assert coerce_topology("flat") is None
-        assert coerce_topology(topo) is topo
-        assert coerce_topology(topo.port(0)) is topo
-        built = coerce_topology("rack:compute=3,mem=3")
-        assert built.compute == 3
-        with pytest.raises(TypeError):
-            coerce_topology(42)
-
 
 def _qp(fabric=None, capacity=64 * PAGE_SIZE):
     from repro.common.clock import Clock
@@ -222,80 +204,30 @@ class TestQpFabricCharging:
         assert topo.trunk.transfers == 1  # home node: direct link
 
 
-class TestTopologyRegistry:
-    def test_kinds_and_examples(self):
-        assert set(topology_kinds()) == {"flat", "rack"}
-        for example in TOPOLOGY_SPEC_EXAMPLES:
-            make_topology(example)  # all examples parse
-
-    def test_flat_means_none(self):
-        assert make_topology(None) is None
-        assert make_topology("flat") is None
-        assert make_topology("") is None
-
-    def test_rack_spec_builds(self):
-        topo = make_topology("rack:compute=4,mem=2,oversub=2")
-        assert isinstance(topo, RackTopology)
-        assert (topo.compute, topo.mem) == (4, 2)
-
-    def test_ready_objects_pass_through(self):
-        topo = RackTopology(compute=2, mem=2)
-        assert make_topology(topo) is topo
-        port = topo.port(0)
-        assert make_topology(port) is port
-
-    def test_unknown_kind_raises_with_examples(self):
-        with pytest.raises(ValueError, match="unknown topology kind"):
-            make_topology("mesh:compute=2")
-        with pytest.raises(TypeError):
-            make_topology(42)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_topology("rack")(lambda arg: None)
-
-    def test_label(self):
-        assert topology_label(None) == "flat"
-        assert topology_label("rack:compute=2,mem=2") == "rack:compute=2,mem=2"
-        topo = RackTopology(compute=2, mem=2)
-        assert topology_label(topo) == topo.spec()
-        assert topology_label(topo.port(1)) == topo.spec()
-
-
 class TestSpecBootTopology:
     def test_default_boot_has_no_fabric(self):
         system = SystemSpec(kind="dilos-readahead",
                             local_mem_bytes=2 * MIB).boot()
         assert system.config.fabric is None
 
-    def test_flat_string_boot_has_no_fabric(self):
-        system = SystemSpec(kind="dilos-readahead", local_mem_bytes=2 * MIB,
-                            topology="flat").boot()
-        assert system.config.fabric is None
-
-    def test_rack_boot_attaches_port(self):
-        spec = SystemSpec(kind="dilos-readahead", local_mem_bytes=2 * MIB,
-                          topology="rack:compute=2,mem=2")
-        system = spec.boot()
-        port = system.config.fabric
-        assert isinstance(port, FabricPort)
-        assert port.compute_id == 0
-
-    def test_rack_boot_resolves_pool_routing(self):
-        spec = SystemSpec(kind="dilos-readahead", local_mem_bytes=512 * 1024,
-                          remote_mem_bytes=16 * MIB,
-                          backend=pool_client(),
-                          topology="rack:compute=2,mem=2")
-        system = spec.boot()
-        assert system.config.fabric.resolver is not None
+    def test_only_a_bound_port_is_accepted(self):
+        """RackCluster binds each tenant's port; a spec string or a bare
+        topology is not a second way onto the fabric."""
+        for wrong in ("rack:compute=2,mem=2", "flat",
+                      RackTopology(compute=2, mem=2)):
+            with pytest.raises(TypeError, match="FabricPort"):
+                SystemSpec(kind="dilos-readahead", local_mem_bytes=2 * MIB,
+                           topology=wrong)
 
     def test_rack_boot_slower_than_flat(self):
-        def run(topology):
+        def run(fabric):
+            client = pool_client()
+            port = (RackTopology.from_spec(fabric).port(
+                0, resolver=client.node_of) if fabric else None)
             system = SystemSpec(kind="dilos-readahead",
                                 local_mem_bytes=512 * 1024,
                                 remote_mem_bytes=16 * MIB,
-                                backend=pool_client(),
-                                topology=topology).boot()
+                                backend=client, topology=port).boot()
             region = system.mmap(2 * MIB, name="w")
             for i in range(0, 2 * MIB, PAGE_SIZE):
                 system.memory.write(region.base + i, b"%08d" % i)
