@@ -13,12 +13,11 @@ request/response surface the serving layer (:mod:`repro.serve`) speaks:
   Services that want to be driven by generic scenario presets also
   provide ``sample_request(rng) -> Request`` — a deterministic draw from
   the app's own key/op popularity distribution.
-* :class:`ServiceRegistry` — name -> factory, the same registry shape as
-  the kernel/backend registries in :mod:`repro.core.spec`. Factories
-  receive the booted system plus keyword parameters and return a ready
-  (pre-populated) service. The built-in services self-register when
-  their module imports; :data:`SERVICES` lazily imports them by name so
-  ``SERVICES.build("redis", system)`` works without side-effect imports.
+* :data:`SERVICES` — service kind -> ``"module:builder"``, a plain
+  table like :data:`repro.core.spec.KERNELS`. :func:`build_service`
+  imports the builder's module on first use, so a run imports only the
+  apps it serves; the builder receives the booted system plus keyword
+  parameters and returns a ready (pre-populated) service.
 
 The apps' closed-loop drivers (``GetWorkload.drive`` and friends) are
 thin loops over ``Service.handle``.
@@ -26,9 +25,10 @@ thin loops over ``Service.handle``.
 
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 try:  # Protocol is 3.8+; runtime_checkable keeps isinstance() working.
     from typing import Protocol, runtime_checkable
@@ -84,64 +84,25 @@ class Service(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-#: A service factory: (booted system, **params) -> ready Service.
-ServiceFactory = Callable[..., Service]
-
-#: Modules that self-register built-in services on import.
-_BUILTIN_MODULES: Dict[str, str] = {
-    "kv": "repro.apps.kvstore",
-    "llm": "repro.apps.llm",
-    "redis": "repro.apps.redis.service",
-    "taxi": "repro.apps.dataframe",
+#: Service kind -> ``"module:builder"``; the builder takes the booted
+#: system plus keyword parameters and returns a ready service.
+SERVICES: Dict[str, str] = {
+    "kv": "repro.apps.kvstore:build_kv_service",
+    "llm": "repro.apps.llm:build_llm_service",
+    "redis": "repro.apps.redis.service:build_redis_service",
+    "taxi": "repro.apps.dataframe:build_taxi_service",
 }
 
 
-class ServiceRegistry:
-    """name -> :data:`ServiceFactory`, mirroring the kernel registry."""
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, ServiceFactory] = {}
-
-    def register(self, name: str,
-                 factory: ServiceFactory = None) -> Callable:
-        """Register ``factory`` under ``name`` (usable as a decorator)."""
-        if factory is None:
-            def deco(fn: ServiceFactory) -> ServiceFactory:
-                self.register(name, fn)
-                return fn
-            return deco
-        if name in self._factories:
-            raise ValueError(f"service kind {name!r} already registered")
-        self._factories[name] = factory
-        return factory
-
-    def unregister(self, name: str) -> None:
-        """Remove a registered service kind (tests/extensions only)."""
-        self._factories.pop(name, None)
-
-    def factory(self, name: str) -> ServiceFactory:
-        """The factory for ``name``, lazily importing built-in modules."""
-        if name not in self._factories and name in _BUILTIN_MODULES:
-            __import__(_BUILTIN_MODULES[name])
-        try:
-            return self._factories[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown service kind {name!r}; pick from "
-                f"{sorted(set(self._factories) | set(_BUILTIN_MODULES))}"
-            ) from None
-
-    def build(self, name: str, system: Any, **params: Any) -> Service:
-        """Build a ready service of kind ``name`` on ``system``."""
-        return self.factory(name)(system, **params)
-
-    def kinds(self) -> Tuple[str, ...]:
-        """Registered kinds plus the lazily importable built-ins."""
-        return tuple(sorted(set(self._factories) | set(_BUILTIN_MODULES)))
-
-
-#: The process-wide service registry, like ``repro.core.spec``'s kernels.
-SERVICES = ServiceRegistry()
+def build_service(kind: str, system: Any, **params: Any) -> Service:
+    """Build a ready service of ``kind`` on ``system``, importing its
+    module on first use."""
+    try:
+        module, _, builder = SERVICES[kind].partition(":")
+    except KeyError:
+        raise ValueError(f"unknown service kind {kind!r}; pick from "
+                         f"{sorted(SERVICES)}") from None
+    return getattr(importlib.import_module(module), builder)(system, **params)
 
 
 @dataclass
@@ -189,7 +150,6 @@ __all__ = [
     "Response",
     "SERVICES",
     "Service",
-    "ServiceFactory",
-    "ServiceRegistry",
+    "build_service",
     "run_closed_loop",
 ]

@@ -382,11 +382,3 @@ def build_taxi_service(system, rows: int = 1 << 14, window: int = 4096,
     df.derive("duration", ["dropoff_ts", "pickup_ts"],
               lambda d, p: d - p, dtype=np.int64)
     return DataFrameService(df, window=window)
-
-
-# Self-register with the global service registry (late import: repro.apps
-# .api knows this module by name, so `SERVICES.build("taxi", ...)` works
-# without importing repro.apps.dataframe up front).
-from repro.apps.api import SERVICES as _SERVICES  # noqa: E402
-
-_SERVICES.register("taxi", build_taxi_service)

@@ -40,7 +40,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
-from repro.apps.api import Request, Response, SERVICES
+from repro.apps.api import Request, Response
 from repro.common.rng import zipf_weights
 from repro.common.units import PAGE_SIZE
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory
@@ -389,7 +389,6 @@ class KvStoreService:
         return mismatches
 
 
-@SERVICES.register("kv")
 def build_kv_service(system, n_keys: int = 64, value_bytes: int = 192,
                      skew: float = 0.0, write_fraction: float = 0.25,
                      seed: int = 29, lease_us: float = DEFAULT_LEASE_US,

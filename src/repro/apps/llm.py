@@ -51,7 +51,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.apps.api import Request, Response, SERVICES
+from repro.apps.api import Request, Response
 from repro.common.units import KIB, MIB
 from repro.obs.snapshot import MetricsSnapshot
 
@@ -728,7 +728,6 @@ class LlmService:
             self._counters.evicted()
 
 
-@SERVICES.register("llm")
 def build_llm_service(system, layers: int = 2, heads: int = 2,
                       head_dim: int = 16, max_tokens: int = 64,
                       attn_window: int = 4, hot_layers: int = 1,
@@ -966,6 +965,7 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
     """
     from repro.core.spec import SystemSpec
     from repro.harness.experiment import local_bytes_for
+    from repro.net.faults import coerce_fault_plan
     from repro.sim.tenancy import ComputeCluster
 
     n_prefill, n_decode = parse_pd_split(split)
@@ -982,10 +982,16 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
                              remote_mem_bytes=remote_mem_bytes,
                              quantum_us=quantum_us)
     coord = _PdCoordinator(requests, n_decode)
-    prefill_spec = SystemSpec(kind=kind, local_mem_bytes=prefill_local,
-                              net_faults=net_faults, net_retry=net_retry)
-    decode_spec = SystemSpec(kind=kind, local_mem_bytes=decode_local,
-                             net_faults=net_faults, net_retry=net_retry)
+
+    def node_spec(local_mem_bytes: int) -> SystemSpec:
+        # One fault plan per spec, shared by the tenants booted from it.
+        faults = {"net_faults": coerce_fault_plan(net_faults),
+                  "net_retry": net_retry}
+        return SystemSpec(kind=kind, local_mem_bytes=local_mem_bytes,
+                          overrides=faults)
+
+    prefill_spec = node_spec(prefill_local)
+    decode_spec = node_spec(decode_local)
     for p in range(n_prefill):
         indices = [i for i in range(n_requests) if i % n_prefill == p]
         cluster.add_tenant(f"prefill{p}", prefill_spec,

@@ -19,7 +19,7 @@ import random
 from typing import Dict, Optional
 
 from repro.alloc.mimalloc import Mimalloc
-from repro.apps.api import Request, Response, SERVICES
+from repro.apps.api import Request, Response
 from repro.apps.redis.guide import RedisPrefetchGuide
 from repro.apps.redis.server import RedisServer
 from repro.common.rng import zipf_weights
@@ -132,7 +132,6 @@ def _value(rng: random.Random, size: int) -> bytes:
     return (prefix + body).ljust(size, b"\xA5")[:size]
 
 
-@SERVICES.register("redis")
 def build_redis_service(system, n_keys: int = 200, value_bytes: int = 512,
                         skew: float = 0.0, write_fraction: float = 0.0,
                         arena_bytes: int = 16 * MIB, seed: int = 21,

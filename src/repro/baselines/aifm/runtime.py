@@ -16,14 +16,16 @@ Three modeled costs drive every AIFM result in the paper:
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import Dict, Optional
 
 from repro.common.clock import Clock
 from repro.common.errors import OutOfMemoryError
 from repro.baselines.aifm.config import AifmConfig
-from repro.mem.remote import MemoryNode, NodeFailedError
-from repro.net.qp import Completion, NetStats, QueuePair
-from repro.net.reliable import ReliableQP
+from repro.core.spec import BackendSpec, make_backend
+from repro.mem.remote import NodeFailedError
+from repro.net.qp import Completion, NetStats
+from repro.net.reliable import open_qp
 from repro.obs import MetricsSnapshot, Observability
 
 
@@ -78,18 +80,19 @@ class AifmRuntime:
 
     def __init__(self, config: Optional[AifmConfig] = None,
                  obs: Optional[Observability] = None,
-                 memory_backend=None,
+                 memory_backend: BackendSpec = None,
                  clock: Optional[Clock] = None) -> None:
-        """Boot the runtime; ``memory_backend`` overrides the default
-        single memory node (e.g. a sharded/replicated cluster from
-        :mod:`repro.mem.cluster` — AIFM's object reads/writes split at
-        page boundaries inside the backend); ``clock`` injects a shared
-        timeline so independently booted systems can be co-scheduled."""
+        """Boot the runtime; ``memory_backend`` takes what
+        :attr:`SystemSpec.backend <repro.core.spec.SystemSpec.backend>`
+        takes, resolved by :func:`~repro.core.spec.make_backend` (a
+        cluster's object reads/writes split at page boundaries inside
+        the backend); ``clock`` injects a shared timeline so
+        independently booted systems can be co-scheduled."""
         self.config = config or AifmConfig()
         self.config.validate()
         self.clock = clock or Clock()
         self.model = self.config.latency
-        self.node = memory_backend or MemoryNode(self.config.remote_mem_bytes)
+        self.node = make_backend(memory_backend, self.config.remote_mem_bytes)
         self.stats = NetStats()
         self.obs = obs or Observability.default()
         self.registry = self.obs.registry
@@ -103,24 +106,13 @@ class AifmRuntime:
                             lambda: self.stats.bytes_written)
         self.registry.gauge("heap.bytes_used", lambda: self.heap_used)
         extra = self.model.tcp_extra if self.config.transport == "tcp" else 0.0
-        plan = self.config.net_faults  # typed Optional[FaultPlan], parsed once
-
-        fabric = self.config.fabric  # rack attachment; None = flat wire
-
-        def connection(name: str):
-            raw = QueuePair(name, self.clock, self.model, self.node,
-                            self.stats, extra_completion_delay=extra,
-                            tracer=self.tracer, fabric=fabric)
-            if plan is None:
-                return raw
-            alt = QueuePair(f"{name}.alt", self.clock, self.model, self.node,
-                            self.stats, extra_completion_delay=extra,
-                            tracer=self.tracer, fabric=fabric)
-            return ReliableQP(name, self.clock, self.model, self.node,
-                              qps=[raw, alt], plan=plan,
-                              policy=self.config.net_retry,
-                              registry=self.registry, tracer=self.tracer)
-
+        connection = partial(open_qp, clock=self.clock, model=self.model,
+                             remote=self.node, stats=self.stats,
+                             plan=self.config.net_faults,
+                             policy=self.config.net_retry,
+                             registry=self.registry, tracer=self.tracer,
+                             fabric=self.config.fabric,
+                             extra_completion_delay=extra)
         #: Demand fetches and streaming prefetches ride separate connections
         #: (AIFM's prefetcher threads own their own sockets).
         self._qp = connection("aifm-app")

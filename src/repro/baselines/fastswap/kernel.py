@@ -25,14 +25,15 @@ from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.baselines.fastswap.config import FastswapConfig
 from repro.baselines.fastswap.swap_cache import SwapCache
 from repro.core.api import BaseSystem
+from repro.core.spec import BackendSpec
 from repro.mem import pte as pte_mod
 from repro.mem.addrspace import AddressSpace, Region
 from repro.mem.frames import FramePool
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.mem.vm import VirtualMemory
-from repro.net.qp import NetStats, QueuePair
-from repro.net.reliable import ReliableQP
-from repro.obs import MetricsSnapshot, Observability
+from repro.net.qp import NetStats
+from repro.net.reliable import open_qp
+from repro.obs import Observability
 
 Tag = pte_mod.Tag
 
@@ -72,22 +73,11 @@ class FastswapKernel:
         #: Faults, readahead, and frontswap stores all share one swap IO
         #: queue — demand fetches queue behind readahead and write-backs
         #: (the head-of-line blocking DiLOS' comm module avoids, §4.5).
-        plan = config.net_faults  # typed Optional[FaultPlan], parsed once
-        fabric = config.fabric  # rack attachment; None = flat wire
-        if plan is None:
-            self.swap_qp = QueuePair("swap", clock, self.model, node,
-                                     self.stats, tracer=self.tracer,
-                                     fabric=fabric)
-        else:
-            self.swap_qp = ReliableQP(
-                "swap", clock, self.model, node,
-                qps=[QueuePair("swap", clock, self.model, node, self.stats,
-                               tracer=self.tracer, fabric=fabric),
-                     QueuePair("swap.alt", clock, self.model, node,
-                               self.stats, tracer=self.tracer,
-                               fabric=fabric)],
-                plan=plan, policy=config.net_retry,
-                registry=self.registry, tracer=self.tracer)
+        self.swap_qp = open_qp("swap", clock, self.model, node, self.stats,
+                               plan=config.net_faults,
+                               policy=config.net_retry,
+                               registry=self.registry, tracer=self.tracer,
+                               fabric=config.fabric)
         self.swap_cache = SwapCache()
         self._lru: "OrderedDict[int, None]" = OrderedDict()
         total = frames.total_frames
@@ -359,27 +349,18 @@ class FastswapKernel:
 
 
 class FastswapSystem(BaseSystem):
-    """A booted Fastswap computing node attached to a fresh memory node."""
+    """A booted Fastswap computing node attached to a memory backend."""
+
+    config: FastswapConfig
 
     def __init__(self, config: Optional[FastswapConfig] = None,
-                 memory_backend=None,
+                 memory_backend: BackendSpec = None,
                  obs: Optional[Observability] = None,
                  clock: Optional[Clock] = None) -> None:
-        """Boot a node; ``memory_backend`` overrides the default single
-        memory node (e.g. a cluster from :mod:`repro.mem.cluster`);
-        ``clock`` injects a shared timeline so independently booted
-        systems can be co-scheduled; ``obs`` injects a shared registry
-        or an enabled tracer."""
-        self.config = config or FastswapConfig()
-        self.config.validate()
-        self.clock = clock or Clock()
-        self.model = self.config.latency
-        self.node = memory_backend or MemoryNode(self.config.remote_mem_bytes)
-        self.frames = FramePool(self.config.local_mem_bytes // PAGE_SIZE)
-        self.addr_space = AddressSpace(self.node)
-        self.vm = VirtualMemory(self.clock, self.addr_space.page_table,
-                                self.frames, self.model.cpu_copy_per_byte)
-        self.obs = obs or Observability.default()
+        """Boot a Fastswap node; the arguments are
+        :class:`~repro.core.api.BaseSystem`'s."""
+        super().__init__(config or FastswapConfig(), memory_backend, obs,
+                         clock)
         self.kernel = FastswapKernel(self.clock, self.config, self.addr_space,
                                      self.frames, self.vm, self.node,
                                      obs=self.obs)
@@ -387,17 +368,8 @@ class FastswapSystem(BaseSystem):
         registry.gauge("net.bytes_read", lambda: self.kernel.stats.bytes_read)
         registry.gauge("net.bytes_written",
                        lambda: self.kernel.stats.bytes_written)
-        registry.gauge("tlb.hits", lambda: self.vm.tlb.hits)
-        registry.gauge("tlb.misses", lambda: self.vm.tlb.misses)
         registry.gauge("swapcache.size", lambda: len(self.kernel.swap_cache))
 
     @property
     def name(self) -> str:
         return "Fastswap"
-
-    def munmap(self, region: Region) -> None:
-        self.kernel.release_region(region)
-        self.addr_space.munmap(region)
-
-    def metrics(self) -> MetricsSnapshot:
-        return self.obs.registry.snapshot(self.name, self.clock.now)

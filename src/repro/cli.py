@@ -239,14 +239,14 @@ def _sweep_rack(args) -> int:
     """
     import json
 
-    from repro.mem.pool import placement_kinds
+    from repro.mem.pool import PLACEMENTS
     from repro.sim.rack import sweep_rack
 
     placements = args.placements or ["locality", "load"]
-    unknown = [p for p in placements if p not in placement_kinds()]
+    unknown = [p for p in placements if p not in PLACEMENTS]
     if unknown:
         print(f"error: unknown placement policies {unknown}; pick from "
-              f"{list(placement_kinds())}", file=sys.stderr)
+              f"{list(PLACEMENTS)}", file=sys.stderr)
         return 2
     oversubs = args.oversubs or [1.0, 4.0]
     if any(o < 1.0 for o in oversubs):
@@ -817,11 +817,11 @@ def cmd_rack(args) -> int:
     link report and the pool's placement-outcome metrics; the run
     replays once and any digest drift is a determinism failure."""
     from repro.harness.scenarios import SCENARIOS
-    from repro.mem.pool import placement_kinds
+    from repro.mem.pool import PLACEMENTS
 
-    if args.placement not in placement_kinds():
+    if args.placement not in PLACEMENTS:
         print(f"error: unknown placement {args.placement!r}; pick from "
-              f"{list(placement_kinds())}", file=sys.stderr)
+              f"{list(PLACEMENTS)}", file=sys.stderr)
         return 2
 
     def one():

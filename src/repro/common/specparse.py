@@ -1,7 +1,7 @@
 """The one spec-string grammar: ``kind:key=value,key=value``.
 
 Every declarative knob in the repo speaks the same tiny language —
-``backend="sharded:4"``, ``serve="poisson:rate=5k,slo=2ms"``,
+``backend="sharded:4"``, ``cluster.serve("poisson:rate=5k,slo=2ms")``,
 ``repair="resilver_period=200"``, ``--net-faults drop=0.01,seed=7`` and
 the rack ``topology="rack:compute=4,mem=4,oversub=4"``. Historically
 each of those parsers was hand-rolled (split on ``,``, partition on

@@ -13,21 +13,17 @@ from repro.core.guides import (
 from repro.core.libos import LibOS
 from repro.core.loader import ElfLoader, LoadedBinary
 from repro.core.page_manager import PageManager
-
-# The boot layer imports the baseline packages, which import repro.core.*
-# submodules directly — so it must come after everything above.
-from repro.core.spec import (  # noqa: E402
+from repro.core.spec import (
+    BACKENDS,
+    KERNELS,
     SystemSpec,
-    backend_kinds,
     backend_label,
-    kernel_kinds,
     make_backend,
-    register_backend,
-    register_kernel,
 )
 
 __all__ = [
     "AllocatorGuide",
+    "BACKENDS",
     "BaseSystem",
     "CommModule",
     "DilosConfig",
@@ -35,16 +31,13 @@ __all__ = [
     "DilosSystem",
     "ElfLoader",
     "GuideContext",
+    "KERNELS",
     "LibOS",
     "LoadedBinary",
     "PageManager",
     "PrefetchGuide",
     "SystemSpec",
-    "backend_kinds",
     "backend_label",
     "coalesce_ranges",
-    "kernel_kinds",
     "make_backend",
-    "register_backend",
-    "register_kernel",
 ]

@@ -17,8 +17,8 @@ from typing import Dict, Optional, Tuple
 from repro.common.clock import Clock
 from repro.net.faults import FaultPlan, RetryPolicy
 from repro.net.latency import LatencyModel
-from repro.net.qp import NetStats, QueuePair
-from repro.net.reliable import ReliableQP
+from repro.net.qp import NetStats
+from repro.net.reliable import open_qp
 from repro.obs.tracer import NULL_TRACER
 
 #: The paging modules that own queues (plus one per app-aware guide).
@@ -53,8 +53,7 @@ class CommModule:
         #: When set, every module queue is a ReliableQP (primary + one
         #: sibling for failover) riding this fault plan.
         self.fault_plan = FaultPlan.coerce(fault_plan)
-        self._retry = RetryPolicy.coerce(retry) if (
-            retry is not None or self.fault_plan is not None) else None
+        self._retry = retry
         self._registry = registry
         #: Optional :class:`~repro.net.topology.FabricPort`: every QP of
         #: this node then pays rack-link contention per verb. ``None``
@@ -62,25 +61,12 @@ class CommModule:
         self._fabric = fabric
         self._qps: Dict[Tuple[str, int], object] = {}
 
-    def _make_raw(self, name: str) -> QueuePair:
-        return QueuePair(
-            name=name,
-            clock=self._clock,
-            model=self._model,
-            remote=self._remote,
-            stats=self.stats,
-            extra_completion_delay=self._extra_delay,
-            tracer=self.tracer,
-            fabric=self._fabric,
-        )
-
     def qp(self, module: str, core: int = 0):
         """The queue pair for ``module`` on ``core``.
 
-        With no fault plan this is a raw :class:`QueuePair` (the perfect
-        wire of the original model, byte-for-byte unchanged). With a
-        plan, it is a :class:`ReliableQP` over a primary and one sibling
-        QP so the transport has somewhere to fail over to.
+        Opened on first use by :func:`~repro.net.reliable.open_qp`: a
+        raw QP on a perfect wire, a reliable transport over a primary
+        and one sibling when the node has a fault plan.
         """
         if module not in MODULES:
             raise ValueError(f"unknown paging module {module!r}")
@@ -89,22 +75,11 @@ class CommModule:
         key = ("shared", 0) if self._shared else (module, core)
         qp = self._qps.get(key)
         if qp is None:
-            name = f"{key[0]}@core{key[1]}"
-            if self.fault_plan is None:
-                qp = self._make_raw(name)
-            else:
-                qp = ReliableQP(
-                    name=name,
-                    clock=self._clock,
-                    model=self._model,
-                    remote=self._remote,
-                    qps=[self._make_raw(name),
-                         self._make_raw(f"{name}.alt")],
-                    plan=self.fault_plan,
-                    policy=self._retry,
-                    registry=self._registry,
-                    tracer=self.tracer,
-                )
+            qp = open_qp(f"{key[0]}@core{key[1]}", self._clock, self._model,
+                         self._remote, self.stats, plan=self.fault_plan,
+                         policy=self._retry, registry=self._registry,
+                         tracer=self.tracer, fabric=self._fabric,
+                         extra_completion_delay=self._extra_delay)
             self._qps[key] = qp
         return qp
 

@@ -32,13 +32,14 @@ from repro.core.config import DilosConfig
 from repro.core.guides import AllocatorGuide, GuideContext, PrefetchGuide
 from repro.core.page_manager import PageManager
 from repro.core.prefetch import PteHitTracker, make_prefetcher
+from repro.core.spec import BackendSpec
 from repro.mem import pte as pte_mod
 from repro.mem.addrspace import AddressSpace, Region
 from repro.mem.frames import FramePool
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.mem.vm import VirtualMemory
 from repro.net.qp import Completion
-from repro.obs import MetricsSnapshot, Observability
+from repro.obs import Observability
 
 Tag = pte_mod.Tag
 
@@ -557,28 +558,17 @@ class DilosKernel:
 
 
 class DilosSystem(BaseSystem):
-    """A booted DiLOS computing node attached to a fresh memory node."""
+    """A booted DiLOS computing node attached to a memory backend."""
+
+    config: DilosConfig
 
     def __init__(self, config: Optional[DilosConfig] = None,
-                 memory_backend=None,
+                 memory_backend: BackendSpec = None,
                  obs: Optional[Observability] = None,
                  clock: Optional[Clock] = None) -> None:
-        """Boot a node; ``memory_backend`` overrides the default single
-        memory node (e.g. a sharded/replicated cluster from
-        :mod:`repro.mem.cluster`); ``clock`` injects a shared timeline
-        so independently booted systems can be co-scheduled; ``obs``
-        injects a shared registry or an enabled tracer
-        (``Observability.tracing()``)."""
-        self.config = config or DilosConfig()
-        self.config.validate()
-        self.clock = clock or Clock()
-        self.model = self.config.latency
-        self.node = memory_backend or MemoryNode(self.config.remote_mem_bytes)
-        self.frames = FramePool(self.config.local_mem_bytes // PAGE_SIZE)
-        self.addr_space = AddressSpace(self.node)
-        self.vm = VirtualMemory(self.clock, self.addr_space.page_table,
-                                self.frames, self.model.cpu_copy_per_byte)
-        self.obs = obs or Observability.default()
+        """Boot a DiLOS node; the arguments are
+        :class:`~repro.core.api.BaseSystem`'s."""
+        super().__init__(config or DilosConfig(), memory_backend, obs, clock)
         self.kernel = DilosKernel(self.clock, self.config, self.addr_space,
                                   self.frames, self.vm, self.node,
                                   obs=self.obs)
@@ -587,8 +577,6 @@ class DilosSystem(BaseSystem):
                        lambda: self.kernel.comm.stats.bytes_read)
         registry.gauge("net.bytes_written",
                        lambda: self.kernel.comm.stats.bytes_written)
-        registry.gauge("tlb.hits", lambda: self.vm.tlb.hits)
-        registry.gauge("tlb.misses", lambda: self.vm.tlb.misses)
         registry.gauge("prefetch.hit_ratio",
                        lambda: self.kernel.hit_tracker.hit_ratio())
         registry.gauge("reclaim.resident_pages",
@@ -603,10 +591,3 @@ class DilosSystem(BaseSystem):
     @property
     def sync_overhead_us(self) -> float:
         return self.model.sync_overhead_osv
-
-    def munmap(self, region: Region) -> None:
-        self.kernel.release_region(region)
-        self.addr_space.munmap(region)
-
-    def metrics(self) -> MetricsSnapshot:
-        return self.obs.registry.snapshot(self.name, self.clock.now)

@@ -16,18 +16,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.common.clock import Clock
 from repro.common.units import KIB, MIB
-from repro.core.spec import (
-    BackendSpec,
-    SystemSpec,
-    backend_label,
-    kernel_kinds,
-)
+from repro.core.spec import KERNELS, BackendSpec, SystemSpec, backend_label
 from repro.obs import Observability
 
-#: Presentation keys, matching the paper's figure legends. Sourced from
-#: the kernel registry so extensions registered via
-#: :func:`repro.core.spec.register_kernel` show up everywhere.
-SYSTEM_KINDS = kernel_kinds()
+#: Presentation keys, matching the paper's figure legends: the keys of
+#: :data:`repro.core.spec.KERNELS`, in its order.
+SYSTEM_KINDS = tuple(KERNELS)
 
 #: The paper's local-memory sweep.
 PAPER_RATIOS = (0.125, 0.25, 0.50, 1.0)
@@ -58,9 +52,9 @@ def make_system(kind: str, local_bytes: int,
                 **overrides: Any):
     """Boot a system by presentation key.
 
-    Compatibility shim over :meth:`repro.core.spec.SystemSpec.boot` — the
-    registry-driven boot layer. Returns a :class:`BaseSystem` for the
-    paging systems or an :class:`AifmRuntime` for the AIFM variants.
+    Builds a :class:`~repro.core.spec.SystemSpec` from the arguments and
+    boots it. Returns a :class:`BaseSystem` for the paging systems or an
+    :class:`AifmRuntime` for the AIFM variants.
     ``obs`` injects an observability bundle — e.g.
     ``Observability.tracing()`` to record simulated-clock trace events —
     the default is a fresh registry with tracing disabled.
@@ -80,10 +74,7 @@ def make_system(kind: str, local_bytes: int,
     """
     spec = SystemSpec(kind=kind, local_mem_bytes=local_bytes,
                       remote_mem_bytes=remote_bytes, backend=backend,
-                      obs=obs, clock=clock,
-                      net_faults=overrides.pop("net_faults", None),
-                      net_retry=overrides.pop("net_retry", None),
-                      overrides=overrides)
+                      obs=obs, clock=clock, overrides=overrides)
     return spec.boot()
 
 

@@ -12,7 +12,7 @@ on nodes nobody's workload can reach cheaply.
 map (global slot ``node * node_slots + local``, so
 :meth:`PooledMemory.node_of` resolves any offset to its owning node in
 O(1) — the fabric's routing function) and delegates the choice of node
-to a pluggable :class:`PlacementPolicy` from the **placement registry**:
+to a pluggable :class:`PlacementPolicy` named in :data:`PLACEMENTS`:
 
 * ``locality`` — the requester's home node first; spill to the nearest
   node with space (counted in ``pool.spills``). Minimal fabric
@@ -56,7 +56,7 @@ class PlacementPolicy:
     pool knows when a deviation is a *spill* worth counting.
     """
 
-    #: Registry name (set by :func:`register_placement`).
+    #: Its :data:`PLACEMENTS` name (set by :func:`make_placement`).
     name = "?"
     #: Does this policy treat ``home`` as the preferred node?
     prefers_home = False
@@ -70,43 +70,6 @@ class PlacementPolicy:
         raise NotImplementedError
 
 
-PlacementFactory = Callable[[], PlacementPolicy]
-
-_PLACEMENTS: Dict[str, PlacementFactory] = {}
-
-
-def register_placement(
-        name: str) -> Callable[[PlacementFactory], PlacementFactory]:
-    """Register a placement-policy factory under ``name`` (decorator)."""
-    def deco(factory: PlacementFactory) -> PlacementFactory:
-        if name in _PLACEMENTS:
-            raise ValueError(f"placement policy {name!r} already registered")
-        _PLACEMENTS[name] = factory
-        return factory
-    return deco
-
-
-def placement_kinds() -> Tuple[str, ...]:
-    """All registered placement policies, in registration order."""
-    return tuple(_PLACEMENTS)
-
-
-def make_placement(
-        policy: Union[str, PlacementPolicy, None]) -> PlacementPolicy:
-    """Name/ready-policy/None (= ``"load"``) -> :class:`PlacementPolicy`."""
-    if policy is None:
-        policy = "load"
-    if isinstance(policy, PlacementPolicy):
-        return policy
-    factory = _PLACEMENTS.get(policy)
-    if factory is None:
-        raise ValueError(f"unknown placement policy {policy!r}; "
-                         f"pick from {placement_kinds()}")
-    built = factory()
-    built.name = policy
-    return built
-
-
 def _first_free(pool: "PooledMemory", order) -> int:
     for index in order:
         if pool.nodes[index].free_slots > 0:
@@ -114,7 +77,6 @@ def _first_free(pool: "PooledMemory", order) -> int:
     raise OutOfMemoryError("memory pool exhausted")
 
 
-@register_placement("locality")
 class LocalityPlacement(PlacementPolicy):
     """Home node first; spill to the nearest node with space."""
 
@@ -126,7 +88,6 @@ class LocalityPlacement(PlacementPolicy):
         return _first_free(pool, order)
 
 
-@register_placement("load")
 class LoadPlacement(PlacementPolicy):
     """The node with the most free slots (ties -> lowest index)."""
 
@@ -138,7 +99,6 @@ class LoadPlacement(PlacementPolicy):
         return best
 
 
-@register_placement("pack")
 class PackPlacement(PlacementPolicy):
     """First-fit packing: the lowest-index node with space.
 
@@ -151,7 +111,6 @@ class PackPlacement(PlacementPolicy):
         return _first_free(pool, range(len(pool.nodes)))
 
 
-@register_placement("interleave")
 class InterleavePlacement(PlacementPolicy):
     """Round-robin striping across nodes (the ShardedMemory layout)."""
 
@@ -164,6 +123,33 @@ class InterleavePlacement(PlacementPolicy):
         chosen = _first_free(pool, order)
         self._next = (chosen + 1) % n
         return chosen
+
+
+PlacementFactory = Callable[[], PlacementPolicy]
+
+#: Placement policy name -> factory.
+PLACEMENTS: Dict[str, PlacementFactory] = {
+    "locality": LocalityPlacement,
+    "load": LoadPlacement,
+    "pack": PackPlacement,
+    "interleave": InterleavePlacement,
+}
+
+
+def make_placement(
+        policy: Union[str, PlacementPolicy, None]) -> PlacementPolicy:
+    """Name/ready-policy/None (= ``"load"``) -> :class:`PlacementPolicy`."""
+    if policy is None:
+        policy = "load"
+    if isinstance(policy, PlacementPolicy):
+        return policy
+    factory = PLACEMENTS.get(policy)
+    if factory is None:
+        raise ValueError(f"unknown placement policy {policy!r}; "
+                         f"pick from {tuple(PLACEMENTS)}")
+    built = factory()
+    built.name = policy
+    return built
 
 
 class PoolClient:
@@ -406,11 +392,10 @@ __all__ = [
     "InterleavePlacement",
     "LoadPlacement",
     "LocalityPlacement",
+    "PLACEMENTS",
     "PackPlacement",
     "PlacementPolicy",
     "PoolClient",
     "PooledMemory",
     "make_placement",
-    "placement_kinds",
-    "register_placement",
 ]

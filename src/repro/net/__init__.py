@@ -12,7 +12,7 @@ from repro.net.faults import (
 )
 from repro.net.latency import DEFAULT_LATENCY, LatencyModel, cycles_to_us, CPU_GHZ
 from repro.net.qp import Completion, NetStats, QueuePair
-from repro.net.reliable import RELIABILITY_METRICS, ReliableQP
+from repro.net.reliable import RELIABILITY_METRICS, ReliableQP, open_qp
 from repro.net.topology import (
     FabricPort,
     Link,
@@ -39,4 +39,5 @@ __all__ = [
     "coerce_fault_plan",
     "coerce_retry_policy",
     "cycles_to_us",
+    "open_qp",
 ]

@@ -3,7 +3,10 @@
 :class:`ReliableQP` mirrors the :class:`~repro.net.qp.QueuePair` verb
 surface (``post_read`` / ``post_write`` / ``post_read_sg`` /
 ``post_write_sg`` / ``wait``) so every kernel routes remote IO through it
-unchanged, but survives the wire of :class:`~repro.net.faults.FaultPlan`:
+unchanged, but survives the wire of :class:`~repro.net.faults.FaultPlan`.
+Kernels open their queues with :func:`open_qp`, which picks a raw
+:class:`~repro.net.qp.QueuePair` on a perfect wire and a
+:class:`ReliableQP` when a fault plan is set. The transport:
 
 * every payload carries an end-to-end CRC-32; a corrupt arrival is
   NAK'd at completion time;
@@ -32,7 +35,7 @@ memory node untouched until its retransmission lands. Canonical metrics
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.clock import Clock
 from repro.mem.remote import NodeFailedError
@@ -43,7 +46,7 @@ from repro.net.faults import (
     checksum,
 )
 from repro.net.latency import LatencyModel
-from repro.net.qp import Completion, QueuePair
+from repro.net.qp import Completion, NetStats, QueuePair
 from repro.obs.tracer import NULL_TRACER
 
 #: Canonical reliability metrics, pre-registered (at zero) on attach.
@@ -340,3 +343,36 @@ class ReliableQP:
                 f"{self.name}: remote node failed with {completion.op} "
                 "in flight")
         return completion
+
+
+def open_qp(
+    name: str,
+    clock: Clock,
+    model: LatencyModel,
+    remote,
+    stats: NetStats,
+    plan: Optional[FaultPlan] = None,
+    policy: Optional[RetryPolicy] = None,
+    registry=None,
+    tracer=NULL_TRACER,
+    fabric=None,
+    extra_completion_delay: float = 0.0,
+) -> Union[QueuePair, ReliableQP]:
+    """Open one kernel queue named ``name``.
+
+    With no fault ``plan`` this is a raw :class:`QueuePair` (the perfect
+    wire of the original model, byte-for-byte unchanged). With a plan it
+    is a :class:`ReliableQP` riding ``plan`` with retry ``policy`` over
+    that QP and a ``<name>.alt`` sibling to fail over to. Both siblings
+    share ``stats``, ``tracer``, ``fabric`` and the completion delay.
+    """
+    def raw(qp_name: str) -> QueuePair:
+        return QueuePair(qp_name, clock, model, remote, stats,
+                         extra_completion_delay=extra_completion_delay,
+                         tracer=tracer, fabric=fabric)
+
+    if plan is None:
+        return raw(name)
+    return ReliableQP(name, clock, model, remote,
+                      qps=[raw(name), raw(f"{name}.alt")], plan=plan,
+                      policy=policy, registry=registry, tracer=tracer)

@@ -24,8 +24,8 @@ constant. Only :class:`~repro.sim.rack.RackCluster` binds ports, one per
 tenant; with no port attached (a spec's default ``topology=None``)
 nothing in the timing path changes; the golden-master digests pin that.
 
-Spec grammar (shared with ``backend=``/``serve=``/``repair=``, see
-:mod:`repro.common.specparse`)::
+Spec grammar (shared with ``backend=``, ``cluster.serve(spec)`` and
+``repair=``, see :mod:`repro.common.specparse`)::
 
     "rack:compute=4,mem=4,link=100,oversub=4"
 

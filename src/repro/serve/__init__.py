@@ -14,38 +14,22 @@ p50/p99/p999, goodput and SLO-violation rate through canonical
 metrics digest. See ``docs/SERVING.md`` for the tour.
 """
 
-# Import order matters: spec defines the registries, arrivals populates
-# the arrival registry (ServeSpec validation consults it), then the
-# policy layers, then the frontend that composes them.
-from repro.serve.spec import (
-    ARRIVAL_SPEC_EXAMPLES,
-    Arrival,
-    ServeSpec,
-    arrival_kinds,
-    coerce_serve_spec,
-    make_arrivals,
-    parse_duration_us,
-    parse_scaled,
-    register_arrival,
-)
-from repro.serve import arrivals as arrivals  # noqa: F401 (registers kinds)
 from repro.serve.admission import (
+    ADMISSIONS,
     AdmissionPolicy,
     NoAdmission,
     QueueDepthAdmission,
     TokenBucketAdmission,
-    admission_kinds,
     make_admission,
-    register_admission,
 )
+from repro.serve.arrivals import Arrival
 from repro.serve.balancer import (
+    BALANCERS,
     Balancer,
     ConsistentHashBalancer,
     LeastOutstandingBalancer,
     RoundRobinBalancer,
-    balancer_kinds,
     make_balancer,
-    register_balancer,
 )
 from repro.serve.frontend import (
     RequestSampler,
@@ -53,11 +37,23 @@ from repro.serve.frontend import (
     ServeReport,
     serve,
 )
+from repro.serve.spec import (
+    ARRIVALS,
+    ARRIVAL_SPEC_EXAMPLES,
+    ServeSpec,
+    coerce_serve_spec,
+    make_arrivals,
+    parse_duration_us,
+    parse_scaled,
+)
 
 __all__ = [
+    "ADMISSIONS",
+    "ARRIVALS",
     "ARRIVAL_SPEC_EXAMPLES",
     "AdmissionPolicy",
     "Arrival",
+    "BALANCERS",
     "Balancer",
     "ConsistentHashBalancer",
     "LeastOutstandingBalancer",
@@ -69,17 +65,11 @@ __all__ = [
     "ServeReport",
     "ServeSpec",
     "TokenBucketAdmission",
-    "admission_kinds",
-    "arrival_kinds",
-    "balancer_kinds",
     "coerce_serve_spec",
     "make_admission",
     "make_arrivals",
     "make_balancer",
     "parse_duration_us",
     "parse_scaled",
-    "register_admission",
-    "register_arrival",
-    "register_balancer",
     "serve",
 ]

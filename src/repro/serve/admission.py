@@ -9,7 +9,8 @@ flash-crowd preset demonstrates exactly this, with the naive no-admission
 run violating the SLO that the depth-limited run meets.
 
 Policies parse from slash-separated spec strings, the compact form used
-inside ``serve=`` specs (commas are taken by ``key=value`` pairs)::
+inside the serve spec of ``cluster.serve(spec)`` (commas are taken by
+``key=value`` pairs)::
 
     "none"          -> NoAdmission
     "depth/64"      -> QueueDepthAdmission(max_depth=64)
@@ -21,7 +22,7 @@ same admit/shed sequence.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 from repro.serve.spec import parse_scaled
 
@@ -96,33 +97,13 @@ class TokenBucketAdmission(AdmissionPolicy):
 
 AdmissionFactory = Callable[[Sequence[str]], AdmissionPolicy]
 
-_ADMISSIONS: Dict[str, AdmissionFactory] = {}
 
-
-def register_admission(kind: str) -> Callable[[AdmissionFactory],
-                                              AdmissionFactory]:
-    """Register an admission factory under ``kind`` (decorator)."""
-    def deco(factory: AdmissionFactory) -> AdmissionFactory:
-        if kind in _ADMISSIONS:
-            raise ValueError(f"admission kind {kind!r} already registered")
-        _ADMISSIONS[kind] = factory
-        return factory
-    return deco
-
-
-def admission_kinds() -> Tuple[str, ...]:
-    """All registered admission kinds, in registration order."""
-    return tuple(_ADMISSIONS)
-
-
-@register_admission("none")
 def _make_none(args: Sequence[str]) -> AdmissionPolicy:
     if args:
         raise ValueError("admission 'none' takes no arguments")
     return NoAdmission()
 
 
-@register_admission("depth")
 def _make_depth(args: Sequence[str]) -> AdmissionPolicy:
     if len(args) != 1:
         raise ValueError("admission 'depth' needs exactly one argument, "
@@ -130,7 +111,6 @@ def _make_depth(args: Sequence[str]) -> AdmissionPolicy:
     return QueueDepthAdmission(int(parse_scaled(args[0], "admission depth")))
 
 
-@register_admission("bucket")
 def _make_bucket(args: Sequence[str]) -> AdmissionPolicy:
     if len(args) != 2:
         raise ValueError("admission 'bucket' needs rate and burst, "
@@ -140,23 +120,31 @@ def _make_bucket(args: Sequence[str]) -> AdmissionPolicy:
         int(parse_scaled(args[1], "token bucket burst")))
 
 
+#: Admission kind (the spec text before the first ``/``) -> factory over
+#: the ``/``-separated arguments after it.
+ADMISSIONS: Dict[str, AdmissionFactory] = {
+    "none": _make_none,
+    "depth": _make_depth,
+    "bucket": _make_bucket,
+}
+
+
 def make_admission(spec: str) -> AdmissionPolicy:
     """Parse a slash-separated admission spec (``"depth/64"``, ...)."""
     head, *args = spec.strip().split("/")
     try:
-        factory = _ADMISSIONS[head]
+        factory = ADMISSIONS[head]
     except KeyError:
         raise ValueError(f"unknown admission policy {head!r}; pick from "
-                         f"{admission_kinds()}") from None
+                         f"{tuple(ADMISSIONS)}") from None
     return factory(args)
 
 
 __all__ = [
+    "ADMISSIONS",
     "AdmissionPolicy",
     "NoAdmission",
     "QueueDepthAdmission",
     "TokenBucketAdmission",
-    "admission_kinds",
     "make_admission",
-    "register_admission",
 ]

@@ -8,7 +8,8 @@ is what makes tail latency meaningful — under overload an open-loop queue
 grows without bound while a closed loop politely self-throttles.
 
 Three processes, all pure functions of the :class:`~repro.serve.spec
-.ServeSpec` (same spec, same stream, bit for bit):
+.ServeSpec` (same spec, same stream, bit for bit), each listed with the
+kind-specific keys it reads in :data:`repro.serve.spec.ARRIVALS`:
 
 * ``poisson`` — memoryless arrivals at a constant mean rate; the
   classical serving baseline.
@@ -28,17 +29,25 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
-from repro.serve.spec import (Arrival, ServeSpec, parse_duration_us,
-                              parse_scaled, register_arrival)
+if TYPE_CHECKING:
+    from repro.serve.spec import ServeSpec
+
+
+@dataclass(frozen=True)
+class Arrival:
+    """One open-loop arrival: a timestamp and the client that issued it."""
+
+    t_us: float
+    client_id: int
 
 
 def _rate_per_us(rate_rps: float) -> float:
     return rate_rps / 1e6
 
 
-@register_arrival("poisson")
 def poisson_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
     """Memoryless arrivals: exponential gaps at the spec's mean rate."""
     rng = random.Random(spec.seed)
@@ -49,9 +58,6 @@ def poisson_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
         yield Arrival(t, rng.randrange(spec.clients))
 
 
-@register_arrival("bursty", keys={"burst_rate": parse_scaled,
-                                  "on": parse_duration_us,
-                                  "off": parse_duration_us})
 def bursty_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
     """Two-state MMPP: quiet Poisson at ``rate``, bursts at
     ``burst_rate`` (default 10x) with exponential sojourn times of mean
@@ -75,21 +81,17 @@ def bursty_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
             # Re-draw the residual gap in the new state: the memoryless
             # property makes the truncated draw exponential again, so one
             # fresh sample at the state boundary is exact.
-            carried = switch_at - t
             t = switch_at
             bursting = not bursting
             mean = mean_on if bursting else mean_off
             switch_at = t + rng.expovariate(1.0 / mean)
             rate = burst if bursting else quiet
             gap = rng.expovariate(rate)
-            del carried  # documentation of the renewal argument
         t += gap
         yield Arrival(t, rng.randrange(spec.clients))
         emitted += 1
 
 
-@register_arrival("diurnal", keys={"floor": parse_scaled,
-                                   "period": parse_duration_us})
 def diurnal_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
     """Sinusoidal rate between ``floor`` (default rate/10) and the peak
     ``rate`` over ``period`` (default 1 simulated second), sampled by
@@ -114,4 +116,5 @@ def diurnal_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
             emitted += 1
 
 
-__all__ = ["bursty_arrivals", "diurnal_arrivals", "poisson_arrivals"]
+__all__ = ["Arrival", "bursty_arrivals", "diurnal_arrivals",
+           "poisson_arrivals"]

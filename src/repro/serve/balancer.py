@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 
 class Balancer:
@@ -109,46 +109,29 @@ class ConsistentHashBalancer(Balancer):
 
 BalancerFactory = Callable[[Sequence[str]], Balancer]
 
-_BALANCERS: Dict[str, BalancerFactory] = {}
-
-
-def register_balancer(name: str) -> Callable[[BalancerFactory],
-                                             BalancerFactory]:
-    """Register a balancer factory under ``name`` (decorator)."""
-    def deco(factory: BalancerFactory) -> BalancerFactory:
-        if name in _BALANCERS:
-            raise ValueError(f"balancer {name!r} already registered")
-        _BALANCERS[name] = factory
-        return factory
-    return deco
-
-
-def balancer_kinds() -> Tuple[str, ...]:
-    """All registered balancer names, in registration order."""
-    return tuple(_BALANCERS)
-
-
-register_balancer("round_robin")(RoundRobinBalancer)
-register_balancer("least")(LeastOutstandingBalancer)
-register_balancer("hash")(ConsistentHashBalancer)
+#: Balancer name -> factory over the tenant names.
+BALANCERS: Dict[str, BalancerFactory] = {
+    "round_robin": RoundRobinBalancer,
+    "least": LeastOutstandingBalancer,
+    "hash": ConsistentHashBalancer,
+}
 
 
 def make_balancer(name: str, tenants: Sequence[str]) -> Balancer:
     """Build the named balancer over ``tenants``."""
     try:
-        factory = _BALANCERS[name]
+        factory = BALANCERS[name]
     except KeyError:
         raise ValueError(f"unknown balancer {name!r}; pick from "
-                         f"{balancer_kinds()}") from None
+                         f"{tuple(BALANCERS)}") from None
     return factory(tenants)
 
 
 __all__ = [
+    "BALANCERS",
     "Balancer",
     "ConsistentHashBalancer",
     "LeastOutstandingBalancer",
     "RoundRobinBalancer",
-    "balancer_kinds",
     "make_balancer",
-    "register_balancer",
 ]

@@ -1,20 +1,19 @@
-"""The serving spec grammar and the arrival-process registry.
+"""The serving spec grammar and the table of arrival processes.
 
 One spec string describes a whole open-loop serving configuration, the
 same way ``backend=``/``repair=`` spec strings describe backends and
-repair policies::
+repair policies; a run takes it as ``cluster.serve(spec)``::
 
     "poisson:rate=5k,clients=1m,slo=2ms,requests=4000,seed=7"
     "bursty:rate=2k,burst_rate=20k,on=50ms,off=200ms,slo=500us"
     "diurnal:rate=8k,floor=500,period=1s,clients=1m,slo=1ms"
 
-The text before the colon picks an arrival process from the **arrival
-registry** (:func:`register_arrival` adds new ones without touching any
-caller); the ``key=value`` pairs fill the :class:`ServeSpec`. Scaled
-numbers accept ``k``/``m``/``g`` suffixes (``5k`` = 5 000, ``1m`` =
-1 000 000 — a million simulated clients is just a bigger modulus, not a
-bigger allocation); durations accept ``us``/``ms``/``s`` and normalize
-to microseconds.
+The text before the colon picks an arrival process from
+:data:`ARRIVALS` (a new process is one more entry); the ``key=value``
+pairs fill the :class:`ServeSpec`. Scaled numbers accept ``k``/``m``/
+``g`` suffixes (``5k`` = 5 000, ``1m`` = 1 000 000 — a million
+simulated clients is just a bigger modulus, not a bigger allocation);
+durations accept ``us``/``ms``/``s`` and normalize to microseconds.
 
 Common keys: ``rate`` (requests/second), ``clients`` (simulated client
 population), ``slo`` (latency objective), ``requests`` (how many
@@ -22,8 +21,8 @@ arrivals to generate), ``seed``, ``admission`` (e.g. ``depth/64`` or
 ``bucket/5k/32``), ``balance`` (``round_robin``/``least``/``hash``).
 Kind-specific keys (``burst_rate``, ``on``, ``off`` for ``bursty``;
 ``floor``, ``period`` for ``diurnal``) land in :attr:`ServeSpec.params`.
-Each arrival kind declares the kind-specific keys it reads, with their
-value parsers, when it registers, and a spec carrying any other is
+Each arrival kind's :data:`ARRIVALS` entry lists the kind-specific keys
+it reads, with their value parsers, and a spec carrying any other is
 rejected: a key the stream never reads would otherwise be silently
 ignored.
 """
@@ -33,12 +32,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import (Any, Callable, Dict, Iterator, Mapping, Optional, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.common.specparse import parse_kv_spec, split_kind
+from repro.serve.arrivals import (
+    Arrival,
+    bursty_arrivals,
+    diurnal_arrivals,
+    poisson_arrivals,
+)
 
-#: Spec templates for help text: every registered kind with its flavor.
+#: Spec templates for help text: every kind in :data:`ARRIVALS` with its
+#: flavor.
 ARRIVAL_SPEC_EXAMPLES = (
     "poisson:rate=5k,clients=1m,slo=2ms",
     "bursty:rate=2k,burst_rate=20k,on=50ms,off=200ms",
@@ -85,7 +90,7 @@ def parse_duration_us(text: str, what: str = "duration") -> float:
 class ServeSpec:
     """A declarative description of one open-loop serving run."""
 
-    #: Arrival-process kind from the arrival registry.
+    #: Arrival-process kind, one of :data:`ARRIVALS`.
     kind: str = "poisson"
     #: Mean offered load in requests per second.
     rate_rps: float = 1_000.0
@@ -103,11 +108,11 @@ class ServeSpec:
     #: Balancer policy name — parsed by :mod:`repro.serve.balancer`.
     balance: str = "round_robin"
     #: Kind-specific extras (``burst_rate``, ``on``, ``off``, ...); only
-    #: the keys the kind registered with are accepted.
+    #: the keys the kind's :data:`ARRIVALS` entry lists are accepted.
     params: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        own = _kind_keys(self.kind)
+        own = _arrival(self.kind)[1]
         stray = sorted(set(self.params) - set(own))
         if stray:
             raise ValueError(
@@ -125,7 +130,7 @@ class ServeSpec:
     #: Common spec keys -> (dataclass field, value cast) — the
     #: declarative half of the shared grammar in
     #: :mod:`repro.common.specparse`. Kind-specific keys and their
-    #: parsers are registered with the kind by :func:`register_arrival`.
+    #: parsers are listed with the kind in :data:`ARRIVALS`.
     _SPEC_KEYS = {
         "rate": ("rate_rps", lambda v: parse_scaled(v, "rate")),
         "clients": ("clients", lambda v: int(parse_scaled(v, "clients"))),
@@ -140,7 +145,7 @@ class ServeSpec:
     def from_spec(cls, spec: str) -> "ServeSpec":
         """Parse a serve spec string (see the module docstring)."""
         kind, args = split_kind(spec, default="poisson")
-        own = _kind_keys(kind)
+        own = _arrival(kind)[1]
         casts = {key: cast for key, (_target, cast) in cls._SPEC_KEYS.items()}
         casts.update((key, partial(parse, what=key))
                      for key, parse in own.items())
@@ -179,19 +184,11 @@ def coerce_serve_spec(
         return value
     if isinstance(value, str):
         return ServeSpec.from_spec(value)
-    raise TypeError(f"serve= expects a spec string or ServeSpec, "
-                    f"got {type(value).__name__}")
+    raise TypeError(f"cluster.serve(spec) expects a spec string or "
+                    f"ServeSpec, got {type(value).__name__}")
 
 
-# -- the arrival registry ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Arrival:
-    """One open-loop arrival: a timestamp and the client that issued it."""
-
-    t_us: float
-    client_id: int
-
+# -- the arrival processes ---------------------------------------------------
 
 #: An arrival factory: spec -> deterministic iterator of Arrivals.
 ArrivalFactory = Callable[[ServeSpec], Iterator[Arrival]]
@@ -200,61 +197,42 @@ ArrivalFactory = Callable[[ServeSpec], Iterator[Arrival]]
 #: :func:`parse_scaled` and :func:`parse_duration_us`.
 KeyParser = Callable[[str, str], float]
 
-_ARRIVALS: Dict[str, ArrivalFactory] = {}
-#: Arrival kind -> the kind-specific spec keys its factory reads.
-_ARRIVAL_KEYS: Dict[str, Dict[str, KeyParser]] = {}
+#: Arrival kind -> (its stream, the kind-specific spec keys the stream
+#: reads with their value parsers). Those keys land in
+#: :attr:`ServeSpec.params`; a spec of the kind carrying any other key is
+#: rejected.
+ARRIVALS: Dict[str, Tuple[ArrivalFactory, Dict[str, KeyParser]]] = {
+    "poisson": (poisson_arrivals, {}),
+    "bursty": (bursty_arrivals, {"burst_rate": parse_scaled,
+                                 "on": parse_duration_us,
+                                 "off": parse_duration_us}),
+    "diurnal": (diurnal_arrivals, {"floor": parse_scaled,
+                                   "period": parse_duration_us}),
+}
 
 
-def register_arrival(kind: str, keys: Optional[Mapping[str, KeyParser]] = None
-                     ) -> Callable[[ArrivalFactory], ArrivalFactory]:
-    """Register an arrival-process factory under ``kind`` (decorator).
-
-    ``keys`` maps each kind-specific spec key the factory reads (it
-    lands in :attr:`ServeSpec.params`) to its value parser; a spec of
-    this kind carrying any other key is rejected.
-    """
-    def deco(factory: ArrivalFactory) -> ArrivalFactory:
-        if kind in _ARRIVALS:
-            raise ValueError(f"arrival kind {kind!r} already registered")
-        _ARRIVALS[kind] = factory
-        _ARRIVAL_KEYS[kind] = dict(keys or {})
-        return factory
-    return deco
-
-
-def _kind_keys(kind: str) -> Dict[str, KeyParser]:
-    """The kind-specific keys of arrival ``kind`` (unknown kinds raise)."""
+def _arrival(kind: str) -> Tuple[ArrivalFactory, Dict[str, KeyParser]]:
+    """The :data:`ARRIVALS` entry of ``kind`` (unknown kinds raise)."""
     try:
-        return _ARRIVAL_KEYS[kind]
+        return ARRIVALS[kind]
     except KeyError:
         raise ValueError(f"unknown arrival kind {kind!r}; "
-                         f"pick from {arrival_kinds()}") from None
-
-
-def arrival_kinds() -> Tuple[str, ...]:
-    """All registered arrival kinds, in registration order."""
-    return tuple(_ARRIVALS)
+                         f"pick from {tuple(ARRIVALS)}") from None
 
 
 def make_arrivals(spec: ServeSpec) -> Iterator[Arrival]:
     """The deterministic arrival stream described by ``spec``."""
-    try:
-        factory = _ARRIVALS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown arrival kind {spec.kind!r}; "
-                         f"pick from {arrival_kinds()}") from None
-    return factory(spec)
+    stream, _keys = _arrival(spec.kind)
+    return stream(spec)
 
 
 __all__ = [
+    "ARRIVALS",
     "ARRIVAL_SPEC_EXAMPLES",
-    "Arrival",
     "ArrivalFactory",
     "ServeSpec",
-    "arrival_kinds",
     "coerce_serve_spec",
     "make_arrivals",
     "parse_duration_us",
     "parse_scaled",
-    "register_arrival",
 ]

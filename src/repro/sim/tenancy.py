@@ -185,7 +185,7 @@ class ComputeCluster:
         """Boot ``spec`` and enroll it as a request-driven *service*.
 
         ``service`` is a kind name from the
-        :data:`repro.apps.api.SERVICES` registry (``"redis"``,
+        :data:`repro.apps.api.SERVICES` table (``"redis"``,
         ``"taxi"``, ...) built over the booted system with
         ``service_kwargs``, or a ready
         :class:`~repro.apps.api.Service` object. Service tenants have no
@@ -193,12 +193,12 @@ class ComputeCluster:
         (:meth:`serve`) drives their ``handle()`` directly; round-robin
         :meth:`run` treats them as already finished.
         """
-        from repro.apps.api import SERVICES, Service
+        from repro.apps.api import Service, build_service
 
         tenant = self.add_tenant(name, spec, lambda system: iter(()))
         system = tenant.system
         if isinstance(service, str):
-            service = SERVICES.build(service, system, **service_kwargs)
+            service = build_service(service, system, **service_kwargs)
         elif service_kwargs:
             raise ValueError("service_kwargs only apply when building a "
                              "service by kind name")

@@ -1,16 +1,16 @@
 """Cooperative multi-worker execution over one simulated machine.
 
 The simulator's application normally runs as one thread. Real deployments
-run many (§5.2: DiLOS supports pthreads across cores), and the §4.2 fault
-handler has a dedicated path for it: a core faulting on a page another
-core is already fetching finds a FETCHING PTE and *waits* instead of
-issuing a duplicate RDMA read.
+run many (§5.2: DiLOS supports pthreads across cores).
 
 :class:`Workers` models threads as generators of memory operations and
 interleaves them round-robin, one operation per turn, on the shared clock.
-The quantum is one memory access — coarse, but exactly the granularity at
-which paging-subsystem interactions (duplicate-fetch suppression, shared
-prefetch benefit, cache contention) occur.
+The quantum is one memory access, so the interleaving models what threads
+share between accesses: cache pressure (one worker's faults evict
+another's pages), prefetch benefit, and waits on pages that another
+worker's prefetch left FETCHING (§4.2's minor fault). A demand fault
+completes inside one worker's turn, so two workers touching one cold page
+never meet its fetch in flight: the first faults it in, the second hits.
 
 Ops are built with the helpers::
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.apps.api import Request, SERVICES
+from repro.apps.api import Request, SERVICES, build_service
 from repro.apps.kvstore import (
     DEFAULT_LEASE_US,
     KvStoreService,
@@ -71,7 +71,7 @@ class TestConstruction:
         assert parity._candidates == [0, 1]
 
     def test_registered_as_a_service_kind(self):
-        assert "kv" in SERVICES.kinds()
+        assert "kv" in SERVICES
 
 
 class TestRecordRoundTrip:
@@ -306,6 +306,6 @@ class TestSamplerAndFactory:
 
     def test_registry_build_by_kind(self):
         system = boot()
-        service = SERVICES.build("kv", system, n_keys=4)
+        service = build_service("kv", system, n_keys=4)
         assert service.name == "kv"
         assert service.lease_us == DEFAULT_LEASE_US

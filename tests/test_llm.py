@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.apps.api import SERVICES, Request
+from repro.apps.api import Request, build_service
 from repro.apps.llm import (
     KvCache,
     LlmConfig,
@@ -204,7 +204,7 @@ def test_workload_counters_and_result_shape():
 # -- the serving port ---------------------------------------------------------
 
 def test_llm_service_handles_generate_and_rejects_junk():
-    service = SERVICES.build("llm", _system())
+    service = build_service("llm", _system())
     bad = service.handle(Request("get", key=b"x"))
     assert not bad.ok and "generate" in bad.error
     malformed = service.handle(Request("generate", args=(1, 2)))
@@ -232,7 +232,7 @@ def test_llm_service_rejected_request_maps_no_kv_cache(kind):
     """A generate that fails length validation maps no KV cache, but
     still counts as a request."""
     system = _system(kind)
-    service = SERVICES.build("llm", system)  # max_tokens=64
+    service = build_service("llm", system)  # max_tokens=64
     footprint = _KV_FOOTPRINT[kind]
     before = footprint(system)
     for seed in range(5):
@@ -244,7 +244,7 @@ def test_llm_service_rejected_request_maps_no_kv_cache(kind):
 
 def test_llm_service_evicts_finished_sequences_beyond_capacity():
     system = _system()
-    service = SERVICES.build("llm", system, capacity_tokens=24)
+    service = build_service("llm", system, capacity_tokens=24)
     rng = random.Random(3)
     for _ in range(8):
         assert service.handle(service.sample_request(rng)).ok

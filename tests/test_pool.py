@@ -5,15 +5,11 @@ import pytest
 
 from repro.common.errors import OutOfMemoryError, ProtectionError
 from repro.common.units import KIB, MIB, PAGE_SIZE
+from repro.baselines.aifm import AifmConfig, AifmRuntime
+from repro.baselines.fastswap import FastswapConfig, FastswapSystem
 from repro.core import DilosConfig, DilosSystem, SystemSpec
 from repro.harness import SYSTEM_KINDS, make_system
-from repro.mem.pool import (
-    PlacementPolicy,
-    PooledMemory,
-    make_placement,
-    placement_kinds,
-    register_placement,
-)
+from repro.mem.pool import PLACEMENTS, PooledMemory, make_placement
 from repro.mem.remote import MemoryNode
 from tests.test_spec import smoke_io
 
@@ -34,8 +30,7 @@ def homed(pool, home):
 
 class TestPlacementRegistry:
     def test_kinds(self):
-        assert set(placement_kinds()) == {"locality", "load", "pack",
-                                          "interleave"}
+        assert set(PLACEMENTS) == {"locality", "load", "pack", "interleave"}
 
     def test_make_by_name_and_passthrough(self):
         policy = make_placement("locality")
@@ -46,10 +41,6 @@ class TestPlacementRegistry:
     def test_unknown_raises_with_choices(self):
         with pytest.raises(ValueError, match="unknown placement policy"):
             make_placement("random")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_placement("load")(PlacementPolicy)
 
 
 class TestPolicies:
@@ -91,7 +82,7 @@ class TestPolicies:
         assert nodes == [0, 1, 2, 0, 1, 2]
 
     def test_exhaustion_raises(self):
-        for policy in placement_kinds():
+        for policy in PLACEMENTS:
             pool = pool_of(nodes=2, slots=2, policy=policy)
             client = homed(pool, 0)
             for _ in range(4):
@@ -272,6 +263,45 @@ class TestBackendSpec:
         with pytest.raises(TypeError, match="alloc_slot"):
             SystemSpec(kind="dilos-readahead", local_mem_bytes=256 * KIB,
                        backend=pool).boot()
+
+    @pytest.mark.parametrize("boot", [
+        lambda pool: DilosSystem(DilosConfig(local_mem_bytes=256 * KIB,
+                                             remote_mem_bytes=8 * MIB),
+                                 memory_backend=pool),
+        lambda pool: FastswapSystem(
+            FastswapConfig(local_mem_bytes=256 * KIB,
+                           remote_mem_bytes=8 * MIB),
+            memory_backend=pool),
+        lambda pool: AifmRuntime(AifmConfig(local_heap_bytes=256 * KIB,
+                                            remote_mem_bytes=8 * MIB),
+                                 memory_backend=pool),
+    ], ids=["dilos", "fastswap", "aifm"])
+    def test_kernel_constructors_refuse_the_raw_pool(self, boot):
+        """Each kernel constructor runs the backend check itself, so a
+        kernel built directly (not through ``SystemSpec.boot``) cannot
+        boot on the raw pool either."""
+        with pytest.raises(TypeError, match="alloc_slot"):
+            boot(pool_of())
+
+    def test_aifm_cannot_overwrite_a_client_slot(self):
+        """AIFM bump-allocates its remote heap from offset 0, so on the
+        raw pool its evacuations overwrote the first client's slot. Now
+        construction raises before any write, and the client still reads
+        its own bytes."""
+        pool = pool_of(nodes=2)
+        client = pool.client("victim", home=0)
+        offset = client.slot_offset(client.alloc_slot())
+        client.write_bytes(offset, b"v" * 8)
+        try:
+            runtime = AifmRuntime(AifmConfig(local_heap_bytes=4 * PAGE_SIZE,
+                                             remote_mem_bytes=8 * MIB),
+                                  memory_backend=pool)
+        except TypeError as exc:
+            assert "alloc_slot" in str(exc)
+        else:  # evacuate twice the heap budget onto the pool
+            for _ in range(8):
+                runtime.allocate(PAGE_SIZE, data=b"a" * PAGE_SIZE)
+        assert client.read_bytes(offset, 8) == b"v" * 8
 
 
 def dilos_on(client, local=1 * MIB):

@@ -13,10 +13,10 @@ from repro.core.spec import SystemSpec
 from repro.harness.scenarios import SCENARIOS, preset
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
+    ARRIVALS,
     ARRIVAL_SPEC_EXAMPLES,
+    BALANCERS,
     ServeSpec,
-    arrival_kinds,
-    balancer_kinds,
     coerce_serve_spec,
     make_admission,
     make_arrivals,
@@ -111,7 +111,7 @@ class TestServeSpec:
             coerce_serve_spec(42)
 
     def test_registered_kinds(self):
-        assert set(arrival_kinds()) >= {"poisson", "bursty", "diurnal"}
+        assert set(ARRIVALS) >= {"poisson", "bursty", "diurnal"}
 
 
 # -- arrival processes -------------------------------------------------------
@@ -225,7 +225,7 @@ class TestAdmission:
 
 class TestBalancers:
     def test_kinds(self):
-        assert set(balancer_kinds()) >= {"round_robin", "least", "hash"}
+        assert set(BALANCERS) >= {"round_robin", "least", "hash"}
         with pytest.raises(ValueError, match="unknown balancer"):
             make_balancer("random", ["a"])
 

@@ -1,5 +1,5 @@
 """The unified Workload/Service API: protocol conformance, the service
-registry, and the closed-loop drivers built on it."""
+table, and the closed-loop drivers built on it."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.apps.api import (
     Response,
     SERVICES,
     Service,
-    ServiceRegistry,
+    build_service,
     run_closed_loop,
 )
 from repro.apps.redis import GetWorkload, RedisServer
@@ -49,8 +49,8 @@ class TestEnvelopes:
 
 class TestConformance:
     def test_redis_service_conforms(self):
-        service = SERVICES.build("redis", _redis_system(), n_keys=40,
-                                 value_bytes=256)
+        service = build_service("redis", _redis_system(), n_keys=40,
+                                value_bytes=256)
         assert isinstance(service, Service)
         assert service.name == "redis"
         rng = random.Random(3)
@@ -59,8 +59,8 @@ class TestConformance:
         assert response.ok
 
     def test_taxi_service_conforms(self):
-        service = SERVICES.build("taxi", _redis_system(4 * MIB),
-                                 rows=1 << 12)
+        service = build_service("taxi", _redis_system(4 * MIB),
+                                rows=1 << 12)
         assert isinstance(service, Service)
         assert service.name == "taxi"
         response = service.handle(Request("mean", key=b"fare",
@@ -69,14 +69,14 @@ class TestConformance:
         assert response.value > 0
 
     def test_taxi_rejects_unknown_op_and_column(self):
-        service = SERVICES.build("taxi", _redis_system(4 * MIB),
-                                 rows=1 << 12)
+        service = build_service("taxi", _redis_system(4 * MIB),
+                                rows=1 << 12)
         assert not service.handle(Request("median", key=b"fare")).ok
         assert not service.handle(Request("mean", key=b"tips")).ok
 
     def test_redis_get_set_round_trip(self):
-        service = SERVICES.build("redis", _redis_system(), n_keys=40,
-                                 value_bytes=256)
+        service = build_service("redis", _redis_system(), n_keys=40,
+                                value_bytes=256)
         assert service.handle(
             Request("set", key=b"fresh", value=b"payload")).ok
         got = service.handle(Request("get", key=b"fresh"))
@@ -85,16 +85,16 @@ class TestConformance:
         assert not missing.ok
 
     def test_redis_rejects_unknown_op(self):
-        service = SERVICES.build("redis", _redis_system(), n_keys=10,
-                                 value_bytes=64)
+        service = build_service("redis", _redis_system(), n_keys=10,
+                                value_bytes=64)
         response = service.handle(Request("flushall"))
         assert not response.ok
         assert "flushall" in response.error
 
     def test_run_closed_loop_bridge(self):
         system = _redis_system()
-        service = SERVICES.build("redis", system, n_keys=40,
-                                 value_bytes=256)
+        service = build_service("redis", system, n_keys=40,
+                                value_bytes=256)
         stats = run_closed_loop(service, system, requests=60)
         assert stats.requests == 60
         assert stats.errors == 0
@@ -102,38 +102,22 @@ class TestConformance:
         assert stats.metrics.value("fault.major") >= 0
 
 
-# -- the registry ------------------------------------------------------------
+# -- the service table -------------------------------------------------------
 
 class TestRegistry:
     def test_builtins_resolve_lazily(self):
-        registry = SERVICES
-        assert {"redis", "taxi"} <= set(registry.kinds())
-        assert callable(registry.factory("redis"))
+        """Every entry names a builder its module defines."""
+        import importlib
+
+        assert set(SERVICES) == {"kv", "llm", "redis", "taxi"}
+        for target in SERVICES.values():
+            module, _, builder = target.partition(":")
+            assert callable(getattr(importlib.import_module(module),
+                                    builder))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown service kind"):
-            SERVICES.factory("memcached")
-
-    def test_register_decorator_and_duplicates(self):
-        registry = ServiceRegistry()
-
-        @registry.register("echo")
-        def build_echo(system):
-            class Echo:
-                name = "echo"
-
-                def handle(self, request):
-                    return Response(value=request.key)
-            return Echo()
-
-        service = registry.build("echo", None)
-        assert isinstance(service, Service)
-        assert service.handle(Request("x", key=b"hi")).value == b"hi"
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("echo", build_echo)
-        registry.unregister("echo")
-        with pytest.raises(ValueError, match="unknown service kind"):
-            registry.factory("echo")
+            build_service("memcached", None)
 
 
 # -- the closed-loop driver the deprecated aliases wrapped ------------------

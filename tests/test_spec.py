@@ -6,13 +6,12 @@ from repro.common.clock import Clock
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import (
     BACKEND_SPEC_EXAMPLES,
+    BACKENDS,
+    KERNELS,
     SystemSpec,
-    backend_kinds,
     backend_label,
-    kernel_kinds,
     make_backend,
-    register_kernel,
-    unregister_kernel,
+    split_kind,
 )
 from repro.harness import SYSTEM_KINDS, make_system
 from repro.mem.cluster import (
@@ -25,7 +24,7 @@ from repro.mem.remote import MemoryNode
 
 class TestKernelRegistry:
     def test_all_presentation_kinds_registered(self):
-        assert set(SYSTEM_KINDS) <= set(kernel_kinds())
+        assert SYSTEM_KINDS == tuple(KERNELS)
         # Presentation order matches the paper's figure legends.
         assert SYSTEM_KINDS[0] == "fastswap"
         assert SYSTEM_KINDS[-1] == "aifm-rdma"
@@ -33,18 +32,6 @@ class TestKernelRegistry:
     def test_unknown_kind_raises_with_choices(self):
         with pytest.raises(ValueError, match="unknown system kind"):
             SystemSpec(kind="linux", local_mem_bytes=2 * MIB).boot()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel("fastswap")(lambda spec, backend: None)
-
-    def test_extension_kind_boots_through_make_system(self):
-        marker = object()
-        register_kernel("toy")(lambda spec, backend: marker)
-        try:
-            assert SystemSpec(kind="toy").boot() is marker
-        finally:
-            unregister_kernel("toy")
 
     def test_spec_boot_matches_legacy_flavors(self):
         assert SystemSpec(kind="dilos-stride",
@@ -59,8 +46,7 @@ class TestKernelRegistry:
 
 class TestBackendRegistry:
     def test_registered_kinds(self):
-        assert set(backend_kinds()) == {"node", "sharded", "replicated",
-                                        "parity"}
+        assert set(BACKENDS) == {"node", "sharded", "replicated", "parity"}
         with pytest.raises(ValueError, match="unknown backend kind"):
             make_backend("pool:2", 8 * MIB)
 
@@ -105,6 +91,17 @@ class TestBackendRegistry:
         with pytest.raises(ValueError):
             make_backend("node", 0)
 
+    def test_help_examples_name_every_table_entry(self):
+        """``--backend`` help prints BACKEND_SPEC_EXAMPLES and
+        ARRIVAL_SPEC_EXAMPLES lists the arrival kinds: a table entry
+        missing from its tuple would be missing from the help."""
+        from repro.serve import ARRIVAL_SPEC_EXAMPLES, ARRIVALS
+
+        assert tuple(split_kind(example)[0]
+                     for example in BACKEND_SPEC_EXAMPLES) == tuple(BACKENDS)
+        assert tuple(split_kind(example)[0]
+                     for example in ARRIVAL_SPEC_EXAMPLES) == tuple(ARRIVALS)
+
     def test_backend_label(self):
         assert backend_label(None) == "node"
         assert backend_label("sharded:4") == "sharded:4"
@@ -128,7 +125,8 @@ class TestSpecBoot:
 
     def test_net_faults_spec_string_parsed_once(self):
         system = SystemSpec(kind="dilos-readahead", local_mem_bytes=2 * MIB,
-                            net_faults="drop=0.01,seed=7").boot()
+                            overrides={"net_faults": "drop=0.01,seed=7"}
+                            ).boot()
         plan = system.config.net_faults
         assert plan is not None and plan.drop == pytest.approx(0.01)
 

@@ -1,5 +1,6 @@
-"""Tests for multi-worker interleaving, including the §4.2 FETCHING-PTE
-duplicate-fetch suppression across concurrent faulters."""
+"""Tests for multi-worker interleaving: round-robin order, data-dependent
+accesses, shared cache pressure, and one wire read for a cold page two
+workers touch (the first faults it in within its turn, the second hits)."""
 
 import pytest
 
@@ -79,7 +80,7 @@ class TestBasics:
 
 class TestConcurrentFaulting:
     def test_duplicate_fetch_suppressed(self):
-        """Two workers fault on the same cold page: one RDMA read total."""
+        """Two workers read the same cold page: one RDMA read total."""
         system = make_system(local_mib=1)
         region = system.mmap(4 * MIB)
         pages = region.size // PAGE_SIZE
