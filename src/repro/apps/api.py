@@ -1,10 +1,8 @@
 """The unified Workload/Service API every app serves through.
 
-Historically each app exposed its own closed-loop driver (``GetWorkload``
-runs its own GET loop, the taxi workload runs its own query batch), so
-nothing generic — a load balancer, an admission controller, a latency
-recorder — could drive "any app". This module defines the one
-request/response surface the serving layer (:mod:`repro.serve`) speaks:
+This module defines the one request/response surface the serving layer
+(:mod:`repro.serve`) speaks, so a load balancer, an admission controller
+or a latency recorder drives every app the same way:
 
 * :class:`Request` / :class:`Response` — typed, frozen request envelopes.
   ``op`` selects the handler (``"get"``, ``"mean_fare"``); ``key`` is
@@ -26,16 +24,13 @@ thin loops over ``Service.handle``.
 from __future__ import annotations
 
 import importlib
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 try:  # Protocol is 3.8+; runtime_checkable keeps isinstance() working.
     from typing import Protocol, runtime_checkable
 except ImportError:  # pragma: no cover - not reachable on supported pythons
     from typing_extensions import Protocol, runtime_checkable  # type: ignore
-
-from repro.obs.snapshot import MetricsSnapshot
 
 
 @dataclass(frozen=True)
@@ -105,51 +100,10 @@ def build_service(kind: str, system: Any, **params: Any) -> Service:
     return getattr(importlib.import_module(module), builder)(system, **params)
 
 
-@dataclass
-class ClosedLoopStats:
-    """Summary of a generic closed-loop run (testing/back-compat aid)."""
-
-    requests: int
-    errors: int
-    elapsed_us: float
-    metrics: Optional[MetricsSnapshot] = None
-
-
-def run_closed_loop(service: Service, system: Any, requests: int,
-                    seed: int = 17) -> ClosedLoopStats:
-    """Drive ``service`` with its own ``sample_request`` stream, serially.
-
-    The minimal bridge from the Service protocol back to the historical
-    closed-loop shape: one request at a time, no think time, no queueing.
-    Useful for conformance tests; real serving goes through
-    :class:`repro.serve.frontend.ServeFrontend`.
-    """
-    sampler = getattr(service, "sample_request", None)
-    if sampler is None:
-        raise TypeError(f"service {service.name!r} has no sample_request; "
-                        "drive it with explicit Requests instead")
-    rng = random.Random(seed)
-    # Sample the whole request batch up front: samplers touch only their
-    # own rng, so the draw sequence (and thus every request) is identical
-    # to sampling inline, and the serve loop below stays branch-free.
-    pending = [sampler(rng) for _ in range(requests)]
-    errors = 0
-    begin = system.clock.now
-    for request in pending:
-        response = service.handle(request)
-        if not response.ok:
-            errors += 1
-    return ClosedLoopStats(requests=requests, errors=errors,
-                           elapsed_us=system.clock.now - begin,
-                           metrics=system.metrics())
-
-
 __all__ = [
-    "ClosedLoopStats",
     "Request",
     "Response",
     "SERVICES",
     "Service",
     "build_service",
-    "run_closed_loop",
 ]

@@ -28,7 +28,7 @@ replication wire. Three properties make it crash-consistent:
   the unavailability window land in ``kv.failover_us``/``kv.unavail_us``.
 
 All ``kv.*`` instruments live on the *backend's* registry, so
-``cluster.metrics()`` (and the golden/perf digests of scenarios that
+``cluster.metrics()`` (and the golden digests of scenarios that
 build a KV service) carry availability accounting next to the
 ``cluster.*``/``repair.*`` state it depends on. Nothing is registered
 until a KV service is built, so pre-existing digests are untouched.
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
 from repro.apps.api import Request, Response
-from repro.common.rng import zipf_weights
+from repro.common.rng import seeded_value, zipf_weights
 from repro.common.units import PAGE_SIZE
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory
 from repro.mem.remote import NodeFailedError
@@ -88,16 +88,6 @@ def _unpack_header(data: bytes) -> Tuple[int, int, int]:
     return (int.from_bytes(data[0:4], "little"),
             int.from_bytes(data[4:8], "little"),
             int.from_bytes(data[8:12], "little"))
-
-
-def _value(rng: random.Random, size: int) -> bytes:
-    """A seeded value with a recognizable prefix (the redis recipe, so
-    cross-service tooling can eyeball either keyspace)."""
-    seed = rng.randrange(1 << 30)
-    prefix = seed.to_bytes(4, "little")
-    body = bytes(((seed >> (8 * (j % 4))) + j * 131) % 256
-                 for j in range(min(size - 4, 60)))
-    return (prefix + body).ljust(size, b"\xA5")[:size]
 
 
 class KvStoreService:
@@ -284,7 +274,7 @@ class KvStoreService:
         key = b"kv:%d" % index
         if self.write_fraction > 0.0 and rng.random() < self.write_fraction:
             return Request("set", key=key,
-                           value=_value(rng, self.value_bytes))
+                           value=seeded_value(rng, self.value_bytes))
         return Request("get", key=key)
 
     # -- handlers --------------------------------------------------------------
@@ -408,7 +398,7 @@ def build_kv_service(system, n_keys: int = 64, value_bytes: int = 192,
     rng = random.Random(seed)
     for i in range(n_keys):
         response = service.handle(Request("set", key=b"kv:%d" % i,
-                                          value=_value(rng, value_bytes)))
+                                          value=seeded_value(rng, value_bytes)))
         if not response.ok:
             raise RuntimeError(
                 f"kv population failed on key {i}: {response.error}")

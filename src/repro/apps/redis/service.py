@@ -4,8 +4,9 @@
 to ``handle(Request) -> Response`` so the serving layer's balancer can
 drive it like any other app. The handler table is a straight mapping onto
 the server's commands — ``handle`` adds *no* simulated time of its own,
-which is what keeps the deprecated closed-loop wrappers byte-identical to
-their historical behavior.
+so a request costs the same whether the serving frontend or a
+closed-loop driver (:class:`~repro.apps.redis.workload.GetWorkload` and
+friends) issues it.
 
 The ``"redis"`` service factory boots a ready instance: a mimalloc arena,
 a deterministic keyspace population (seeded values with recognizable
@@ -22,7 +23,7 @@ from repro.alloc.mimalloc import Mimalloc
 from repro.apps.api import Request, Response
 from repro.apps.redis.guide import RedisPrefetchGuide
 from repro.apps.redis.server import RedisServer
-from repro.common.rng import zipf_weights
+from repro.common.rng import seeded_value, zipf_weights
 from repro.common.units import MIB
 
 
@@ -81,7 +82,7 @@ class RedisService:
         key = b"key:%d" % index
         if self.write_fraction > 0.0 and rng.random() < self.write_fraction:
             return Request("set", key=key,
-                           value=_value(rng, self.value_bytes))
+                           value=seeded_value(rng, self.value_bytes))
         return Request("get", key=key)
 
     # -- handlers ------------------------------------------------------------
@@ -122,16 +123,6 @@ class RedisService:
         return Response(value=self.server.lrange(request.key, count))
 
 
-def _value(rng: random.Random, size: int) -> bytes:
-    """A seeded value with a recognizable prefix (shared with the
-    closed-loop workloads' recipe so verification stays possible)."""
-    seed = rng.randrange(1 << 30)
-    prefix = seed.to_bytes(4, "little")
-    body = bytes(((seed >> (8 * (j % 4))) + j * 131) % 256
-                 for j in range(min(size - 4, 60)))
-    return (prefix + body).ljust(size, b"\xA5")[:size]
-
-
 def build_redis_service(system, n_keys: int = 200, value_bytes: int = 512,
                         skew: float = 0.0, write_fraction: float = 0.0,
                         arena_bytes: int = 16 * MIB, seed: int = 21,
@@ -151,7 +142,7 @@ def build_redis_service(system, n_keys: int = 200, value_bytes: int = 512,
     expected: Dict[bytes, bytes] = {}
     for i in range(n_keys):
         key = b"key:%d" % i
-        value = _value(rng, value_bytes)
+        value = seeded_value(rng, value_bytes)
         server.set(key, value)
         expected[key] = value[:16]
     service = RedisService(server, n_keys=n_keys, value_bytes=value_bytes,

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.common.rng import seeded_value
 from repro.common.stats import Histogram
 from repro.apps.api import Request
 from repro.apps.redis.server import RedisServer
@@ -27,15 +28,6 @@ from repro.obs.snapshot import MetricsSnapshot
 
 #: The Facebook photo-serving mix (§6.2): six equally distributed sizes.
 PHOTO_MIX_SIZES = (4096, 8192, 16384, 32768, 65536, 131072)
-
-
-def _value(rng: random.Random, size: int) -> bytes:
-    """A pseudo-random value with a recognizable prefix for verification."""
-    seed = rng.randrange(1 << 30)
-    prefix = seed.to_bytes(4, "little")
-    body = bytes(((seed >> (8 * (j % 4))) + j * 131) % 256
-                 for j in range(min(size - 4, 60)))
-    return (prefix + body).ljust(size, b"\xA5")[:size]
 
 
 @dataclass
@@ -83,7 +75,7 @@ class GetWorkload:
         rng = random.Random(self.seed)
         for i in range(self.n_keys):
             key = b"key:%d" % i
-            value = _value(rng, self._size_for(rng))
+            value = seeded_value(rng, self._size_for(rng))
             server.set(key, value)
             self._expected[key] = value[:16]
 
@@ -140,7 +132,8 @@ class LRangeWorkload:
         rng.shuffle(pushes)
         batch: Dict[int, List[bytes]] = {}
         for list_id in pushes:
-            batch.setdefault(list_id, []).append(_value(rng, self.elem_bytes))
+            batch.setdefault(list_id, []).append(
+                seeded_value(rng, self.elem_bytes))
             if len(batch[list_id]) == 8:
                 server.rpush(b"list:%d" % list_id, batch.pop(list_id))
         for list_id, values in batch.items():
@@ -193,7 +186,7 @@ class DelGetWorkload:
     def populate(self, server: RedisServer) -> None:
         rng = random.Random(self.seed)
         for i in range(self.n_keys):
-            server.set(b"key:%d" % i, _value(rng, self.value_bytes))
+            server.set(b"key:%d" % i, seeded_value(rng, self.value_bytes))
 
     def run_del_phase(self, server: RedisServer) -> None:
         rng = random.Random(self.seed + 1)

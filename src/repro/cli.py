@@ -866,13 +866,6 @@ def cmd_rack(args) -> int:
     return _determinism_gate(args, one, first)
 
 
-def cmd_perf(args) -> int:
-    """Wall-clock perf suite: run hot kernels, write BENCH_perf.json,
-    exit non-zero past the regression threshold."""
-    from repro.harness.perf import main as perf_main
-    return perf_main(args.perf_args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -899,13 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("systems", help="list system keys").set_defaults(
         func=cmd_systems)
-
-    # All flags are owned by repro.harness.perf's own parser; REMAINDER
-    # forwards them (including --help) untouched.
-    p = sub.add_parser("perf", add_help=False,
-                       help="wall-clock perf suite -> BENCH_perf.json")
-    p.add_argument("perf_args", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("sweep", help="system x ratio grid for one workload")
     p.add_argument("workload", choices=("quicksort", "kmeans", "taxi",
@@ -1131,13 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    # ``perf`` owns its flag surface (repro.harness.perf); dispatch before
-    # argparse so its options are never half-parsed here (REMAINDER does
-    # not capture leading optionals under subparsers).
-    args_in = sys.argv[1:] if argv is None else list(argv)
-    if args_in and args_in[0] == "perf":
-        from repro.harness.perf import main as perf_main
-        return perf_main(args_in[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -22,11 +22,16 @@ def zipf_weights(n: int, skew: float = 1.0) -> List[float]:
     return [1.0 / (rank ** skew) for rank in range(1, n + 1)]
 
 
-def zipf_sample(rng: random.Random, n: int, count: int, skew: float = 1.0) -> List[int]:
-    """Draw ``count`` indices in ``[0, n)`` from a Zipf(skew) distribution.
+def seeded_value(rng: random.Random, size: int) -> bytes:
+    """A ``size``-byte value drawn from ``rng`` with a recognizable prefix.
 
-    Used for skewed key popularity (Redis workloads) and power-law degree
-    targets (the Twitter-shaped graph generator).
+    The first four bytes are the draw itself, the next (up to 60) a
+    pattern derived from it, the rest ``0xA5`` padding. The KV and Redis
+    services and the Redis workloads fill their keyspaces with it, so a
+    checker replaying the same ``rng`` regenerates every value.
     """
-    weights = zipf_weights(n, skew)
-    return rng.choices(range(n), weights=weights, k=count)
+    seed = rng.randrange(1 << 30)
+    prefix = seed.to_bytes(4, "little")
+    body = bytes(((seed >> (8 * (j % 4))) + j * 131) % 256
+                 for j in range(min(size - 4, 60)))
+    return (prefix + body).ljust(size, b"\xA5")[:size]

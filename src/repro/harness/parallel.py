@@ -1,8 +1,8 @@
 """Multiprocessing fan-out for benchmark grids.
 
-``repro sweep`` and ``python -m repro perf`` evaluate independent cells
-(one booted system per workload × kernel × ratio, or one perf case per
-cell); each cell is deterministic given its spec, so the grid can be
+``repro sweep`` evaluates independent cells (one booted system per
+workload × kernel × ratio, or per rack placement × oversubscription);
+each cell is deterministic given its spec, so the grid can be
 distributed across cores without changing a single result. This module
 is the one place that policy lives: :func:`fanout` is an
 order-preserving parallel map over picklable cells. ``jobs <= 1`` (or a

@@ -3,10 +3,8 @@
 :data:`SCENARIOS` maps a name to a :class:`Scenario` — a builder plus the
 arguments that pin it — and every consumer reads it:
 
-* the golden-master suite (``tests/test_golden_master.py``) pins each
-  listed scenario's metrics digest and final simulated clock by name;
-* ``python -m repro perf`` times the scenarios marked ``perf``
-  (:data:`repro.harness.perf.CASES`, in registry order);
+* the golden-master suite (``tests/test_golden_master.py``) pins every
+  scenario's metrics digest and final simulated clock by name;
 * ``repro tenants`` and ``repro serve`` offer the scenarios whose
   ``command`` names them as presets, and ``repro kv``/``rack``/``repair``
   run ``kv_failover``/``rack``/``repair_demo`` with their flags as
@@ -43,8 +41,6 @@ class Run:
 
     #: The booted system or cluster, after the run.
     target: Any
-    #: Host-meaningful operation count (the perf suite's ``ops`` column).
-    ops: int
     #: The run's own report: a :class:`~repro.serve.ServeReport`, the
     #: tenancy snapshot, or the repair demo's phase facts.
     report: Any = None
@@ -71,8 +67,6 @@ class Scenario:
     #: ``(label, ServeSpec overrides)`` of the naive run a serve preset
     #: argues against (no admission, load-blind routing).
     contrast: Optional[Tuple[str, Mapping[str, Any]]] = None
-    #: Timed by ``python -m repro perf``.
-    perf: bool = False
 
     def build(self, naive: bool = False, **overrides: Any) -> Run:
         """Run the scenario on fresh systems.
@@ -185,7 +179,7 @@ def seqread_tenant(nbytes: int = 4 * MIB, passes: int = 2,
     return factory
 
 
-# -- single-system builders (golden and perf cases) --------------------------
+# -- single-system builders --------------------------------------------------
 #
 # Each boots one fresh system sized at ``ratio`` of the workload's
 # footprint, runs the workload once and returns the system. Imports are
@@ -200,7 +194,7 @@ def seqrw(kind: str, mib: int, ratio: float, mode: str = "read") -> Run:
     system = make_system(kind,
                          local_bytes_for(workload.footprint_bytes, ratio))
     workload.run(system, mode, verify=(mode == "read"))
-    return Run(system, 2 * (workload.working_set_bytes // PAGE_SIZE))
+    return Run(system)
 
 
 def remarray_scan(count: int, ratio: float = 0.25, item: int = 128) -> Run:
@@ -215,7 +209,7 @@ def remarray_scan(count: int, ratio: float = 0.25, item: int = 128) -> Run:
     for i, data in enumerate(array.scan()):
         if data[0] != (i & 0xFF):
             raise AssertionError(f"item {i} corrupted")
-    return Run(system, 2 * count)
+    return Run(system)
 
 
 def quicksort(count: int, ratio: float) -> Run:
@@ -225,8 +219,8 @@ def quicksort(count: int, ratio: float) -> Run:
     workload = QuicksortWorkload(count=count)
     system = make_system("dilos-readahead",
                          local_bytes_for(workload.footprint_bytes, ratio))
-    result = workload.run(system, verify=True)
-    return Run(system, result.count)
+    workload.run(system, verify=True)
+    return Run(system)
 
 
 def redis_get(kind: str, value_size: Any, n_keys: int, n_queries: int,
@@ -245,7 +239,7 @@ def redis_get(kind: str, value_size: Any, n_keys: int, n_queries: int,
     workload.populate(server)
     system.clock.advance(5000)
     workload.drive(server, verify=True)
-    return Run(system, workload.n_keys + workload.n_queries)
+    return Run(system)
 
 
 def kmeans(n_points: int, clusters: int, iterations: int, ratio: float,
@@ -258,7 +252,7 @@ def kmeans(n_points: int, clusters: int, iterations: int, ratio: float,
     system = make_system("dilos-readahead",
                          local_bytes_for(workload.footprint_bytes, ratio))
     workload.run(system)
-    return Run(system, workload.n_points * workload.iterations)
+    return Run(system)
 
 
 def dataframe(rows: int, ratio: float) -> Run:
@@ -269,7 +263,7 @@ def dataframe(rows: int, ratio: float) -> Run:
     system = make_system("dilos-readahead",
                          local_bytes_for(workload.footprint_bytes, ratio))
     workload.run(system)
-    return Run(system, workload.rows)
+    return Run(system)
 
 
 def llm(kind: str, ratio: float = 0.25, backend: BackendSpec = "node",
@@ -287,8 +281,8 @@ def llm(kind: str, ratio: float = 0.25, backend: BackendSpec = "node",
     job = LlmWorkload(**workload)
     system = make_system(kind, local_bytes_for(job.footprint_bytes, ratio),
                          backend=backend)
-    result = job.run(system)
-    return Run(system, result.decoded_tokens)
+    job.run(system)
+    return Run(system)
 
 
 def llm_pd(**params: Any) -> Run:
@@ -298,8 +292,7 @@ def llm_pd(**params: Any) -> Run:
     from repro.apps.llm import build_pd
 
     job = build_pd(**params)
-    result = job.run()
-    return Run(job.cluster, result.decoded_tokens, result)
+    return Run(job.cluster, job.run())
 
 
 # -- cluster builders --------------------------------------------------------
@@ -320,9 +313,7 @@ def tenant_mix(tenants: Tuple[Tuple[str, int, WorkloadFactory], ...],
                              quantum_us=quantum_us)
     for name, local_bytes, factory in tenants:
         cluster.add_tenant(name, _spec(kind, local_bytes), factory)
-    snapshot = cluster.run(max_quanta=max_quanta)
-    return Run(cluster, sum(tenant.ops for tenant in cluster.tenants),
-               snapshot)
+    return Run(cluster, cluster.run(max_quanta=max_quanta))
 
 
 def serve_fleet(serve: Any,
@@ -342,8 +333,7 @@ def serve_fleet(serve: Any,
     spec = coerce_serve_spec(serve)
     if contrast:
         spec = spec.with_overrides(**contrast)
-    report = cluster.serve(spec)
-    return Run(cluster, report.completed, report)
+    return Run(cluster, cluster.serve(spec))
 
 
 def kv_failover(backend: BackendSpec = "replicated:3",
@@ -390,7 +380,7 @@ def kv_failover(backend: BackendSpec = "replicated:3",
         service = tenant.extra.get("service")
         if service is not None and hasattr(service, "verify"):
             service.verify()
-    return Run(cluster, report.completed, report)
+    return Run(cluster, report)
 
 
 def rack(serve: Any = None, **kwargs: Any) -> Run:
@@ -400,8 +390,7 @@ def rack(serve: Any = None, **kwargs: Any) -> Run:
     from repro.sim.rack import DEFAULT_RACK_SERVE, make_rack
 
     cluster = make_rack(**kwargs)
-    report = cluster.serve(serve or DEFAULT_RACK_SERVE)
-    return Run(cluster, report.completed, report)
+    return Run(cluster, cluster.serve(serve or DEFAULT_RACK_SERVE))
 
 
 def repair_demo(backend: str = "replicated:2",
@@ -500,7 +489,7 @@ def repair_demo(backend: str = "replicated:2",
     merged = cluster.metrics()
     interesting = {key: value for key, value in merged.counters.items()
                    if key.startswith(("cluster.", "repair.", "scrub."))}
-    return Run(system, pages, {
+    return Run(system, {
         "backend": backend,
         "kind": kind,
         "pages": pages,
@@ -526,8 +515,8 @@ def _redis_fleet(*names: str, local_bytes: int = 256 * KIB,
                  for name in names)
 
 
-#: The golden cases' Redis shape (4 KiB values) and the perf suite's
-#: (Facebook mixed sizes, twice the keys and queries).
+#: The small Redis shape (4 KiB values) and the larger one (Facebook
+#: mixed sizes, twice the keys and queries).
 _REDIS_SMALL = dict(value_size=4096, n_keys=40, n_queries=120,
                     remote_mib=32, arena_mib=8)
 _REDIS_MIXED = dict(value_size="mixed", n_keys=80, n_queries=250,
@@ -536,8 +525,7 @@ _KMEANS_SMALL = dict(n_points=1 << 11, clusters=4, iterations=2, ratio=0.25)
 _DATAFRAME_SMALL = dict(rows=1 << 13, ratio=0.25)
 _LLM_SMALL = dict(n_requests=4, seed=31)
 
-#: name -> scenario. Perf cases run in this order (``BENCH_perf.json``
-#: rows follow it).
+#: name -> scenario.
 SCENARIOS: Dict[str, Scenario] = {
     # -- repro tenants presets
     # The paper-style pairing: an analytics scan and a latency-sensitive
@@ -621,42 +609,42 @@ SCENARIOS: Dict[str, Scenario] = {
     "repair_demo": Scenario(
         "kill, degraded writes, rejoin + resilver, scrub, second kill",
         repair_demo),
-    # -- golden and perf cases, one workload family at a time. The
-    # "_small" golden cases are smaller than the perf cases they share a
-    # builder with.
+    # -- single-workload cases, one workload family at a time. The
+    # "_small" cases are smaller runs of the builders the cases next to
+    # them use.
     "seqread_dilos": Scenario(
         "DiLOS resident 4 MiB sequential read (TLB-hit fast path)",
-        seqrw, dict(kind=_DILOS, mib=4, ratio=1.0), perf=True),
+        seqrw, dict(kind=_DILOS, mib=4, ratio=1.0)),
     "seqread_dilos_small": Scenario(
         "DiLOS 1 MiB sequential read at 25% local",
         seqrw, dict(kind=_DILOS, mib=1, ratio=0.25)),
     "seqread_dilos_cold": Scenario(
         "DiLOS 2 MiB sequential read at 25% local (fault path)",
-        seqrw, dict(kind=_DILOS, mib=2, ratio=0.25), perf=True),
+        seqrw, dict(kind=_DILOS, mib=2, ratio=0.25)),
     "seqwrite_dilos": Scenario(
         "DiLOS 2 MiB sequential write at 50% local",
-        seqrw, dict(kind=_DILOS, mib=2, ratio=0.5, mode="write"), perf=True),
+        seqrw, dict(kind=_DILOS, mib=2, ratio=0.5, mode="write")),
     "seqread_fastswap": Scenario(
         "Fastswap 2 MiB sequential read at 25% local (swap path)",
-        seqrw, dict(kind="fastswap", mib=2, ratio=0.25), perf=True),
+        seqrw, dict(kind="fastswap", mib=2, ratio=0.25)),
     "seqread_fastswap_small": Scenario(
         "Fastswap 1 MiB sequential read at 25% local",
         seqrw, dict(kind="fastswap", mib=1, ratio=0.25)),
     "seqscan_aifm": Scenario(
         "AIFM remoteable-array populate + scan at 25% local heap",
-        remarray_scan, dict(count=2048), perf=True),
+        remarray_scan, dict(count=2048)),
     "seqscan_aifm_small": Scenario(
         "AIFM remoteable-array populate + scan, 512 items",
         remarray_scan, dict(count=512)),
     "quicksort_dilos": Scenario(
         "DiLOS quicksort of 8K u64s at 50% local",
-        quicksort, dict(count=1 << 13, ratio=0.5), perf=True),
+        quicksort, dict(count=1 << 13, ratio=0.5)),
     "redis_get_dilos": Scenario(
         "DiLOS Redis GET, Facebook mixed value sizes",
-        redis_get, dict(_REDIS_MIXED, kind=_DILOS), perf=True),
+        redis_get, dict(_REDIS_MIXED, kind=_DILOS)),
     "redis_get_fastswap": Scenario(
         "Fastswap Redis GET, Facebook mixed value sizes",
-        redis_get, dict(_REDIS_MIXED, kind="fastswap"), perf=True),
+        redis_get, dict(_REDIS_MIXED, kind="fastswap")),
     "redis_get_dilos_small": Scenario(
         "DiLOS Redis GET, 4 KiB values",
         redis_get, dict(_REDIS_SMALL, kind=_DILOS)),
@@ -665,14 +653,13 @@ SCENARIOS: Dict[str, Scenario] = {
         redis_get, dict(_REDIS_SMALL, kind="fastswap")),
     "kmeans_dilos": Scenario(
         "DiLOS k-means over 16K far-memory points at 50% local",
-        kmeans, dict(n_points=1 << 14, clusters=10, iterations=4, ratio=0.5),
-        perf=True),
+        kmeans, dict(n_points=1 << 14, clusters=10, iterations=4, ratio=0.5)),
     "kmeans_dilos_small": Scenario(
         "DiLOS k-means over 2K points at 25% local",
         kmeans, _KMEANS_SMALL),
     "dataframe_dilos": Scenario(
         "DiLOS taxi analytics over 64K far-memory rows at 50% local",
-        dataframe, dict(rows=1 << 16, ratio=0.5), perf=True),
+        dataframe, dict(rows=1 << 16, ratio=0.5)),
     "dataframe_dilos_small": Scenario(
         "DiLOS taxi analytics over 8K rows at 25% local",
         dataframe, _DATAFRAME_SMALL),
@@ -694,8 +681,7 @@ SCENARIOS: Dict[str, Scenario] = {
         "DiLOS LLM decode: random KV-cache gathers at 25% local",
         llm, dict(kind=_DILOS, n_requests=12, seed=31,
                   config=dict(heads=8, max_tokens=192),
-                  prompt_min=24, prompt_max=80, out_min=8, out_max=16),
-        perf=True),
+                  prompt_min=24, prompt_max=80, out_min=8, out_max=16)),
     # perfbench's llm_pd chunk: the same run_pd arguments at seed 31.
     "llm_pd": Scenario(
         "DiLOS P:D-disaggregated LLM inference, 1:1 over sharded:2",
@@ -709,14 +695,13 @@ SCENARIOS: Dict[str, Scenario] = {
                    topology="rack:compute=4,mem=4,link=100,oversub=4",
                    placement="locality", n_keys=32,
                    serve=("poisson:rate=400k,clients=1m,slo=2ms,"
-                          "requests=600,seed=29,balance=round_robin")),
-        perf=True),
+                          "requests=600,seed=29,balance=round_robin"))),
     "kv_failover": Scenario(
         "replicated KV: lossy wire, lease-holder kill, rejoin + resilver",
         kv_failover),
     "kv_get_replicated": Scenario(
         "replicated KV service surviving a lease-holder kill + resilver",
-        kv_failover, dict(requests=400), perf=True),
+        kv_failover, dict(requests=400)),
 }
 
 

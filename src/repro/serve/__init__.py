@@ -35,7 +35,6 @@ from repro.serve.frontend import (
     RequestSampler,
     ServeFrontend,
     ServeReport,
-    serve,
 )
 from repro.serve.spec import (
     ARRIVALS,
@@ -71,5 +70,4 @@ __all__ = [
     "make_balancer",
     "parse_duration_us",
     "parse_scaled",
-    "serve",
 ]

@@ -287,10 +287,4 @@ class ServeFrontend:
         )
 
 
-def serve(cluster: Any, spec: ServeSpec,
-          sampler: Optional[RequestSampler] = None) -> ServeReport:
-    """One-shot convenience: build a frontend and run the whole spec."""
-    return ServeFrontend(cluster, spec, sampler=sampler).run()
-
-
-__all__ = ["RequestSampler", "ServeFrontend", "ServeReport", "serve"]
+__all__ = ["RequestSampler", "ServeFrontend", "ServeReport"]

@@ -3,7 +3,7 @@ model derivations, and system naming."""
 
 import pytest
 
-from repro.common.rng import make_rng, zipf_sample, zipf_weights
+from repro.common.rng import make_rng, zipf_weights
 from repro.common.units import MIB
 from repro.baselines.aifm import AifmConfig
 from repro.baselines.fastswap import FastswapConfig
@@ -94,14 +94,6 @@ class TestRng:
     def test_zipf_weights_bad_n(self):
         with pytest.raises(ValueError):
             zipf_weights(0)
-
-    def test_zipf_sample_skews_low_ranks(self):
-        rng = make_rng(7)
-        samples = zipf_sample(rng, n=100, count=5000, skew=1.2)
-        assert all(0 <= s < 100 for s in samples)
-        low = sum(1 for s in samples if s < 10)
-        high = sum(1 for s in samples if s >= 90)
-        assert low > 5 * max(1, high)
 
 
 class TestLatencyModel:

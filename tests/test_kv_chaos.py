@@ -83,9 +83,10 @@ def test_kill_failover_rejoin_resilver_loses_nothing(
     shadow = {key: None for key in ()}
     # Seed the shadow with the factory's population (all acked SETs).
     population = random.Random(11)
-    from repro.apps.kvstore import _value
+    from repro.common.rng import seeded_value
     for i in range(service.n_keys):
-        shadow[b"kv:%d" % i] = _value(population, service.value_bytes)
+        shadow[b"kv:%d" % i] = seeded_value(population,
+                                            service.value_bytes)
 
     steps = 300
     crash_step = int(steps * kill_point)
@@ -137,9 +138,10 @@ def test_chaos_wire_never_surfaces_unacked_writes(seed, backend_spec):
     rng = random.Random(seed)
     shadow = {}
     population = random.Random(seed)
-    from repro.apps.kvstore import _value
+    from repro.common.rng import seeded_value
     for i in range(service.n_keys):
-        shadow[b"kv:%d" % i] = _value(population, service.value_bytes)
+        shadow[b"kv:%d" % i] = seeded_value(population,
+                                            service.value_bytes)
     drive(rng, service, shadow, 250)
     assert service.verify() == 0
     assert service.backend.registry.value("kv.lost_updates") == 0

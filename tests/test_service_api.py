@@ -14,7 +14,6 @@ from repro.apps.api import (
     SERVICES,
     Service,
     build_service,
-    run_closed_loop,
 )
 from repro.apps.redis import GetWorkload, RedisServer
 from repro.apps.redis.service import RedisService
@@ -90,16 +89,6 @@ class TestConformance:
         response = service.handle(Request("flushall"))
         assert not response.ok
         assert "flushall" in response.error
-
-    def test_run_closed_loop_bridge(self):
-        system = _redis_system()
-        service = build_service("redis", system, n_keys=40,
-                                value_bytes=256)
-        stats = run_closed_loop(service, system, requests=60)
-        assert stats.requests == 60
-        assert stats.errors == 0
-        assert stats.elapsed_us > 0
-        assert stats.metrics.value("fault.major") >= 0
 
 
 # -- the service table -------------------------------------------------------
