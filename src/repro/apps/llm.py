@@ -59,6 +59,10 @@ from repro.obs.snapshot import MetricsSnapshot
 #: change to the recipe shows up as a digest change, never silently.
 _MODEL_VERSION = 1
 
+#: CPU cycles charged per prefilled / decoded token.
+PREFILL_TOKEN_CYCLES = 600.0
+DECODE_TOKEN_CYCLES = 2400.0
+
 # -- the deterministic model --------------------------------------------------
 
 
@@ -79,9 +83,6 @@ class LlmConfig:
     max_tokens: int = 192
     #: Past positions sampled by each attention gather (<= 16).
     attn_window: int = 8
-    #: CPU cycles charged per prefilled / decoded token.
-    prefill_cycles_per_token: float = 600.0
-    decode_cycles_per_token: float = 2400.0
 
     def __post_init__(self) -> None:
         if min(self.layers, self.heads, self.head_dim, self.vocab,
@@ -443,7 +444,7 @@ def _prefill(system: Any, cache: Any, config: LlmConfig, seed: int,
     prefill compute."""
     written = cache.write_prompt(prompt_tokens(seed, prompt_len,
                                                config.vocab))
-    system.cpu_cycles(prompt_len * config.prefill_cycles_per_token)
+    system.cpu_cycles(prompt_len * PREFILL_TOKEN_CYCLES)
     if counters is not None:
         counters.prefill(prompt_len, written)
 
@@ -461,7 +462,7 @@ def _decode_step(system: Any, cache: Any, config: LlmConfig, seed: int,
     token = next_token(gathered, pos, config.vocab)
     written = cache.append(token)
     cache.pin_hot(tiering.hot_layers)
-    system.cpu_cycles(config.decode_cycles_per_token)
+    system.cpu_cycles(DECODE_TOKEN_CYCLES)
     output.append(token)
     if counters is not None:
         counters.decode(len(gathered), written)
@@ -850,7 +851,7 @@ class _ActiveSeq:
 
 def _decode_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
                    my_queue: int, n_jobs: int, config: LlmConfig,
-                   tiering: TieringPolicy, idle_us: float):
+                   tiering: TieringPolicy):
     """Workload factory for one decode tenant: **continuous batching**.
 
     Ingests transferred KV as it arrives and round-robins single-token
@@ -859,9 +860,9 @@ def _decode_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
     not one sequence. That is what couples the P:D split to the
     local-memory ratio: decode-heavy splits shrink each decoder's batch
     (and multiply the decode role's aggregate local cache), which pays
-    off exactly when KV no longer fits. Idles (charging ``idle_us`` per
-    op, so the shared clock always advances) only while it has nothing
-    live and prefills are still in flight.
+    off exactly when KV no longer fits. Idles (charging
+    :data:`PD_IDLE_US` per op, so the shared clock always advances) only
+    while it has nothing live and prefills are still in flight.
     """
 
     def factory(system) -> Iterator[str]:
@@ -896,7 +897,7 @@ def _decode_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
                     else:
                         active.append(_ActiveSeq(i, req, cache, t0))
                 if not active:
-                    system.cpu(idle_us)
+                    system.cpu(PD_IDLE_US)
                     yield "idle"
                     continue
                 rr %= len(active)
@@ -931,17 +932,17 @@ def _decode_tenant(coord: _PdCoordinator, requests: List[LlmRequest],
 #: 1 KiB here, vs 128 B in the service defaults).
 PD_CONFIG = LlmConfig(layers=4, heads=4, head_dim=32, max_tokens=96,
                       attn_window=8)
+#: The P:D cluster's scheduling quantum (simulated µs per tenant turn).
+PD_QUANTUM_US = 150.0
+#: What an idle decode tenant charges per turn while it waits for KV.
+PD_IDLE_US = 40.0
 
 
 def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
              split: str = "1:1", backend: Any = "sharded:2",
              n_requests: int = 12, seed: int = 31,
-             config: LlmConfig = PD_CONFIG,
-             tiering: TieringPolicy = TieringPolicy(),
              prompt_min: int = 24, prompt_max: int = 56,
              out_min: int = 8, out_max: int = 16,
-             quantum_us: float = 150.0, idle_us: float = 40.0,
-             remote_mem_bytes: int = 64 * MIB,
              net_faults: Any = None, net_retry: Any = None) -> "PdRun":
     """Boot one prefill/decode disaggregation cluster, not yet run.
 
@@ -958,10 +959,11 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
     clock once it does. That tension is the regime crossover
     (see docs/LLM_WORKLOAD.md).
 
-    AIFM kinds are rejected (``ValueError`` from the cluster's
-    enrollment): AIFM tenants cannot share a cluster backend (bump
-    allocation), and P:D *is* a shared-backend scenario. Use the
-    single-node AIFM port (:class:`LlmWorkload`) instead.
+    Tenants run :data:`PD_CONFIG` over a 64 MiB backend. AIFM kinds
+    are rejected (``ValueError`` from the runtime's boot): AIFM cannot
+    share a cluster backend (bump allocation), and P:D *is* a
+    shared-backend scenario. Use the single-node AIFM port
+    (:class:`LlmWorkload`) instead.
     """
     from repro.core.spec import SystemSpec
     from repro.harness.experiment import local_bytes_for
@@ -972,15 +974,14 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
     requests = sample_requests(n_requests, seed, prompt_min, prompt_max,
                                out_min, out_max)
     footprint = sum((r.prompt_len + r.out_len) for r in requests) \
-        * config.kv_token_bytes
+        * PD_CONFIG.kv_token_bytes
     total_local = local_bytes_for(footprint, ratio, minimum=96 * KIB)
     prefill_local = 96 * KIB
     decode_local = max((total_local - n_prefill * prefill_local)
                        // n_decode, 96 * KIB)
 
-    cluster = ComputeCluster(backend=backend,
-                             remote_mem_bytes=remote_mem_bytes,
-                             quantum_us=quantum_us)
+    cluster = ComputeCluster(backend=backend, remote_mem_bytes=64 * MIB,
+                             quantum_us=PD_QUANTUM_US)
     coord = _PdCoordinator(requests, n_decode)
 
     def node_spec(local_mem_bytes: int) -> SystemSpec:
@@ -995,12 +996,13 @@ def build_pd(kind: str = "dilos-readahead", ratio: float = 0.25,
     for p in range(n_prefill):
         indices = [i for i in range(n_requests) if i % n_prefill == p]
         cluster.add_tenant(f"prefill{p}", prefill_spec,
-                           _prefill_tenant(coord, requests, indices, config))
+                           _prefill_tenant(coord, requests, indices,
+                                           PD_CONFIG))
     for d in range(n_decode):
         n_jobs = len([i for i in range(n_requests) if i % n_decode == d])
         cluster.add_tenant(f"decode{d}", decode_spec,
                            _decode_tenant(coord, requests, d, n_jobs,
-                                          config, tiering, idle_us))
+                                          PD_CONFIG, TieringPolicy()))
     return PdRun(kind=kind, ratio=ratio, split=f"{n_prefill}:{n_decode}",
                  cluster=cluster, coord=coord)
 

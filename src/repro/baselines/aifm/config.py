@@ -2,57 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
 
-from repro.common.units import MIB
-from repro.net.faults import (
-    FaultPlan,
-    RetryPolicy,
-    coerce_fault_plan,
-    coerce_retry_policy,
-)
-from repro.net.latency import LatencyModel
+from repro.core.config import KernelConfig
 
 
 @dataclass
-class AifmConfig:
+class AifmConfig(KernelConfig):
     """Knobs for the modeled AIFM runtime.
 
-    ``transport`` defaults to TCP, matching the published system: AIFM uses
-    a user-space TCP stack, which the paper calibrates at 14,000 cycles
-    slower than RDMA per 4 KiB transfer.
+    ``local_mem_bytes`` is the local heap budget (the paper's
+    ``kCacheGBs`` constant, scaled). ``transport`` defaults to TCP,
+    matching the published system: AIFM uses a user-space TCP stack,
+    which the paper calibrates at 14,000 cycles slower than RDMA per
+    4 KiB transfer.
     """
 
-    #: Local heap budget (the paper's ``kCacheGBs`` constant, scaled).
-    local_heap_bytes: int = 64 * MIB
-    remote_mem_bytes: int = 512 * MIB
     #: "tcp" (published AIFM) or "rdma" (for like-for-like fabric studies).
     transport: str = "tcp"
     #: Chunks the streaming prefetcher keeps in flight ahead of a scan.
     prefetch_depth: int = 8
-    #: Fraction of the heap evacuated per evacuation round.
-    evacuation_batch_frac: float = 0.05
-    #: Network fault injection (``None`` = perfect wire): a
-    #: :class:`repro.net.FaultPlan` or spec string (parsed once at
-    #: config construction); routes all object IO through the reliable
-    #: transport.
-    net_faults: Optional[FaultPlan] = None
-    #: Retry policy override (:class:`repro.net.RetryPolicy`) for the
-    #: reliable transport; only used when ``net_faults`` is set.
-    net_retry: Optional[RetryPolicy] = None
-    #: Rack-fabric attachment (:class:`repro.net.topology.FabricPort`)
-    #: or ``None`` for the flat private-wire model.
-    fabric: Optional[Any] = None
-    latency: LatencyModel = field(default_factory=LatencyModel)
-
-    def __post_init__(self) -> None:
-        self.net_faults = coerce_fault_plan(self.net_faults)
-        self.net_retry = coerce_retry_policy(self.net_retry)
 
     def validate(self) -> None:
-        if self.local_heap_bytes <= 0 or self.remote_mem_bytes <= 0:
-            raise ValueError("memory sizes must be positive")
+        super().validate()
         if self.transport not in ("tcp", "rdma"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.prefetch_depth < 0:

@@ -28,6 +28,9 @@ from repro.net.qp import Completion, NetStats
 from repro.net.reliable import open_qp
 from repro.obs import MetricsSnapshot, Observability
 
+#: Fraction of the heap budget one evacuation round frees.
+EVACUATION_BATCH_FRAC = 0.05
+
 
 class _Object:
     """One far-memory object."""
@@ -82,17 +85,22 @@ class AifmRuntime:
                  obs: Optional[Observability] = None,
                  memory_backend: BackendSpec = None,
                  clock: Optional[Clock] = None) -> None:
-        """Boot the runtime; ``memory_backend`` takes what
-        :attr:`SystemSpec.backend <repro.core.spec.SystemSpec.backend>`
-        takes, resolved by :func:`~repro.core.spec.make_backend` (a
+        """Boot the runtime; ``memory_backend`` is a backend spec string
+        or ``None``, resolved by :func:`~repro.core.spec.make_backend` (a
         cluster's object reads/writes split at page boundaries inside
-        the backend); ``clock`` injects a shared timeline so
-        independently booted systems can be co-scheduled."""
+        the backend). A ready backend object raises ``ValueError``: AIFM
+        bump-allocates from offset 0, over slots others allocate.
+        ``clock`` injects a shared timeline."""
         self.config = config or AifmConfig()
         self.config.validate()
         self.clock = clock or Clock()
         self.model = self.config.latency
         self.node = make_backend(memory_backend, self.config.remote_mem_bytes)
+        if self.node is memory_backend:
+            raise ValueError(
+                "AIFM bump-allocates its remote heap from offset 0 and "
+                "cannot share a slot-allocated backend object; give it a "
+                "backend spec string and run AIFM single-node")
         self.stats = NetStats()
         self.obs = obs or Observability.default()
         self.registry = self.obs.registry
@@ -271,10 +279,10 @@ class AifmRuntime:
         time, only wire bytes (and correctness: dirty data is written back
         before the local copy is dropped).
         """
-        budget = self.config.local_heap_bytes
+        budget = self.config.local_mem_bytes
         if self.heap_used <= budget:
             return
-        target = budget * (1.0 - self.config.evacuation_batch_frac)
+        target = budget * (1.0 - EVACUATION_BATCH_FRAC)
         evac_start = self.clock.now
         evacuated = 0
         for oid in list(self._lru.keys()):

@@ -2,66 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
 
-from repro.common.units import MIB
-from repro.net.faults import (
-    FaultPlan,
-    RetryPolicy,
-    coerce_fault_plan,
-    coerce_retry_policy,
-)
-from repro.net.latency import LatencyModel
+from repro.core.config import KernelConfig
 
 
 @dataclass
-class FastswapConfig:
-    """Knobs for the modeled Fastswap computing node.
-
-    Defaults follow the Linux/Fastswap configuration of the paper's testbed:
-    swap readahead cluster of 8 pages (``page_cluster=3``), direct reclaim
-    at fault time with a dedicated offload core that absorbs roughly half
-    the reclaim work (§3.1: "not all reclamation work is offloaded").
+class FastswapConfig(KernelConfig):
+    """Knobs for the modeled Fastswap computing node: only the fields
+    every kernel takes. The Linux/Fastswap configuration of the paper's
+    testbed (readahead cluster, watermarks, kswapd pacing) is fixed, as
+    constants in :mod:`repro.baselines.fastswap.kernel`.
     """
-
-    local_mem_bytes: int = 64 * MIB
-    remote_mem_bytes: int = 512 * MIB
-    #: Swap readahead cluster size (faulted page + window-1 prefetched).
-    readahead_window: int = 8
-    #: Free-frame watermarks (fractions of local frames). Direct reclaim
-    #: triggers below ``min``; kswapd background reclaim targets ``high``.
-    min_watermark_frac: float = 0.02
-    high_watermark_frac: float = 0.06
-    #: kswapd wakeup period and batch.
-    kswapd_period_us: float = 100.0
-    kswapd_batch: int = 24
-    #: Pages reclaimed per direct-reclaim invocation.
-    reclaim_batch: int = 8
-    #: Average LRU pages scanned per page actually evicted (second chances,
-    #: referenced pages, isolation failures).
-    scan_per_evict: float = 2.0
-    #: Network fault injection (``None`` = perfect wire): a
-    #: :class:`repro.net.FaultPlan` or spec string (parsed once at
-    #: config construction); routes all swap IO through the reliable
-    #: transport.
-    net_faults: Optional[FaultPlan] = None
-    #: Retry policy override (:class:`repro.net.RetryPolicy`) for the
-    #: reliable transport; only used when ``net_faults`` is set.
-    net_retry: Optional[RetryPolicy] = None
-    #: Rack-fabric attachment (:class:`repro.net.topology.FabricPort`)
-    #: or ``None`` for the flat private-wire model.
-    fabric: Optional[Any] = None
-    latency: LatencyModel = field(default_factory=LatencyModel)
-
-    def __post_init__(self) -> None:
-        self.net_faults = coerce_fault_plan(self.net_faults)
-        self.net_retry = coerce_retry_policy(self.net_retry)
-
-    def validate(self) -> None:
-        if self.local_mem_bytes <= 0 or self.remote_mem_bytes <= 0:
-            raise ValueError("memory sizes must be positive")
-        if self.readahead_window < 1:
-            raise ValueError("readahead window must be >= 1")
-        if not 0.0 < self.min_watermark_frac < self.high_watermark_frac < 0.5:
-            raise ValueError("watermarks must satisfy 0 < min < high < 0.5")

@@ -37,6 +37,23 @@ from repro.obs import Observability
 
 Tag = pte_mod.Tag
 
+# The Linux/Fastswap configuration of the paper's testbed.
+#: Swap readahead cluster size, 2**page_cluster with the kernel default
+#: ``page_cluster=3``: the faulted page plus 7 prefetched.
+READAHEAD_WINDOW = 8
+#: Free-frame watermarks (fractions of local frames). Direct reclaim
+#: triggers below ``MIN``; kswapd background reclaim targets ``HIGH``.
+MIN_WATERMARK_FRAC = 0.02
+HIGH_WATERMARK_FRAC = 0.06
+#: kswapd wakeup period (microseconds) and pages reclaimed per wakeup.
+KSWAPD_PERIOD_US = 100.0
+KSWAPD_BATCH = 24
+#: Pages reclaimed per direct-reclaim invocation.
+RECLAIM_BATCH = 8
+#: Average LRU pages scanned per page actually evicted (second chances,
+#: referenced pages, isolation failures).
+SCAN_PER_EVICT = 2.0
+
 
 class FastswapKernel:
     """Page fault handling through the modeled Linux swap subsystem."""
@@ -51,7 +68,6 @@ class FastswapKernel:
         node: MemoryNode,
         obs: Optional[Observability] = None,
     ) -> None:
-        config.validate()
         self.clock = clock
         self.config = config
         self.model = config.latency
@@ -83,13 +99,13 @@ class FastswapKernel:
         total = frames.total_frames
         # Same small-pool cap as DiLOS' page manager: reserve at most a
         # quarter of local memory for the free-frame cushion.
-        self.min_watermark = max(4, int(total * config.min_watermark_frac))
+        self.min_watermark = max(4, int(total * MIN_WATERMARK_FRAC))
         self.high_watermark = min(
-            max(self.min_watermark + 4, int(total * config.high_watermark_frac),
+            max(self.min_watermark + 4, int(total * HIGH_WATERMARK_FRAC),
                 min(24, total // 8)),
             max(self.min_watermark + 4, total // 4))
         vm.attach_kernel(self.handle_fault)
-        clock.call_after(config.kswapd_period_us, self._kswapd_tick)
+        clock.call_after(KSWAPD_PERIOD_US, self._kswapd_tick)
 
     # -- fault handling ------------------------------------------------------
 
@@ -201,7 +217,7 @@ class FastswapKernel:
 
     def _readahead(self, fault_vpn: int) -> None:
         """Fetch the rest of the cluster into the swap cache, unmapped."""
-        for offset in range(1, self.config.readahead_window):
+        for offset in range(1, READAHEAD_WINDOW):
             vpn = fault_vpn + offset
             entry = self._pt.get(vpn)
             if pte_mod.classify(entry) is not Tag.REMOTE:
@@ -237,7 +253,7 @@ class FastswapKernel:
         """
         if self._frames.free_frames > self.min_watermark:
             return 0.0
-        target = min(self.config.reclaim_batch,
+        target = min(RECLAIM_BATCH,
                      self.high_watermark - self._frames.free_frames)
         start = self.clock.now
         inline_us = self._reclaim_pages(
@@ -285,7 +301,7 @@ class FastswapKernel:
             entry = self._pt.get(vpn)
             if not pte_mod.is_present(entry):
                 continue
-            cpu_us += model.fastswap_reclaim_per_page * self.config.scan_per_evict
+            cpu_us += model.fastswap_reclaim_per_page * SCAN_PER_EVICT
             if pte_mod.is_accessed(entry):
                 self._pt.set(vpn, pte_mod.clear_accessed(entry))
                 self._vm.tlb.invalidate(vpn)
@@ -321,14 +337,14 @@ class FastswapKernel:
         deficit = self.high_watermark - self._frames.free_frames
         if deficit > 0:
             start = self.clock.now
-            self._reclaim_pages(min(deficit, self.config.kswapd_batch),
+            self._reclaim_pages(min(deficit, KSWAPD_BATCH),
                                 offload=1.0, allow_writeback=False)
             self.registry.add("reclaim.kswapd_runs")
             if self.tracer.enabled:
                 self.tracer.complete("reclaim.kswapd", "reclaim", start,
                                      self.clock.now - start,
                                      {"deficit": deficit})
-        self.clock.call_after(self.config.kswapd_period_us, self._kswapd_tick)
+        self.clock.call_after(KSWAPD_PERIOD_US, self._kswapd_tick)
 
     # -- teardown ---------------------------------------------------------------------
 

@@ -1,4 +1,10 @@
-"""Configuration for the DiLOS computing node."""
+"""Kernel configuration: the fields every kernel takes, and DiLOS' own.
+
+Each kernel's config subclasses :class:`KernelConfig` with only the
+values an experiment varies; fixed testbed parameters (watermarks,
+batch sizes, readahead windows) are constants beside the code that
+reads them.
+"""
 
 from __future__ import annotations
 
@@ -16,48 +22,14 @@ from repro.net.latency import LatencyModel
 
 
 @dataclass
-class DilosConfig:
-    """Knobs for one DiLOS instance.
+class KernelConfig:
+    """The fields every kernel's config takes."""
 
-    The ablation flags (``swap_cache_mode``, ``shared_single_qp``,
-    ``direct_reclaim_only``) re-introduce the general-purpose-kernel designs
-    the paper argues against, so their cost can be measured directly.
-    """
-
-    #: Local DRAM available to the paging subsystem (the "local cache").
+    #: Local memory available to the kernel: the paging subsystem's
+    #: frame pool ("local cache"), or AIFM's local heap budget.
     local_mem_bytes: int = 64 * MIB
     #: Remote memory-node capacity.
     remote_mem_bytes: int = 512 * MIB
-    #: ``none`` / ``readahead`` / ``trend`` (§6 names) or ``stride``
-    #: (this repo's multi-stream extension).
-    prefetcher: str = "readahead"
-    #: Linux swap readahead cluster (2**3 pages, the kernel default).
-    readahead_window: int = 8
-    #: Leap trend detector: history length and max prefetch window.
-    trend_history: int = 32
-    trend_max_window: int = 8
-    #: Free-list watermarks as fractions of total frames. The reclaimer
-    #: eagerly keeps ``high`` free; the fault path dips toward ``low``.
-    low_watermark_frac: float = 0.02
-    high_watermark_frac: float = 0.08
-    #: Background page-manager wakeup period (microseconds) and batch sizes.
-    cleaner_period_us: float = 5.0
-    clean_batch: int = 128
-    reclaim_batch: int = 128
-    #: Emulate AIFM's TCP transport: +14,000 cycles per completion (§6.2).
-    tcp_emulation: bool = False
-    #: Enable §4.4 guided paging (requires an allocator guide).
-    guided_paging: bool = False
-    #: Ablation: funnel every module through one shared QP (HoL blocking).
-    shared_single_qp: bool = False
-    #: Ablation: route prefetched pages through a swap-cache indirection
-    #: (minor fault to map) instead of the unified page table.
-    swap_cache_mode: bool = False
-    #: Ablation: reclaim inline on the fault path instead of eagerly in the
-    #: background (the Fastswap-style design DiLOS removes).
-    direct_reclaim_only: bool = False
-    #: Number of simulated cores (per-core QPs in the comm module).
-    cores: int = 1
     #: Network fault injection: ``None`` (perfect wire), a
     #: :class:`repro.net.FaultPlan`, or a spec string such as
     #: ``"drop=0.01,corrupt=0.005,seed=7"`` (parsed once at config
@@ -83,9 +55,40 @@ class DilosConfig:
     def validate(self) -> None:
         if self.local_mem_bytes <= 0 or self.remote_mem_bytes <= 0:
             raise ValueError("memory sizes must be positive")
+
+
+@dataclass
+class DilosConfig(KernelConfig):
+    """Knobs for one DiLOS instance.
+
+    The ablation flags (``swap_cache_mode``, ``shared_single_qp``,
+    ``direct_reclaim_only``) re-introduce the general-purpose-kernel designs
+    the paper argues against, so their cost can be measured directly.
+    """
+
+    #: ``none`` / ``readahead`` / ``trend`` (§6 names) or ``stride``
+    #: (this repo's multi-stream extension).
+    prefetcher: str = "readahead"
+    #: Background page-manager wakeup period (microseconds).
+    cleaner_period_us: float = 5.0
+    #: Emulate AIFM's TCP transport: +14,000 cycles per completion (§6.2).
+    tcp_emulation: bool = False
+    #: Enable §4.4 guided paging (requires an allocator guide).
+    guided_paging: bool = False
+    #: Ablation: funnel every module through one shared QP (HoL blocking).
+    shared_single_qp: bool = False
+    #: Ablation: route prefetched pages through a swap-cache indirection
+    #: (minor fault to map) instead of the unified page table.
+    swap_cache_mode: bool = False
+    #: Ablation: reclaim inline on the fault path instead of eagerly in the
+    #: background (the Fastswap-style design DiLOS removes).
+    direct_reclaim_only: bool = False
+    #: Number of simulated cores (per-core QPs in the comm module).
+    cores: int = 1
+
+    def validate(self) -> None:
+        super().validate()
         if self.prefetcher not in ("none", "readahead", "trend", "stride"):
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
-        if not 0.0 < self.low_watermark_frac < self.high_watermark_frac < 0.5:
-            raise ValueError("watermarks must satisfy 0 < low < high < 0.5")
         if self.cores < 1:
             raise ValueError("need at least one core")

@@ -24,7 +24,6 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.clock import Clock
-from repro.common.errors import InvalidAddressError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.core.api import BaseSystem
 from repro.core.comm import CommModule
@@ -79,7 +78,6 @@ class DilosKernel:
         node: MemoryNode,
         obs: Optional[Observability] = None,
     ) -> None:
-        config.validate()
         self.clock = clock
         self.config = config
         self.model = config.latency
@@ -118,9 +116,7 @@ class DilosKernel:
         self.page_manager = PageManager(
             clock, config, self._pt, frames, addr_space, vm.tlb,
             self.comm, self.obs)
-        self.prefetcher = make_prefetcher(
-            config.prefetcher, window=config.readahead_window,
-            history=config.trend_history, max_window=config.trend_max_window)
+        self.prefetcher = make_prefetcher(config.prefetcher)
         self.hit_tracker = PteHitTracker(clock, self._pt, self.model,
                                          tracer=self.tracer)
         self.recent_faults: deque = deque(maxlen=64)

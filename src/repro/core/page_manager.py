@@ -47,6 +47,13 @@ _DIRTY = pte_mod.PTE_DIRTY
 
 #: Cap on scatter-gather vector length (§6.3: longer vectors slow sharply).
 MAX_SG_SEGMENTS = 3
+#: Free-list watermarks as fractions of total frames. The reclaimer
+#: eagerly keeps ``HIGH`` free; the fault path dips toward ``LOW``.
+LOW_WATERMARK_FRAC = 0.02
+HIGH_WATERMARK_FRAC = 0.08
+#: Pages one background wakeup may clean, and may reclaim.
+CLEAN_BATCH = 128
+RECLAIM_BATCH = 128
 
 
 class PageManager:
@@ -85,9 +92,9 @@ class PageManager:
         total = frames.total_frames
         # Watermarks scale with the pool but never reserve more than a
         # quarter of it — a tiny cache must still mostly hold pages.
-        self.low_watermark = max(4, int(total * config.low_watermark_frac))
+        self.low_watermark = max(4, int(total * LOW_WATERMARK_FRAC))
         self.high_watermark = min(
-            max(self.low_watermark + 4, int(total * config.high_watermark_frac),
+            max(self.low_watermark + 4, int(total * HIGH_WATERMARK_FRAC),
                 min(40, total // 8)),
             max(self.low_watermark + 4, total // 4))
         self._lru: "OrderedDict[int, None]" = OrderedDict()
@@ -192,10 +199,10 @@ class PageManager:
             return
         if self._deferred_ticks:
             self._replay_rotation()
-        self.cleaner_pass(self._config.clean_batch)
+        self.cleaner_pass(CLEAN_BATCH)
         deficit = self.high_watermark - self._frames.free_frames
         if deficit > 0:
-            self.reclaimer_pass(min(deficit, self._config.reclaim_batch))
+            self.reclaimer_pass(min(deficit, RECLAIM_BATCH))
         clock.call_at(clock.now + self._config.cleaner_period_us, self._tick)
 
     def _replay_rotation(self) -> None:
@@ -213,7 +220,7 @@ class PageManager:
         n = len(lru)
         if not ticks or n == 0:
             return
-        self._shift((min(self._config.clean_batch, n) * ticks) % n)
+        self._shift((min(CLEAN_BATCH, n) * ticks) % n)
 
     def _shift(self, shift: int) -> None:
         """Rotate the LRU left by ``shift`` entries in O(min(s, n-s))."""

@@ -7,17 +7,17 @@ from repro.core.prefetch.stride import StridePrefetcher
 from repro.core.prefetch.trend import TrendPrefetcher
 
 
-def make_prefetcher(name: str, window: int = 8, history: int = 32,
-                    max_window: int = 8) -> Prefetcher:
-    """Build a prefetcher by its §6 presentation name."""
+def make_prefetcher(name: str) -> Prefetcher:
+    """Build a prefetcher by its §6 presentation name, at its default
+    window."""
     if name == "none":
         return NoPrefetcher()
     if name == "readahead":
-        return ReadaheadPrefetcher(base_window=window)
+        return ReadaheadPrefetcher()
     if name == "trend":
-        return TrendPrefetcher(history=history, max_window=max_window)
+        return TrendPrefetcher()
     if name == "stride":
-        return StridePrefetcher(max_window=max_window)
+        return StridePrefetcher()
     raise ValueError(f"unknown prefetcher {name!r}")
 
 

@@ -16,8 +16,9 @@ a memory pool. This module replaces those parallel ladders:
   port) is bound by the clusters in :mod:`repro.sim`, never set here by
   hand.
 * :data:`KERNELS` — presentation keys (``"fastswap"``,
-  ``"dilos-readahead"``, ``"aifm-rdma"``, ...) map to boot functions; a
-  new kernel is one more entry.
+  ``"dilos-readahead"``, ``"aifm-rdma"``, ...) map to a loader of the
+  kernel's system and config classes and the config fields the key
+  fixes; a new kernel is one more entry.
 * :data:`BACKENDS` — backend spec prefixes (``"node"``, ``"sharded"``,
   ``"replicated"``, ``"parity"``) map to factories over
   :mod:`repro.mem.cluster`. :func:`make_backend` builds from a spec
@@ -33,7 +34,7 @@ a memory pool. This module replaces those parallel ladders:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.clock import Clock
 # The shared ``kind:key=value,...`` grammar that backend specs, the spec
@@ -64,8 +65,8 @@ BackendSpec = Union[str, BackendLike, None]
 #: A backend factory: (argument text after the colon, or ``""``; total
 #: remote capacity in bytes) -> backend.
 BackendFactory = Callable[[str, int], BackendLike]
-#: A boot function: spec -> booted system.
-KernelBuilder = Callable[["SystemSpec"], Any]
+#: A kernel loader: imports and returns ``(system class, config class)``.
+KernelLoader = Callable[[], Tuple[type, type]]
 
 
 # -- the backends ------------------------------------------------------------
@@ -226,71 +227,59 @@ class SystemSpec:
         return kwargs
 
     def boot(self):
-        """Boot the described system.
+        """Boot the described system: the one place a kernel is built.
 
-        Returns a :class:`~repro.core.api.BaseSystem` for the paging
-        kernels or an :class:`~repro.baselines.aifm.AifmRuntime` for the
-        AIFM variants.
+        The fields the kind fixes in :data:`KERNELS` win over
+        ``overrides``. Returns a :class:`~repro.core.api.BaseSystem` for
+        the paging kernels or an
+        :class:`~repro.baselines.aifm.AifmRuntime` for the AIFM variants.
         """
         try:
-            builder = KERNELS[self.kind]
+            load, fixed = KERNELS[self.kind]
         except KeyError:
             raise ValueError(f"unknown system kind {self.kind!r}; "
                              f"pick from {tuple(KERNELS)}") from None
-        return builder(self)
+        system_cls, config_cls = load()
+        config = config_cls(local_mem_bytes=self.local_mem_bytes,
+                            remote_mem_bytes=self.remote_mem_bytes,
+                            **{**self.config_kwargs(), **fixed})
+        return system_cls(config, memory_backend=self.backend, obs=self.obs,
+                          clock=self.clock)
 
 
 # -- the kernels -------------------------------------------------------------
 
-def _boot_fastswap(spec: SystemSpec):
+def _fastswap() -> Tuple[type, type]:
     from repro.baselines.fastswap import FastswapConfig, FastswapSystem
 
-    config = FastswapConfig(local_mem_bytes=spec.local_mem_bytes,
-                            remote_mem_bytes=spec.remote_mem_bytes,
-                            **spec.config_kwargs())
-    return FastswapSystem(config, memory_backend=spec.backend, obs=spec.obs,
-                          clock=spec.clock)
+    return FastswapSystem, FastswapConfig
 
 
-def _boot_dilos(spec: SystemSpec):
+def _dilos() -> Tuple[type, type]:
     from repro.core.config import DilosConfig
     from repro.core.dilos import DilosSystem
 
-    flavor = spec.kind.split("-", 1)[1] if "-" in spec.kind else "readahead"
-    config = DilosConfig(local_mem_bytes=spec.local_mem_bytes,
-                         remote_mem_bytes=spec.remote_mem_bytes,
-                         **spec.config_kwargs())
-    if flavor == "tcp":
-        config.prefetcher = "readahead"
-        config.tcp_emulation = True
-    else:
-        config.prefetcher = flavor
-    return DilosSystem(config, memory_backend=spec.backend, obs=spec.obs,
-                       clock=spec.clock)
+    return DilosSystem, DilosConfig
 
 
-def _boot_aifm(spec: SystemSpec):
+def _aifm() -> Tuple[type, type]:
     from repro.baselines.aifm import AifmConfig, AifmRuntime
 
-    transport = "rdma" if spec.kind.endswith("rdma") else "tcp"
-    config = AifmConfig(local_heap_bytes=spec.local_mem_bytes,
-                        remote_mem_bytes=spec.remote_mem_bytes,
-                        transport=transport, **spec.config_kwargs())
-    return AifmRuntime(config, obs=spec.obs, memory_backend=spec.backend,
-                       clock=spec.clock)
+    return AifmRuntime, AifmConfig
 
 
-#: Presentation key -> boot function, in the order of the paper's figure
-#: legends (``repro.harness.SYSTEM_KINDS`` lists them in this order).
-KERNELS: Dict[str, KernelBuilder] = {
-    "fastswap": _boot_fastswap,
-    "dilos-none": _boot_dilos,
-    "dilos-readahead": _boot_dilos,
-    "dilos-trend": _boot_dilos,
-    "dilos-stride": _boot_dilos,
-    "dilos-tcp": _boot_dilos,
-    "aifm": _boot_aifm,
-    "aifm-rdma": _boot_aifm,
+#: Presentation key -> (loader of the system and config classes, imported
+#: on first boot; the config fields the key fixes), in the order of the
+#: paper's figure legends (``repro.harness.SYSTEM_KINDS`` keeps it).
+KERNELS: Dict[str, Tuple[KernelLoader, Dict[str, Any]]] = {
+    "fastswap": (_fastswap, {}),
+    "dilos-none": (_dilos, {"prefetcher": "none"}),
+    "dilos-readahead": (_dilos, {"prefetcher": "readahead"}),
+    "dilos-trend": (_dilos, {"prefetcher": "trend"}),
+    "dilos-stride": (_dilos, {"prefetcher": "stride"}),
+    "dilos-tcp": (_dilos, {"prefetcher": "readahead", "tcp_emulation": True}),
+    "aifm": (_aifm, {"transport": "tcp"}),
+    "aifm-rdma": (_aifm, {"transport": "rdma"}),
 }
 
 

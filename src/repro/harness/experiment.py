@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.common.clock import Clock
 from repro.common.units import KIB, MIB
 from repro.core.spec import KERNELS, BackendSpec, SystemSpec, backend_label
 from repro.obs import Observability
@@ -48,7 +47,6 @@ def make_system(kind: str, local_bytes: int,
                 remote_bytes: int = 512 * MIB,
                 obs: Optional[Observability] = None,
                 backend: BackendSpec = "node",
-                clock: Optional[Clock] = None,
                 **overrides: Any):
     """Boot a system by presentation key.
 
@@ -62,7 +60,8 @@ def make_system(kind: str, local_bytes: int,
     ``backend`` selects the remote-memory backend: ``"node"`` (one
     memory node, the default), a cluster spec such as ``"sharded:4"``,
     ``"replicated:3"`` or ``"parity:4+1"``, or a ready backend object to
-    share across systems. ``clock`` injects a shared timeline.
+    share across systems. Systems share a clock only as tenants of a
+    :class:`~repro.sim.tenancy.ComputeCluster`.
 
     Extra keyword arguments pass straight into the system's config
     dataclass; notably ``net_faults`` (a :class:`repro.net.FaultPlan`
@@ -74,7 +73,7 @@ def make_system(kind: str, local_bytes: int,
     """
     spec = SystemSpec(kind=kind, local_mem_bytes=local_bytes,
                       remote_mem_bytes=remote_bytes, backend=backend,
-                      obs=obs, clock=clock, overrides=overrides)
+                      obs=obs, overrides=overrides)
     return spec.boot()
 
 

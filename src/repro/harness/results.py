@@ -1,19 +1,16 @@
 """Persisting experiment results.
 
-Benchmarks and scripts can dump their :class:`Measurement` grids to JSON
-(for archival / later plotting) or CSV (for spreadsheets); ``load_json``
+``repro sweep --save`` dumps its :class:`Measurement` grid, extras
+included, to JSON for archival or later plotting; ``load_json``
 round-trips exactly.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import List
 
 from repro.harness.experiment import Measurement
-
-_FIELDS = ("system", "workload", "ratio", "value", "unit")
 
 
 def save_json(measurements: List[Measurement], path) -> None:
@@ -34,22 +31,3 @@ def load_json(path) -> List[Measurement]:
                         ratio=row["ratio"], value=row["value"],
                         unit=row["unit"], extra=row.get("extra", {}))
             for row in rows]
-
-
-def save_csv(measurements: List[Measurement], path) -> None:
-    """Write measurements as CSV (core fields only, no extras)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
-        for m in measurements:
-            writer.writerow([m.system, m.workload, m.ratio, m.value, m.unit])
-
-
-def load_csv(path) -> List[Measurement]:
-    """Read measurements written by :func:`save_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [Measurement(system=row["system"], workload=row["workload"],
-                            ratio=float(row["ratio"]),
-                            value=float(row["value"]), unit=row["unit"])
-                for row in reader]

@@ -12,7 +12,7 @@ from repro.net.faults import (
 )
 from repro.net.latency import DEFAULT_LATENCY, LatencyModel, cycles_to_us, CPU_GHZ
 from repro.net.qp import Completion, NetStats, QueuePair
-from repro.net.reliable import RELIABILITY_METRICS, ReliableQP, open_qp
+from repro.net.reliable import ReliableQP, open_qp
 from repro.net.topology import (
     FabricPort,
     Link,
@@ -30,7 +30,6 @@ __all__ = [
     "Link",
     "NetStats",
     "QueuePair",
-    "RELIABILITY_METRICS",
     "RackTopology",
     "ReliableQP",
     "RetryPolicy",

@@ -33,7 +33,7 @@ use to assert exact retry timestamps.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.rng import make_rng
 from repro.common.specparse import parse_kv_spec

@@ -47,17 +47,8 @@ from repro.net.faults import (
 )
 from repro.net.latency import LatencyModel
 from repro.net.qp import Completion, NetStats, QueuePair
+from repro.obs.names import NET_RELIABILITY_KEYS
 from repro.obs.tracer import NULL_TRACER
-
-#: Canonical reliability metrics, pre-registered (at zero) on attach.
-RELIABILITY_METRICS = (
-    "net.ops",
-    "net.retry",
-    "net.timeout",
-    "net.corrupt_detected",
-    "net.failover",
-    "net.giveup",
-)
 
 
 class ReliableQP:
@@ -98,7 +89,7 @@ class ReliableQP:
         self.ops = 0
         self._ops_counter = None
         if registry is not None:
-            for key in RELIABILITY_METRICS:
+            for key in sorted(NET_RELIABILITY_KEYS):
                 registry.counter(key)
             self._ops_counter = registry.counter("net.ops")
         self._inflight: List[Completion] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 class Balancer:

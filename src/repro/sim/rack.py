@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Union
 
-from repro.common.clock import Clock
 from repro.common.units import KIB, MIB, PAGE_SIZE, align_up
 from repro.core.spec import SystemSpec
 from repro.mem.pool import PooledMemory
@@ -73,14 +72,11 @@ class RackCluster(ComputeCluster):
             :class:`~repro.mem.pool.PlacementPolicy`.
         remote_mem_bytes: total pooled capacity, split equally over the
             topology's memory nodes.
-        quantum_us / clock: as in :class:`ComputeCluster`.
     """
 
     def __init__(self, topology: Union[str, RackTopology] = DEFAULT_RACK,
                  placement: Any = "locality",
-                 remote_mem_bytes: int = 512 * MIB,
-                 quantum_us: float = 1_000.0,
-                 clock: Optional[Clock] = None) -> None:
+                 remote_mem_bytes: int = 512 * MIB) -> None:
         topo = (topology if isinstance(topology, RackTopology)
                 else RackTopology.from_spec(topology))
         node_bytes = align_up(max(1, -(-remote_mem_bytes // topo.mem)),
@@ -91,8 +87,7 @@ class RackCluster(ComputeCluster):
             policy=placement)
         # The pool backs the cluster's backend.* gauges and merged pool.*
         # metrics; tenants reach it only through their own PoolClient.
-        super().__init__(backend=pool, remote_mem_bytes=remote_mem_bytes,
-                         quantum_us=quantum_us, clock=clock)
+        super().__init__(backend=pool, remote_mem_bytes=remote_mem_bytes)
         self.topology = topo
         self.pool = pool
         self._next_compute = 0
@@ -111,7 +106,7 @@ class RackCluster(ComputeCluster):
         tenant leaves no client in the pool and does not move the
         round-robin.
         """
-        self._check_enrollment(name, spec)
+        self._check_enrollment(name)
         cid = self._next_compute if compute_id is None else compute_id
         if not 0 <= cid < self.topology.compute:
             raise ValueError(f"no compute node {cid} in {self.topology!r}")
@@ -151,14 +146,17 @@ class RackCluster(ComputeCluster):
 
 # -- the standard preset -----------------------------------------------------
 
+#: The preset's per-tenant local cache, pooled capacity and value size.
+RACK_LOCAL_BYTES = 192 * KIB
+RACK_REMOTE_BYTES = 256 * MIB
+RACK_VALUE_BYTES = 4096
+
+
 def make_rack(tenants: int = 8,
               topology: Union[str, RackTopology] = DEFAULT_RACK,
               placement: Any = "locality",
               kind: str = "dilos-readahead",
-              local_mem_bytes: int = 192 * KIB,
-              remote_mem_bytes: int = 256 * MIB,
-              n_keys: int = 64,
-              value_bytes: int = 4096) -> RackCluster:
+              n_keys: int = 64) -> RackCluster:
     """The rack serving preset: N redis tenants striped over the rack.
 
     Tenant ``t<i>`` lands on compute node ``i % compute`` (so homes
@@ -171,12 +169,12 @@ def make_rack(tenants: int = 8,
     if tenants < 1:
         raise ValueError("need at least one tenant")
     cluster = RackCluster(topology=topology, placement=placement,
-                          remote_mem_bytes=remote_mem_bytes)
-    spec = SystemSpec(kind=kind, local_mem_bytes=local_mem_bytes,
-                      remote_mem_bytes=remote_mem_bytes)
+                          remote_mem_bytes=RACK_REMOTE_BYTES)
+    spec = SystemSpec(kind=kind, local_mem_bytes=RACK_LOCAL_BYTES,
+                      remote_mem_bytes=RACK_REMOTE_BYTES)
     for i in range(tenants):
         cluster.add_service(f"t{i}", spec, "redis",
-                            n_keys=n_keys, value_bytes=value_bytes)
+                            n_keys=n_keys, value_bytes=RACK_VALUE_BYTES)
     return cluster
 
 

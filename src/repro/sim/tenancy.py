@@ -84,7 +84,6 @@ class ComputeCluster:
         quantum_us: simulated time slice per scheduling turn. A tenant
             runs whole operations until its slice is spent, then the next
             live tenant runs — cooperative, deterministic round-robin.
-        clock: shared timeline (``None`` boots a fresh one).
         max_slice_ops: safety valve — a slice that completes this many
             operations without spending its quantum raises rather than
             spinning forever on a zero-cost workload.
@@ -97,12 +96,11 @@ class ComputeCluster:
     def __init__(self, backend: BackendSpec = "sharded:2",
                  remote_mem_bytes: int = 512 * MIB,
                  quantum_us: float = 1_000.0,
-                 clock: Optional[Clock] = None,
                  max_slice_ops: int = 1_000_000,
                  repair: Optional[Any] = None) -> None:
         if quantum_us <= 0:
             raise ValueError("quantum must be positive")
-        self.clock = clock or Clock()
+        self.clock = Clock()
         # A ready backend object passes through unchecked: each tenant's
         # boot runs make_backend's surface check on what it is bound to.
         self.backend: BackendLike = (
@@ -144,26 +142,20 @@ class ComputeCluster:
 
         ``workload`` receives the booted system and returns the tenant's
         operation generator. Raises ``ValueError`` for a bad or duplicate
-        name and for AIFM kinds, before anything boots.
+        name, and from an AIFM kind's boot, before anything is enrolled.
         """
-        self._check_enrollment(name, spec)
+        self._check_enrollment(name)
         return self._enroll(name, replace(spec, clock=self.clock,
                                           backend=self.backend), workload)
 
-    def _check_enrollment(self, name: str, spec: SystemSpec) -> None:
-        """Reject a tenant the cluster cannot enroll, with no side
-        effect."""
+    def _check_enrollment(self, name: str) -> None:
+        """Reject a bad or duplicate tenant name, with no side effect."""
         if not _TENANT_NAME_RE.match(name):
             raise ValueError(
                 f"tenant name {name!r} must match {_TENANT_NAME_RE.pattern} "
                 "(it becomes a metric-name segment)")
         if name in self._by_name:
             raise ValueError(f"duplicate tenant name {name!r}")
-        if spec.kind.startswith("aifm"):
-            raise ValueError(
-                "AIFM tenants bump-allocate the remote heap from offset 0 "
-                "and cannot share a cluster's slot-allocated backend; run "
-                "AIFM single-node")
 
     def _enroll(self, name: str, bound: SystemSpec,
                 workload: WorkloadFactory) -> Tenant:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.common.units import KIB, MIB
+from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.baselines.aifm import AifmConfig, AifmRuntime, RemArray
+from repro.core import DilosConfig, DilosSystem
 
 
 def make_runtime(heap_mib=1, remote_mib=64, **kwargs):
-    return AifmRuntime(AifmConfig(local_heap_bytes=heap_mib * MIB,
+    return AifmRuntime(AifmConfig(local_mem_bytes=heap_mib * MIB,
                                   remote_mem_bytes=remote_mib * MIB,
                                   **kwargs))
 
@@ -48,12 +49,44 @@ class TestObjects:
         assert rt.clock.now - t0 >= rt.model.aifm_deref_check
 
 
+class TestSharedBackend:
+    def test_refuses_a_paging_kernels_backend(self):
+        """AIFM bump-allocates remote offsets from 0, so on a backend a
+        DiLOS kernel allocates slots from, its evacuations overwrote the
+        kernel's evicted pages (8 of 16 read back wrong). Construction
+        now raises before any write, and every page reads back."""
+        system = DilosSystem(DilosConfig(local_mem_bytes=192 * KIB,
+                                         remote_mem_bytes=8 * MIB),
+                             memory_backend="sharded:2")
+        victim = system.mmap(16 * PAGE_SIZE, name="victim")
+        for i in range(16):
+            system.memory.write(victim.base + i * PAGE_SIZE, b"%08d" % i)
+        filler = system.mmap(96 * PAGE_SIZE, name="filler")
+        for i in range(96):  # push the victim's cleaned pages out
+            system.memory.write(filler.base + i * PAGE_SIZE, b"f")
+        refused = False
+        try:
+            runtime = AifmRuntime(AifmConfig(local_mem_bytes=4 * PAGE_SIZE,
+                                             remote_mem_bytes=8 * MIB),
+                                  memory_backend=system.node)
+        except ValueError as exc:
+            refused = "bump-allocates" in str(exc)
+        else:  # evacuate twice the heap budget onto the shared backend
+            for _ in range(12):
+                runtime.allocate(PAGE_SIZE, data=b"a" * PAGE_SIZE)
+        wrong = [i for i in range(16)
+                 if system.memory.read(victim.base + i * PAGE_SIZE, 8)
+                 != b"%08d" % i]
+        assert wrong == []
+        assert refused
+
+
 class TestEvacuation:
     def test_heap_stays_under_budget(self):
         rt = make_runtime(heap_mib=1)
         for i in range(1000):
             rt.allocate(4 * KIB, data=bytes([i % 256]) * 16)
-        assert rt.heap_used <= rt.config.local_heap_bytes
+        assert rt.heap_used <= rt.config.local_mem_bytes
         assert rt.registry.value("reclaim.pages_evicted") > 0
 
     def test_data_survives_evacuation(self):

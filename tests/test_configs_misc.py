@@ -1,6 +1,8 @@
 """Validation and small-utility tests: configs, RNG helpers, latency
 model derivations, and system naming."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.rng import make_rng, zipf_weights
@@ -8,6 +10,7 @@ from repro.common.units import MIB
 from repro.baselines.aifm import AifmConfig
 from repro.baselines.fastswap import FastswapConfig
 from repro.core import DilosConfig
+from repro.core.config import KernelConfig
 from repro.harness import make_system
 from repro.net.latency import CPU_GHZ, LatencyModel, cycles_to_us
 
@@ -30,13 +33,6 @@ class TestDilosConfig:
         for name in ("none", "readahead", "trend", "stride"):
             DilosConfig(prefetcher=name).validate()
 
-    def test_bad_watermarks(self):
-        with pytest.raises(ValueError):
-            DilosConfig(low_watermark_frac=0.2,
-                        high_watermark_frac=0.1).validate()
-        with pytest.raises(ValueError):
-            DilosConfig(low_watermark_frac=0.0).validate()
-
     def test_bad_cores(self):
         with pytest.raises(ValueError):
             DilosConfig(cores=0).validate()
@@ -45,15 +41,6 @@ class TestDilosConfig:
 class TestFastswapConfig:
     def test_defaults_valid(self):
         FastswapConfig().validate()
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            FastswapConfig(readahead_window=0).validate()
-
-    def test_bad_watermarks(self):
-        with pytest.raises(ValueError):
-            FastswapConfig(min_watermark_frac=0.4,
-                           high_watermark_frac=0.3).validate()
 
 
 class TestAifmConfig:
@@ -67,6 +54,30 @@ class TestAifmConfig:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             AifmConfig(prefetch_depth=-1).validate()
+
+
+class TestSettableSurface:
+    """Every kernel's settable fields, pinned: a new knob shows up here as
+    a reviewed edit, and a value no run varies belongs in a constant
+    beside the code that reads it."""
+
+    def test_shared_fields(self):
+        assert [f.name for f in fields(KernelConfig)] == [
+            "local_mem_bytes", "remote_mem_bytes", "net_faults",
+            "net_retry", "fabric", "latency"]
+
+    @pytest.mark.parametrize("config, own", [
+        (DilosConfig, ["prefetcher", "cleaner_period_us", "tcp_emulation",
+                       "guided_paging", "shared_single_qp",
+                       "swap_cache_mode", "direct_reclaim_only", "cores"]),
+        (FastswapConfig, []),
+        (AifmConfig, ["transport", "prefetch_depth"]),
+    ], ids=["dilos", "fastswap", "aifm"])
+    def test_own_fields(self, config, own):
+        assert issubclass(config, KernelConfig)
+        shared = {f.name for f in fields(KernelConfig)}
+        assert [f.name for f in fields(config)
+                if f.name not in shared] == own
 
 
 class TestSystemNames:

@@ -42,7 +42,7 @@ def exercised_fastswap(obs=None):
 
 
 def exercised_aifm(obs=None):
-    runtime = AifmRuntime(AifmConfig(local_heap_bytes=256 * KIB,
+    runtime = AifmRuntime(AifmConfig(local_mem_bytes=256 * KIB,
                                      remote_mem_bytes=64 * MIB), obs=obs)
     ptrs = [runtime.allocate(16 * KIB, data=b"a" * 16) for _ in range(32)]
     for ptr in ptrs:

@@ -272,7 +272,7 @@ class TestBackendSpec:
             FastswapConfig(local_mem_bytes=256 * KIB,
                            remote_mem_bytes=8 * MIB),
             memory_backend=pool),
-        lambda pool: AifmRuntime(AifmConfig(local_heap_bytes=256 * KIB,
+        lambda pool: AifmRuntime(AifmConfig(local_mem_bytes=256 * KIB,
                                             remote_mem_bytes=8 * MIB),
                                  memory_backend=pool),
     ], ids=["dilos", "fastswap", "aifm"])
@@ -293,7 +293,7 @@ class TestBackendSpec:
         offset = client.slot_offset(client.alloc_slot())
         client.write_bytes(offset, b"v" * 8)
         try:
-            runtime = AifmRuntime(AifmConfig(local_heap_bytes=4 * PAGE_SIZE,
+            runtime = AifmRuntime(AifmConfig(local_mem_bytes=4 * PAGE_SIZE,
                                              remote_mem_bytes=8 * MIB),
                                   memory_backend=pool)
         except TypeError as exc:
@@ -302,6 +302,20 @@ class TestBackendSpec:
             for _ in range(8):
                 runtime.allocate(PAGE_SIZE, data=b"a" * PAGE_SIZE)
         assert client.read_bytes(offset, 8) == b"v" * 8
+
+    def test_aifm_refuses_a_pool_client(self):
+        """A pool client passes the backend surface check, but AIFM
+        never calls ``alloc_slot``: it booted on a client, and its first
+        evacuation wrote offset 0, a slot the client does not own
+        (``ProtectionError``). Construction now raises, naming AIFM's
+        bump allocation."""
+        client = pool_of(nodes=2).client("a")
+        with pytest.raises(ValueError, match="bump-allocates"):
+            runtime = AifmRuntime(AifmConfig(local_mem_bytes=4 * PAGE_SIZE,
+                                             remote_mem_bytes=8 * MIB),
+                                  memory_backend=client)
+            for _ in range(8):  # evacuate twice the heap budget
+                runtime.allocate(PAGE_SIZE, data=b"a" * PAGE_SIZE)
 
 
 def dilos_on(client, local=1 * MIB):

@@ -27,7 +27,7 @@ def small_spec(kind="dilos-readahead"):
 def small_rack(tenants=4, placement="locality", oversub=1):
     topo = f"rack:compute=4,mem=4,link=100,oversub={oversub}"
     return make_rack(tenants=tenants, topology=topo, placement=placement,
-                     n_keys=16, remote_mem_bytes=16 * MIB)
+                     n_keys=16)
 
 
 def small_cell(**over):

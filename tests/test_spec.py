@@ -132,8 +132,8 @@ class TestSpecBoot:
 
     def test_overrides_reach_config(self):
         system = SystemSpec(kind="dilos-readahead", local_mem_bytes=2 * MIB,
-                            overrides={"readahead_window": 4}).boot()
-        assert system.config.readahead_window == 4
+                            overrides={"cleaner_period_us": 10.0}).boot()
+        assert system.config.cleaner_period_us == 10.0
 
 
 def smoke_io(system):

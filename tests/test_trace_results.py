@@ -9,7 +9,7 @@ from repro.apps.views import PagedArray
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem
 from repro.harness import Measurement, make_system
-from repro.harness.results import load_csv, load_json, save_csv, save_json
+from repro.harness.results import load_json, save_json
 from repro.harness.trace import Trace, TraceEvent, TraceRecorder
 from tests.test_batch_differential import scalar_batches
 
@@ -171,11 +171,3 @@ class TestResultsPersistence:
         save_json(self.sample(), path)
         loaded = load_json(path)
         assert loaded == self.sample()
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "results.csv"
-        save_csv(self.sample(), path)
-        loaded = load_csv(path)
-        assert loaded[0].system == "fastswap"
-        assert loaded[1].value == pytest.approx(3.74)
-        assert loaded[0].ratio == pytest.approx(0.125)
