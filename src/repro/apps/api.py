@@ -5,7 +5,7 @@ This module defines the one request/response surface the serving layer
 or a latency recorder drives every app the same way:
 
 * :class:`Request` / :class:`Response` — typed, frozen request envelopes.
-  ``op`` selects the handler (``"get"``, ``"mean_fare"``); ``key`` is
+  ``op`` selects the handler (``"get"``, ``"generate"``); ``key`` is
   the routing key consistent-hash balancers use.
 * :class:`Service` — the protocol: ``handle(request) -> Response``.
   Services that want to be driven by generic scenario presets also
@@ -39,8 +39,9 @@ class Request:
 
     ``op`` names the service operation; ``key`` is the object addressed
     (and the consistent-hash routing key); ``value`` carries write
-    payloads; ``args`` carries per-op extras (an LRANGE count, a query
-    bound); ``client_id`` identifies the simulated client that issued it.
+    payloads; ``args`` carries per-op extras (an LRANGE count, a
+    generation's seed and lengths); ``client_id`` identifies the
+    simulated client that issued it.
     """
 
     op: str
@@ -85,7 +86,6 @@ SERVICES: Dict[str, str] = {
     "kv": "repro.apps.kvstore:build_kv_service",
     "llm": "repro.apps.llm:build_llm_service",
     "redis": "repro.apps.redis.service:build_redis_service",
-    "taxi": "repro.apps.dataframe:build_taxi_service",
 }
 
 

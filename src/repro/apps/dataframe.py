@@ -84,9 +84,6 @@ class DataFrame:
     def max(self, name: str) -> float:
         return self.reduce(name, np.max, max, -np.inf)
 
-    def min(self, name: str) -> float:
-        return self.reduce(name, np.min, min, np.inf)
-
     def filter_count(self, name: str,
                      predicate: Callable[[np.ndarray], np.ndarray]) -> int:
         """Count rows where ``predicate(chunk)`` is true."""
@@ -294,91 +291,3 @@ class TaxiAnalyticsWorkload:
             cursor += take
             index += take // arr.item_size
         arr._runtime.registry.add("dataframe.bulk_stores")
-
-
-# -- the Service port ----------------------------------------------------------
-
-class DataFrameService:
-    """The taxi DataFrame behind the unified Service protocol.
-
-    Serving-shaped analytics: each request is a *windowed* aggregate over
-    one column (``mean``/``max``/``min``/``count_over`` of rows
-    ``[start, stop)``), the dashboard-query analogue of the batch Figure 8
-    mix. Windows page the addressed column stripe in through the MMU and
-    charge compute per element, so a request's cost scales with its
-    window — and the request key (``column:window``) gives consistent-hash
-    balancers real locality to exploit.
-    """
-
-    name = "taxi"
-
-    #: Columns a request may address (duration is derived at build time).
-    QUERY_COLUMNS = ("trip_distance", "fare", "duration")
-    OPS = ("mean", "max", "min", "count_over")
-
-    def __init__(self, df: "DataFrame", window: int = 4096) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.df = df
-        self.window = window
-
-    # -- the Service protocol ------------------------------------------------
-
-    def handle(self, request):
-        from repro.apps.api import Response
-
-        if request.op not in self.OPS:
-            return Response.fail(f"unknown op {request.op!r}; "
-                                 f"have {sorted(self.OPS)}")
-        column_name = request.key.decode() if request.key else "fare"
-        try:
-            column = self.df.column(column_name)
-        except KeyError as exc:
-            return Response.fail(str(exc))
-        start, stop = (request.args[0], request.args[1]) if \
-            len(request.args) >= 2 else (0, self.df.length)
-        start = max(0, min(int(start), self.df.length))
-        stop = max(start, min(int(stop), self.df.length))
-        if stop == start:
-            return Response.fail("empty window")
-        total = count = 0.0
-        peak = -np.inf
-        trough = np.inf
-        threshold = float(request.args[2]) if len(request.args) > 2 else 10.0
-        for lo in range(start, stop, CHUNK):
-            hi = min(lo + CHUNK, stop)
-            chunk = column.load(lo, hi)
-            self.df.system.cpu_cycles((hi - lo) * OP_CYCLES)
-            total += float(chunk.sum())
-            peak = max(peak, float(chunk.max()))
-            trough = min(trough, float(chunk.min()))
-            count += float((chunk > threshold).sum())
-        answers = {"mean": total / (stop - start), "max": peak,
-                   "min": trough, "count_over": count}
-        return Response(value=answers[request.op])
-
-    def sample_request(self, rng):
-        """A seeded draw over (op, column, window): uniform ops/columns,
-        window starts aligned to the service's window size."""
-        from repro.apps.api import Request
-
-        op = self.OPS[rng.randrange(len(self.OPS))]
-        column = self.QUERY_COLUMNS[rng.randrange(len(self.QUERY_COLUMNS))]
-        windows = max(1, self.df.length // self.window)
-        start = rng.randrange(windows) * self.window
-        stop = min(start + self.window, self.df.length)
-        return Request(op, key=column.encode(), args=(start, stop))
-
-
-def build_taxi_service(system, rows: int = 1 << 14, window: int = 4096,
-                       seed: int = 5) -> DataFrameService:
-    """Boot + populate one taxi analytics service on ``system``.
-
-    Generates the synthetic taxi columns in far memory (deterministic in
-    ``seed``) and derives the duration column, then serves windowed
-    aggregates over them.
-    """
-    df = generate_taxi(system, rows, seed)
-    df.derive("duration", ["dropoff_ts", "pickup_ts"],
-              lambda d, p: d - p, dtype=np.int64)
-    return DataFrameService(df, window=window)

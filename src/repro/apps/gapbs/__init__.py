@@ -5,14 +5,10 @@ from repro.apps.gapbs.generator import generate_power_law_graph
 from repro.apps.gapbs.pagerank import PageRankWorkload
 from repro.apps.gapbs.bc import BetweennessWorkload
 from repro.apps.gapbs.guide import BcFrontierGuide
-from repro.apps.gapbs.bfs import BfsWorkload
-from repro.apps.gapbs.cc import ConnectedComponentsWorkload
 
 __all__ = [
     "BcFrontierGuide",
     "BetweennessWorkload",
-    "BfsWorkload",
-    "ConnectedComponentsWorkload",
     "CsrGraph",
     "PageRankWorkload",
     "generate_power_law_graph",

@@ -43,14 +43,6 @@ class CsrGraph:
         for start, stop in self._edges.chunks():
             self._edges.store(start, edges[start:stop])
 
-    @property
-    def footprint_bytes(self) -> int:
-        return (self.n + 1 + self.m) * 8
-
-    def degree(self, u: int) -> int:
-        off = self._offsets.load(u, u + 2)
-        return int(off[1] - off[0])
-
     def neighbors(self, u: int) -> np.ndarray:
         """Adjacency list of ``u`` — a random access into the edge array."""
         off = self._offsets.load(u, u + 2)

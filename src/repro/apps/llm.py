@@ -656,13 +656,12 @@ class LlmService:
 
     def __init__(self, system: Any, config: LlmConfig,
                  tiering: TieringPolicy, prompt_min: int, prompt_max: int,
-                 out_min: int, out_max: int, seed: int = 47) -> None:
+                 out_min: int, out_max: int) -> None:
         self.system = system
         self.config = config
         self.tiering = tiering
         self.prompt_min, self.prompt_max = prompt_min, prompt_max
         self.out_min, self.out_max = out_min, out_max
-        self.seed = seed
         self._counters = _LlmCounters(_registry_of(system))
         self._ttft = _registry_of(system).log_histogram("llm.ttft_us")
         self._tpot = _registry_of(system).log_histogram("llm.tpot_us")
@@ -729,21 +728,25 @@ class LlmService:
             self._counters.evicted()
 
 
-def build_llm_service(system, layers: int = 2, heads: int = 2,
-                      head_dim: int = 16, max_tokens: int = 64,
-                      attn_window: int = 4, hot_layers: int = 1,
-                      capacity_tokens: Optional[int] = 2048,
-                      prompt_min: int = 6, prompt_max: int = 20,
-                      out_min: int = 2, out_max: int = 6,
-                      seed: int = 47) -> LlmService:
-    """Boot one LLM service on ``system`` (deliberately small defaults:
-    serving presets issue thousands of requests)."""
-    config = LlmConfig(layers=layers, heads=heads, head_dim=head_dim,
-                       max_tokens=max_tokens, attn_window=attn_window)
-    tiering = TieringPolicy(hot_layers=hot_layers,
-                            capacity_tokens=capacity_tokens)
-    return LlmService(system, config, tiering, prompt_min, prompt_max,
-                      out_min, out_max, seed=seed)
+#: The serving port's model: deliberately small, because serving presets
+#: issue thousands of requests (128 B of KV per token).
+SERVICE_CONFIG = LlmConfig(layers=2, heads=2, head_dim=16, max_tokens=64,
+                           attn_window=4)
+#: ``(min, max)`` prompt length the serving port samples.
+SERVICE_PROMPT_LENS = (6, 20)
+#: ``(min, max)`` output length the serving port samples.
+SERVICE_OUT_LENS = (2, 6)
+
+
+def build_llm_service(system,
+                      capacity_tokens: Optional[int] = 2048) -> LlmService:
+    """Boot one LLM service on ``system``: :data:`SERVICE_CONFIG` with
+    one hot layer, and finished-sequence KV bounded by
+    ``capacity_tokens``. Requests draw their seeds from the serving
+    frontend's stream (:meth:`LlmService.sample_request`)."""
+    tiering = TieringPolicy(capacity_tokens=capacity_tokens)
+    return LlmService(system, SERVICE_CONFIG, tiering, *SERVICE_PROMPT_LENS,
+                      *SERVICE_OUT_LENS)
 
 
 # -- prefill/decode disaggregation -------------------------------------------
@@ -1106,6 +1109,7 @@ __all__ = [
     "PD_CONFIG",
     "PdResult",
     "PdSweepRunner",
+    "SERVICE_CONFIG",
     "SequenceRun",
     "PdRun",
     "TieringPolicy",

@@ -1,9 +1,9 @@
 """The app-aware prefetch guide for Redis (§6.3, Figures 5 and 11).
 
-Shipped as a third-party module: Redis itself is unmodified, and the guide
-learns where traversals begin from loader hooks around the server's
-command handlers (§5's hooking interface). It then conveys data-structure
-layout to the paging subsystem:
+Shipped as a third-party module. The guide learns where traversals begin
+from two calls the server makes on it (``begin_get``/``begin_lrange``),
+which stand in for §5's loader hooks around the command handlers. It then
+conveys data-structure layout to the paging subsystem:
 
 * **GET**: on the first fault into an SDS value, subpage-fetch the 9-byte
   header; its length field tells the guide exactly how many pages the

@@ -5,9 +5,10 @@ datacenter scale the working set is dominated by values, which all live in
 disaggregated memory through the bitmap-tracking allocator. Command
 dispatch costs a few hundred cycles, as in Redis.
 
-When an app-aware guide is attached, the server's handlers are wrapped by
-loader hooks that tell the guide where each traversal starts — the §5
-hooking interface; the Redis code itself has no guide knowledge.
+When an app-aware guide is attached, the server itself tells it where
+each traversal starts: GET calls ``guide.begin_get`` and LRANGE calls
+``guide.begin_lrange``, and both call ``guide.end_op`` when done. These
+two call sites stand in for the loader hooks of §5's hooking interface.
 """
 
 from __future__ import annotations
@@ -16,35 +17,25 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.alloc.mimalloc import Mimalloc
 from repro.core.api import BaseSystem
-from repro.apps.redis.dict import FarDict
 from repro.apps.redis.guide import RedisPrefetchGuide
 from repro.apps.redis.quicklist import Quicklist
-from repro.apps.redis.sds import SDS_HEADER, sds_free, sds_len, sds_new, sds_read
+from repro.apps.redis.sds import sds_free, sds_len, sds_new, sds_read
 
 #: Command dispatch + dict lookup + reply marshalling.
 COMMAND_CYCLES = 500
+#: Entries per quicklist node (Redis's ``list-max-ziplist-size``).
+QUICKLIST_FILL = 16
 
 
 class RedisServer:
     """One single-threaded Redis instance."""
 
     def __init__(self, system: BaseSystem, alloc: Mimalloc,
-                 guide: Optional[RedisPrefetchGuide] = None,
-                 quicklist_fill: int = 16,
-                 index: str = "local") -> None:
-        """``index="far"`` keeps the keyspace dict itself in far memory
-        (string values only): every lookup's probe sequence then pages
-        like the rest of the working set."""
-        if index not in ("local", "far"):
-            raise ValueError(f"unknown index mode {index!r}")
+                 guide: Optional[RedisPrefetchGuide] = None) -> None:
         self.system = system
         self.alloc = alloc
         self.guide = guide
-        self.quicklist_fill = quicklist_fill
-        self.index_mode = index
         self._db: Dict[bytes, Tuple[str, object]] = {}
-        self._far_index: Optional[FarDict] = (
-            FarDict(system, alloc) if index == "far" else None)
         if guide is not None:
             kernel = getattr(system, "kernel", None)
             register = getattr(kernel, "register_prefetch_guide", None)
@@ -56,32 +47,16 @@ class RedisServer:
     def _charge(self) -> None:
         self.system.cpu_cycles(COMMAND_CYCLES)
 
-    @property
-    def dbsize(self) -> int:
-        if self._far_index is not None:
-            return len(self._far_index)
-        return len(self._db)
-
     # -- string commands ----------------------------------------------------
 
     def set(self, key: bytes, value: bytes) -> None:
         self._charge()
         self.delete(key, charge=False)
-        va = sds_new(self.system, self.alloc, value)
-        if self._far_index is not None:
-            self._far_index.put(key, va)
-        else:
-            self._db[key] = ("string", va)
-
-    def _lookup(self, key: bytes) -> Optional[Tuple[str, object]]:
-        if self._far_index is not None:
-            va = self._far_index.get(key)
-            return None if va is None else ("string", va)
-        return self._db.get(key)
+        self._db[key] = ("string", sds_new(self.system, self.alloc, value))
 
     def get(self, key: bytes) -> Optional[bytes]:
         self._charge()
-        entry = self._lookup(key)
+        entry = self._db.get(key)
         if entry is None:
             return None
         kind, va = entry
@@ -98,14 +73,7 @@ class RedisServer:
     def delete(self, key: bytes, charge: bool = True) -> bool:
         if charge:
             self._charge()
-        if self._far_index is not None:
-            va = self._far_index.get(key)
-            if va is None:
-                return False
-            self._far_index.delete(key)
-            entry = ("string", va)
-        else:
-            entry = self._db.pop(key, None)
+        entry = self._db.pop(key, None)
         if entry is None:
             return False
         kind, payload = entry
@@ -119,98 +87,14 @@ class RedisServer:
             payload.free()
         return True
 
-    def exists(self, key: bytes) -> bool:
-        self._charge()
-        return self._lookup(key) is not None
-
-    def strlen(self, key: bytes) -> int:
-        """Length of a string value — reads only the SDS header."""
-        self._charge()
-        entry = self._lookup(key)
-        if entry is None:
-            return 0
-        kind, va = entry
-        if kind != "string":
-            raise TypeError(f"WRONGTYPE key {key!r} holds a {kind}")
-        return sds_len(self.system, va)
-
-    def getrange(self, key: bytes, start: int, length: int) -> bytes:
-        """GETRANGE: read a byte slice of a value — the sub-object access
-        §3.1's IO-amplification analysis is about (a paging system still
-        fetches whole pages underneath)."""
-        self._charge()
-        entry = self._lookup(key)
-        if entry is None:
-            return b""
-        kind, va = entry
-        if kind != "string":
-            raise TypeError(f"WRONGTYPE key {key!r} holds a {kind}")
-        total = sds_len(self.system, va)
-        if start < 0 or start >= total:
-            return b""
-        length = min(length, total - start)
-        return self.system.memory.read(va + SDS_HEADER + start, length)
-
-    def setrange(self, key: bytes, start: int, piece: bytes) -> int:
-        """SETRANGE: overwrite a byte slice in place (no realloc when the
-        slice fits); returns the value length."""
-        self._charge()
-        entry = self._lookup(key)
-        if entry is None:
-            raise KeyError(f"no such key {key!r}")
-        kind, va = entry
-        if kind != "string":
-            raise TypeError(f"WRONGTYPE key {key!r} holds a {kind}")
-        total = sds_len(self.system, va)
-        if start < 0 or start + len(piece) > total:
-            raise ValueError("SETRANGE outside the existing value")
-        self.system.memory.write(va + SDS_HEADER + start, piece)
-        return total
-
-    def append(self, key: bytes, suffix: bytes) -> int:
-        """APPEND: grow a string — a realloc in allocator terms (new SDS,
-        copy, free old), exactly the churn §4.4's bitmaps track."""
-        self._charge()
-        entry = self._lookup(key)
-        if entry is None:
-            self.set(key, suffix)
-            return len(suffix)
-        kind, va = entry
-        if kind != "string":
-            raise TypeError(f"WRONGTYPE key {key!r} holds a {kind}")
-        current = sds_read(self.system, va)
-        self.set(key, current + suffix)
-        return len(current) + len(suffix)
-
-    def incr(self, key: bytes) -> int:
-        """INCR: parse the value as an integer, add one, write back."""
-        self._charge()
-        entry = self._lookup(key)
-        if entry is None:
-            self.set(key, b"1")
-            return 1
-        kind, va = entry
-        if kind != "string":
-            raise TypeError(f"WRONGTYPE key {key!r} holds a {kind}")
-        raw = sds_read(self.system, va)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"value of {key!r} is not an integer") from None
-        value += 1
-        self.set(key, b"%d" % value)
-        return value
-
     # -- list commands ----------------------------------------------------------
 
     def rpush(self, key: bytes, values: List[bytes]) -> int:
         self._charge()
-        if self._far_index is not None:
-            raise ValueError("the far-memory index supports string keys only")
         entry = self._db.get(key)
         if entry is None:
             quicklist = Quicklist(self.system, self.alloc,
-                                  fill=self.quicklist_fill)
+                                  fill=QUICKLIST_FILL)
             self._db[key] = ("list", quicklist)
         else:
             kind, quicklist = entry

@@ -17,14 +17,18 @@ can synthesize a GET-dominated request stream with tunable hot-key skew.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.alloc.mimalloc import Mimalloc
 from repro.apps.api import Request, Response
-from repro.apps.redis.guide import RedisPrefetchGuide
 from repro.apps.redis.server import RedisServer
 from repro.common.rng import seeded_value, zipf_weights
 from repro.common.units import MIB
+
+#: The built service's mimalloc arena.
+SERVICE_ARENA_BYTES = 16 * MIB
+#: Seeds the built service's keyspace values.
+SERVICE_SEED = 21
 
 
 class RedisService:
@@ -34,24 +38,16 @@ class RedisService:
 
     def __init__(self, server: RedisServer, n_keys: int = 0,
                  value_bytes: int = 512, skew: float = 0.0,
-                 write_fraction: float = 0.0, seed: int = 21) -> None:
+                 write_fraction: float = 0.0) -> None:
         self.server = server
         self.n_keys = n_keys
         self.value_bytes = value_bytes
         self.write_fraction = write_fraction
-        self.seed = seed
-        self.skew = skew
         self._weights = (zipf_weights(n_keys, skew)
                          if n_keys and skew > 0.0 else None)
         self._handlers = {
             "get": self._get,
             "set": self._set,
-            "del": self._delete,
-            "exists": self._exists,
-            "strlen": self._strlen,
-            "getrange": self._getrange,
-            "incr": self._incr,
-            "rpush": self._rpush,
             "lrange": self._lrange,
         }
 
@@ -97,48 +93,24 @@ class RedisService:
         self.server.set(request.key, request.value)
         return Response()
 
-    def _delete(self, request: Request) -> Response:
-        return Response(value=self.server.delete(request.key))
-
-    def _exists(self, request: Request) -> Response:
-        return Response(value=self.server.exists(request.key))
-
-    def _strlen(self, request: Request) -> Response:
-        return Response(value=self.server.strlen(request.key))
-
-    def _getrange(self, request: Request) -> Response:
-        start, length = request.args
-        return Response(value=self.server.getrange(request.key,
-                                                   start, length))
-
-    def _incr(self, request: Request) -> Response:
-        return Response(value=self.server.incr(request.key))
-
-    def _rpush(self, request: Request) -> Response:
-        values = list(request.args) if request.args else [request.value]
-        return Response(value=self.server.rpush(request.key, values))
-
     def _lrange(self, request: Request) -> Response:
         count = request.args[0] if request.args else 10
         return Response(value=self.server.lrange(request.key, count))
 
 
 def build_redis_service(system, n_keys: int = 200, value_bytes: int = 512,
-                        skew: float = 0.0, write_fraction: float = 0.0,
-                        arena_bytes: int = 16 * MIB, seed: int = 21,
-                        guide: Optional[RedisPrefetchGuide] = None,
-                        quicklist_fill: int = 16,
-                        index: str = "local") -> RedisService:
+                        skew: float = 0.0,
+                        write_fraction: float = 0.0) -> RedisService:
     """Boot + populate one Redis service on ``system``.
 
-    Population is deterministic in ``seed``: ``n_keys`` string keys of
-    ``value_bytes`` each, SET through the mimalloc arena so the values
-    land in far memory like any real keyspace.
+    Population is deterministic in :data:`SERVICE_SEED`: ``n_keys``
+    string keys of ``value_bytes`` each, SET through a
+    :data:`SERVICE_ARENA_BYTES` mimalloc arena so the values land in far
+    memory like any real keyspace.
     """
-    server = RedisServer(system, Mimalloc(system, arena_bytes=arena_bytes),
-                         guide=guide, quicklist_fill=quicklist_fill,
-                         index=index)
-    rng = random.Random(seed)
+    server = RedisServer(system, Mimalloc(system,
+                                          arena_bytes=SERVICE_ARENA_BYTES))
+    rng = random.Random(SERVICE_SEED)
     expected: Dict[bytes, bytes] = {}
     for i in range(n_keys):
         key = b"key:%d" % i
@@ -146,8 +118,7 @@ def build_redis_service(system, n_keys: int = 200, value_bytes: int = 512,
         server.set(key, value)
         expected[key] = value[:16]
     service = RedisService(server, n_keys=n_keys, value_bytes=value_bytes,
-                           skew=skew, write_fraction=write_fraction,
-                           seed=seed)
+                           skew=skew, write_fraction=write_fraction)
     service.expected = expected  # verification aid for tests/presets
     return service
 

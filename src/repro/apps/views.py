@@ -79,10 +79,6 @@ class PagedArray:
             raise IndexError(
                 f"range [{start}, {stop}) outside array of {self.count}")
 
-    def free(self) -> None:
-        """Unmap the backing region (only for self-owned regions)."""
-        self.system.munmap(self.region)
-
 
 class PagedBytes:
     """A raw byte buffer in far memory with chunked IO."""

@@ -12,6 +12,5 @@ this package ships its own ports of the snappy and DataFrame workloads
 from repro.baselines.aifm.config import AifmConfig
 from repro.baselines.aifm.runtime import AifmRuntime, RemPtr
 from repro.baselines.aifm.arrays import RemArray
-from repro.baselines.aifm.containers import RemHashTable, RemList
 
-__all__ = ["AifmConfig", "AifmRuntime", "RemArray", "RemHashTable", "RemList", "RemPtr"]
+__all__ = ["AifmConfig", "AifmRuntime", "RemArray", "RemPtr"]

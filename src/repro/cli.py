@@ -253,10 +253,6 @@ def _sweep_rack(args) -> int:
         print("error: oversubscription factors must be >= 1",
               file=sys.stderr)
         return 2
-    if args.systems == ["fastswap", "dilos-readahead"]:
-        # The parser default (meant for the ratio sweeps); the rack
-        # grid is placement x oversubscription on one kernel.
-        args.systems = ["dilos-readahead"]
     if len(args.systems) != 1:
         print("error: the rack sweep grid is placement x oversubscription "
               "on one kernel; pass exactly one --systems kind",
@@ -306,6 +302,11 @@ def cmd_sweep(args) -> int:
         print("error: --placements/--oversubs only apply to the rack "
               "sweep", file=sys.stderr)
         return 2
+    if args.systems is None:
+        # The ratio sweeps compare the two paging kernels; the llm and
+        # rack grids run one kernel against an axis of their own.
+        args.systems = (["dilos-readahead"] if args.workload in ("llm", "rack")
+                        else ["fastswap", "dilos-readahead"])
     if args.workload == "llm":
         return _sweep_llm(args)
     if args.workload == "rack":
@@ -896,9 +897,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="system x ratio grid for one workload")
     p.add_argument("workload", choices=("quicksort", "kmeans", "taxi",
                                         "llm", "rack"))
-    p.add_argument("--systems", nargs="+",
-                   default=["fastswap", "dilos-readahead"],
-                   choices=SYSTEM_KINDS)
+    p.add_argument("--systems", nargs="+", default=None,
+                   choices=SYSTEM_KINDS,
+                   help="kernel kinds (default: fastswap dilos-readahead; "
+                        "llm and rack: dilos-readahead)")
     p.add_argument("--ratios", nargs="+", type=float, default=None,
                    help="local-memory ratios (default: 0.125 0.5 1.0; "
                         "llm: 0.25 0.5 1.0 1.5)")

@@ -54,10 +54,6 @@ class Histogram:
     def count(self) -> int:
         return len(self._samples)
 
-    @property
-    def samples(self) -> List[float]:
-        return list(self._samples)
-
     def mean(self) -> float:
         if not self._samples:
             raise ValueError("mean of empty histogram")

@@ -121,7 +121,3 @@ class BaseSystem(abc.ABC):
     def name(self) -> str:
         """Presentation name, e.g. ``DiLOS with readahead``."""
 
-
-def page_count(nbytes: int) -> int:
-    """Pages needed to hold ``nbytes``."""
-    return (nbytes + PAGE_SIZE - 1) // PAGE_SIZE

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.common.units import MIB
+from repro.core.prefetch import PREFETCHERS
 from repro.net.faults import (
     FaultPlan,
     RetryPolicy,
@@ -66,8 +67,9 @@ class DilosConfig(KernelConfig):
     the paper argues against, so their cost can be measured directly.
     """
 
-    #: ``none`` / ``readahead`` / ``trend`` (§6 names) or ``stride``
-    #: (this repo's multi-stream extension).
+    #: A key of :data:`~repro.core.prefetch.PREFETCHERS`: ``none`` /
+    #: ``readahead`` / ``trend`` (§6 names) or ``stride`` (this repo's
+    #: multi-stream extension).
     prefetcher: str = "readahead"
     #: Background page-manager wakeup period (microseconds).
     cleaner_period_us: float = 5.0
@@ -88,7 +90,7 @@ class DilosConfig(KernelConfig):
 
     def validate(self) -> None:
         super().validate()
-        if self.prefetcher not in ("none", "readahead", "trend", "stride"):
+        if self.prefetcher not in PREFETCHERS:
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
         if self.cores < 1:
             raise ValueError("need at least one core")

@@ -19,7 +19,6 @@ scatter-gather path are refetched as exactly their live ranges.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
@@ -55,14 +54,10 @@ class _PrefetchOps:
     """The capability surface handed to prefetch policies."""
 
     def __init__(self, kernel: "DilosKernel") -> None:
-        self._kernel = kernel
         # The kernel's own bound methods: a readahead window calls
         # ``prefetch`` once per page.
         self.prefetch = kernel.prefetch_vpn
         self.hit_ratio = kernel.hit_tracker.hit_ratio
-
-    def recent_faults(self) -> List[int]:
-        return list(self._kernel.recent_faults)
 
 
 class DilosKernel:
@@ -119,7 +114,6 @@ class DilosKernel:
         self.prefetcher = make_prefetcher(config.prefetcher)
         self.hit_tracker = PteHitTracker(clock, self._pt, self.model,
                                          tracer=self.tracer)
-        self.recent_faults: deque = deque(maxlen=64)
         self._ops = _PrefetchOps(self)
         self._prefetch_guide: Optional[PrefetchGuide] = None
         self._guide_ctx = GuideContext(self)
@@ -236,7 +230,6 @@ class DilosKernel:
         clock = self.clock
         model = self.model
         self._major_faults.value += 1
-        self.recent_faults.append(vpn)
         components = {
             "exception": model.fault_entry,
             "software": model.dilos_software,

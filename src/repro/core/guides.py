@@ -59,10 +59,6 @@ class GuideContext:
         self._kernel = kernel
         self._core = core
 
-    @property
-    def clock(self):
-        return self._kernel.clock
-
     def prefetch_page(self, va: int) -> bool:
         """Async full-page prefetch of the page containing ``va``."""
         return self._kernel.prefetch_vpn(va >> 12)
@@ -78,10 +74,6 @@ class GuideContext:
         and not local — nothing to chase).
         """
         return self._kernel.guide_subpage_fetch(va, size, callback, self._core)
-
-    def peek_local(self, va: int, size: int) -> Optional[bytes]:
-        """Read bytes if (and only if) the page is resident; no fault."""
-        return self._kernel.peek_local(va, size)
 
 
 def coalesce_ranges(ranges: List[Range], max_segments: int,

@@ -10,7 +10,7 @@ and built-ins share the same surface.
 from __future__ import annotations
 
 import abc
-from typing import List, Protocol
+from typing import Protocol
 
 
 class PrefetchOps(Protocol):
@@ -25,9 +25,6 @@ class PrefetchOps(Protocol):
 
     def hit_ratio(self) -> float:
         """Recent prefetch hit ratio from the PTE hit tracker (0..1)."""
-
-    def recent_faults(self) -> List[int]:
-        """Most recent major-fault VPNs, oldest first."""
 
 
 class Prefetcher(abc.ABC):

@@ -580,7 +580,7 @@ SCENARIOS: Dict[str, Scenario] = {
         dict(serve=("bursty:rate=4k,burst_rate=1m,on=3ms,off=5ms,"
                     "clients=100k,slo=1ms,requests=1200,seed=23,"
                     "admission=bucket/5k/16"),
-             services=tuple((name, 256 * KIB, "llm", dict(seed=47))
+             services=tuple((name, 256 * KIB, "llm", {})
                             for name in ("gen1", "gen2"))),
         command="serve", contrast=("no admission", {"admission": "none"})),
     # Key affinity sends the whole hot head of the zipf distribution to

@@ -149,13 +149,6 @@ class ScrubReport:
     #: Wire bytes a real scrubber would have read for this row.
     bytes_read: int = 0
 
-    def merge(self, other: "ScrubReport") -> None:
-        self.members_checked += other.members_checked
-        self.mismatches += other.mismatches
-        self.repaired += other.repaired
-        self.quarantined += other.quarantined
-        self.bytes_read += other.bytes_read
-
 
 @dataclass
 class RepairPolicy:

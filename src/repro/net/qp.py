@@ -76,9 +76,6 @@ class Completion:
         #: Transmission attempts beyond the first (reliable transport).
         self.retries = 0
 
-    def done(self, now: float) -> bool:
-        return now >= self.time
-
 
 class QueuePair:
     """One RDMA QP: in-order, reliable, one-sided READ/WRITE/SG verbs.
@@ -197,19 +194,20 @@ class QueuePair:
                 completion.failed = True
         self._inflight = []
 
-    # -- raw wire charging (reliable-transport support) ---------------------
+    # -- wire charging ------------------------------------------------------
 
     def charge_attempt(self, size: int, direction: str,
                        at: Optional[float] = None,
                        segments: int = 1,
                        offset: Optional[int] = None) -> float:
-        """Charge wire occupancy + byte accounting for one transmission
-        attempt without touching the remote store; returns the completion
-        time. :class:`~repro.net.reliable.ReliableQP` uses this for every
-        attempt (it owns the data path itself so that attempts the fault
-        plan kills on the wire have no remote side effects). ``offset``
-        routes the attempt across the rack fabric when a port is
-        attached."""
+        """Charge wire occupancy, byte accounting and the trace event for
+        one transmission attempt without touching the remote store;
+        returns the completion time. This QP's WRITE and scatter-gather
+        verbs call it once they have moved the bytes;
+        :class:`~repro.net.reliable.ReliableQP` uses it for every attempt
+        (it owns the data path itself so that attempts the fault plan
+        kills on the wire have no remote side effects). ``offset`` routes
+        the attempt across the rack fabric when a port is attached."""
         if direction not in ("read", "write"):
             raise ValueError(f"unknown direction {direction!r}")
         wire = size * self._per_byte
@@ -221,9 +219,11 @@ class QueuePair:
         self._stats.record(size, direction)
         if self.tracer.enabled:
             post = at if at is not None else self._clock.now
+            args = {"qp": self.name, "bytes": size}
+            if segments > 1:
+                args["segments"] = segments
             self.tracer.complete(f"net.{direction}", "net", post,
-                                 when - post,
-                                 {"qp": self.name, "bytes": size})
+                                 when - post, args)
         return when
 
     # -- verbs --------------------------------------------------------------
@@ -268,14 +268,7 @@ class QueuePair:
     ) -> Completion:
         """One-sided WRITE of ``data`` to ``remote_offset``."""
         self._remote.write_bytes(remote_offset, data)
-        when = self._schedule(len(data) * self._per_byte,
-                              self._write_base,
-                              offset=remote_offset, size=len(data))
-        self._stats.record(len(data), "write")
-        if self.tracer.enabled:
-            self.tracer.complete("net.write", "net", self._clock.now,
-                                 when - self._clock.now,
-                                 {"qp": self.name, "bytes": len(data)})
+        when = self.charge_attempt(len(data), "write", offset=remote_offset)
         completion = Completion(when, "write", len(data), None)
         if self._listening or on_complete is not None:
             self._register(completion, on_complete)
@@ -296,19 +289,12 @@ class QueuePair:
             raise ValueError("empty scatter-gather list")
         payload = b"".join(
             self._remote.read_bytes(off, size) for off, size in segments)
-        total = len(payload)
-        wire = total * self._per_byte + self._model.sg_overhead(len(segments))
         # SG lists are built per batch against one backend; the fabric
         # routes the whole vector by its first segment's home node.
-        when = self._schedule(wire, self._read_base,
-                              offset=segments[0][0], size=total)
-        self._stats.record(total, "read")
-        if self.tracer.enabled:
-            self.tracer.complete("net.read", "net", self._clock.now,
-                                 when - self._clock.now,
-                                 {"qp": self.name, "bytes": total,
-                                  "segments": len(segments)})
-        completion = Completion(when, "read", total, payload)
+        when = self.charge_attempt(len(payload), "read",
+                                   segments=len(segments),
+                                   offset=segments[0][0])
+        completion = Completion(when, "read", len(payload), payload)
         self._register(completion, on_complete)
         return completion
 
@@ -324,15 +310,8 @@ class QueuePair:
         for off, data in segments:
             self._remote.write_bytes(off, data)
             total += len(data)
-        wire = total * self._per_byte + self._model.sg_overhead(len(segments))
-        when = self._schedule(wire, self._write_base,
-                              offset=segments[0][0], size=total)
-        self._stats.record(total, "write")
-        if self.tracer.enabled:
-            self.tracer.complete("net.write", "net", self._clock.now,
-                                 when - self._clock.now,
-                                 {"qp": self.name, "bytes": total,
-                                  "segments": len(segments)})
+        when = self.charge_attempt(total, "write", segments=len(segments),
+                                   offset=segments[0][0])
         completion = Completion(when, "write", total, None)
         self._register(completion, on_complete)
         return completion

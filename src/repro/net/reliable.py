@@ -105,15 +105,6 @@ class ReliableQP:
         """The sibling currently carrying traffic (failover is sticky)."""
         return self._qps[self._active]
 
-    @property
-    def posted(self) -> int:
-        """Transmission attempts across all siblings (retries included)."""
-        return sum(qp.posted for qp in self._qps)
-
-    @property
-    def policy(self) -> RetryPolicy:
-        return self._policy
-
     # -- plumbing ------------------------------------------------------------
 
     def _add(self, metric: str, amount: int = 1) -> None:

@@ -204,10 +204,6 @@ class MetricsRegistry:
         raise TypeError(f"metric {name!r} is a {type(inst).__name__}, "
                         "not a scalar instrument")
 
-    def names(self):
-        """All registered canonical names, sorted."""
-        return sorted(self._instruments)
-
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self) -> None:

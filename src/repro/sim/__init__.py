@@ -2,19 +2,12 @@
 
 from repro.sim.rack import RackCluster, make_rack, run_rack_cell, sweep_rack
 from repro.sim.tenancy import ComputeCluster, Tenant
-from repro.sim.workers import Op, Workers, cpu, read, touch, write
 
 __all__ = [
     "ComputeCluster",
-    "Op",
     "RackCluster",
     "Tenant",
-    "Workers",
-    "cpu",
     "make_rack",
-    "read",
     "run_rack_cell",
     "sweep_rack",
-    "touch",
-    "write",
 ]

@@ -16,10 +16,9 @@ counters re-keyed under ``tenant.<name>.<counter>``, plus aggregate
 backend pressure and fairness instruments from the cluster's own
 registry.
 
-Workloads are generators over the booted system (the
-:mod:`repro.sim.workers` convention): each ``next()`` runs one operation
-and advances the shared clock; the scheduler rotates tenants whenever a
-tenant's time slice is spent.
+Workloads are generators over the booted system: each ``next()`` runs
+one operation and advances the shared clock; the scheduler rotates
+tenants whenever a tenant's time slice is spent.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ class ComputeCluster:
 
         ``service`` is a kind name from the
         :data:`repro.apps.api.SERVICES` table (``"redis"``,
-        ``"taxi"``, ...) built over the booted system with
+        ``"kv"``, ...) built over the booted system with
         ``service_kwargs``, or a ready
         :class:`~repro.apps.api.Service` object. Service tenants have no
         workload generator — the open-loop frontend

@@ -176,91 +176,3 @@ class TestRemArray:
         assert len(total) == 1024 * 8
         assert total[8:16] == bytes([1]) * 8
 
-
-class TestRemList:
-    def test_append_iterate(self):
-        rt = make_runtime(heap_mib=4)
-        from repro.baselines.aifm import RemList
-        lst = RemList(rt)
-        for i in range(50):
-            lst.append(b"item-%03d" % i)
-        assert len(lst) == 50
-        assert list(lst) == [b"item-%03d" % i for i in range(50)]
-
-    def test_iterate_under_pressure(self):
-        rt = make_runtime(heap_mib=1)
-        from repro.baselines.aifm import RemList
-        lst = RemList(rt)
-        for i in range(3000):  # ~3000 x 1 KiB nodes >> 1 MiB heap
-            lst.append(i.to_bytes(4, "little") * 256)
-        values = list(lst)
-        assert len(values) == 3000
-        assert values[1234] == (1234).to_bytes(4, "little") * 256
-        assert rt.registry.value("reclaim.pages_evicted") > 0
-
-    def test_runahead_overlaps_fetches_with_compute(self):
-        """Pointer chasing serializes at fetch latency — the pipeline can
-        only hide the per-node *compute*, so the win is modest; what it
-        does do is turn demand misses into overlapped prefetches."""
-        from repro.baselines.aifm import RemList
-
-        def traverse(runahead):
-            rt = make_runtime(heap_mib=1)
-            lst = RemList(rt, runahead=runahead)
-            for i in range(2000):
-                lst.append(b"x" * 1024)
-            spill = [rt.allocate(4 * KIB) for _ in range(300)]
-            for ptr in spill:
-                ptr.read(0, 1)
-            t0 = rt.clock.now
-            for _payload in lst:
-                rt.cpu(0.5)
-            return rt.clock.now - t0, rt.registry.value("fault.major")
-
-        t_none, misses_none = traverse(0)
-        t_ahead, misses_ahead = traverse(2)
-        assert misses_ahead < 0.3 * misses_none
-        assert t_ahead < t_none
-
-    def test_free_releases_nodes(self):
-        rt = make_runtime(heap_mib=4)
-        from repro.baselines.aifm import RemList
-        lst = RemList(rt)
-        for i in range(20):
-            lst.append(b"n")
-        allocated = rt.registry.value("heap.objects_allocated")
-        lst.free()
-        assert rt.registry.value("heap.objects_freed") == allocated
-        assert list(lst) == []
-
-
-class TestRemHashTable:
-    def test_put_get_delete(self):
-        rt = make_runtime(heap_mib=4)
-        from repro.baselines.aifm import RemHashTable
-        table = RemHashTable(rt)
-        table.put(b"k", b"value")
-        assert table.get(b"k") == b"value"
-        assert b"k" in table
-        assert table.delete(b"k")
-        assert table.get(b"k") is None
-        assert not table.delete(b"k")
-
-    def test_overwrite_frees_old_object(self):
-        rt = make_runtime(heap_mib=4)
-        from repro.baselines.aifm import RemHashTable
-        table = RemHashTable(rt)
-        table.put(b"k", b"old" * 100)
-        table.put(b"k", b"new" * 100)
-        assert table.get(b"k") == b"new" * 100
-        assert rt.registry.value("heap.objects_freed") == 1
-
-    def test_values_survive_evacuation(self):
-        rt = make_runtime(heap_mib=1)
-        from repro.baselines.aifm import RemHashTable
-        table = RemHashTable(rt)
-        for i in range(2000):
-            table.put(b"key:%d" % i, bytes([i % 251]) * 1024)
-        assert rt.registry.value("reclaim.pages_evicted") > 0
-        for i in range(0, 2000, 17):
-            assert table.get(b"key:%d" % i) == bytes([i % 251]) * 1024

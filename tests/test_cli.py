@@ -172,3 +172,17 @@ class TestLlmCommands:
     def test_pd_splits_rejected_for_other_workloads(self, capsys):
         assert main(["sweep", "quicksort", "--pd-splits", "1:1"]) == 2
         assert "only applies to the llm sweep" in capsys.readouterr().err
+
+    def test_llm_sweep_defaults_to_one_kernel(self, capsys):
+        """Without --systems the llm grid takes its own one-kernel
+        default, not the ratio sweeps' pair."""
+        assert main(["sweep", "llm", "--pd-splits", "1:1", "--ratios",
+                     "1.0", "--size", "3"]) == 0
+        assert "on dilos-readahead" in capsys.readouterr().out
+
+    def test_rack_sweep_rejects_two_explicit_kernels(self, capsys):
+        """An explicit --systems pair is refused, even when it equals the
+        ratio sweeps' default."""
+        assert main(["sweep", "rack", "--systems", "fastswap",
+                     "dilos-readahead"]) == 2
+        assert "exactly one" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Validation and small-utility tests: configs, RNG helpers, latency
 model derivations, and system naming."""
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
+from repro.apps.llm import build_llm_service
+from repro.apps.redis import RedisServer, build_redis_service
 from repro.common.rng import make_rng, zipf_weights
 from repro.common.units import MIB
 from repro.baselines.aifm import AifmConfig
@@ -78,6 +81,17 @@ class TestSettableSurface:
         shared = {f.name for f in fields(KernelConfig)}
         assert [f.name for f in fields(config)
                 if f.name not in shared] == own
+
+    @pytest.mark.parametrize("surface, deps, settable", [
+        (build_redis_service, ["system"],
+         ["n_keys", "value_bytes", "skew", "write_fraction"]),
+        (RedisServer, ["system", "alloc"], ["guide"]),
+        (build_llm_service, ["system"], ["capacity_tokens"]),
+    ], ids=["build_redis_service", "RedisServer", "build_llm_service"])
+    def test_service_surfaces(self, surface, deps, settable):
+        """What a service builder takes beyond the objects it builds on."""
+        params = list(inspect.signature(surface).parameters)
+        assert params == deps + settable
 
 
 class TestSystemNames:

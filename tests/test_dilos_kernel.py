@@ -47,6 +47,22 @@ class TestFaultTaxonomy:
         system.memory.read(region.base, 8)
         assert system.metrics().value("fault.major") >= 1
 
+    def test_second_read_of_faulted_page_costs_no_wire_read(self):
+        """A demand fault completes before the access returns, so the
+        next reader of that page hits: one wire read in total."""
+        system = make_system(local_mib=1, prefetcher="none")
+        region = system.mmap(4 * MIB)
+        pages = region.size // PAGE_SIZE
+        for i in range(pages):
+            system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
+        system.clock.advance(5000)  # evict everything
+        reads_before = system.kernel.comm.stats.ops_read
+        majors_before = system.metrics().value("fault.major")
+        for _ in range(2):
+            assert system.memory.read(region.base, 32) == fill_pattern(0, 32)
+        assert system.kernel.comm.stats.ops_read - reads_before == 1
+        assert system.metrics().value("fault.major") - majors_before == 1
+
     def test_no_prefetch_means_no_minor_faults(self):
         system = make_system(local_mib=1, prefetcher="none")
         region = system.mmap(4 * MIB)
@@ -113,6 +129,26 @@ class TestReclamationOffCriticalPath:
         m = system.metrics()
         assert m.value("reclaim.pages_evicted") > pages  # real pressure
         assert m.value("reclaim.direct") == 0  # the DiLOS claim
+
+    def test_interleaved_streams_cause_no_direct_reclaim(self):
+        """Two scans interleaved access by access under readahead share
+        one small cache without reclaiming on the fault path."""
+        system = make_system(local_mib=1, prefetcher="readahead")
+        region = system.mmap(6 * MIB)
+        pages = region.size // PAGE_SIZE
+        for i in range(pages):
+            system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
+        system.clock.advance(5000)
+        half = pages // 2
+        for i in range(half):
+            for page in (i, half + i):
+                assert system.memory.read(region.base + page * PAGE_SIZE,
+                                          32) == fill_pattern(page, 32)
+            system.cpu(0.3)
+            system.cpu(0.3)
+        m = system.metrics()
+        assert m.value("reclaim.pages_evicted") > pages  # real pressure
+        assert m.value("reclaim.direct") == 0
 
     def test_fault_breakdown_has_no_reclaim_component(self):
         system = make_system(local_mib=1, prefetcher="none")

@@ -28,9 +28,6 @@ class FakeOps:
     def hit_ratio(self):
         return self._hit
 
-    def recent_faults(self):
-        return []
-
 
 class TestStridePrefetcher:
     def test_registered_in_factory(self):

@@ -30,9 +30,6 @@ class FakeOps:
     def hit_ratio(self):
         return self._hit
 
-    def recent_faults(self):
-        return []
-
 
 class TestFactory:
     def test_names(self):

@@ -2,6 +2,7 @@
 commands, workloads, and the §6.3 app-aware guide."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MIB
 from repro.alloc import Mimalloc, MimallocGuide
@@ -14,6 +15,7 @@ from repro.apps.redis import (
     Quicklist,
     RedisPrefetchGuide,
     RedisServer,
+    SDS_HEADER,
     sds_len,
     sds_new,
     sds_read,
@@ -47,6 +49,24 @@ class TestSds:
         blob = bytes(range(256)) * 64  # 16 KiB
         va = sds_new(server.system, server.alloc, blob)
         assert sds_read(server.system, va) == blob
+
+    def test_sub_page_read_touches_only_needed_pages(self):
+        """Reading 64 B out of an evicted 64 KiB value fetches the header
+        page and the page holding the slice, not all 17 — the paging
+        analogue of §3.1's sub-object access (demand paging: readahead
+        would fetch its whole window)."""
+        server = make_server(local_mib=0.5, prefetcher="none", arena_mib=64)
+        system = server.system
+        va = sds_new(system, server.alloc, b"\xAB" * 65536)
+        for i in range(32):  # 2 MiB of later values evict it
+            sds_new(system, server.alloc, bytes([i]) * 65536)
+        stats = system.kernel.comm.stats
+        before = stats.ops_read
+        assert sds_len(system, va) == 65536
+        assert stats.ops_read - before == 1  # the header page was remote
+        assert system.memory.read(va + SDS_HEADER + 30000, 64) == \
+            b"\xAB" * 64
+        assert stats.ops_read - before <= 3
 
 
 class TestZiplist:
@@ -123,6 +143,29 @@ class TestServer:
         alloc = Mimalloc(system, arena_bytes=32 * MIB)
         with pytest.raises(ValueError):
             RedisServer(system, alloc, guide=RedisPrefetchGuide())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["set", "get", "del"]),
+                          st.integers(min_value=0, max_value=5),
+                          st.binary(min_size=1, max_size=40)),
+                max_size=40))
+def test_command_mix_matches_model_property(ops):
+    """A random SET/GET/DEL mix agrees with a plain-dict reference model."""
+    server = make_server(arena_mib=64)
+    model = {}
+    for op, key_id, payload in ops:
+        key = b"key:%d" % key_id
+        if op == "set":
+            server.set(key, payload)
+            model[key] = payload
+        elif op == "get":
+            assert server.get(key) == model.get(key)
+        elif op == "del":
+            assert server.delete(key) == (key in model)
+            model.pop(key, None)
+    for key, expected in model.items():
+        assert server.get(key) == expected
 
 
 class TestWorkloads:

@@ -57,22 +57,6 @@ class TestConformance:
         response = service.handle(request)
         assert response.ok
 
-    def test_taxi_service_conforms(self):
-        service = build_service("taxi", _redis_system(4 * MIB),
-                                rows=1 << 12)
-        assert isinstance(service, Service)
-        assert service.name == "taxi"
-        response = service.handle(Request("mean", key=b"fare",
-                                          args=(0, 1024)))
-        assert response.ok
-        assert response.value > 0
-
-    def test_taxi_rejects_unknown_op_and_column(self):
-        service = build_service("taxi", _redis_system(4 * MIB),
-                                rows=1 << 12)
-        assert not service.handle(Request("median", key=b"fare")).ok
-        assert not service.handle(Request("mean", key=b"tips")).ok
-
     def test_redis_get_set_round_trip(self):
         service = build_service("redis", _redis_system(), n_keys=40,
                                 value_bytes=256)
@@ -98,7 +82,7 @@ class TestRegistry:
         """Every entry names a builder its module defines."""
         import importlib
 
-        assert set(SERVICES) == {"kv", "llm", "redis", "taxi"}
+        assert set(SERVICES) == {"kv", "llm", "redis"}
         for target in SERVICES.values():
             module, _, builder = target.partition(":")
             assert callable(getattr(importlib.import_module(module),

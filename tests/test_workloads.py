@@ -234,63 +234,3 @@ class TestGapbs:
             seen += len(neighbors)
         assert seen == len(edges)
 
-
-class TestBfs:
-    def test_reaches_what_networkx_reaches(self):
-        import networkx as nx
-        from repro.apps.gapbs import BfsWorkload
-        offsets, edges = generate_power_law_graph(n=300, target_m=1500,
-                                                  seed=4)
-        system = make_system("dilos-readahead", 2 * MIB)
-        graph = CsrGraph(system, offsets, edges)
-        result = BfsWorkload(source=0).run(system, graph)
-        g = nx.DiGraph()
-        g.add_nodes_from(range(300))
-        for u in range(300):
-            for v in edges[offsets[u]:offsets[u + 1]]:
-                g.add_edge(u, int(v))
-        lengths = nx.single_source_shortest_path_length(g, 0)
-        assert result.reached == len(lengths)
-        assert result.max_depth == max(lengths.values())
-
-    def test_bfs_under_memory_pressure(self):
-        from repro.apps.gapbs import BfsWorkload
-        offsets, edges = generate_power_law_graph(n=4096, target_m=50_000)
-        footprint = (len(offsets) + len(edges)) * 8
-        baseline = None
-        for kind in ("fastswap", "dilos-readahead"):
-            system = make_system(kind, local_bytes_for(footprint, 0.125))
-            graph = CsrGraph(system, offsets, edges)
-            result = BfsWorkload(source=0).run(system, graph)
-            if baseline is None:
-                baseline = result.reached
-            assert result.reached == baseline  # kernels agree
-
-
-class TestConnectedComponents:
-    def test_matches_networkx_weakly_connected(self):
-        import networkx as nx
-        from repro.apps.gapbs import ConnectedComponentsWorkload
-        offsets, edges = generate_power_law_graph(n=200, target_m=800,
-                                                  seed=11)
-        system = make_system("dilos-readahead", 4 * MIB)
-        graph = CsrGraph(system, offsets, edges)
-        result = ConnectedComponentsWorkload().run(system, graph)
-        g = nx.Graph()
-        g.add_nodes_from(range(200))
-        for u in range(200):
-            for v in edges[offsets[u]:offsets[u + 1]]:
-                g.add_edge(u, int(v))
-        assert result.components == nx.number_connected_components(g)
-
-    def test_converges_and_is_deterministic(self):
-        from repro.apps.gapbs import ConnectedComponentsWorkload
-        offsets, edges = generate_power_law_graph(n=2048, target_m=10_000)
-        counts = set()
-        for kind in ("fastswap", "dilos-none"):
-            system = make_system(kind, 2 * MIB)
-            graph = CsrGraph(system, offsets, edges)
-            result = ConnectedComponentsWorkload().run(system, graph)
-            assert result.iterations < 64  # converged, not capped
-            counts.add(result.components)
-        assert len(counts) == 1
