@@ -20,7 +20,7 @@ def run(guided: bool):
     workload = DelGetWorkload(n_keys=8000, value_bytes=128, n_queries=2500)
     system = make_system("dilos-none",
                          local_bytes_for(workload.footprint_bytes, RATIO),
-                         remote_bytes=512 * MIB, guided_paging=guided)
+                         remote_bytes=512 * MIB)
     alloc = Mimalloc(system, arena_bytes=256 * MIB)
     if guided:
         system.kernel.register_allocator_guide(MimallocGuide(alloc))

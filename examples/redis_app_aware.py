@@ -34,7 +34,7 @@ def build_server(variant, footprint, guided_paging=False):
         kind = "dilos-readahead"
         guide = RedisPrefetchGuide()
     system = make_system(kind, local_bytes_for(footprint, 0.125),
-                         remote_bytes=512 * MIB, guided_paging=guided_paging)
+                         remote_bytes=512 * MIB)
     alloc = Mimalloc(system, arena_bytes=256 * MIB)
     if guided_paging:
         system.kernel.register_allocator_guide(MimallocGuide(alloc))

@@ -54,9 +54,9 @@ class BetweennessWorkload:
             sources: Optional[Sequence[int]] = None,
             guide=None) -> BetweennessResult:
         """Run BC; an optional :class:`~repro.apps.gapbs.guide.
-        BcFrontierGuide` is informed of each new frontier (the loader-hook
-        model: the algorithm itself has no guide knowledge beyond the
-        hook call sites the loader injects)."""
+        BcFrontierGuide` is informed of each new frontier (a call the
+        workload itself makes; the algorithm has no other guide
+        knowledge)."""
         n = graph.n
         centrality = np.zeros(n)
         sync_charge = system.sync_overhead_us * THREADS

@@ -6,10 +6,11 @@ its BFS produces, at every level, the exact list of vertices whose
 adjacency slices it will read next, yet a page-granular prefetcher sees
 only randomness.
 
-:class:`BcFrontierGuide` hooks the workload's frontier formation (the §5
-loader-hooking interface): for each upcoming vertex it subpage-fetches the
-two CSR offsets (16 bytes, arriving well before any full page) and then
-prefetches the pages holding that vertex's slice of the edge array.
+:class:`BcFrontierGuide` is told of each frontier the workload forms (a
+call the workload itself makes, where the paper's loader would hook it):
+for each upcoming vertex it subpage-fetches the two CSR offsets (16 bytes,
+arriving well before any full page) and then prefetches the pages holding
+that vertex's slice of the edge array.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class BcFrontierGuide(PrefetchGuide):
         self._ctx = GuideContext(system.kernel)
         system.kernel.register_prefetch_guide(self)
 
-    # -- loader hook: the workload formed a new frontier -------------------
+    # -- called by the workload when it forms a new frontier --------------
 
     def on_frontier(self, vertices: Iterable[int]) -> None:
         if self._ctx is None:

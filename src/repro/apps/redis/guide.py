@@ -1,9 +1,9 @@
 """The app-aware prefetch guide for Redis (§6.3, Figures 5 and 11).
 
 Shipped as a third-party module. The guide learns where traversals begin
-from two calls the server makes on it (``begin_get``/``begin_lrange``),
-which stand in for §5's loader hooks around the command handlers. It then
-conveys data-structure layout to the paging subsystem:
+from two calls the server makes on it (``begin_get``/``begin_lrange``)
+around its command handlers, where the paper's loader would hook them.
+It then conveys data-structure layout to the paging subsystem:
 
 * **GET**: on the first fault into an SDS value, subpage-fetch the 9-byte
   header; its length field tells the guide exactly how many pages the
@@ -40,7 +40,7 @@ class RedisPrefetchGuide(PrefetchGuide):
         self.get_prefetches = 0
         self.chain_fetches = 0
 
-    # -- loader hooks (called around the server's handlers) -----------------
+    # -- called by the server around its handlers ----------------------------
 
     def begin_get(self, value_va: int) -> None:
         self._mode = "get"

@@ -7,8 +7,9 @@ dispatch costs a few hundred cycles, as in Redis.
 
 When an app-aware guide is attached, the server itself tells it where
 each traversal starts: GET calls ``guide.begin_get`` and LRANGE calls
-``guide.begin_lrange``, and both call ``guide.end_op`` when done. These
-two call sites stand in for the loader hooks of §5's hooking interface.
+``guide.begin_lrange``, and both call ``guide.end_op`` when done. The
+paper's loader injects such hooks into an unmodified binary; here they
+are call sites the server itself makes.
 """
 
 from __future__ import annotations

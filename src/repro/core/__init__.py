@@ -10,8 +10,6 @@ from repro.core.guides import (
     PrefetchGuide,
     coalesce_ranges,
 )
-from repro.core.libos import LibOS
-from repro.core.loader import ElfLoader, LoadedBinary
 from repro.core.page_manager import PageManager
 from repro.core.spec import (
     BACKENDS,
@@ -29,11 +27,8 @@ __all__ = [
     "DilosConfig",
     "DilosKernel",
     "DilosSystem",
-    "ElfLoader",
     "GuideContext",
     "KERNELS",
-    "LibOS",
-    "LoadedBinary",
     "PageManager",
     "PrefetchGuide",
     "SystemSpec",

@@ -3,8 +3,10 @@
 Requests from different paging modules must not block each other: the fault
 handler's fetch must never sit behind a prefetcher's batch or the cleaner's
 write-back (head-of-line blocking). The module therefore assigns one QP per
-(module, core) pair — a shared-nothing layout in which any module on any
-core has lock-free, blocking-free access to its own queue.
+paging module — a shared-nothing layout in which every module has
+lock-free, blocking-free access to its own queue. The paper keeps one
+such set per core; the model has one core, so every QP is named
+``<module>@core0``.
 
 The ``shared_single_qp`` ablation collapses everything onto one QP to
 measure exactly the blocking the design avoids.
@@ -12,7 +14,7 @@ measure exactly the blocking the design avoids.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common.clock import Clock
 from repro.net.faults import FaultPlan, RetryPolicy
@@ -33,7 +35,6 @@ class CommModule:
         clock: Clock,
         model: LatencyModel,
         remote,
-        cores: int = 1,
         shared_single_qp: bool = False,
         extra_completion_delay: float = 0.0,
         tracer=NULL_TRACER,
@@ -45,7 +46,6 @@ class CommModule:
         self._clock = clock
         self._model = model
         self._remote = remote
-        self._cores = cores
         self._shared = shared_single_qp
         self._extra_delay = extra_completion_delay
         self.tracer = tracer
@@ -59,10 +59,10 @@ class CommModule:
         #: this node then pays rack-link contention per verb. ``None``
         #: keeps the flat (private-wire) model bit-for-bit.
         self._fabric = fabric
-        self._qps: Dict[Tuple[str, int], object] = {}
+        self._qps: Dict[str, object] = {}
 
-    def qp(self, module: str, core: int = 0):
-        """The queue pair for ``module`` on ``core``.
+    def qp(self, module: str):
+        """The queue pair for ``module``.
 
         Opened on first use by :func:`~repro.net.reliable.open_qp`: a
         raw QP on a perfect wire, a reliable transport over a primary
@@ -70,12 +70,10 @@ class CommModule:
         """
         if module not in MODULES:
             raise ValueError(f"unknown paging module {module!r}")
-        if not 0 <= core < self._cores:
-            raise ValueError(f"core {core} out of range")
-        key = ("shared", 0) if self._shared else (module, core)
+        key = "shared" if self._shared else module
         qp = self._qps.get(key)
         if qp is None:
-            qp = open_qp(f"{key[0]}@core{key[1]}", self._clock, self._model,
+            qp = open_qp(f"{key}@core0", self._clock, self._model,
                          self._remote, self.stats, plan=self.fault_plan,
                          policy=self._retry, registry=self._registry,
                          tracer=self.tracer, fabric=self._fabric,

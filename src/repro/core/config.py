@@ -75,8 +75,6 @@ class DilosConfig(KernelConfig):
     cleaner_period_us: float = 5.0
     #: Emulate AIFM's TCP transport: +14,000 cycles per completion (§6.2).
     tcp_emulation: bool = False
-    #: Enable §4.4 guided paging (requires an allocator guide).
-    guided_paging: bool = False
     #: Ablation: funnel every module through one shared QP (HoL blocking).
     shared_single_qp: bool = False
     #: Ablation: route prefetched pages through a swap-cache indirection
@@ -85,12 +83,8 @@ class DilosConfig(KernelConfig):
     #: Ablation: reclaim inline on the fault path instead of eagerly in the
     #: background (the Fastswap-style design DiLOS removes).
     direct_reclaim_only: bool = False
-    #: Number of simulated cores (per-core QPs in the comm module).
-    cores: int = 1
 
     def validate(self) -> None:
         super().validate()
         if self.prefetcher not in PREFETCHERS:
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
-        if self.cores < 1:
-            raise ValueError("need at least one core")

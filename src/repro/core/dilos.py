@@ -98,7 +98,7 @@ class DilosKernel:
         self.breakdown = self.registry.breakdown("fault.breakdown")
         self.minor_wait = self.registry.histogram("fault.minor_wait_us")
         self.comm = CommModule(
-            clock, self.model, node, cores=config.cores,
+            clock, self.model, node,
             shared_single_qp=config.shared_single_qp,
             extra_completion_delay=(self.model.tcp_extra
                                     if config.tcp_emulation else 0.0),
@@ -420,8 +420,7 @@ class DilosKernel:
     # -- guide support (§4.3/§4.4) ----------------------------------------------------
 
     def guide_subpage_fetch(self, va: int, size: int,
-                            callback: Callable[[bytes], None],
-                            core: int = 0) -> bool:
+                            callback: Callable[[bytes], None]) -> bool:
         """Fetch ``size`` bytes at ``va`` on the guide QP (subpaging)."""
         if size <= 0:
             raise ValueError("subpage size must be positive")
@@ -449,7 +448,7 @@ class DilosKernel:
             segments.append((self._as.remote_offset_for(vpn) + offset, length))
             cursor += length
             remaining -= length
-        qp = self.comm.qp("guide", core)
+        qp = self.comm.qp("guide")
         if len(segments) == 1:
             qp.post_read(segments[0][0], segments[0][1],
                          on_complete=lambda c: callback(c.data))
@@ -475,53 +474,6 @@ class DilosKernel:
             cursor += length
             remaining -= length
         return b"".join(parts)
-
-    # -- madvise (§5 compatibility layer) -----------------------------------------
-
-    def madvise_willneed(self, va: int, size: int) -> int:
-        """MADV_WILLNEED: prefetch the range's remote pages; returns the
-        number of prefetches issued (capped by the frame reserve)."""
-        if size <= 0:
-            raise ValueError("madvise range must be positive")
-        issued = 0
-        first = va >> PAGE_SHIFT
-        last = (va + size - 1) >> PAGE_SHIFT
-        for vpn in range(first, last + 1):
-            if self.prefetch_vpn(vpn):
-                issued += 1
-        self.registry.add("madvise.willneed_pages", issued)
-        return issued
-
-    def madvise_dontneed(self, va: int, size: int) -> int:
-        """MADV_DONTNEED: discard the range's pages — frames are freed
-        without write-back and the contents revert to zero on next touch
-        (Linux semantics for anonymous memory). Returns pages dropped."""
-        if size <= 0:
-            raise ValueError("madvise range must be positive")
-        dropped = 0
-        first = va >> PAGE_SHIFT
-        last = (va + size - 1) >> PAGE_SHIFT
-        for vpn in range(first, last + 1):
-            entry = self._pt.get(vpn)
-            tag = pte_mod.classify(entry)
-            if tag is Tag.FETCHING:
-                # Let the in-flight fetch land, then discard.
-                ready = self._fetch_ready.get(pte_mod.payload(entry))
-                if ready is not None:
-                    self.clock.advance_to(ready)
-                entry = self._pt.get(vpn)
-                tag = pte_mod.classify(entry)
-            if tag is Tag.LOCAL:
-                self._frames.free(pte_mod.frame_of(entry))
-            elif tag is Tag.INVALID:
-                continue
-            self._pt.set(vpn, 0)
-            self._vm.tlb.invalidate(vpn)
-            self.page_manager.drop(vpn)
-            self._as.release_remote(vpn)
-            dropped += 1
-        self.registry.add("madvise.dontneed_pages", dropped)
-        return dropped
 
     # -- teardown -----------------------------------------------------------------
 

@@ -55,9 +55,8 @@ class GuideContext:
     Built by the DiLOS kernel; guides never touch kernel internals.
     """
 
-    def __init__(self, kernel, core: int = 0) -> None:
+    def __init__(self, kernel) -> None:
         self._kernel = kernel
-        self._core = core
 
     def prefetch_page(self, va: int) -> bool:
         """Async full-page prefetch of the page containing ``va``."""
@@ -73,7 +72,7 @@ class GuideContext:
         Returns False when the bytes are unreachable (e.g. never evicted
         and not local — nothing to chase).
         """
-        return self._kernel.guide_subpage_fetch(va, size, callback, self._core)
+        return self._kernel.guide_subpage_fetch(va, size, callback)
 
 
 def coalesce_ranges(ranges: List[Range], max_segments: int,

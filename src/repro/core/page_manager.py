@@ -359,7 +359,7 @@ class PageManager:
         if qp is None:
             qp = self._qp = self._comm.qp("manager")
         vector: Optional[List[Range]] = None
-        if self._config.guided_paging and self._allocator_guide is not None:
+        if self._allocator_guide is not None:
             ranges = self._allocator_guide.live_ranges(vpn)
             if ranges is not None:
                 vector = coalesce_ranges(ranges, MAX_SG_SEGMENTS, PAGE_SIZE)
@@ -392,14 +392,12 @@ class PageManager:
     def _evict(self, vpn: int, entry: int) -> None:
         """Unmap a clean page and free its frame."""
         assert not entry & _DIRTY, "evicting a dirty page"
-        if self._config.guided_paging:
+        vector = None
+        if self._allocator_guide is not None:
             vector = self._refresh_vector(vpn)
-            if vector is not None:
-                self._clean_vectors[vpn] = vector
-                self._pt.set(vpn, pte_mod.make_action(vpn))
-            else:
-                self._pt.set(vpn, pte_mod.make_remote(
-                    self._as.remote_pfn_for(vpn)))
+        if vector is not None:
+            self._clean_vectors[vpn] = vector
+            self._pt.set(vpn, pte_mod.make_action(vpn))
         else:
             # REMOTE: the remote pfn in the payload, write bit as the tag.
             self._pt.set(vpn, (self._as.remote_pfn_for(vpn) << PAGE_SHIFT)
@@ -419,11 +417,9 @@ class PageManager:
         shrunken set is always covered by what the last write-back put on
         the memory node (any *new* allocation is written by the
         application, which dirties the page and forces a re-clean before
-        the next eviction). Returns None when guided paging is off, the
-        guide does not manage this page, or the full page must transfer.
+        the next eviction). Returns None when the guide does not manage
+        this page or the full page must transfer.
         """
-        if not self._config.guided_paging or self._allocator_guide is None:
-            return None
         ranges = self._allocator_guide.live_ranges(vpn)
         if ranges is None:
             # Not an allocator page: guided only if the last clean recorded

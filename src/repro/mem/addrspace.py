@@ -39,7 +39,7 @@ class Region:
 
 
 class AddressSpace:
-    """The single address space shared by the app and the LibOS."""
+    """The single address space shared by the app and the kernel."""
 
     #: Mappings start well above zero so that null-ish pointers fault.
     _MMAP_BASE = 0x0000_1000_0000

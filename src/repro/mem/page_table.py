@@ -37,7 +37,7 @@ class PageTable:
     * :attr:`dirty_vpns` — the VPNs whose PTEs are currently present
       *and* dirty (anywhere in the table);
     * :attr:`unmap_epoch` — bumped each time a present PTE is replaced
-      by a non-present one (eviction, munmap, madvise), i.e. each event
+      by a non-present one (eviction, munmap), i.e. each event
       that can leave a stale entry in an external LRU list.
     """
 

@@ -58,8 +58,7 @@ class NetStats:
 class Completion:
     """Handle for an in-flight one-sided operation."""
 
-    __slots__ = ("time", "op", "size", "data", "cancelled", "failed",
-                 "retries")
+    __slots__ = ("time", "op", "size", "data", "failed", "retries")
 
     def __init__(self, time: float, op: str, size: int, data: Optional[bytes]) -> None:
         self.time = time
@@ -67,9 +66,6 @@ class Completion:
         self.size = size
         #: READ payload (snapshotted when the remote NIC services the op).
         self.data = data
-        #: Set by the issuer to drop a stale callback (e.g. a prefetch whose
-        #: target page got unmapped before arrival).
-        self.cancelled = False
         #: Set when the remote node died with this op in flight: the
         #: response is lost, ``wait`` raises, callbacks never fire.
         self.failed = False
@@ -174,7 +170,7 @@ class QueuePair:
             return
 
         def fire() -> None:
-            if not completion.cancelled and not completion.failed:
+            if not completion.failed:
                 on_complete(completion)
 
         self._clock.call_at(completion.time, fire)

@@ -128,7 +128,7 @@ class ReliableQP:
             return
 
         def fire() -> None:
-            if not completion.cancelled and not completion.failed:
+            if not completion.failed:
                 on_complete(completion)
 
         self._clock.call_at(completion.time, fire)

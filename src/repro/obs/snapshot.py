@@ -3,9 +3,9 @@
 ``MetricsSnapshot`` is the return type of ``BaseSystem.metrics()``. Read
 a counter or gauge with :meth:`MetricsSnapshot.value` (or the
 :attr:`~MetricsSnapshot.counters` dict) under its canonical name. Harness
-code that adds presentation values (``Trace.replay``'s ``replay_us``,
-``LibOS``'s heap figures) writes them into :attr:`~MetricsSnapshot.extra`,
-which the determinism digest leaves out.
+code that adds presentation values (``Trace.replay``'s ``replay_us``)
+writes them into :attr:`~MetricsSnapshot.extra`, which the determinism
+digest leaves out.
 """
 
 from __future__ import annotations

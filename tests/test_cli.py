@@ -79,9 +79,14 @@ class TestCommands:
                      "--queries", "100"]) == 0
         assert "req/s" in capsys.readouterr().out
 
-    def test_redis_lrange_app_aware(self, capsys):
+    @pytest.mark.parametrize("faults", [
+        [], ["--net-faults", "drop=0.01,seed=3"],
+    ], ids=["perfect", "lossy"])
+    def test_redis_lrange_app_aware(self, capsys, faults):
+        # On a lossy wire the guide's subpage reads ride the reliable
+        # transport, whose completion callback they need.
         assert main(["redis-lrange", "--queries", "100",
-                     "--app-aware"]) == 0
+                     "--app-aware"] + faults) == 0
         assert "req/s" in capsys.readouterr().out
 
     def test_redis_app_aware_requires_dilos(self, capsys):

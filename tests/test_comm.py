@@ -9,42 +9,36 @@ from repro.mem.remote import MemoryNode
 from repro.net.latency import LatencyModel
 
 
-def make_comm(cores=2, shared=False, extra=0.0):
+def make_comm(shared=False, extra=0.0):
     clock = Clock()
     node = MemoryNode(4 * MIB)
-    comm = CommModule(clock, LatencyModel(), node, cores=cores,
+    comm = CommModule(clock, LatencyModel(), node,
                       shared_single_qp=shared,
                       extra_completion_delay=extra)
     return clock, node, comm
 
 
 class TestQueueAssignment:
-    def test_one_qp_per_module_core_pair(self):
-        _, _, comm = make_comm(cores=2)
-        seen = set()
-        for module in MODULES:
-            for core in range(2):
-                seen.add(id(comm.qp(module, core)))
-        assert len(seen) == len(MODULES) * 2
-        assert comm.queue_count == len(MODULES) * 2
+    def test_one_qp_per_module(self):
+        _, _, comm = make_comm()
+        qps = [comm.qp(module) for module in MODULES]
+        assert len({id(qp) for qp in qps}) == len(MODULES)
+        assert comm.queue_count == len(MODULES)
+        # The fault plan draws on the QP name: it keeps the core suffix.
+        assert [qp.name for qp in qps] == [f"{m}@core0" for m in MODULES]
 
     def test_qp_is_stable(self):
         _, _, comm = make_comm()
-        assert comm.qp("fault", 0) is comm.qp("fault", 0)
+        assert comm.qp("fault") is comm.qp("fault")
 
     def test_unknown_module_rejected(self):
         _, _, comm = make_comm()
         with pytest.raises(ValueError):
             comm.qp("mystery")
 
-    def test_core_bounds(self):
-        _, _, comm = make_comm(cores=1)
-        with pytest.raises(ValueError):
-            comm.qp("fault", core=1)
-
     def test_shared_mode_collapses(self):
-        _, _, comm = make_comm(cores=2, shared=True)
-        qps = {id(comm.qp(m, c)) for m in MODULES for c in range(2)}
+        _, _, comm = make_comm(shared=True)
+        qps = {id(comm.qp(m)) for m in MODULES}
         assert len(qps) == 1
         assert comm.queue_count == 1
 

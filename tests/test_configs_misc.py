@@ -36,10 +36,6 @@ class TestDilosConfig:
         for name in ("none", "readahead", "trend", "stride"):
             DilosConfig(prefetcher=name).validate()
 
-    def test_bad_cores(self):
-        with pytest.raises(ValueError):
-            DilosConfig(cores=0).validate()
-
 
 class TestFastswapConfig:
     def test_defaults_valid(self):
@@ -71,8 +67,8 @@ class TestSettableSurface:
 
     @pytest.mark.parametrize("config, own", [
         (DilosConfig, ["prefetcher", "cleaner_period_us", "tcp_emulation",
-                       "guided_paging", "shared_single_qp",
-                       "swap_cache_mode", "direct_reclaim_only", "cores"]),
+                       "shared_single_qp", "swap_cache_mode",
+                       "direct_reclaim_only"]),
         (FastswapConfig, []),
         (AifmConfig, ["transport", "prefetch_depth"]),
     ], ids=["dilos", "fastswap", "aifm"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import InvalidAddressError
 from repro.common.units import MIB, PAGE_SIZE
 from repro.alloc import Mimalloc, MimallocGuide
-from repro.core import DilosConfig, DilosSystem
+from repro.core import DilosConfig, DilosSystem, PrefetchGuide
 
 
 def make_system(local_mib=2, remote_mib=64, **kwargs):
@@ -229,8 +229,7 @@ class TestSwapCacheAblation:
 
 class TestGuidedPaging:
     def build(self):
-        system = make_system(local_mib=1, remote_mib=64, prefetcher="none",
-                             guided_paging=True)
+        system = make_system(local_mib=1, remote_mib=64, prefetcher="none")
         alloc = Mimalloc(system, arena_bytes=16 * MIB)
         system.kernel.register_allocator_guide(MimallocGuide(alloc))
         return system, alloc
@@ -260,7 +259,7 @@ class TestGuidedPaging:
     def test_guided_paging_reduces_wire_bytes(self):
         def run(guided):
             system = make_system(local_mib=1, remote_mib=64,
-                                 prefetcher="none", guided_paging=guided)
+                                 prefetcher="none")
             alloc = Mimalloc(system, arena_bytes=16 * MIB)
             if guided:
                 system.kernel.register_allocator_guide(MimallocGuide(alloc))
@@ -276,6 +275,32 @@ class TestGuidedPaging:
             return stats.bytes_read + stats.bytes_written
 
         assert run(guided=True) < run(guided=False)
+
+    def test_declining_prefetch_guide_falls_through(self):
+        """A prefetch guide whose ``on_fault`` returns False sees every
+        major fault and leaves it to the default prefetcher."""
+        class CountingGuide(PrefetchGuide):
+            def __init__(self):
+                self.faults = 0
+
+            def on_fault(self, ctx, va):
+                self.faults += 1
+                return False
+
+        system = make_system(local_mib=1, prefetcher="readahead")
+        guide = CountingGuide()
+        system.kernel.register_prefetch_guide(guide)
+        region = system.mmap(4 * MIB)
+        pages = region.size // PAGE_SIZE
+        for i in range(pages):
+            system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
+        system.clock.advance(5000)  # spill
+        for i in range(pages):
+            system.memory.read(region.base + i * PAGE_SIZE, 8)
+        m = system.metrics()
+        assert guide.faults == m.value("fault.major") > 0
+        assert m.value("guide.handled_faults") == 0
+        assert m.value("prefetch.issued") > 0
 
 
 class TestTeardown:
@@ -303,6 +328,23 @@ class TestTeardown:
         system.munmap(region)
         assert system.node.free_slots > free_slots_before
 
+    def test_munmap_mid_prefetch_drops_the_fetch(self):
+        """Unmapping a region while its prefetches fly frees each
+        landing frame once, and counts the fetch as dropped."""
+        system = make_system(local_mib=1, prefetcher="none")
+        region = system.mmap(4 * MIB)
+        pages = region.size // PAGE_SIZE
+        for i in range(pages):
+            system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
+        system.clock.advance(5000)  # spill
+        first = region.base // PAGE_SIZE
+        issued = sum(system.kernel.prefetch_vpn(first + i) for i in range(16))
+        assert issued == 16
+        system.munmap(region)
+        system.clock.advance(100)  # let the orphaned fetches land
+        assert system.kernel.registry.value("net.fetches_dropped") == 16
+        assert system.frames.used_frames == 0
+
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -329,55 +371,3 @@ def test_paging_preserves_data_property(seed, prefetcher):
             for j in range(16):
                 assert got[j] == shadow.get(va + j, 0)
 
-
-class TestMadvise:
-    def test_willneed_prefetches(self):
-        system = make_system(local_mib=1, prefetcher="none")
-        region = system.mmap(2 * MIB)
-        pages = region.size // PAGE_SIZE
-        for i in range(pages):
-            system.memory.write(region.base + i * PAGE_SIZE, fill_pattern(i))
-        system.clock.advance(5000)  # spill
-        issued = system.kernel.madvise_willneed(region.base, 16 * PAGE_SIZE)
-        assert issued > 0
-        system.clock.advance(50)  # let the prefetches land
-        t0 = system.clock.now
-        for i in range(16):
-            assert system.memory.read(
-                region.base + i * PAGE_SIZE, 64) == fill_pattern(i)
-        # All hits: far cheaper than 16 demand fetches (~3 us each).
-        assert system.clock.now - t0 < 16 * 1.5
-
-    def test_dontneed_discards_and_zeroes(self):
-        system = make_system(local_mib=2)
-        region = system.mmap(1 * MIB)
-        system.memory.write(region.base, b"temporary scratch")
-        used = system.frames.used_frames
-        dropped = system.kernel.madvise_dontneed(region.base, PAGE_SIZE)
-        assert dropped == 1
-        assert system.frames.used_frames == used - 1
-        # Anonymous-memory semantics: next touch reads zeros.
-        assert system.memory.read(region.base, 17) == b"\x00" * 17
-
-    def test_dontneed_skips_untouched_pages(self):
-        system = make_system(local_mib=2)
-        region = system.mmap(1 * MIB)
-        assert system.kernel.madvise_dontneed(region.base, region.size) == 0
-
-    def test_dontneed_frees_remote_backing(self):
-        system = make_system(local_mib=1)
-        region = system.mmap(4 * MIB)
-        pages = region.size // PAGE_SIZE
-        for i in range(pages):
-            system.memory.write(region.base + i * PAGE_SIZE, b"x")
-        system.clock.advance(5000)
-        slots_before = system.node.free_slots
-        system.kernel.madvise_dontneed(region.base, region.size)
-        assert system.node.free_slots > slots_before
-
-    def test_bad_range_rejected(self):
-        system = make_system()
-        with pytest.raises(ValueError):
-            system.kernel.madvise_willneed(0x1000, 0)
-        with pytest.raises(ValueError):
-            system.kernel.madvise_dontneed(0x1000, -5)

@@ -181,8 +181,7 @@ class TestRestore:
     def test_guided_paging_pages_survive(self):
         """ACTION pages are rebuilt from their vectors at capture."""
         from repro.alloc import Mimalloc, MimallocGuide
-        source = make_system(local_mib=1, prefetcher="none",
-                             guided_paging=True)
+        source = make_system(local_mib=1, prefetcher="none")
         alloc = Mimalloc(source, arena_bytes=8 * MIB)
         source.kernel.register_allocator_guide(MimallocGuide(alloc))
         rng = random.Random(5)

@@ -111,6 +111,19 @@ class TestMalloc:
         alloc.free(b)
         assert alloc.allocated_bytes == 0
 
+    def test_allocations_page_out_and_read_back(self):
+        """The heap is disaggregated memory: allocations four times the
+        local pool page out to the memory node and read back intact."""
+        system = make_system(local_mib=1)
+        alloc = Mimalloc(system, arena_bytes=16 * MIB)
+        vas = [alloc.malloc(PAGE_SIZE) for _ in range(1024)]
+        for i, va in enumerate(vas):
+            system.memory.write(va, bytes([i % 251]) * 64)
+        system.clock.advance(5000)
+        assert system.metrics().value("reclaim.pages_evicted") > 0
+        for i, va in enumerate(vas):
+            assert system.memory.read(va, 64) == bytes([i % 251]) * 64
+
 
 class TestLiveRanges:
     def test_foreign_page_is_none(self, alloc):

@@ -34,9 +34,8 @@ class PagingMachine(RuleBasedStateMachine):
 
     @initialize(prefetcher=st.sampled_from(["none", "readahead", "trend",
                                             "stride"]),
-                guided=st.booleans(),
                 faulty=st.booleans())
-    def boot(self, prefetcher, guided, faulty):
+    def boot(self, prefetcher, faulty):
         # Half the machines run on a lossy wire: random drops/corruption
         # (capped per verb so the retry budget always wins) plus the
         # link_flap rule's outage windows.
@@ -46,7 +45,6 @@ class PagingMachine(RuleBasedStateMachine):
             local_mem_bytes=512 * 1024,
             remote_mem_bytes=64 * MIB,
             prefetcher=prefetcher,
-            guided_paging=guided,
             net_faults=self.plan,
             net_retry=RetryPolicy(max_attempts=10)))
         self.regions = []

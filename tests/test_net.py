@@ -101,14 +101,6 @@ class TestQueuePair:
         clock.advance(0.02)
         assert seen == [pytest.approx(completion.time)]
 
-    def test_cancelled_completion_suppresses_callback(self, fabric):
-        clock, model, node, stats, qp = fabric
-        seen = []
-        completion = qp.post_read(0, 4096, on_complete=lambda c: seen.append(1))
-        completion.cancelled = True
-        clock.advance_to(completion.time + 1)
-        assert seen == []
-
     def test_posting_charges_cpu(self, fabric):
         clock, model, node, stats, qp = fabric
         qp.post_read(0, 64)

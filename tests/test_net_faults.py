@@ -366,6 +366,28 @@ class TestInFlightNodeFailure:
         with pytest.raises(NodeFailedError):
             rqp.wait(completion)
 
+    def test_reliable_qp_callback_fires_once_after_a_retry(self):
+        """The guide's subpage fetch passes a callback to a reliable
+        verb: it runs once, when the retried READ completes."""
+        clock, model, node, stats, registry, rqp = build_transport(
+            script=["drop", None])
+        node.write_bytes(0, b"\x3c" * 4096)
+        fired = []
+        completion = rqp.post_read(
+            0, 4096, on_complete=lambda c: fired.append((clock.now, c.data)))
+        assert completion.retries == 1
+        clock.advance_to(completion.time + 100.0)
+        assert fired == [(completion.time, b"\x3c" * 4096)]
+
+    def test_reliable_qp_callback_suppressed_when_node_dies_in_flight(self):
+        clock, model, node, stats, registry, rqp = build_transport(script=[])
+        fired = []
+        completion = rqp.post_read(0, 4096, on_complete=fired.append)
+        node.fail()
+        clock.advance_to(completion.time + 1.0)
+        assert completion.failed
+        assert fired == []
+
     def test_dilos_fetch_lost_to_node_crash_rolls_back(self):
         """A crash while the demand fetch is on the wire surfaces as
         NodeFailedError and the kernel rolls the page back to REMOTE."""
@@ -394,8 +416,7 @@ class TestInFlightNodeFailure:
         held by a lost fetch."""
         if guided:
             system = DilosSystem(DilosConfig(
-                local_mem_bytes=MIB // 2, remote_mem_bytes=16 * MIB,
-                guided_paging=True))
+                local_mem_bytes=MIB // 2, remote_mem_bytes=16 * MIB))
             alloc = Mimalloc(system, arena_bytes=16 * MIB)
             system.kernel.register_allocator_guide(MimallocGuide(alloc))
             size = 2048  # two live objects per page

@@ -97,7 +97,7 @@ class TestClockAlgorithm:
 
 class TestGuidedVectorLifecycle:
     def build(self):
-        system = make_system(local_mib=0.5, guided_paging=True)
+        system = make_system(local_mib=0.5)
         alloc = Mimalloc(system, arena_bytes=16 * MIB)
         system.kernel.register_allocator_guide(MimallocGuide(alloc))
         return system, alloc

@@ -29,7 +29,7 @@ def make_server(local_mib=2.0, prefetcher="readahead", guide=None,
                 guided_paging=False, arena_mib=128):
     config = DilosConfig(local_mem_bytes=int(local_mib * MIB),
                          remote_mem_bytes=512 * MIB,
-                         prefetcher=prefetcher, guided_paging=guided_paging)
+                         prefetcher=prefetcher)
     system = DilosSystem(config)
     alloc = Mimalloc(system, arena_bytes=arena_mib * MIB)
     if guided_paging:
