@@ -9,22 +9,17 @@ the Fastswap failure mode DiLOS exists to avoid).
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 
-WORKING_SET = 12 * MIB
 PERIODS_US = (2.5, 5.0, 20.0, 80.0, 320.0)
 
 
 def measure():
     out = {}
     for period in PERIODS_US:
-        workload = SequentialWorkload(WORKING_SET)
-        system = make_system("dilos-readahead",
-                             local_bytes_for(WORKING_SET, 0.125),
-                             cleaner_period_us=period)
-        result = workload.run(system, "write")
+        result = seqrw("dilos-readahead", 0.125, mib=12, mode="write",
+                       cleaner_period_us=period).report
         out[period] = (result.gb_per_s,
                        result.metrics.value("reclaim.direct"),
                        result.metrics.value("reclaim.pages_cleaned"))

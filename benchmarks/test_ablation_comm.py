@@ -8,21 +8,14 @@ write-heavy sequential pass (maximal cleaner traffic + prefetch traffic).
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
-
-WORKING_SET = 16 * MIB
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 
 
 def run(shared: bool):
-    workload = SequentialWorkload(WORKING_SET)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(WORKING_SET, 0.125),
-                         shared_single_qp=shared)
-    result = workload.run(system, "write")
-    queues = system.kernel.comm.queue_count
-    return result.gb_per_s, queues
+    cell = seqrw("dilos-readahead", 0.125, mib=16, mode="write",
+                 shared_single_qp=shared)
+    return cell.report.gb_per_s, cell.target.kernel.comm.queue_count
 
 
 def measure():

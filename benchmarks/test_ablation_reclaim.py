@@ -10,18 +10,15 @@ and the end-to-end cost.
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.kmeans import KMeansWorkload
+from repro.harness import format_table
+from repro.harness.scenarios import kmeans
 
 
 def run(direct_only: bool):
-    workload = KMeansWorkload(n_points=1 << 14, iterations=3)
-    system = make_system("dilos-none",
-                         local_bytes_for(workload.footprint_bytes, 0.125),
-                         direct_reclaim_only=direct_only)
-    result = workload.run(system)
-    breakdown = system.kernel.breakdown.averages()
+    cell = kmeans("dilos-none", 0.125, n_points=1 << 14, clusters=10,
+                  iterations=3, direct_reclaim_only=direct_only)
+    result = cell.report
+    breakdown = cell.target.kernel.breakdown.averages()
     return (result.elapsed_us / 1000.0, breakdown.get("reclaim", 0.0),
             result.metrics.value("reclaim.direct"))
 

@@ -9,19 +9,13 @@ map them) and measures what the unified page table buys.
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
-
-WORKING_SET = 16 * MIB
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 
 
 def run(swap_cache_mode: bool):
-    workload = SequentialWorkload(WORKING_SET)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(WORKING_SET, 0.125),
-                         swap_cache_mode=swap_cache_mode)
-    result = workload.run(system, "read", verify=True)
+    result = seqrw("dilos-readahead", 0.125, mib=16,
+                   swap_cache_mode=swap_cache_mode).report
     return result.gb_per_s, result.metrics
 
 

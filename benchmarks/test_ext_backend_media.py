@@ -12,12 +12,10 @@ spinning disk.
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 from repro.net.media import MEDIA_PROFILES
-from repro.apps.seqrw import SequentialWorkload
 
-WORKING_SET = 8 * MIB
 MEDIA = ("rdma-100g", "nvme-flash", "sata-ssd", "hdd")
 
 
@@ -25,13 +23,9 @@ def measure():
     out = {}
     for medium in MEDIA:
         profile = MEDIA_PROFILES[medium]
-        speeds = {}
-        for kind in ("fastswap", "dilos-readahead"):
-            workload = SequentialWorkload(WORKING_SET)
-            system = make_system(kind, local_bytes_for(WORKING_SET, 0.125),
-                                 latency=profile())
-            speeds[kind] = workload.run(system, "read").gb_per_s
-        out[medium] = speeds
+        out[medium] = {
+            kind: seqrw(kind, 0.125, mib=8, latency=profile()).report.gb_per_s
+            for kind in ("fastswap", "dilos-readahead")}
     return out
 
 

@@ -10,35 +10,18 @@ turning the workload the general-purpose prefetchers are worst at
 
 from conftest import bench_once, emit
 
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.gapbs import (
-    BcFrontierGuide,
-    BetweennessWorkload,
-    CsrGraph,
-    generate_power_law_graph,
-)
+from repro.harness import format_table
+from repro.harness.scenarios import APP_AWARE, gapbs
 
 N, M = 8192, 120_000
 
 
 def measure():
-    offsets, edges = generate_power_law_graph(n=N, target_m=M, seed=3)
-    footprint = (len(offsets) + len(edges)) * 8
-    workload = BetweennessWorkload(n_sources=2)
     out = {}
     tops = set()
     for variant in ("readahead", "trend", "app-aware"):
-        kind = "dilos-readahead" if variant == "app-aware" \
-            else f"dilos-{variant}"
-        system = make_system(kind, local_bytes_for(footprint, 0.125))
-        graph = CsrGraph(system, offsets, edges)
-        guide = None
-        if variant == "app-aware":
-            guide = BcFrontierGuide(graph)
-            guide.bind(system)
-        result = workload.run(system, graph,
-                              sources=workload.pick_sources(graph),
-                              guide=guide)
+        kind = APP_AWARE if variant == "app-aware" else f"dilos-{variant}"
+        result = gapbs(kind, 0.125, algorithm="bc", nodes=N, edges=M).report
         tops.add(result.top_vertex)
         out[variant] = (result.elapsed_us / 1000.0,
                         result.metrics.value("fault.major"),

@@ -13,72 +13,18 @@ Paper shapes, memory-constrained (12.5% local):
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.alloc import Mimalloc
-from repro.apps.redis import (
-    GetWorkload,
-    LRangeWorkload,
-    RedisPrefetchGuide,
-    RedisServer,
-)
+from repro.harness import format_table
+from repro.harness.figures import FIGURES, run_figure
 
-VARIANTS = ("fastswap", "dilos-none", "dilos-readahead", "dilos-trend",
-            "dilos-app-aware")
-RATIO = 0.125
-
-
-def build_server(variant: str, footprint: int):
-    guide = None
-    kind = variant
-    if variant == "dilos-app-aware":
-        kind = "dilos-readahead"
-        guide = RedisPrefetchGuide()
-    system = make_system(kind, local_bytes_for(footprint, RATIO),
-                         remote_bytes=512 * MIB)
-    alloc = Mimalloc(system, arena_bytes=256 * MIB)
-    return RedisServer(system, alloc, guide=guide)
-
-
-def run_get(value_size):
-    sizing = {4096: (900, 1800), 65536: (120, 400), "mixed": (220, 700)}
-    n_keys, n_queries = sizing[value_size]
-    out = {}
-    stats = {}
-    for variant in VARIANTS:
-        workload = GetWorkload(value_size=value_size, n_keys=n_keys,
-                               n_queries=n_queries)
-        server = build_server(variant, workload.footprint_bytes)
-        workload.populate(server)
-        server.system.clock.advance(5000)
-        result = workload.drive(server, verify=True)
-        out[variant] = result.requests_per_second
-        stats[variant] = result
-    return out, stats
-
-
-def run_lrange():
-    out = {}
-    stats = {}
-    for variant in VARIANTS:
-        workload = LRangeWorkload(n_lists=400, elems_per_list=64,
-                                  n_queries=700)
-        server = build_server(variant, workload.footprint_bytes)
-        workload.populate(server)
-        server.system.clock.advance(5000)
-        result = workload.drive(server, verify=True)
-        out[variant] = result.requests_per_second
-        stats[variant] = result
-    return out, stats
+#: Column -> figure id; every panel sweeps the same variants at 12.5%.
+PANELS = {"GET 4KB": "fig10a", "GET 64KB": "fig10b", "GET mixed": "fig10c",
+          "LRANGE": "fig10d"}
+VARIANTS = FIGURES["fig10a"].systems
 
 
 def measure_all():
-    return {
-        "GET 4KB": run_get(4096)[0],
-        "GET 64KB": run_get(65536)[0],
-        "GET mixed": run_get("mixed")[0],
-        "LRANGE": run_lrange()[0],
-    }
+    return {label: {m.system: m.value for m in run_figure(name)}
+            for label, name in PANELS.items()}
 
 
 def test_fig10_redis_throughput(benchmark):

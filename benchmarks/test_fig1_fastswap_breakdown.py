@@ -8,17 +8,15 @@ no-reclamation case; the hardware exception + OS handler entry is 0.57 us.
 from conftest import bench_once, emit
 
 from repro.common.units import MIB, PAGE_SIZE
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
+from repro.harness import format_table, make_system
+from repro.harness.scenarios import seqrw
 
 WORKING_SET = 12 * MIB
 
 
 def run_average():
     """Sequential read at 12.5% local: reclaim pressure on every fetch."""
-    workload = SequentialWorkload(WORKING_SET)
-    system = make_system("fastswap", local_bytes_for(WORKING_SET, 0.125))
-    workload.run(system, "read")
+    system = seqrw("fastswap", 0.125, mib=WORKING_SET // MIB).target
     return system.kernel.breakdown.averages()
 
 

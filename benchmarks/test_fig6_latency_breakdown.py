@@ -7,21 +7,13 @@ allocation, and cuts total handling latency by ~49% versus Fastswap
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
-
-WORKING_SET = 12 * MIB
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 
 
 def measure():
-    out = {}
-    for kind, prefetch_off in (("fastswap", None), ("dilos-none", None)):
-        workload = SequentialWorkload(WORKING_SET)
-        system = make_system(kind, local_bytes_for(WORKING_SET, 0.125))
-        workload.run(system, "read")
-        out[kind] = system.kernel.breakdown.averages()
-    return out
+    return {kind: seqrw(kind, 0.125, mib=12).target.kernel.breakdown.averages()
+            for kind in ("fastswap", "dilos-none")}
 
 
 COMPONENTS = ("exception", "software", "fetch", "reclaim")

@@ -13,59 +13,14 @@ Paper shapes:
 
 from conftest import bench_once, emit
 
-from repro.harness import local_bytes_for, make_system, ratio_table
-from repro.harness.experiment import Measurement, pick, sweep_ratios
-from repro.apps.quicksort import QuicksortWorkload
-from repro.apps.kmeans import KMeansWorkload
-from repro.apps.snappy import SnappyWorkload
-
-RATIOS = (0.125, 0.25, 0.50, 1.0)
-PAGING = ("fastswap", "dilos-none", "dilos-readahead", "dilos-trend")
-
-
-def run_quicksort():
-    def runner(kind, ratio):
-        workload = QuicksortWorkload(count=1 << 16)
-        system = make_system(kind, local_bytes_for(workload.footprint_bytes,
-                                                   ratio))
-        result = workload.run(system, verify=True)
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms")
-    return sweep_ratios("quicksort", runner, PAGING, RATIOS)
-
-
-def run_kmeans():
-    def runner(kind, ratio):
-        workload = KMeansWorkload(n_points=1 << 15, iterations=3)
-        system = make_system(kind, local_bytes_for(workload.footprint_bytes,
-                                                   ratio))
-        result = workload.run(system)
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms")
-    return sweep_ratios("kmeans", runner, PAGING, RATIOS)
-
-
-def run_snappy(mode):
-    systems = ("fastswap", "dilos-readahead", "dilos-tcp", "aifm")
-
-    def runner(kind, ratio):
-        workload = SnappyWorkload(n_files=3, file_bytes=384 * 1024)
-        system = make_system(kind, local_bytes_for(workload.footprint_bytes,
-                                                   ratio))
-        if kind.startswith("aifm"):
-            result = (workload.run_compress_aifm(system) if mode == "compress"
-                      else workload.run_decompress_aifm(system))
-        else:
-            result = (workload.run_compress(system) if mode == "compress"
-                      else workload.run_decompress(system))
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms")
-    return sweep_ratios(f"snappy-{mode}", runner, systems, (0.125, 0.50, 1.0))
+from repro.harness import ratio_table
+from repro.harness.experiment import pick
+from repro.harness.figures import FIGURES, run_figure
 
 
 def test_fig7a_quicksort(benchmark):
-    ms = bench_once(benchmark, run_quicksort)
-    emit(ratio_table("Figure 7(a): quicksort completion time", ms))
+    ms = bench_once(benchmark, run_figure, "fig7a")
+    emit(ratio_table(FIGURES["fig7a"].title, ms))
     fast_tight = pick(ms, "fastswap", 0.125).value
     fast_full = pick(ms, "fastswap", 1.0).value
     dilos_tight = pick(ms, "dilos-readahead", 0.125).value
@@ -78,8 +33,8 @@ def test_fig7a_quicksort(benchmark):
 
 
 def test_fig7b_kmeans(benchmark):
-    ms = bench_once(benchmark, run_kmeans)
-    emit(ratio_table("Figure 7(b): k-means completion time", ms))
+    ms = bench_once(benchmark, run_figure, "fig7b")
+    emit(ratio_table(FIGURES["fig7b"].title, ms))
     fast_tight = pick(ms, "fastswap", 0.125).value
     dilos_tight = pick(ms, "dilos-readahead", 0.125).value
     # Irregular access + reclamation stress: DiLOS well ahead (paper 2.71x).
@@ -89,10 +44,10 @@ def test_fig7b_kmeans(benchmark):
 
 
 def test_fig7cd_snappy(benchmark):
-    compress = bench_once(benchmark, run_snappy, "compress")
-    decompress = run_snappy("decompress")
-    emit(ratio_table("Figure 7(c): snappy compression", compress))
-    emit(ratio_table("Figure 7(d): snappy decompression", decompress))
+    compress = bench_once(benchmark, run_figure, "fig7c")
+    decompress = run_figure("fig7d")
+    emit(ratio_table(FIGURES["fig7c"].title, compress))
+    emit(ratio_table(FIGURES["fig7d"].title, decompress))
     for ms in (compress, decompress):
         aifm_tight = pick(ms, "aifm", 0.125).value
         dilos_tight = pick(ms, "dilos-readahead", 0.125).value

@@ -9,39 +9,26 @@ systems must compute identical answers.
 
 from conftest import bench_once, emit
 
-from repro.harness import local_bytes_for, make_system, ratio_table
-from repro.harness.experiment import Measurement, pick, sweep_ratios
-from repro.apps.dataframe import TaxiAnalyticsWorkload
-
-SYSTEMS = ("fastswap", "dilos-readahead", "dilos-tcp", "aifm")
-RATIOS = (0.125, 0.25, 0.50, 1.0)
-ROWS = 1 << 16
+from repro.harness import ratio_table
+from repro.harness.experiment import pick
+from repro.harness.figures import FIGURES, run_figure
 
 
 def run_grid():
-    answers = {}
-
-    def runner(kind, ratio):
-        workload = TaxiAnalyticsWorkload(rows=ROWS)
-        system = make_system(kind, local_bytes_for(workload.footprint_bytes,
-                                                   ratio))
-        result = (workload.run_aifm(system) if kind.startswith("aifm")
-                  else workload.run(system))
-        answers.setdefault("reference", result.answers)
-        for key, value in answers["reference"].items():
-            got = result.answers[key]
+    ms = run_figure("fig8")
+    reference = ms[0].extra["result"]["answers"]
+    for m in ms:
+        for key, value in reference.items():
+            got = m.extra["result"]["answers"][key]
             if abs(got - value) > 1e-6 * max(1.0, abs(value)):
                 raise AssertionError(
-                    f"{kind}@{ratio} disagrees on {key}: {got} vs {value}")
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms")
-
-    return sweep_ratios("taxi", runner, SYSTEMS, RATIOS)
+                    f"{m.system}@{m.ratio} disagrees on {key}: {got} vs {value}")
+    return ms
 
 
 def test_fig8_dataframe_taxi(benchmark):
     ms = bench_once(benchmark, run_grid)
-    emit(ratio_table("Figure 8: NYC taxi on DataFrame, completion time", ms))
+    emit(ratio_table(FIGURES["fig8"].title, ms))
 
     # 100% local: AIFM pays deref checks — slower than every paging system
     # (paper: 50-83% slower).

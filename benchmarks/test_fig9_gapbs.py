@@ -9,61 +9,28 @@ pointer-heavy traversal is the more random access pattern.
 
 from conftest import bench_once, emit
 
-from repro.harness import local_bytes_for, make_system, ratio_table
-from repro.harness.experiment import Measurement, pick, sweep_ratios
-from repro.apps.gapbs import (
-    BetweennessWorkload,
-    CsrGraph,
-    PageRankWorkload,
-    generate_power_law_graph,
-)
-
-SYSTEMS = ("fastswap", "dilos-readahead")
-RATIOS = (0.125, 0.50, 1.0)
-
-N, M = 8192, 120_000
-OFFSETS, EDGES = generate_power_law_graph(n=N, target_m=M, seed=3)
-FOOTPRINT = (len(OFFSETS) + len(EDGES)) * 8
+from repro.harness import ratio_table
+from repro.harness.experiment import pick
+from repro.harness.figures import FIGURES, run_figure
 
 
 def run_pagerank():
-    tops = set()
-
-    def runner(kind, ratio):
-        system = make_system(kind, local_bytes_for(FOOTPRINT, ratio))
-        graph = CsrGraph(system, OFFSETS, EDGES)
-        result = PageRankWorkload(iterations=3).run(system, graph)
-        tops.add(result.top_vertex)
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms")
-
-    ms = sweep_ratios("pagerank", runner, SYSTEMS, RATIOS)
+    ms = run_figure("fig9a")
+    tops = {m.extra["result"]["top_vertex"] for m in ms}
     assert len(tops) == 1, "systems disagree on the top-ranked vertex"
     return ms
 
 
 def run_bc():
-    tops = set()
-    sources = BetweennessWorkload(n_sources=2).pick_sources(
-        CsrGraph(make_system("dilos-none", 64 * 1024 * 1024), OFFSETS, EDGES))
-
-    def runner(kind, ratio):
-        system = make_system(kind, local_bytes_for(FOOTPRINT, ratio))
-        graph = CsrGraph(system, OFFSETS, EDGES)
-        result = BetweennessWorkload(n_sources=2).run(system, graph,
-                                                      sources=sources)
-        tops.add(result.top_vertex)
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms")
-
-    ms = sweep_ratios("bc", runner, SYSTEMS, RATIOS)
+    ms = run_figure("fig9b")
+    tops = {m.extra["result"]["top_vertex"] for m in ms}
     assert len(tops) == 1, "systems disagree on the top-centrality vertex"
     return ms
 
 
 def test_fig9a_pagerank(benchmark):
     ms = bench_once(benchmark, run_pagerank)
-    emit(ratio_table("Figure 9(a): GAPBS PageRank processing time", ms))
+    emit(ratio_table(FIGURES["fig9a"].title, ms))
     # Full memory: Fastswap (Linux sync) is at least competitive —
     # DiLOS pays OSv's synchronization overhead (paper: DiLOS longer).
     assert pick(ms, "fastswap", 1.0).value < \
@@ -75,7 +42,7 @@ def test_fig9a_pagerank(benchmark):
 
 def test_fig9b_betweenness(benchmark):
     ms = bench_once(benchmark, run_bc)
-    emit(ratio_table("Figure 9(b): GAPBS betweenness centrality time", ms))
+    emit(ratio_table(FIGURES["fig9b"].title, ms))
     # The random-access workload: DiLOS clearly ahead at 12.5%
     # (paper: up to 76% higher performance).
     tight_fast = pick(ms, "fastswap", 0.125).value

@@ -7,18 +7,12 @@ prefetched page paying a swap-cache minor fault.
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
-
-WORKING_SET = 16 * MIB
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 
 
 def measure():
-    workload = SequentialWorkload(WORKING_SET)
-    system = make_system("fastswap", local_bytes_for(WORKING_SET, 0.125))
-    result = workload.run(system, "read")
-    return result.metrics
+    return seqrw("fastswap", 0.125, mib=16).report.metrics
 
 
 def test_table1_fault_split(benchmark):

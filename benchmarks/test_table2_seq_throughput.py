@@ -11,22 +11,17 @@ close to its reads (background cleaning).
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
+from repro.harness import format_table
+from repro.harness.figures import FIGURES, run_figure
 
-SYSTEMS = ("fastswap", "dilos-none", "dilos-readahead", "dilos-trend")
-WORKING_SET = 16 * MIB
+SYSTEMS = FIGURES["table2-read"].systems
 
 
 def measure():
     throughput = {}
-    for kind in SYSTEMS:
-        for mode in ("read", "write"):
-            workload = SequentialWorkload(WORKING_SET)
-            system = make_system(kind, local_bytes_for(WORKING_SET, 0.125))
-            result = workload.run(system, mode, verify=(mode == "read"))
-            throughput[(kind, mode)] = result.gb_per_s
+    for mode in ("read", "write"):
+        for m in run_figure(f"table2-{mode}"):
+            throughput[(m.system, mode)] = m.value
     return throughput
 
 

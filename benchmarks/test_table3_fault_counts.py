@@ -10,8 +10,8 @@ of parking in a swap cache.
 from conftest import bench_once, emit
 
 from repro.common.units import MIB, PAGE_SIZE
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.apps.seqrw import SequentialWorkload
+from repro.harness import format_table
+from repro.harness.scenarios import seqrw
 
 WORKING_SET = 16 * MIB
 SYSTEMS = ("fastswap", "dilos-none", "dilos-readahead", "dilos-trend")
@@ -20,9 +20,7 @@ SYSTEMS = ("fastswap", "dilos-none", "dilos-readahead", "dilos-trend")
 def measure():
     counts = {}
     for kind in SYSTEMS:
-        workload = SequentialWorkload(WORKING_SET)
-        system = make_system(kind, local_bytes_for(WORKING_SET, 0.125))
-        metrics = workload.run(system, "read").metrics
+        metrics = seqrw(kind, 0.125, mib=WORKING_SET // MIB).report.metrics
         counts[kind] = (metrics.value("fault.major"), metrics.value("fault.minor"))
     return counts
 

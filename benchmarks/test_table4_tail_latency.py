@@ -8,46 +8,20 @@ further (3.0); only the app-aware guide cuts the LRANGE tail (25.8 ->
 
 from conftest import bench_once, emit
 
-from repro.common.units import MIB
-from repro.harness import format_table, local_bytes_for, make_system
-from repro.alloc import Mimalloc
-from repro.apps.redis import (
-    GetWorkload,
-    LRangeWorkload,
-    RedisPrefetchGuide,
-    RedisServer,
-)
+from repro.harness import format_table
+from repro.harness.scenarios import redis
 
 VARIANTS = ("fastswap", "dilos-none", "dilos-readahead", "dilos-trend",
             "dilos-app-aware")
 RATIO = 0.125
 
 
-def build_server(variant, footprint):
-    guide = None
-    kind = variant
-    if variant == "dilos-app-aware":
-        kind = "dilos-readahead"
-        guide = RedisPrefetchGuide()
-    system = make_system(kind, local_bytes_for(footprint, RATIO),
-                         remote_bytes=512 * MIB)
-    return RedisServer(system, Mimalloc(system, arena_bytes=256 * MIB),
-                       guide=guide)
-
-
 def measure():
     tails = {}
     for variant in VARIANTS:
-        get_wl = GetWorkload(value_size="mixed", n_keys=220, n_queries=900)
-        server = build_server(variant, get_wl.footprint_bytes)
-        get_wl.populate(server)
-        server.system.clock.advance(5000)
-        get_stats = get_wl.drive(server)
-        lr_wl = LRangeWorkload(n_lists=400, elems_per_list=64, n_queries=900)
-        server = build_server(variant, lr_wl.footprint_bytes)
-        lr_wl.populate(server)
-        server.system.clock.advance(5000)
-        lr_stats = lr_wl.drive(server)
+        get_stats = redis(variant, RATIO, n_keys=220, n_queries=900).report
+        lr_stats = redis(variant, RATIO, n_keys=400, n_queries=900,
+                         lrange=True).report
         tails[variant] = (get_stats.latencies.pct(99),
                           get_stats.latencies.pct(99.9),
                           lr_stats.latencies.pct(99),

@@ -3,49 +3,51 @@
 Examples::
 
     python -m repro systems
-    python -m repro seqrw --system dilos-readahead --ratio 0.125 --mode read
-    python -m repro quicksort --system fastswap --ratio 0.25
-    python -m repro taxi --system aifm --ratio 0.5
-    python -m repro redis-lrange --system dilos-readahead --app-aware
-    python -m repro bc --system dilos-readahead --guide
+    python -m repro figure
+    python -m repro figure fig7a --systems fastswap --ratios 0.125 1.0
+    python -m repro figure table2-read --systems dilos-readahead --size 4
+    python -m repro figure fig10d --systems dilos-app-aware
+    python -m repro trace fig7b --system dilos-readahead --ratio 0.125
 
-Every command boots a fresh simulated machine, runs one workload, and
-prints the headline number plus the paging-subsystem counters.
+``figure`` boots a fresh simulated machine per cell of a paper table or
+figure (:data:`repro.harness.figures.FIGURES`) and prints the grid; a
+one-cell run also prints the workload's result and the paging-subsystem
+counters.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from repro.common.units import MIB
 from repro.core.spec import BACKEND_SPEC_EXAMPLES, make_backend
-from repro.harness import SYSTEM_KINDS, format_table, local_bytes_for, make_system
+from repro.harness import SYSTEM_KINDS, format_table
+from repro.harness.experiment import APP_AWARE
 from repro.net.faults import FaultPlan
-from repro.obs import MetricsSnapshot
 
 # Each command imports its app modules itself: most apps are numpy-native,
 # and the serving, KV, rack and repair commands boot without numpy.
 
 
-def _print_metrics(headline: str, metrics: MetricsSnapshot) -> None:
-    print(headline)
+def _print_counters(counters: Mapping[str, float]) -> None:
     interesting = ("fault.major", "fault.minor", "fault.first_touch",
                    "prefetch.issued", "reclaim.direct",
                    "reclaim.pages_evicted", "reclaim.pages_cleaned",
                    "net.bytes_read", "net.bytes_written", "deref.total")
-    rows = [[key, metrics.counters[key]] for key in interesting
-            if key in metrics.counters]
+    rows = [[key, counters[key]] for key in interesting if key in counters]
     print(format_table("paging counters", ["counter", "value"], rows))
 
 
-def _fault_plan(spec: str) -> FaultPlan:
-    """argparse type for --net-faults: parse errors exit 2 cleanly."""
+def _fault_spec(spec: str) -> str:
+    """argparse type for --net-faults: validate the spec, return the
+    string, so each boot parses a fresh plan (errors exit 2 cleanly)."""
     try:
-        return FaultPlan.from_spec(spec)
+        FaultPlan.from_spec(spec)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    return spec
 
 
 def _backend_spec(spec: str) -> str:
@@ -58,20 +60,51 @@ def _backend_spec(spec: str) -> str:
     return spec
 
 
-def _boot(args, footprint: int):
-    return make_system(args.system, local_bytes_for(footprint, args.ratio),
-                       backend=getattr(args, "backend", "node"),
-                       net_faults=getattr(args, "net_faults", None))
+def cmd_figure(args) -> int:
+    """Run one paper table or figure: its system x ratio grid, or the
+    part of it ``--systems``/``--ratios`` pick, at the figure's sizes."""
+    from repro.harness import ratio_table
+    from repro.harness.figures import FIGURES, run_figure
+    from repro.harness.results import save_json
+
+    if args.figure is None:
+        print(format_table(
+            "paper figures (repro figure <id>)", ["id", "title", "--size"],
+            [[name, figure.title, f"{figure.size}={figure.params[figure.size]}"]
+             for name, figure in FIGURES.items()]))
+        return 0
+    try:
+        measurements = run_figure(
+            args.figure, systems=args.systems, ratios=args.ratios,
+            size=args.size, jobs=args.jobs, backend=args.backend,
+            net_faults=args.net_faults)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(ratio_table(FIGURES[args.figure].title, measurements))
+    if len(measurements) == 1:
+        only = measurements[0]
+        rows = []
+        for key, value in only.extra["result"].items():
+            if isinstance(value, dict):
+                rows.extend([f"{key}.{k}", v] for k, v in value.items())
+            else:
+                rows.append([key, value])
+        print(format_table(f"{only.system} at {only.ratio:g}",
+                           ["result", "value"], rows))
+        _print_counters(only.extra["metrics"]["counters"])
+    if args.save:
+        save_json(measurements, args.save)
+        print(f"saved {len(measurements)} measurements to {args.save}")
+    return 0
 
 
 def cmd_trace(args) -> int:
-    """Run one workload with event tracing on, print a Fig.-6-style fault
-    breakdown computed from the recorded spans, and export the trace as
-    Chrome ``trace_event`` JSON (Perfetto-loadable) and/or JSONL."""
-    from repro.apps.dataframe import TaxiAnalyticsWorkload
-    from repro.apps.kmeans import KMeansWorkload
-    from repro.apps.quicksort import QuicksortWorkload
-    from repro.apps.seqrw import SequentialWorkload
+    """Run one figure cell with event tracing on, print a Fig.-6-style
+    fault breakdown computed from the recorded spans, and export the
+    trace as Chrome ``trace_event`` JSON (Perfetto-loadable) and/or
+    JSONL."""
+    from repro.harness.figures import run_cell
     from repro.obs import (
         Observability,
         fault_breakdown_from_spans,
@@ -79,35 +112,21 @@ def cmd_trace(args) -> int:
         write_jsonl,
     )
 
-    builders = {
-        "seqrw": lambda: SequentialWorkload(args.ws_mib * MIB),
-        "quicksort": lambda: QuicksortWorkload(count=args.size or (1 << 14)),
-        "kmeans": lambda: KMeansWorkload(n_points=args.size or (1 << 13)),
-        "taxi": lambda: TaxiAnalyticsWorkload(rows=args.size or (1 << 14)),
-    }
-    workload = builders[args.workload]()
-    if args.system.startswith("aifm") and args.workload != "taxi":
-        print("error: only the taxi workload has an AIFM port",
-              file=sys.stderr)
-        return 2
     if args.capacity <= 0:
         print("error: --capacity must be a positive event count",
               file=sys.stderr)
         return 2
     obs = Observability.tracing(capacity=args.capacity)
-    system = make_system(
-        args.system, local_bytes_for(workload.footprint_bytes, args.ratio),
-        obs=obs, backend=getattr(args, "backend", "node"),
-        net_faults=getattr(args, "net_faults", None))
-    if args.workload == "seqrw":
-        workload.run(system, args.mode, verify=(args.mode == "read"))
-    elif args.system.startswith("aifm"):
-        workload.run_aifm(system)
-    else:
-        workload.run(system)
+    try:
+        system = run_cell(args.figure, args.system, args.ratio, args.size,
+                          obs=obs, backend=args.backend,
+                          net_faults=args.net_faults).target
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     tracer = obs.tracer
-    print(f"{system.name}: {args.workload} recorded {len(tracer)} trace "
+    print(f"{system.name}: {args.figure} recorded {len(tracer)} trace "
           f"events ({tracer.dropped} dropped at the ring buffer) over "
           f"{system.clock.now / 1000:.2f} simulated ms")
     breakdown = fault_breakdown_from_spans(tracer)
@@ -127,54 +146,6 @@ def cmd_trace(args) -> int:
         count = write_jsonl(tracer, args.jsonl)
         print(f"wrote {count} events to {args.jsonl}")
     return 0
-
-
-def _sweep_workload(name: str, size):
-    """Build one sweep workload instance (module-level so the --jobs
-    fan-out can rebuild it inside pool workers)."""
-    if name == "quicksort":
-        from repro.apps.quicksort import QuicksortWorkload
-        return QuicksortWorkload(count=size or (1 << 16))
-    if name == "kmeans":
-        from repro.apps.kmeans import KMeansWorkload
-        return KMeansWorkload(n_points=size or (1 << 15))
-    if name == "taxi":
-        from repro.apps.dataframe import TaxiAnalyticsWorkload
-        return TaxiAnalyticsWorkload(rows=size or (1 << 16))
-    raise KeyError(name)
-
-
-class _SweepRunner:
-    """Picklable per-cell runner for ``repro sweep``.
-
-    Each cell boots a fresh system and runs a fresh workload, so cells
-    are independent; ``--jobs`` ships instances of this class to pool
-    workers, which a closure over ``args`` could not do.
-    """
-
-    def __init__(self, workload: str, size) -> None:
-        self.workload = workload
-        self.size = size
-
-    def __call__(self, kind, ratio, backend="node"):
-        from repro.harness.experiment import Measurement
-
-        workload = _sweep_workload(self.workload, self.size)
-        system = make_system(
-            kind, local_bytes_for(workload.footprint_bytes, ratio),
-            backend=backend)
-        if kind.startswith("aifm"):
-            if self.workload != "taxi":
-                # A plain exception, not SystemExit: BaseException inside
-                # a --jobs pool worker kills the worker and hangs the
-                # map; cmd_sweep rejects this combination up front.
-                raise ValueError(
-                    "only the taxi workload has an AIFM port")
-            result = workload.run_aifm(system)
-        else:
-            result = workload.run(system)
-        return Measurement("", "", 0.0, value=result.elapsed_us / 1000.0,
-                           unit="ms").record_metrics(system)
 
 
 def _sweep_llm(args) -> int:
@@ -284,16 +255,9 @@ def _sweep_rack(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Sweep one workload across systems and local-memory ratios, printing
-    a Figure 7/8-style table (optionally saving JSON for plotting)."""
-    from repro.harness import ratio_table
-    from repro.harness.experiment import sweep_ratios
-    from repro.harness.results import save_json
-
-    if args.workload not in ("quicksort", "kmeans", "taxi", "llm", "rack"):
-        print("error: sweep supports ['kmeans', 'llm', 'quicksort', "
-              "'rack', 'taxi']", file=sys.stderr)
-        return 2
+    """Sweep the llm P:D-split x ratio grid or the rack placement x
+    oversubscription grid on one kernel (the paper's system x ratio
+    grids are ``repro figure``)."""
     if args.pd_splits and args.workload != "llm":
         print("error: --pd-splits only applies to the llm sweep",
               file=sys.stderr)
@@ -302,210 +266,15 @@ def cmd_sweep(args) -> int:
         print("error: --placements/--oversubs only apply to the rack "
               "sweep", file=sys.stderr)
         return 2
-    if args.systems is None:
-        # The ratio sweeps compare the two paging kernels; the llm and
-        # rack grids run one kernel against an axis of their own.
-        args.systems = (["dilos-readahead"] if args.workload in ("llm", "rack")
-                        else ["fastswap", "dilos-readahead"])
     if args.workload == "llm":
         return _sweep_llm(args)
-    if args.workload == "rack":
-        return _sweep_rack(args)
-    if args.workload != "taxi" and any(
-            kind.startswith("aifm") for kind in args.systems):
-        print("error: only the taxi workload has an AIFM port",
-              file=sys.stderr)
-        return 2
-
-    runner = _SweepRunner(args.workload, args.size)
-    measurements = sweep_ratios(args.workload, runner, args.systems,
-                                args.ratios or [0.125, 0.5, 1.0],
-                                backend=args.backend, jobs=args.jobs)
-    print(ratio_table(f"{args.workload} completion time", measurements))
-    if args.save:
-        save_json(measurements, args.save)
-        print(f"saved {len(measurements)} measurements to {args.save}")
-    return 0
+    return _sweep_rack(args)
 
 
 def cmd_systems(_args) -> int:
     """List the available system keys."""
     print(format_table("available systems", ["key"],
                        [[kind] for kind in SYSTEM_KINDS]))
-    return 0
-
-
-def cmd_seqrw(args) -> int:
-    """Sequential read/write microbenchmark (Tables 1-3, Figure 6)."""
-    from repro.apps.seqrw import SequentialWorkload
-
-    workload = SequentialWorkload(args.ws_mib * MIB)
-    system = _boot(args, workload.footprint_bytes)
-    result = workload.run(system, args.mode, verify=(args.mode == "read"))
-    _print_metrics(
-        f"{system.name}: sequential {args.mode} {result.gb_per_s:.2f} GB/s "
-        f"({result.elapsed_us / 1000:.2f} simulated ms)", result.metrics)
-    return 0
-
-
-def cmd_quicksort(args) -> int:
-    """Quicksort over a far-memory array (Figure 7(a))."""
-    from repro.apps.quicksort import QuicksortWorkload
-
-    workload = QuicksortWorkload(count=args.count)
-    system = _boot(args, workload.footprint_bytes)
-    result = workload.run(system, verify=True)
-    _print_metrics(
-        f"{system.name}: sorted {result.count:,} ints in "
-        f"{result.elapsed_us / 1000:.2f} simulated ms", result.metrics)
-    return 0
-
-
-def cmd_kmeans(args) -> int:
-    """K-means clustering (Figure 7(b))."""
-    from repro.apps.kmeans import KMeansWorkload
-
-    workload = KMeansWorkload(n_points=args.points)
-    system = _boot(args, workload.footprint_bytes)
-    result = workload.run(system)
-    _print_metrics(
-        f"{system.name}: k-means ({result.points:,} pts, "
-        f"{result.iterations} iters) in {result.elapsed_us / 1000:.2f} ms, "
-        f"inertia {result.inertia:,.0f}", result.metrics)
-    return 0
-
-
-def cmd_snappy(args) -> int:
-    """Snappy-like compression/decompression (Figures 7(c,d))."""
-    from repro.apps.snappy import SnappyWorkload
-
-    workload = SnappyWorkload()
-    system = _boot(args, workload.footprint_bytes)
-    if args.system.startswith("aifm"):
-        runner = (workload.run_compress_aifm if args.mode == "compress"
-                  else workload.run_decompress_aifm)
-    else:
-        runner = (workload.run_compress if args.mode == "compress"
-                  else workload.run_decompress)
-    result = runner(system, verify=True)
-    _print_metrics(
-        f"{args.system}: snappy {result.mode} "
-        f"{result.input_bytes // 1024} KiB in "
-        f"{result.elapsed_us / 1000:.2f} ms", result.metrics)
-    return 0
-
-
-def cmd_taxi(args) -> int:
-    """NYC-taxi DataFrame analytics (Figure 8)."""
-    from repro.apps.dataframe import TaxiAnalyticsWorkload
-
-    workload = TaxiAnalyticsWorkload(rows=args.rows)
-    system = _boot(args, workload.footprint_bytes)
-    result = (workload.run_aifm(system) if args.system.startswith("aifm")
-              else workload.run(system))
-    _print_metrics(
-        f"{args.system}: taxi analytics over {result.rows:,} rows in "
-        f"{result.elapsed_us / 1000:.2f} ms", result.metrics)
-    print(format_table("answers", ["query", "value"],
-                       [[k, v] for k, v in result.answers.items()]))
-    return 0
-
-
-def _build_graph(args):
-    from repro.apps.gapbs import CsrGraph, generate_power_law_graph
-
-    offsets, edges = generate_power_law_graph(n=args.nodes,
-                                              target_m=args.edges)
-    footprint = (len(offsets) + len(edges)) * 8
-    system = _boot(args, footprint)
-    return system, CsrGraph(system, offsets, edges)
-
-
-def cmd_pagerank(args) -> int:
-    """GAPBS PageRank (Figure 9(a))."""
-    from repro.apps.gapbs import PageRankWorkload
-
-    system, graph = _build_graph(args)
-    result = PageRankWorkload().run(system, graph)
-    _print_metrics(
-        f"{args.system}: PageRank (n={result.n:,}, m={result.m:,}) in "
-        f"{result.elapsed_us / 1000:.2f} ms; top vertex {result.top_vertex}",
-        result.metrics)
-    return 0
-
-
-def cmd_bc(args) -> int:
-    """GAPBS betweenness centrality (Figure 9(b)), optionally guided."""
-    from repro.apps.gapbs import BcFrontierGuide, BetweennessWorkload
-
-    system, graph = _build_graph(args)
-    guide = None
-    if args.guide:
-        if not args.system.startswith("dilos"):
-            print("error: --guide requires a DiLOS system", file=sys.stderr)
-            return 2
-        guide = BcFrontierGuide(graph)
-        guide.bind(system)
-    workload = BetweennessWorkload(n_sources=args.sources)
-    result = workload.run(system, graph, guide=guide)
-    _print_metrics(
-        f"{args.system}: betweenness (n={result.n:,}, "
-        f"{result.sources} sources{', app-aware guide' if guide else ''}) "
-        f"in {result.elapsed_us / 1000:.2f} ms; top vertex "
-        f"{result.top_vertex}", result.metrics)
-    return 0
-
-
-def _redis_server(args, footprint: int):
-    from repro.alloc import Mimalloc
-    from repro.apps.redis import RedisPrefetchGuide, RedisServer
-
-    guide = RedisPrefetchGuide() if args.app_aware else None
-    if args.app_aware and not args.system.startswith("dilos"):
-        print("error: --app-aware requires a DiLOS system", file=sys.stderr)
-        return None
-    system = make_system(args.system, local_bytes_for(footprint, args.ratio),
-                         remote_bytes=512 * MIB,
-                         backend=getattr(args, "backend", "node"),
-                         net_faults=getattr(args, "net_faults", None))
-    return RedisServer(system, Mimalloc(system, arena_bytes=256 * MIB),
-                       guide=guide)
-
-
-def cmd_redis_get(args) -> int:
-    """Redis GET serving throughput (Figures 10(a-c))."""
-    from repro.apps.redis import GetWorkload
-
-    size = "mixed" if args.value_size == "mixed" else int(args.value_size)
-    workload = GetWorkload(value_size=size, n_keys=args.keys,
-                           n_queries=args.queries)
-    server = _redis_server(args, workload.footprint_bytes)
-    if server is None:
-        return 2
-    workload.populate(server)
-    server.system.clock.advance(5000)
-    stats = workload.drive(server, verify=True)
-    _print_metrics(
-        f"{args.system}: GET({args.value_size}) "
-        f"{stats.requests_per_second:,.0f} req/s, "
-        f"p99 {stats.latencies.pct(99):.1f} us", stats.metrics)
-    return 0
-
-
-def cmd_redis_lrange(args) -> int:
-    """Redis LRANGE throughput (Figure 10(d))."""
-    from repro.apps.redis import LRangeWorkload
-
-    workload = LRangeWorkload(n_queries=args.queries)
-    server = _redis_server(args, workload.footprint_bytes)
-    if server is None:
-        return 2
-    workload.populate(server)
-    server.system.clock.advance(5000)
-    stats = workload.drive(server, verify=True)
-    _print_metrics(
-        f"{args.system}: LRANGE {stats.requests_per_second:,.0f} req/s, "
-        f"p99 {stats.latencies.pct(99):.1f} us", stats.metrics)
     return 0
 
 
@@ -680,7 +449,10 @@ def cmd_llm(args) -> int:
     closed-loop by default, or prefill/decode disaggregation across
     cluster tenants with ``--pd-split P:D``. Both modes decode the
     identical token stream (the compatibility invariant)."""
-    from repro.apps.llm import PD_CONFIG, LlmWorkload, run_pd
+    from dataclasses import asdict
+
+    from repro.apps.llm import PD_CONFIG, run_pd
+    from repro.harness.scenarios import llm
 
     if args.pd_split is not None:
         try:
@@ -705,20 +477,18 @@ def cmd_llm(args) -> int:
         print(f"kv digest: {result.kv_digest}")
         return 0
 
-    workload = LlmWorkload(n_requests=args.requests, config=PD_CONFIG,
-                           prompt_min=24, prompt_max=56,
-                           out_min=8, out_max=16)
-    system = _boot(args, workload.footprint_bytes)
-    result = (workload.run_aifm(system) if args.system.startswith("aifm")
-              else workload.run(system))
+    run = llm(args.system, args.ratio, backend=args.backend,
+              config=asdict(PD_CONFIG), net_faults=args.net_faults,
+              n_requests=args.requests, prompt_min=24, prompt_max=56,
+              out_min=8, out_max=16)
+    result = run.report
     mean_ttft = sum(result.ttft_us) / len(result.ttft_us)
     mean_tpot = sum(result.tpot_us) / len(result.tpot_us)
-    _print_metrics(
-        f"{system.name}: {result.decoded_tokens} tokens decoded "
-        f"({result.prefill_tokens} prefilled) across {result.requests} "
-        f"requests in {result.elapsed_us / 1000:.2f} simulated ms, "
-        f"mean TTFT {mean_ttft:.1f} us, mean TPOT {mean_tpot:.1f} us",
-        result.metrics)
+    print(f"{run.target.name}: {result.decoded_tokens} tokens decoded "
+          f"({result.prefill_tokens} prefilled) across {result.requests} "
+          f"requests in {result.elapsed_us / 1000:.2f} simulated ms, "
+          f"mean TTFT {mean_ttft:.1f} us, mean TPOT {mean_tpot:.1f} us")
+    _print_counters(result.metrics.counters)
     print(f"token digest: {result.token_digest}")
     print(f"kv digest: {result.kv_digest}")
     return 0
@@ -873,14 +643,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Run one DiLOS-reproduction experiment.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The figures' systems: every kernel plus the app-aware legend.
+    figure_kinds = SYSTEM_KINDS + (APP_AWARE,)
 
-    def common(p, default_system="dilos-readahead"):
-        p.add_argument("--system", default=default_system,
-                       choices=SYSTEM_KINDS)
+    def common(p, systems=SYSTEM_KINDS):
+        p.add_argument("--system", default="dilos-readahead",
+                       choices=systems)
         p.add_argument("--ratio", type=float, default=0.125,
                        help="local memory as a fraction of the working set")
+        boot_flags(p)
+
+    def boot_flags(p):
         p.add_argument("--net-faults", default=None, metavar="SPEC",
-                       type=_fault_plan,
+                       type=_fault_spec,
                        help="inject network faults and route IO through the "
                             "reliable transport; SPEC like "
                             "'drop=0.01,corrupt=0.005,seed=7' "
@@ -894,16 +669,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("systems", help="list system keys").set_defaults(
         func=cmd_systems)
 
-    p = sub.add_parser("sweep", help="system x ratio grid for one workload")
-    p.add_argument("workload", choices=("quicksort", "kmeans", "taxi",
-                                        "llm", "rack"))
+    p = sub.add_parser(
+        "figure", help="one paper table or figure: its system x ratio grid")
+    p.add_argument("figure", nargs="?", default=None,
+                   help="figure id, e.g. fig7a or table2-read; without "
+                        "one, list the ids")
     p.add_argument("--systems", nargs="+", default=None,
-                   choices=SYSTEM_KINDS,
-                   help="kernel kinds (default: fastswap dilos-readahead; "
-                        "llm and rack: dilos-readahead)")
+                   choices=figure_kinds, metavar="KIND",
+                   help="the grid's systems: 'repro systems' kinds or "
+                        "dilos-app-aware (default: the figure's)")
     p.add_argument("--ratios", nargs="+", type=float, default=None,
-                   help="local-memory ratios (default: 0.125 0.5 1.0; "
-                        "llm: 0.25 0.5 1.0 1.5)")
+                   help="local-memory ratios (default: the figure's)")
+    p.add_argument("--size", type=int, default=None,
+                   help="the figure's size parameter (see 'repro "
+                        "figure')")
+    boot_flags(p)
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="fan grid cells out across N worker processes "
+                        "(results are identical to a serial run)")
+    p.add_argument("--save", default=None, help="write results JSON here")
+    p.set_defaults(func=cmd_figure)
+
+    p = sub.add_parser(
+        "sweep", help="llm P:D-split or rack placement grid on one kernel")
+    p.add_argument("workload", choices=("llm", "rack"))
+    p.add_argument("--systems", nargs="+", default=["dilos-readahead"],
+                   choices=SYSTEM_KINDS,
+                   help="the one kernel kind (default: dilos-readahead)")
+    p.add_argument("--ratios", nargs="+", type=float, default=None,
+                   help="llm only: local-memory ratios "
+                        "(default: 0.25 0.5 1.0 1.5)")
     p.add_argument("--pd-splits", nargs="+", default=None, metavar="P:D",
                    help="llm only: prefill:decode tenant splits forming "
                         "the grid's second axis (default: 3:1 2:2 1:3)")
@@ -916,7 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rack only: ToR oversubscription factors forming "
                         "the grid's second axis (default: 1 4)")
     p.add_argument("--size", type=int, default=None,
-                   help="workload size override (elements/rows)")
+                   help="llm: requests per cell (default 12); "
+                        "rack: tenants (default 8)")
     p.add_argument("--save", default=None, help="write results JSON here")
     p.add_argument("--backend", default="node", metavar="SPEC",
                    type=_backend_spec,
@@ -1034,60 +830,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser(
-        "trace", help="run a workload with event tracing; export the trace")
-    common(p)
-    p.add_argument("workload",
-                   choices=("seqrw", "quicksort", "kmeans", "taxi"))
-    p.add_argument("--mode", choices=("read", "write"), default="read",
-                   help="seqrw access mode")
-    p.add_argument("--ws-mib", type=int, default=4,
-                   help="seqrw working-set size in MiB")
+        "trace", help="run one figure cell with event tracing; export it")
+    common(p, systems=figure_kinds)
+    p.add_argument("figure", nargs="?", default="table2-read",
+                   help="figure id (see 'repro figure'; "
+                        "default: table2-read)")
     p.add_argument("--size", type=int, default=None,
-                   help="workload size override (elements/rows)")
+                   help="the figure's size parameter")
     p.add_argument("--capacity", type=int, default=1 << 18,
                    help="tracer ring-buffer capacity (events)")
     p.add_argument("--out", default=None,
                    help="write Chrome trace_event JSON here")
     p.add_argument("--jsonl", default=None, help="write JSONL events here")
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("seqrw", help="sequential read/write microbenchmark")
-    common(p)
-    p.add_argument("--mode", choices=("read", "write"), default="read")
-    p.add_argument("--ws-mib", type=int, default=16)
-    p.set_defaults(func=cmd_seqrw)
-
-    p = sub.add_parser("quicksort", help="Figure 7(a)")
-    common(p)
-    p.add_argument("--count", type=int, default=1 << 16)
-    p.set_defaults(func=cmd_quicksort)
-
-    p = sub.add_parser("kmeans", help="Figure 7(b)")
-    common(p)
-    p.add_argument("--points", type=int, default=1 << 15)
-    p.set_defaults(func=cmd_kmeans)
-
-    p = sub.add_parser("snappy", help="Figures 7(c,d)")
-    common(p)
-    p.add_argument("--mode", choices=("compress", "decompress"),
-                   default="compress")
-    p.set_defaults(func=cmd_snappy)
-
-    p = sub.add_parser("taxi", help="Figure 8")
-    common(p)
-    p.add_argument("--rows", type=int, default=1 << 16)
-    p.set_defaults(func=cmd_taxi)
-
-    for name, func in (("pagerank", cmd_pagerank), ("bc", cmd_bc)):
-        p = sub.add_parser(name, help="Figure 9")
-        common(p)
-        p.add_argument("--nodes", type=int, default=8192)
-        p.add_argument("--edges", type=int, default=120_000)
-        if name == "bc":
-            p.add_argument("--sources", type=int, default=2)
-            p.add_argument("--guide", action="store_true",
-                           help="use the app-aware frontier guide")
-        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "llm", help="LLM inference: KV cache tiered over far memory")
@@ -1098,21 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disaggregate: P prefill + D decode tenants on "
                         "a shared cluster (e.g. 3:1)")
     p.set_defaults(func=cmd_llm)
-
-    p = sub.add_parser("redis-get", help="Figure 10(a-c)")
-    common(p)
-    p.add_argument("--value-size", default="mixed",
-                   help="'mixed' or bytes (e.g. 4096)")
-    p.add_argument("--keys", type=int, default=300)
-    p.add_argument("--queries", type=int, default=800)
-    p.add_argument("--app-aware", action="store_true")
-    p.set_defaults(func=cmd_redis_get)
-
-    p = sub.add_parser("redis-lrange", help="Figure 10(d)")
-    common(p)
-    p.add_argument("--queries", type=int, default=700)
-    p.add_argument("--app-aware", action="store_true")
-    p.set_defaults(func=cmd_redis_lrange)
 
     return parser
 

@@ -436,11 +436,14 @@ class DilosKernel:
         if tag is Tag.INVALID:
             return False
         # Build per-page segments (remote slots are not VA-contiguous).
+        # A resident later page may be newer than its slot: decline it.
         segments = []
         cursor = va
         remaining = size
         while remaining > 0:
             vpn = cursor >> PAGE_SHIFT
+            if vpn != first_vpn and pte_mod.is_present(self._pt.get(vpn)):
+                return False
             if not self._as.has_remote_backing(vpn):
                 return False
             offset = cursor & (PAGE_SIZE - 1)

@@ -9,7 +9,6 @@ the grid and collects :class:`Measurement` rows the report module formats.
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
@@ -21,6 +20,10 @@ from repro.obs import Observability
 #: Presentation keys, matching the paper's figure legends: the keys of
 #: :data:`repro.core.spec.KERNELS`, in its order.
 SYSTEM_KINDS = tuple(KERNELS)
+
+#: The legend of DiLOS readahead plus the workload's own guide (Figures 9
+#: and 10's "app-aware" series); the builders with a guide take it.
+APP_AWARE = "dilos-app-aware"
 
 #: The paper's local-memory sweep.
 PAPER_RATIOS = (0.125, 0.25, 0.50, 1.0)
@@ -108,16 +111,13 @@ class _GridCell:
     """
 
     def __init__(self, runner: Callable[..., Measurement],
-                 backend: BackendSpec, takes_backend: bool) -> None:
+                 backend: BackendSpec) -> None:
         self.runner = runner
         self.backend = backend
-        self.takes_backend = takes_backend
 
     def __call__(self, cell) -> Measurement:
         kind, ratio = cell
-        if self.takes_backend:
-            return self.runner(kind, ratio, backend=self.backend)
-        return self.runner(kind, ratio)
+        return self.runner(kind, ratio, backend=self.backend)
 
 
 def sweep_ratios(
@@ -128,11 +128,12 @@ def sweep_ratios(
     backend: BackendSpec = "node",
     jobs: Optional[int] = None,
 ) -> List[Measurement]:
-    """Run ``runner(system_kind, ratio)`` over the full grid.
+    """Run ``runner(system_kind, ratio, backend=backend)`` over the full
+    grid.
 
     ``backend`` pins every booted system to one backend spec (e.g.
-    ``"sharded:4"``); it is forwarded to runners that accept a
-    ``backend`` keyword and stamped into each measurement's ``extra``.
+    ``"sharded:4"``); it is forwarded to every runner and stamped into
+    each measurement's ``extra``.
 
     ``jobs > 1`` fans the grid cells out across that many worker
     processes (each cell boots its own system, so cells are fully
@@ -142,9 +143,8 @@ def sweep_ratios(
     """
     from repro.harness.parallel import fanout
 
-    takes_backend = "backend" in inspect.signature(runner).parameters
     cells = [(kind, ratio) for kind in systems for ratio in ratios]
-    results = fanout(_GridCell(runner, backend, takes_backend), cells, jobs)
+    results = fanout(_GridCell(runner, backend), cells, jobs)
     for (kind, ratio), measurement in zip(cells, results):
         measurement.system = kind
         measurement.workload = workload_name

@@ -1,7 +1,8 @@
 """Multiprocessing fan-out for benchmark grids.
 
-``repro sweep`` evaluates independent cells (one booted system per
-workload × kernel × ratio, or per rack placement × oversubscription);
+``repro figure`` and ``repro sweep`` evaluate independent cells (one
+booted system per figure × kernel × ratio, one cluster per P:D split ×
+ratio, or one rack per placement × oversubscription);
 each cell is deterministic given its spec, so the grid can be
 distributed across cores without changing a single result. This module
 is the one place that policy lives: :func:`fanout` is an

@@ -1,8 +1,8 @@
 """Persisting experiment results.
 
-``repro sweep --save`` dumps its :class:`Measurement` grid, extras
-included, to JSON for archival or later plotting; ``load_json``
-round-trips exactly.
+``repro figure --save`` and ``repro sweep llm --save`` dump their
+:class:`Measurement` grid, extras included, to JSON for archival or
+later plotting; ``load_json`` round-trips exactly.
 """
 
 from __future__ import annotations

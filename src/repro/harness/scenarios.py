@@ -5,6 +5,8 @@ arguments that pin it — and every consumer reads it:
 
 * the golden-master suite (``tests/test_golden_master.py``) pins every
   scenario's metrics digest and final simulated clock by name;
+* the paper's figure grids (:mod:`repro.harness.figures`) sweep the
+  single-system builders over systems and local-memory ratios;
 * ``repro tenants`` and ``repro serve`` offer the scenarios whose
   ``command`` names them as presets, and ``repro kv``/``rack``/``repair``
   run ``kv_failover``/``rack``/``repair_demo`` with their flags as
@@ -29,7 +31,7 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import BackendSpec, SystemSpec, make_backend
-from repro.harness.experiment import local_bytes_for, make_system
+from repro.harness.experiment import APP_AWARE, local_bytes_for, make_system
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory
 from repro.mem.repair import RepairManager
 from repro.sim.tenancy import ComputeCluster, WorkloadFactory
@@ -41,8 +43,9 @@ class Run:
 
     #: The booted system or cluster, after the run.
     target: Any
-    #: The run's own report: a :class:`~repro.serve.ServeReport`, the
-    #: tenancy snapshot, or the repair demo's phase facts.
+    #: The run's own report: the workload's result (a single-system
+    #: builder), a :class:`~repro.serve.ServeReport`, the tenancy
+    #: snapshot, or the repair demo's phase facts.
     report: Any = None
 
     @property
@@ -181,20 +184,37 @@ def seqread_tenant(nbytes: int = 4 * MIB, passes: int = 2,
 
 # -- single-system builders --------------------------------------------------
 #
-# Each boots one fresh system sized at ``ratio`` of the workload's
-# footprint, runs the workload once and returns the system. Imports are
-# local so importing the registry stays cheap.
+# The one place each paper workload is booted and run: the registry, the
+# figures (:mod:`repro.harness.figures`), the CLI and the benchmarks call
+# these. Each boots a fresh ``kind`` sized at ``ratio`` of the workload's
+# footprint, passing ``boot`` (``backend``, ``net_faults``, ``obs``,
+# config overrides) to ``make_system``, runs the workload once and
+# reports its result. Imports are local so importing the registry stays
+# cheap.
 
-def seqrw(kind: str, mib: int, ratio: float, mode: str = "read") -> Run:
+_DILOS = "dilos-readahead"
+
+
+def _boot(kind: str, footprint: int, ratio: float, **boot: Any):
+    return make_system(kind, local_bytes_for(footprint, ratio), **boot)
+
+
+def _paging_only(kind: str, workload: str) -> None:
+    if kind.startswith("aifm"):
+        raise ValueError(f"{workload} has no AIFM port (only snappy, "
+                         "dataframe and llm do)")
+
+
+def seqrw(kind: str, ratio: float, mib: int, mode: str = "read",
+          **boot: Any) -> Run:
     """One sequential pass over ``mib`` MiB; read mode verifies every
     byte."""
     from repro.apps.seqrw import SequentialWorkload
 
+    _paging_only(kind, "seqrw")
     workload = SequentialWorkload(mib * MIB)
-    system = make_system(kind,
-                         local_bytes_for(workload.footprint_bytes, ratio))
-    workload.run(system, mode, verify=(mode == "read"))
-    return Run(system)
+    system = _boot(kind, workload.footprint_bytes, ratio, **boot)
+    return Run(system, workload.run(system, mode, verify=(mode == "read")))
 
 
 def remarray_scan(count: int, ratio: float = 0.25, item: int = 128) -> Run:
@@ -212,77 +232,129 @@ def remarray_scan(count: int, ratio: float = 0.25, item: int = 128) -> Run:
     return Run(system)
 
 
-def quicksort(count: int, ratio: float) -> Run:
-    """Verified quicksort of ``count`` u64s on DiLOS."""
+def quicksort(kind: str, ratio: float, count: int, **boot: Any) -> Run:
+    """Verified quicksort of ``count`` u64s."""
     from repro.apps.quicksort import QuicksortWorkload
 
+    _paging_only(kind, "quicksort")
     workload = QuicksortWorkload(count=count)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, ratio))
-    workload.run(system, verify=True)
-    return Run(system)
+    system = _boot(kind, workload.footprint_bytes, ratio, **boot)
+    return Run(system, workload.run(system, verify=True))
 
 
-def redis_get(kind: str, value_size: Any, n_keys: int, n_queries: int,
-              remote_mib: int, arena_mib: int, ratio: float = 0.25) -> Run:
+def redis(kind: str, ratio: float, n_keys: int, n_queries: int,
+          value_size: Any = "mixed", remote_mib: int = 512,
+          arena_mib: int = 256, lrange: bool = False, **boot: Any) -> Run:
     """Populate a Redis keyspace, idle 5 ms, then serve verified GETs
-    closed-loop."""
+    closed-loop (``lrange=True``: LRANGEs over ``n_keys`` lists). Kind
+    ``"dilos-app-aware"`` adds the quicklist prefetch guide to DiLOS
+    readahead."""
     from repro.alloc import Mimalloc
-    from repro.apps.redis import GetWorkload, RedisServer
+    from repro.apps.redis import (GetWorkload, LRangeWorkload,
+                                  RedisPrefetchGuide, RedisServer)
 
-    workload = GetWorkload(value_size=value_size, n_keys=n_keys,
-                           n_queries=n_queries)
-    system = make_system(kind,
-                         local_bytes_for(workload.footprint_bytes, ratio),
-                         remote_bytes=remote_mib * MIB)
-    server = RedisServer(system, Mimalloc(system, arena_bytes=arena_mib * MIB))
+    _paging_only(kind, "redis")
+    guide = None
+    if kind == APP_AWARE:
+        kind, guide = _DILOS, RedisPrefetchGuide()
+    workload: Any = (
+        LRangeWorkload(n_lists=n_keys, n_queries=n_queries) if lrange
+        else GetWorkload(value_size=value_size, n_keys=n_keys,
+                         n_queries=n_queries))
+    system = _boot(kind, workload.footprint_bytes, ratio,
+                   remote_bytes=remote_mib * MIB, **boot)
+    server = RedisServer(system, Mimalloc(system, arena_bytes=arena_mib * MIB),
+                         guide=guide)
     workload.populate(server)
     system.clock.advance(5000)
-    workload.drive(server, verify=True)
-    return Run(system)
+    return Run(system, workload.drive(server, verify=True))
 
 
-def kmeans(n_points: int, clusters: int, iterations: int, ratio: float,
-           dim: int = 8) -> Run:
-    """Chunked Lloyd's k-means over far-memory points on DiLOS."""
+def kmeans(kind: str, ratio: float, n_points: int, clusters: int,
+           iterations: int, **boot: Any) -> Run:
+    """Chunked Lloyd's k-means over far-memory points."""
     from repro.apps.kmeans import KMeansWorkload
 
-    workload = KMeansWorkload(n_points=n_points, dim=dim, clusters=clusters,
+    _paging_only(kind, "kmeans")
+    workload = KMeansWorkload(n_points=n_points, clusters=clusters,
                               iterations=iterations)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, ratio))
-    workload.run(system)
-    return Run(system)
+    system = _boot(kind, workload.footprint_bytes, ratio, **boot)
+    return Run(system, workload.run(system))
 
 
-def dataframe(rows: int, ratio: float) -> Run:
-    """The taxi analytics query mix over far-memory columns on DiLOS."""
+def snappy(kind: str, ratio: float, mode: str, n_files: int,
+           file_bytes: int, **boot: Any) -> Run:
+    """Compress or decompress ``n_files`` far-memory files, verified;
+    AIFM kinds run the remoteable-object port."""
+    from repro.apps.snappy import SnappyWorkload
+
+    workload = SnappyWorkload(n_files=n_files, file_bytes=file_bytes)
+    run = {"compress": (workload.run_compress, workload.run_compress_aifm),
+           "decompress": (workload.run_decompress,
+                          workload.run_decompress_aifm),
+           }[mode][kind.startswith("aifm")]
+    system = _boot(kind, workload.footprint_bytes, ratio, **boot)
+    return Run(system, run(system, verify=True))
+
+
+def dataframe(kind: str, ratio: float, rows: int, **boot: Any) -> Run:
+    """The taxi analytics query mix over far-memory columns; AIFM kinds
+    run the remoteable-array port."""
     from repro.apps.dataframe import TaxiAnalyticsWorkload
 
     workload = TaxiAnalyticsWorkload(rows=rows)
-    system = make_system("dilos-readahead",
-                         local_bytes_for(workload.footprint_bytes, ratio))
-    workload.run(system)
-    return Run(system)
+    system = _boot(kind, workload.footprint_bytes, ratio, **boot)
+    return Run(system, workload.run_aifm(system) if kind.startswith("aifm")
+               else workload.run(system))
+
+
+def gapbs(kind: str, ratio: float, algorithm: str, nodes: int, edges: int,
+          **boot: Any) -> Run:
+    """Three PageRank iterations (``algorithm="pagerank"``) or BC from
+    two sources (``"bc"``) over a seeded power-law graph in far-memory
+    CSR. Kind ``"dilos-app-aware"`` runs BC with its frontier guide on
+    DiLOS readahead."""
+    from repro.apps.gapbs import (BcFrontierGuide, BetweennessWorkload,
+                                  CsrGraph, PageRankWorkload,
+                                  generate_power_law_graph)
+
+    _paging_only(kind, "GAPBS")
+    if algorithm not in ("pagerank", "bc"):
+        raise ValueError(f"unknown GAPBS algorithm {algorithm!r}")
+    guided = kind == APP_AWARE
+    if guided and algorithm != "bc":
+        raise ValueError("only BC has an app-aware guide")
+    offsets, targets = generate_power_law_graph(n=nodes, target_m=edges)
+    system = _boot(_DILOS if guided else kind,
+                   (len(offsets) + len(targets)) * 8, ratio, **boot)
+    graph = CsrGraph(system, offsets, targets)
+    if algorithm == "pagerank":
+        return Run(system, PageRankWorkload(iterations=3).run(system, graph))
+    guide = BcFrontierGuide(graph) if guided else None
+    if guide is not None:
+        guide.bind(system)
+    return Run(system, BetweennessWorkload(n_sources=2).run(
+        system, graph, guide=guide))
 
 
 def llm(kind: str, ratio: float = 0.25, backend: BackendSpec = "node",
-        config: Optional[Mapping[str, Any]] = None, **workload: Any) -> Run:
-    """LLM inference with the KV cache paged over far memory.
+        config: Optional[Mapping[str, Any]] = None, net_faults: Any = None,
+        **workload: Any) -> Run:
+    """LLM inference with the KV cache paged over far memory; AIFM kinds
+    run the same driver over remoteable objects.
 
-    ``config`` holds :class:`~repro.apps.llm.LlmConfig` fields; the
-    remaining keywords are :class:`~repro.apps.llm.LlmWorkload`
-    arguments.
+    ``config`` holds :class:`~repro.apps.llm.LlmConfig` fields and
+    ``backend`` and ``net_faults`` go to ``make_system``; the remaining
+    keywords are :class:`~repro.apps.llm.LlmWorkload` arguments.
     """
     from repro.apps.llm import LlmConfig, LlmWorkload
 
     if config is not None:
         workload["config"] = LlmConfig(**config)
     job = LlmWorkload(**workload)
-    system = make_system(kind, local_bytes_for(job.footprint_bytes, ratio),
-                         backend=backend)
-    job.run(system)
-    return Run(system)
+    system = _boot(kind, job.footprint_bytes, ratio, backend=backend,
+                   net_faults=net_faults)
+    return Run(system, job.run(system))
 
 
 def llm_pd(**params: Any) -> Run:
@@ -505,9 +577,6 @@ def repair_demo(backend: str = "replicated:2",
 
 # -- the registry ------------------------------------------------------------
 
-_DILOS = "dilos-readahead"
-
-
 def _redis_fleet(*names: str, local_bytes: int = 256 * KIB,
                  **params: Any) -> Tuple[Tuple[str, int, str, Dict], ...]:
     return tuple((name, local_bytes, "redis",
@@ -518,9 +587,9 @@ def _redis_fleet(*names: str, local_bytes: int = 256 * KIB,
 #: The small Redis shape (4 KiB values) and the larger one (Facebook
 #: mixed sizes, twice the keys and queries).
 _REDIS_SMALL = dict(value_size=4096, n_keys=40, n_queries=120,
-                    remote_mib=32, arena_mib=8)
+                    remote_mib=32, arena_mib=8, ratio=0.25)
 _REDIS_MIXED = dict(value_size="mixed", n_keys=80, n_queries=250,
-                    remote_mib=128, arena_mib=32)
+                    remote_mib=128, arena_mib=32, ratio=0.25)
 _KMEANS_SMALL = dict(n_points=1 << 11, clusters=4, iterations=2, ratio=0.25)
 _DATAFRAME_SMALL = dict(rows=1 << 13, ratio=0.25)
 _LLM_SMALL = dict(n_requests=4, seed=31)
@@ -638,31 +707,32 @@ SCENARIOS: Dict[str, Scenario] = {
         remarray_scan, dict(count=512)),
     "quicksort_dilos": Scenario(
         "DiLOS quicksort of 8K u64s at 50% local",
-        quicksort, dict(count=1 << 13, ratio=0.5)),
+        quicksort, dict(kind=_DILOS, count=1 << 13, ratio=0.5)),
     "redis_get_dilos": Scenario(
         "DiLOS Redis GET, Facebook mixed value sizes",
-        redis_get, dict(_REDIS_MIXED, kind=_DILOS)),
+        redis, dict(_REDIS_MIXED, kind=_DILOS)),
     "redis_get_fastswap": Scenario(
         "Fastswap Redis GET, Facebook mixed value sizes",
-        redis_get, dict(_REDIS_MIXED, kind="fastswap")),
+        redis, dict(_REDIS_MIXED, kind="fastswap")),
     "redis_get_dilos_small": Scenario(
         "DiLOS Redis GET, 4 KiB values",
-        redis_get, dict(_REDIS_SMALL, kind=_DILOS)),
+        redis, dict(_REDIS_SMALL, kind=_DILOS)),
     "redis_get_fastswap_small": Scenario(
         "Fastswap Redis GET, 4 KiB values",
-        redis_get, dict(_REDIS_SMALL, kind="fastswap")),
+        redis, dict(_REDIS_SMALL, kind="fastswap")),
     "kmeans_dilos": Scenario(
         "DiLOS k-means over 16K far-memory points at 50% local",
-        kmeans, dict(n_points=1 << 14, clusters=10, iterations=4, ratio=0.5)),
+        kmeans, dict(kind=_DILOS, n_points=1 << 14, clusters=10, iterations=4,
+                     ratio=0.5)),
     "kmeans_dilos_small": Scenario(
         "DiLOS k-means over 2K points at 25% local",
-        kmeans, _KMEANS_SMALL),
+        kmeans, dict(_KMEANS_SMALL, kind=_DILOS)),
     "dataframe_dilos": Scenario(
         "DiLOS taxi analytics over 64K far-memory rows at 50% local",
-        dataframe, dict(rows=1 << 16, ratio=0.5)),
+        dataframe, dict(kind=_DILOS, rows=1 << 16, ratio=0.5)),
     "dataframe_dilos_small": Scenario(
         "DiLOS taxi analytics over 8K rows at 25% local",
-        dataframe, _DATAFRAME_SMALL),
+        dataframe, dict(_DATAFRAME_SMALL, kind=_DILOS)),
     # LLM inference: prefill writes + windowed random decode gathers over
     # the paged KV cache (see repro/apps/llm.py).
     "llm_dilos": Scenario(
@@ -721,6 +791,7 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "dataframe",
+    "gapbs",
     "kmeans",
     "kmeans_tenant",
     "kv_failover",
@@ -729,12 +800,13 @@ __all__ = [
     "preset",
     "quicksort",
     "rack",
-    "redis_get",
+    "redis",
     "redis_get_tenant",
     "remarray_scan",
     "repair_demo",
     "seqread_tenant",
     "seqrw",
     "serve_fleet",
+    "snappy",
     "tenant_mix",
 ]

@@ -1,8 +1,47 @@
 """Tests for the ``python -m repro`` command-line runner."""
 
+import argparse
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.figures import FIGURES
+from repro.harness.results import load_json
+from repro.obs import validate_chrome_trace
+
+#: figure id -> (system, --size, a row the cell's result table must
+#: hold): one small cell per figure, each on a system of its grid; the
+#: row shows the size reached the figure's size parameter.
+CELLS = {
+    "table2-read": ("dilos-readahead", 2, r"bytes_moved\s+2097152"),
+    "table2-write": ("fastswap", 2, r"mode\s+write"),
+    "fig7a": ("dilos-none", 8192, r"count\s+8192"),
+    "fig7b": ("dilos-trend", 4096, r"points\s+4096"),
+    "fig7c": ("dilos-tcp", 1, r"input_bytes\s+393216"),
+    "fig7d": ("aifm", 1, r"mode\s+decompress"),
+    "fig8": ("aifm", 8192, r"rows\s+8192"),
+    "fig9a": ("fastswap", 1024, r"n\s+1024"),
+    "fig9b": ("dilos-app-aware", 1024, r"sources\s+2"),
+    "fig10a": ("dilos-none", 100, r"queries\s+100"),
+    "fig10b": ("dilos-trend", 100, r"queries\s+100"),
+    "fig10c": ("fastswap", 100, r"queries\s+100"),
+    "fig10d": ("dilos-app-aware", 100, r"queries\s+100"),
+}
+
+
+def run_cell(capsys, name, *extra):
+    """Run figure ``name``'s small cell; return what it printed."""
+    system, size, row = CELLS[name]
+    assert main(["figure", name, "--systems", system, "--ratios", "0.125",
+                 "--size", str(size), *extra]) == 0
+    out = capsys.readouterr().out
+    assert FIGURES[name].title in out
+    assert f"{system} at 0.125" in out
+    assert "paging counters" in out
+    assert re.search(f"^{row}$", out, re.MULTILINE), row
+    return out
 
 
 class TestParser:
@@ -16,13 +55,52 @@ class TestParser:
 
     def test_unknown_system_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["seqrw", "--system", "windows"])
+            build_parser().parse_args(["figure", "fig7a", "--systems",
+                                       "windows"])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["seqrw"])
+        args = build_parser().parse_args(["trace"])
+        assert args.figure == "table2-read"
         assert args.system == "dilos-readahead"
         assert args.ratio == 0.125
-        assert args.mode == "read"
+        assert args.size is None
+
+
+class TestSettableSurface:
+    """Every subcommand's options, pinned: a new flag shows up here as a
+    reviewed edit."""
+
+    SURFACE = {
+        "systems": [],
+        "figure": ["figure", "systems", "ratios", "size", "net_faults",
+                   "backend", "jobs", "save"],
+        "sweep": ["workload", "systems", "ratios", "pd_splits",
+                  "placements", "oversubs", "size", "save", "backend",
+                  "jobs"],
+        "tenants": ["scenario", "list", "system", "backend", "quantum_us",
+                    "max_quanta"],
+        "serve": ["preset", "list", "system", "backend", "spec",
+                  "no_contrast", "once"],
+        "rack": ["tenants", "topology", "placement", "system", "spec",
+                 "once"],
+        "kv": ["system", "backend", "requests", "lease_us", "kill_at",
+               "rejoin_at", "once"],
+        "repair": ["system", "backend", "repair"],
+        "trace": ["system", "ratio", "net_faults", "backend", "figure",
+                  "size", "capacity", "out", "jsonl"],
+        "llm": ["system", "ratio", "net_faults", "backend", "requests",
+                "pd_split"],
+    }
+
+    def test_subcommand_options(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        surface = {name: [action.dest for action in parser._actions
+                          if not isinstance(action, argparse._HelpAction)]
+                   for name, parser in sub.choices.items()}
+        assert surface == self.SURFACE
+        assert len(surface) == 10
+        assert sum(map(len, surface.values())) == 62
 
 
 class TestCommands:
@@ -32,52 +110,45 @@ class TestCommands:
         assert "fastswap" in out
         assert "dilos-readahead" in out
 
+    def test_every_figure_has_a_cell(self):
+        assert list(CELLS) == list(FIGURES)
+
     def test_seqrw(self, capsys):
-        assert main(["seqrw", "--ws-mib", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "GB/s" in out
-        assert "fault.major" in out
+        out = run_cell(capsys, "table2-read")
+        assert "GB/s" in out and "fault.major" in out
 
     def test_seqrw_on_fastswap(self, capsys):
-        assert main(["seqrw", "--ws-mib", "2", "--system", "fastswap",
-                     "--mode", "write"]) == 0
-        assert "Fastswap" in capsys.readouterr().out
+        run_cell(capsys, "table2-write")
 
     def test_quicksort(self, capsys):
-        assert main(["quicksort", "--count", "8192"]) == 0
-        assert "sorted" in capsys.readouterr().out
+        run_cell(capsys, "fig7a")
 
     def test_kmeans(self, capsys):
-        assert main(["kmeans", "--points", "4096"]) == 0
-        assert "inertia" in capsys.readouterr().out
+        assert "inertia" in run_cell(capsys, "fig7b")
+
+    def test_snappy_compress(self, capsys):
+        run_cell(capsys, "fig7c")
 
     def test_snappy_aifm(self, capsys):
-        assert main(["snappy", "--system", "aifm", "--mode",
-                     "decompress"]) == 0
-        assert "snappy decompress" in capsys.readouterr().out
+        assert "deref.total" in run_cell(capsys, "fig7d")
 
     def test_taxi(self, capsys):
-        assert main(["taxi", "--rows", "8192"]) == 0
-        out = capsys.readouterr().out
-        assert "mean_fare" in out
+        assert "answers.mean_fare" in run_cell(capsys, "fig8")
 
     def test_pagerank(self, capsys):
-        assert main(["pagerank", "--nodes", "1024", "--edges", "8000"]) == 0
-        assert "top vertex" in capsys.readouterr().out
+        assert "top_vertex" in run_cell(capsys, "fig9a")
 
     def test_bc_with_guide(self, capsys):
-        assert main(["bc", "--nodes", "1024", "--edges", "8000",
-                     "--guide"]) == 0
-        assert "app-aware guide" in capsys.readouterr().out
-
-    def test_bc_guide_requires_dilos(self, capsys):
-        assert main(["bc", "--nodes", "1024", "--edges", "8000",
-                     "--guide", "--system", "fastswap"]) == 2
+        assert "top_vertex" in run_cell(capsys, "fig9b")
 
     def test_redis_get(self, capsys):
-        assert main(["redis-get", "--value-size", "4096", "--keys", "100",
-                     "--queries", "100"]) == 0
-        assert "req/s" in capsys.readouterr().out
+        assert "req/s" in run_cell(capsys, "fig10a")
+
+    def test_redis_get_64k(self, capsys):
+        run_cell(capsys, "fig10b")
+
+    def test_redis_get_mixed(self, capsys):
+        run_cell(capsys, "fig10c")
 
     @pytest.mark.parametrize("faults", [
         [], ["--net-faults", "drop=0.01,seed=3"],
@@ -85,13 +156,74 @@ class TestCommands:
     def test_redis_lrange_app_aware(self, capsys, faults):
         # On a lossy wire the guide's subpage reads ride the reliable
         # transport, whose completion callback they need.
-        assert main(["redis-lrange", "--queries", "100",
-                     "--app-aware"] + faults) == 0
-        assert "req/s" in capsys.readouterr().out
+        run_cell(capsys, "fig10d", *faults)
 
-    def test_redis_app_aware_requires_dilos(self, capsys):
-        assert main(["redis-get", "--system", "fastswap",
-                     "--app-aware"]) == 2
+    def test_figure_list(self, capsys):
+        assert main(["figure"]) == 0
+        out = capsys.readouterr().out
+        for name, figure in FIGURES.items():
+            assert name in out
+            assert figure.title in out
+
+    def test_figure_grid_saves_json(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        assert main(["figure", "table2-read", "--systems", "fastswap",
+                     "dilos-none", "--ratios", "0.125", "0.5", "--size", "1",
+                     "--save", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "50%" in out and "dilos-none" in out
+        assert "paging counters" not in out  # one-cell detail only
+        rows = load_json(path)
+        assert [(m.system, m.ratio) for m in rows] == [
+            ("fastswap", 0.125), ("fastswap", 0.5),
+            ("dilos-none", 0.125), ("dilos-none", 0.5)]
+        assert rows[0].extra["result"]["mode"] == "read"
+        assert rows[0].extra["metrics"]["counters"]["fault.major"] > 0
+
+    def test_figure_cells_draw_faults_independently(self, capsys, tmp_path):
+        # Every cell parses its own fault plan from the one spec, so a
+        # cell's value does not depend on the cells run before it, and a
+        # --jobs grid equals the serial one.
+        path = tmp_path / "grid.json"
+
+        def grid(*argv):
+            assert main(["figure", "table2-read", "--size", "1",
+                         "--net-faults", "drop=0.01,seed=3", "--save",
+                         str(path), "--systems", *argv]) == 0
+            return [m.value for m in load_json(path)]
+
+        alone = grid("dilos-readahead")
+        serial = grid("fastswap", "dilos-readahead")
+        assert serial[1] == alone[0]
+        assert grid("fastswap", "dilos-readahead", "--jobs", "2") == serial
+
+    @pytest.mark.parametrize("argv", [
+        ["nope"],
+        ["fig7a", "--systems", "aifm"],
+        ["fig9a", "--systems", "dilos-app-aware"],
+        ["table2-read", "--systems", "dilos-app-aware"],
+        ["table2-read", "--size", "0"],
+    ], ids=["unknown-id", "no-aifm-port", "no-pagerank-guide",
+            "no-seqrw-guide", "zero-size"])
+    def test_figure_refusals(self, capsys, argv):
+        assert main(["figure", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_trace_exports_chrome_and_jsonl(self, capsys, tmp_path):
+        out_path, jsonl_path = tmp_path / "t.json", tmp_path / "t.jsonl"
+        assert main(["trace", "table2-read", "--size", "2",
+                     "--out", str(out_path), "--jsonl", str(jsonl_path)]) == 0
+        out = capsys.readouterr().out
+        assert "fault.major breakdown from" in out
+        validate_chrome_trace(out_path.read_text())
+        recorded = int(re.search(r"recorded (\d+) trace events", out)[1])
+        written = int(re.search(r"wrote (\d+) events", out)[1])
+        lines = jsonl_path.read_text().splitlines()
+        assert recorded == written == len(lines) > 0
+        for line in lines[:3]:
+            json.loads(line)
+        assert main(["trace", "table2-read", "--capacity", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_repair_lifecycle(self, capsys):
         assert main(["repair", "--backend", "replicated:2"]) == 0
@@ -175,19 +307,18 @@ class TestLlmCommands:
         assert "bad P:D split" in capsys.readouterr().err
 
     def test_pd_splits_rejected_for_other_workloads(self, capsys):
-        assert main(["sweep", "quicksort", "--pd-splits", "1:1"]) == 2
+        assert main(["sweep", "rack", "--pd-splits", "1:1"]) == 2
         assert "only applies to the llm sweep" in capsys.readouterr().err
 
     def test_llm_sweep_defaults_to_one_kernel(self, capsys):
-        """Without --systems the llm grid takes its own one-kernel
-        default, not the ratio sweeps' pair."""
+        """Without --systems the llm grid runs its one default kernel."""
         assert main(["sweep", "llm", "--pd-splits", "1:1", "--ratios",
                      "1.0", "--size", "3"]) == 0
         assert "on dilos-readahead" in capsys.readouterr().out
 
     def test_rack_sweep_rejects_two_explicit_kernels(self, capsys):
-        """An explicit --systems pair is refused, even when it equals the
-        ratio sweeps' default."""
+        """An explicit --systems pair is refused: the rack grid's axes
+        are placement and oversubscription on one kernel."""
         assert main(["sweep", "rack", "--systems", "fastswap",
                      "dilos-readahead"]) == 2
         assert "exactly one" in capsys.readouterr().err

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.common.units import MIB, PAGE_SIZE
+from repro.common.units import MIB, PAGE_SHIFT, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem, coalesce_ranges
+from repro.mem import pte as pte_mod
 
 
 class TestCoalesce:
@@ -96,6 +97,44 @@ class TestSubpageFetch:
         assert system.kernel.guide_subpage_fetch(va, 8, got.append)
         system.clock.advance(10)
         assert got == [b"ABCDEFGH"]
+
+    def evict_span(self, system, region, va):
+        """Write ``ABCDEFGH`` across the page boundary at ``va``, then
+        stream 512 pages past it so both of its pages go remote."""
+        system.memory.write(va, b"ABCDEFGH")
+        for i in range(2, 514):
+            system.memory.write(region.base + i * PAGE_SIZE, b"\x42" * 64)
+        system.clock.advance(500)
+        for vpn in (va >> PAGE_SHIFT, (va >> PAGE_SHIFT) + 1):
+            assert not pte_mod.is_present(system.addr_space.page_table.get(vpn))
+
+    def test_cross_page_subpage_of_two_remote_pages(self):
+        # Two remote slots gathered in span order by one scatter-gather
+        # read on the guide QP.
+        system, region = self.make()
+        va = region.base + PAGE_SIZE - 4
+        self.evict_span(system, region, va)
+        got = []
+        assert system.kernel.guide_subpage_fetch(va, 8, got.append)
+        assert got == []
+        system.clock.advance(10)
+        assert got == [b"ABCDEFGH"]
+        assert system.metrics().value("guide.subpage_fetches") == 1
+
+    def test_cross_page_subpage_declines_a_resident_tail(self):
+        # The tail page comes back and is rewritten locally; its remote
+        # slot still holds the old bytes, so a gather would return them.
+        system, region = self.make()
+        va = region.base + PAGE_SIZE - 4
+        self.evict_span(system, region, va)
+        system.memory.write(region.base + PAGE_SIZE, b"WXYZ")
+        assert not pte_mod.is_present(
+            system.addr_space.page_table.get(va >> PAGE_SHIFT))
+        got = []
+        assert not system.kernel.guide_subpage_fetch(va, 8, got.append)
+        system.clock.advance(10)
+        assert got == []
+        assert system.memory.read(va, 8) == b"ABCDWXYZ"
 
     def test_bad_size_rejected(self):
         system, region = self.make()

@@ -15,8 +15,8 @@ from repro.harness import (
     sweep_ratios,
 )
 from repro.apps.llm import PdSweepRunner
-from repro.cli import _SweepRunner
 from repro.harness.experiment import pick
+from repro.harness.figures import run_figure
 
 
 class TestFactories:
@@ -54,15 +54,18 @@ class TestSweep:
     def test_grid_covered(self):
         runs = []
 
-        def runner(kind, ratio):
-            runs.append((kind, ratio))
+        def runner(kind, ratio, backend):
+            runs.append((kind, ratio, backend))
             return Measurement("", "", 0.0, value=1.0, unit="x")
 
         out = sweep_ratios("wl", runner, ["fastswap", "dilos-none"],
                            ratios=[0.5, 1.0])
         assert len(out) == 4
-        assert ("fastswap", 0.5) in runs
+        assert ("fastswap", 0.5, "node") in runs
         assert out[0].workload == "wl"
+        # Without a backend every cell boots on, and is stamped with, the
+        # single default node.
+        assert all(m.extra["backend"] == "node" for m in out)
 
     def test_pick(self):
         ms = [Measurement("a", "w", 0.5, 1.0, "x"),
@@ -72,25 +75,30 @@ class TestSweep:
             pick(ms, "b")
 
 
+def _kmeans_grid(jobs):
+    return run_figure("fig7b", systems=["fastswap", "dilos-readahead"],
+                      ratios=[0.5, 1.0], size=1 << 12, jobs=jobs)
+
+
+def _llm_grid(jobs):
+    return sweep_ratios("llm", PdSweepRunner("dilos-readahead", n_requests=6),
+                        ["2:2", "1:3"], [0.25, 1.0], backend="sharded:2",
+                        jobs=jobs)
+
+
 class TestFanOut:
     """``--jobs`` fan-out (:mod:`repro.harness.parallel`) must merge
     results byte-identical to the serial run, in grid order."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("workload, runner, axis, ratios, backend", [
-        ("kmeans", _SweepRunner("kmeans", 1 << 12),
-         ["fastswap", "dilos-readahead"], [0.5, 1.0], "node"),
-        ("llm", PdSweepRunner("dilos-readahead", n_requests=6),
-         ["2:2", "1:3"], [0.25, 1.0], "sharded:2"),
-    ], ids=["kmeans", "llm"])
-    def test_sweep_jobs_matches_serial(self, workload, runner, axis, ratios,
-                                       backend):
-        def grid(jobs):
-            cells = sweep_ratios(workload, runner, axis, ratios,
-                                 backend=backend, jobs=jobs)
-            return [(m.system, m.ratio, m.value, m.extra) for m in cells]
+    @pytest.mark.parametrize("grid", [_kmeans_grid, _llm_grid],
+                             ids=["kmeans", "llm"])
+    def test_sweep_jobs_matches_serial(self, grid):
+        def cells(jobs):
+            return [(m.system, m.ratio, m.value, m.extra)
+                    for m in grid(jobs)]
 
-        assert grid(2) == grid(None)
+        assert cells(2) == cells(None)
 
 
 class TestReport:

@@ -34,6 +34,8 @@ import repro.cli
 check("import repro.cli")
 import repro.harness.scenarios
 check("import repro.harness.scenarios")
+import repro.harness.figures
+check("import repro.harness.figures")
 """
 
 _BUILDS = _PROBE + """\
@@ -81,8 +83,9 @@ def test_llm_scenarios_page_through_the_batch_engine_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["systems", "kv", "llm",
-                                     "llm --pd-split 1:1"])
+@pytest.mark.parametrize("command", [
+    "systems", "kv", "llm", "llm --pd-split 1:1", "figure",
+    "figure table2-read --systems dilos-readahead --size 1"])
 def test_cli_command_does_not_load_numpy(command):
     proc = _run(_MAIN, *command.split())
     assert proc.returncode == 0, proc.stderr

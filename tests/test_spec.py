@@ -183,12 +183,3 @@ class TestSweepBackend:
                             ratios=[0.25], backend="sharded:2")
         assert seen == ["sharded:2"]
         assert rows[0].extra["backend"] == "sharded:2"
-
-    def test_sweep_legacy_runner_without_backend_param(self):
-        from repro.harness.experiment import Measurement, sweep_ratios
-
-        def runner(kind, ratio):
-            return Measurement("", "", 0.0, value=1.0, unit="ms")
-
-        rows = sweep_ratios("toy", runner, ["fastswap"], ratios=[0.5])
-        assert rows[0].extra["backend"] == "node"
