@@ -31,7 +31,8 @@ On top of the single-node engines this module provides:
   remote pool, plus an LRU capacity bound on finished sequences.
 * :class:`LlmWorkload` — the closed-loop driver (seeded prompt/output
   length distributions, TTFT/TPOT accounting, token + KV digests).
-* :class:`LlmService` — the ``SERVICES`` port driven by ``repro serve``.
+* :class:`LlmService` — the ``SERVICES`` port the serve presets drive
+  (``repro run llm_flash_crowd``).
 * :func:`run_pd` — **prefill/decode disaggregation**: P prefill tenants
   and D decode tenants on one :class:`~repro.sim.tenancy.ComputeCluster`
   (shared clock + shared cluster backend), connected by a KV-transfer

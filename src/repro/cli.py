@@ -8,11 +8,17 @@ Examples::
     python -m repro figure table2-read --systems dilos-readahead --size 4
     python -m repro figure fig10d --systems dilos-app-aware
     python -m repro trace fig7b --system dilos-readahead --ratio 0.125
+    python -m repro run
+    python -m repro run flash_crowd
+    python -m repro run kv_failover --backend parity:2+1 --once
+    python -m repro run llm_pd --once --net-faults drop=0.01,seed=3
 
 ``figure`` boots a fresh simulated machine per cell of a paper table or
 figure (:data:`repro.harness.figures.FIGURES`) and prints the grid; a
 one-cell run also prints the workload's result and the paging-subsystem
-counters.
+counters. ``run`` builds one named scenario
+(:data:`repro.harness.scenarios.SCENARIOS`) and prints its report,
+counters and pinned digests.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.harness.experiment import APP_AWARE
 from repro.net.faults import FaultPlan
 
 # Each command imports its app modules itself: most apps are numpy-native,
-# and the serving, KV, rack and repair commands boot without numpy.
+# and the serving, KV, rack, repair and LLM scenarios boot without numpy.
 
 
 def _print_counters(counters: Mapping[str, float]) -> None:
@@ -60,11 +66,21 @@ def _backend_spec(spec: str) -> str:
     return spec
 
 
+def _serve_spec(spec: str) -> str:
+    """argparse type for --spec: validate the serve spec, return it."""
+    from repro.serve import coerce_serve_spec
+    try:
+        coerce_serve_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return spec
+
+
 def cmd_figure(args) -> int:
     """Run one paper table or figure: its system x ratio grid, or the
     part of it ``--systems``/``--ratios`` pick, at the figure's sizes."""
     from repro.harness import ratio_table
-    from repro.harness.figures import FIGURES, run_figure
+    from repro.harness.figures import FIGURES, report_rows, run_figure
     from repro.harness.results import save_json
 
     if args.figure is None:
@@ -84,14 +100,9 @@ def cmd_figure(args) -> int:
     print(ratio_table(FIGURES[args.figure].title, measurements))
     if len(measurements) == 1:
         only = measurements[0]
-        rows = []
-        for key, value in only.extra["result"].items():
-            if isinstance(value, dict):
-                rows.extend([f"{key}.{k}", v] for k, v in value.items())
-            else:
-                rows.append([key, value])
         print(format_table(f"{only.system} at {only.ratio:g}",
-                           ["result", "value"], rows))
+                           ["result", "value"],
+                           report_rows(only.extra["result"])))
         _print_counters(only.extra["metrics"]["counters"])
     if args.save:
         save_json(measurements, args.save)
@@ -165,7 +176,7 @@ def _sweep_llm(args) -> int:
         print("error: the llm sweep disaggregates prefill/decode across "
               "a shared cluster backend, which AIFM tenants cannot join "
               "(bump allocation); pick a paging kernel, or run the "
-              "single-node AIFM port via 'repro llm --system aifm'",
+              "single-node AIFM port via 'repro run llm_aifm'",
               file=sys.stderr)
         return 2
     if len(args.systems) != 1:
@@ -258,10 +269,12 @@ def cmd_sweep(args) -> int:
     """Sweep the llm P:D-split x ratio grid or the rack placement x
     oversubscription grid on one kernel (the paper's system x ratio
     grids are ``repro figure``)."""
-    if args.pd_splits and args.workload != "llm":
-        print("error: --pd-splits only applies to the llm sweep",
-              file=sys.stderr)
-        return 2
+    for flag, given in (("--pd-splits", args.pd_splits),
+                        ("--ratios", args.ratios)):
+        if given and args.workload != "llm":
+            print(f"error: {flag} only applies to the llm sweep",
+                  file=sys.stderr)
+            return 2
     if (args.placements or args.oversubs) and args.workload != "rack":
         print("error: --placements/--oversubs only apply to the rack "
               "sweep", file=sys.stderr)
@@ -278,363 +291,69 @@ def cmd_systems(_args) -> int:
     return 0
 
 
-def _list_presets(command: str, title: str) -> int:
-    """Print the registry scenarios ``repro <command>`` offers."""
+def cmd_run(args) -> int:
+    """Build one registry scenario and print its report (with the naive
+    run beside a serve preset's), its cluster-wide counters and the
+    digests ``GOLDEN`` pins; unless ``--once``, build it again and exit 1
+    on any digest drift. Without a name, list the scenarios."""
+    from repro.harness.figures import report_rows
     from repro.harness.scenarios import SCENARIOS
 
-    print(format_table(title, ["name", "description"],
-                       [[name, scenario.description]
-                        for name, scenario in sorted(SCENARIOS.items())
-                        if scenario.command == command]))
-    return 0
-
-
-def _determinism_gate(args, build, first) -> int:
-    """Unless ``--once``, run the preset again; any drift in the request
-    trace or metrics digest is a determinism failure (exit 1)."""
-    if args.once:
+    if args.scenario is None:
+        print(format_table("scenarios (repro run <name>)",
+                           ["name", "description"],
+                           [[name, scenario.description]
+                            for name, scenario in SCENARIOS.items()]))
         return 0
-    again = build()
-    if (again.report.trace_digest != first.report.trace_digest
-            or again.digest() != first.digest()):
+    scenario = SCENARIOS.get(args.scenario)
+    if scenario is None:
+        print(f"error: unknown scenario {args.scenario!r}; 'repro run' "
+              "lists them", file=sys.stderr)
+        return 2
+    overrides = dict(kind=args.system, backend=args.backend, serve=args.spec,
+                     net_faults=args.net_faults)
+    try:
+        run = scenario.build(**overrides)
+        naive = (scenario.build(naive=True, **overrides)
+                 if scenario.contrast and not args.once else None)
+        again = None if args.once else scenario.build(**overrides)
+    except (TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"error: {args.scenario} failed its audit: {exc}",
+              file=sys.stderr)
+        return 1
+
+    print(f"{args.scenario}: {scenario.description} "
+          f"({run.sim_us / 1000:.2f} simulated ms)")
+    rows = report_rows(run.report)
+    if naive is not None:
+        preset, contrast = dict(rows), dict(report_rows(naive.report))
+        print(format_table(
+            f"report: preset vs naive ({scenario.contrast[0]})",
+            ["field", "preset", "naive"],
+            [[key, preset.get(key, "-"), contrast.get(key, "-")]
+             for key in {**preset, **contrast}]))
+    elif rows:
+        print(format_table("report", ["field", "value"], rows))
+    print(format_table("counters", ["counter", "value"], [
+        [key, value]
+        for key, value in sorted(run.target.metrics().counters.items())
+        if not key.startswith("tenant.")]))
+    trace_digest = getattr(run.report, "trace_digest", None)
+    if trace_digest is not None:
+        print(f"request-trace digest: {trace_digest}")
+    print(f"metrics digest: {run.digest()}")
+    if again is None:
+        return 0
+    if (again.digest() != run.digest()
+            or getattr(again.report, "trace_digest", None) != trace_digest):
         print("error: determinism drift — the repeated run produced a "
               "different request trace or metrics digest", file=sys.stderr)
         return 1
     print("determinism: OK (two runs, identical digests)")
     return 0
-
-
-def cmd_tenants(args) -> int:
-    """Run a multi-tenant scenario: N kernels round-robin on one shared
-    clock and memory backend, reporting per-tenant and aggregate metrics
-    plus the final deterministic digest."""
-    from repro.harness.scenarios import preset
-
-    if args.list:
-        return _list_presets("tenants", "preset scenarios")
-    try:
-        run = preset("tenants", args.scenario).build(
-            backend=args.backend, quantum_us=args.quantum_us,
-            kind=args.system, max_quanta=args.max_quanta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cluster, snapshot = run.target, run.report
-    print(f"{args.scenario} on {cluster.backend_label}: "
-          f"{len(cluster.tenants)} tenants, "
-          f"{int(snapshot.value('cluster.quanta'))} quanta, "
-          f"{cluster.clock.now / 1000:.2f} simulated ms, "
-          f"fairness {snapshot.value('cluster.fairness_jain'):.3f}")
-    rows = []
-    for tenant in cluster.tenants:
-        rows.append([
-            tenant.name,
-            tenant.ops,
-            tenant.quanta,
-            f"{tenant.run_us / 1000:.2f}",
-            int(snapshot.value(f"tenant.{tenant.name}.fault.major")),
-            int(snapshot.value(f"tenant.{tenant.name}.prefetch.issued")),
-            int(snapshot.value(f"tenant.{tenant.name}.net.bytes_read")),
-            "yes" if tenant.done else "no",
-        ])
-    print(format_table(
-        "tenants",
-        ["tenant", "ops", "quanta", "run_ms", "major_faults", "prefetches",
-         "net_rd_bytes", "done"], rows))
-    used = (snapshot.value("backend.total_slots")
-            - snapshot.value("backend.free_slots"))
-    print(format_table("shared backend", ["metric", "value"], [
-        ["slots used", f"{int(used)}/{int(snapshot.value('backend.total_slots'))}"],
-        ["capacity (MiB)", f"{snapshot.value('backend.capacity_bytes') / MIB:.0f}"],
-    ]))
-    print(f"metrics digest: {snapshot.digest()}")
-    return 0
-
-
-def _serve_spec(spec: str) -> str:
-    """argparse type for --spec: validate the serve spec, return it."""
-    from repro.serve import coerce_serve_spec
-    try:
-        coerce_serve_spec(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return spec
-
-
-def cmd_serve(args) -> int:
-    """Run an open-loop serving preset: deterministic arrivals through
-    admission control and the load balancer into service tenants, with
-    SLO accounting in canonical ``serve.*`` metrics. The preset runs
-    twice; any drift in the request-trace or metrics digest is a
-    determinism failure (non-zero exit). A contrast run with the naive
-    configuration (no admission / load-blind routing, applied on top of
-    ``--spec`` when given) prints alongside."""
-    from repro.harness.scenarios import preset
-
-    if args.list:
-        return _list_presets("serve", "serving presets")
-
-    def one(naive: bool = False):
-        return scenario.build(naive=naive, backend=args.backend,
-                              kind=args.system, serve=args.spec)
-
-    try:
-        scenario = preset("serve", args.preset)
-        first = one()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cluster, report = first.target, first.report
-    spec = report.spec
-    snap = report.snapshot
-    hist = snap.histograms.get("serve.latency_us", {})
-    completed = snap.value("serve.completed")
-    violation_rate = (snap.value("serve.slo_violations") / completed
-                      if completed else 0.0)
-    print(f"{args.preset} on {cluster.backend_label}: "
-          f"{len(cluster.tenants)} service tenants, {spec.to_spec()}")
-    print(format_table("serve.* (canonical metrics)", ["metric", "value"], [
-        ["offered", int(snap.value("serve.offered"))],
-        ["admitted", int(snap.value("serve.admitted"))],
-        ["shed", int(snap.value("serve.shed"))],
-        ["completed", int(completed)],
-        ["errors", int(snap.value("serve.errors"))],
-        ["goodput (in-SLO ok)", int(snap.value("serve.goodput"))],
-        ["SLO violations", int(snap.value("serve.slo_violations"))],
-        ["violation rate", f"{violation_rate:.4f}"],
-        ["p50 latency (us)", f"{hist.get('p50', 0.0):.2f}"],
-        ["p99 latency (us)", f"{hist.get('p99', 0.0):.2f}"],
-        ["p999 latency (us)", f"{hist.get('p999', 0.0):.2f}"],
-        ["offered rps", f"{snap.value('serve.offered_rps'):,.0f}"],
-        ["goodput rps", f"{snap.value('serve.goodput_rps'):,.0f}"],
-    ] + ([
-        ["TTFT p99 (us)", f"{report.ttft.get('p99', 0.0):.2f}"],
-        ["TPOT p99 (us)", f"{report.tpot.get('p99', 0.0):.2f}"],
-    ] if report.ttft else [])))
-    print(format_table(
-        "requests routed per tenant", ["tenant", "served"],
-        [[name, served] for name, served in report.per_tenant.items()]))
-
-    if not args.no_contrast:
-        contrast_label = scenario.contrast[0]
-        naive_report = one(naive=True).report
-        naive_hist = naive_report.snapshot.histograms.get(
-            "serve.latency_us", {})
-        print(format_table(
-            f"preset vs naive ({contrast_label})",
-            ["metric", "preset", "naive"], [
-                ["p50 (us)", f"{hist.get('p50', 0.0):.2f}",
-                 f"{naive_hist.get('p50', 0.0):.2f}"],
-                ["p99 (us)", f"{hist.get('p99', 0.0):.2f}",
-                 f"{naive_hist.get('p99', 0.0):.2f}"],
-                ["p999 (us)", f"{hist.get('p999', 0.0):.2f}",
-                 f"{naive_hist.get('p999', 0.0):.2f}"],
-                ["violation rate", f"{violation_rate:.4f}",
-                 f"{naive_report.violation_rate:.4f}"],
-                ["shed", report.shed, naive_report.shed],
-                ["goodput rps", f"{report.goodput_rps:,.0f}",
-                 f"{naive_report.goodput_rps:,.0f}"],
-            ] + ([
-                ["TTFT p99 (us)", f"{report.ttft.get('p99', 0.0):.2f}",
-                 f"{naive_report.ttft.get('p99', 0.0):.2f}"],
-            ] if report.ttft else [])))
-
-    print(f"request-trace digest: {report.trace_digest}")
-    print(f"metrics digest: {snap.digest()}")
-    return _determinism_gate(args, one, first)
-
-
-def cmd_llm(args) -> int:
-    """LLM inference with the KV cache in far memory — single-node
-    closed-loop by default, or prefill/decode disaggregation across
-    cluster tenants with ``--pd-split P:D``. Both modes decode the
-    identical token stream (the compatibility invariant)."""
-    from dataclasses import asdict
-
-    from repro.apps.llm import PD_CONFIG, run_pd
-    from repro.harness.scenarios import llm
-
-    if args.pd_split is not None:
-        try:
-            result = run_pd(kind=args.system, ratio=args.ratio,
-                            split=args.pd_split, backend=args.backend,
-                            n_requests=args.requests,
-                            net_faults=args.net_faults)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"{args.system} P:D {result.split} on {result.backend}: "
-              f"{result.decoded_tokens} tokens decoded across "
-              f"{result.requests} requests in "
-              f"{result.makespan_us / 1000:.2f} simulated ms "
-              f"({result.kv_transfer_bytes // 1024} KiB KV transferred)")
-        print(format_table(
-            "per-tenant", ["tenant", "ops", "run_ms", "major_faults"],
-            [[name, int(row["ops"]), f"{row['run_us'] / 1000:.2f}",
-              int(row["major_faults"])]
-             for name, row in sorted(result.per_tenant.items())]))
-        print(f"token digest: {result.token_digest}")
-        print(f"kv digest: {result.kv_digest}")
-        return 0
-
-    run = llm(args.system, args.ratio, backend=args.backend,
-              config=asdict(PD_CONFIG), net_faults=args.net_faults,
-              n_requests=args.requests, prompt_min=24, prompt_max=56,
-              out_min=8, out_max=16)
-    result = run.report
-    mean_ttft = sum(result.ttft_us) / len(result.ttft_us)
-    mean_tpot = sum(result.tpot_us) / len(result.tpot_us)
-    print(f"{run.target.name}: {result.decoded_tokens} tokens decoded "
-          f"({result.prefill_tokens} prefilled) across {result.requests} "
-          f"requests in {result.elapsed_us / 1000:.2f} simulated ms, "
-          f"mean TTFT {mean_ttft:.1f} us, mean TPOT {mean_tpot:.1f} us")
-    _print_counters(result.metrics.counters)
-    print(f"token digest: {result.token_digest}")
-    print(f"kv digest: {result.kv_digest}")
-    return 0
-
-
-def cmd_repair(args) -> int:
-    """Run the node-rejoin repair demo: degraded writes while a member
-    is down, journal-protected rejoin, paced resilver, at-rest scrub
-    repair, then a second failure with a full byte-exact verification."""
-    from repro.harness.scenarios import SCENARIOS
-
-    try:
-        result = SCENARIOS["repair_demo"].build(
-            backend=args.backend, kind=args.system,
-            repair=args.repair).report
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{result['kind']} on {result['backend']}: "
-          f"{result['verified_pages']} pages verified byte-exact after "
-          f"rejoin + second failure ({result['time_us'] / 1000:.2f} "
-          "simulated ms)")
-    print(format_table("repair lifecycle", ["phase", "value"], [
-        ["pages journaled while down", result["stale_after_degraded"]],
-        ["resilver time (ms)", f"{result['resilver_us'] / 1000:.2f}"],
-        ["scrub detect+repair time (ms)", f"{result['scrub_us'] / 1000:.2f}"],
-    ]))
-    rows = [[key, int(value)]
-            for key, value in sorted(result["counters"].items())]
-    print(format_table("cluster/repair/scrub counters",
-                       ["counter", "value"], rows))
-    print(f"metrics digest: {result['digest']}")
-    return 0
-
-
-def cmd_kv(args) -> int:
-    """Run the replicated KV failover preset: two KV tenants over a
-    redundant backend with a lossy wire, the lease-holding member killed
-    mid-run and rejoined while serving continues. Prints the serving
-    tail plus the availability/consistency ledger; the run replays once
-    and any digest drift is a determinism failure."""
-    from repro.harness.scenarios import SCENARIOS
-
-    def one():
-        return SCENARIOS["kv_failover"].build(
-            backend=args.backend, kind=args.system, requests=args.requests,
-            lease_us=args.lease_us, kill_at_us=args.kill_at,
-            rejoin_at_us=args.rejoin_at)
-
-    try:
-        first = one()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cluster, report = first.target, first.report
-    snap = cluster.metrics()
-    lost = int(snap.value("kv.lost_updates"))
-    print(f"kv over {args.backend} ({args.system}): "
-          f"{report.completed}/{report.offered} requests, "
-          f"{int(snap.value('kv.failovers'))} failovers, "
-          f"{lost} lost updates")
-    print(format_table("serving tail", ["metric", "value"], [
-        ["offered", report.offered],
-        ["completed", report.completed],
-        ["p50 latency (us)", f"{report.latency.get('p50', 0.0):.2f}"],
-        ["p99 latency (us)", f"{report.latency.get('p99', 0.0):.2f}"],
-        ["goodput rps", f"{report.goodput_rps:,.0f}"],
-    ]))
-    print(format_table("availability / consistency", ["metric", "value"], [
-        ["gets / sets / deletes",
-         f"{int(snap.value('kv.gets'))} / {int(snap.value('kv.sets'))} / "
-         f"{int(snap.value('kv.deletes'))}"],
-        ["failovers", int(snap.value("kv.failovers"))],
-        ["failover latency (us)", int(snap.value("kv.failover_us"))],
-        ["unavailability (us)", int(snap.value("kv.unavail_us"))],
-        ["rejects while unavailable", int(snap.value("kv.unavail_rejects"))],
-        ["rejected writes", int(snap.value("kv.rejected_writes"))],
-        ["lease renewals", int(snap.value("kv.lease_renewals"))],
-        ["stale candidates skipped",
-         int(snap.value("kv.stale_candidates_skipped"))],
-        ["pages resilvered", int(snap.value("repair.pages_resilvered"))],
-        ["lost updates", lost],
-    ]))
-    print(f"request-trace digest: {report.trace_digest}")
-    print(f"metrics digest: {snap.digest()}")
-    if lost:
-        print("error: lost updates detected — acknowledged writes were "
-              "not durable across the failover", file=sys.stderr)
-        return 1
-    return _determinism_gate(args, one, first)
-
-
-def cmd_rack(args) -> int:
-    """Run one rack-scale serving pass: tenants striped over an explicit
-    topology (per-link bandwidth, ToR oversubscription) drawing pages
-    from the placement-aware pool. Prints the serving tail, the fabric
-    link report and the pool's placement-outcome metrics; the run
-    replays once and any digest drift is a determinism failure."""
-    from repro.harness.scenarios import SCENARIOS
-    from repro.mem.pool import PLACEMENTS
-
-    if args.placement not in PLACEMENTS:
-        print(f"error: unknown placement {args.placement!r}; pick from "
-              f"{list(PLACEMENTS)}", file=sys.stderr)
-        return 2
-
-    def one():
-        return SCENARIOS["rack"].build(
-            tenants=args.tenants, topology=args.topology,
-            placement=args.placement, kind=args.system, serve=args.spec)
-
-    try:
-        first = one()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cluster, report = first.target, first.report
-    snap = report.snapshot
-    topo = cluster.topology
-    print(f"{topo.spec()} / {cluster.pool}: "
-          f"{len(cluster.tenants)} tenants, {report.spec.to_spec()}")
-    print(format_table("serving tail", ["metric", "value"], [
-        ["offered", report.offered],
-        ["completed", report.completed],
-        ["p50 latency (us)", f"{report.latency.get('p50', 0.0):.2f}"],
-        ["p99 latency (us)", f"{report.latency.get('p99', 0.0):.2f}"],
-        ["violation rate", f"{report.violation_rate:.4f}"],
-        ["goodput rps", f"{report.goodput_rps:,.0f}"],
-    ]))
-    print(format_table("pool placement outcome", ["metric", "value"], [
-        ["allocations", int(snap.value("pool.alloc"))],
-        ["spills (off-home)", int(snap.value("pool.spills"))],
-        ["stranded slots", int(snap.value("pool.stranded_slots"))],
-        ["fragmentation imbalance",
-         f"{snap.value('pool.frag_imbalance'):.3f}"],
-    ]))
-    interesting = [(name, row) for name, row
-                   in cluster.link_report().items() if row["bytes"] > 0]
-    print(format_table(
-        "fabric links (nonzero traffic)",
-        ["link", "MiB", "queue_us", "util"],
-        [[name, f"{row['bytes'] / MIB:.1f}", f"{row['queue_us']:.1f}",
-          f"{row['util']:.3f}"] for name, row in interesting]))
-    print(f"request-trace digest: {report.trace_digest}")
-    print(f"metrics digest: {snap.digest()}")
-    return _determinism_gate(args, one, first)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -643,28 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Run one DiLOS-reproduction experiment.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # The figures' systems: every kernel plus the app-aware legend.
+    # Every kernel plus the figures' app-aware legend (figure, run, trace).
     figure_kinds = SYSTEM_KINDS + (APP_AWARE,)
 
-    def common(p, systems=SYSTEM_KINDS):
-        p.add_argument("--system", default="dilos-readahead",
-                       choices=systems)
-        p.add_argument("--ratio", type=float, default=0.125,
-                       help="local memory as a fraction of the working set")
-        boot_flags(p)
-
-    def boot_flags(p):
+    def boot_flags(p, backend="node"):
         p.add_argument("--net-faults", default=None, metavar="SPEC",
                        type=_fault_spec,
                        help="inject network faults and route IO through the "
                             "reliable transport; SPEC like "
                             "'drop=0.01,corrupt=0.005,seed=7' "
                             "(see docs/RELIABILITY.md)")
-        p.add_argument("--backend", default="node", metavar="SPEC",
+        p.add_argument("--backend", default=backend, metavar="SPEC",
                        type=_backend_spec,
                        help="remote memory backend: one of "
                             f"{', '.join(BACKEND_SPEC_EXAMPLES)} "
-                            "(default: node)")
+                            f"(default: {backend or 'the pinned one'})")
 
     sub.add_parser("systems", help="list system keys").set_defaults(
         func=cmd_systems)
@@ -724,114 +436,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "tenants",
-        help="co-schedule tenant workloads on one shared backend")
-    p.add_argument("scenario", nargs="?", default="kmeans+redis",
-                   help="preset scenario name (see --list)")
-    p.add_argument("--list", action="store_true",
-                   help="list preset scenarios and exit")
-    p.add_argument("--system", default=None, choices=SYSTEM_KINDS,
-                   help="kernel kind for every tenant "
-                        "(default: the preset's choice)")
-    p.add_argument("--backend", default=None, metavar="SPEC",
-                   type=_backend_spec,
-                   help="shared backend override: one of "
-                        f"{', '.join(BACKEND_SPEC_EXAMPLES)}")
-    p.add_argument("--quantum-us", type=float, default=None,
-                   help="scheduling time slice in simulated us")
-    p.add_argument("--max-quanta", type=int, default=None,
-                   help="stop after this many total time slices")
-    p.set_defaults(func=cmd_tenants)
-
-    p = sub.add_parser(
-        "serve",
-        help="open-loop serving preset with SLO metrics + determinism gate")
-    p.add_argument("--preset", default="flash_crowd",
-                   help="serving preset name (see --list; "
-                        "default: flash_crowd)")
-    p.add_argument("--list", action="store_true",
-                   help="list serving presets and exit")
-    p.add_argument("--system", default=None, choices=SYSTEM_KINDS,
-                   help="kernel kind for every service tenant "
-                        "(default: the preset's choice)")
-    p.add_argument("--backend", default=None, metavar="SPEC",
-                   type=_backend_spec,
-                   help="shared backend override: one of "
-                        f"{', '.join(BACKEND_SPEC_EXAMPLES)}")
+        "run", help="one named scenario: report, counters, digests")
+    p.add_argument("scenario", nargs="?", default=None,
+                   help="scenario name, e.g. flash_crowd or kv_failover; "
+                        "without one, list the names")
+    p.add_argument("--system", default=None, choices=figure_kinds,
+                   metavar="KIND",
+                   help="kernel kind for every system the scenario boots "
+                        "(default: the pinned one)")
     p.add_argument("--spec", default=None, metavar="SERVESPEC",
                    type=_serve_spec,
-                   help="replace the preset's serve spec, e.g. "
+                   help="replace a serving scenario's serve spec, e.g. "
                         "'poisson:rate=5k,clients=1m,slo=2ms' "
                         "(see docs/SERVING.md)")
-    p.add_argument("--no-contrast", action="store_true",
-                   help="skip the naive contrast run")
+    boot_flags(p, backend=None)
     p.add_argument("--once", action="store_true",
-                   help="skip the determinism re-run (faster, ungated)")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "rack",
-        help="rack-scale serving: pooled memory + link contention")
-    p.add_argument("--tenants", type=int, default=8,
-                   help="service tenants striped over the compute nodes")
-    p.add_argument("--topology", default=None, metavar="SPEC",
-                   help="rack topology spec, e.g. "
-                        "'rack:compute=4,mem=4,link=100,oversub=4' "
-                        "(see docs/TOPOLOGY.md)")
-    p.add_argument("--placement", default="locality",
-                   help="pool placement policy: locality, load, pack or "
-                        "interleave (default: locality)")
-    p.add_argument("--system", default="dilos-readahead",
-                   choices=SYSTEM_KINDS)
-    p.add_argument("--spec", default=None, metavar="SERVESPEC",
-                   type=_serve_spec,
-                   help="replace the preset's serve spec "
-                        "(see docs/SERVING.md)")
-    p.add_argument("--once", action="store_true",
-                   help="skip the determinism re-run (faster, ungated)")
-    p.set_defaults(func=cmd_rack)
-
-    p = sub.add_parser(
-        "kv",
-        help="replicated KV failover: lease election, kill + resilver")
-    p.add_argument("--system", default="dilos-readahead",
-                   choices=SYSTEM_KINDS)
-    p.add_argument("--backend", default="replicated:3", metavar="SPEC",
-                   type=_backend_spec,
-                   help="redundant backend: replicated:N or parity:K+1 "
-                        "(default: replicated:3)")
-    p.add_argument("--requests", type=int, default=700,
-                   help="open-loop requests offered across the tenants")
-    p.add_argument("--lease-us", type=float, default=120.0,
-                   help="primary lease length in simulated us")
-    p.add_argument("--kill-at", type=float, default=500.0, metavar="US",
-                   help="simulated time at which the lease holder dies")
-    p.add_argument("--rejoin-at", type=float, default=800.0, metavar="US",
-                   help="simulated time at which the dead member rejoins")
-    p.add_argument("--once", action="store_true",
-                   help="skip the determinism re-run (faster, ungated)")
-    p.set_defaults(func=cmd_kv)
-
-    p = sub.add_parser(
-        "repair",
-        help="node-rejoin demo: degraded writes, resilver, scrub, verify")
-    p.add_argument("--system", default="dilos-readahead",
-                   choices=SYSTEM_KINDS)
-    p.add_argument("--backend", default="replicated:2", metavar="SPEC",
-                   type=_backend_spec,
-                   help="redundant backend: replicated:N or parity:K+1 "
-                        "(default: replicated:2)")
-    p.add_argument("--repair", default=("resilver_period=200,"
-                                        "resilver_batch=32,"
-                                        "scrub_period=1000,scrub_batch=128"),
-                   metavar="SPEC",
-                   help="repair policy spec, e.g. 'resilver_period=200,"
-                        "scrub_period=1000' (see docs/RELIABILITY.md)")
-    p.set_defaults(func=cmd_repair)
+                   help="skip the naive contrast and the determinism "
+                        "re-run")
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
         "trace", help="run one figure cell with event tracing; export it")
-    common(p, systems=figure_kinds)
+    p.add_argument("--system", default="dilos-readahead",
+                   choices=figure_kinds)
+    p.add_argument("--ratio", type=float, default=0.125,
+                   help="local memory as a fraction of the working set")
+    boot_flags(p)
     p.add_argument("figure", nargs="?", default="table2-read",
                    help="figure id (see 'repro figure'; "
                         "default: table2-read)")
@@ -843,16 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write Chrome trace_event JSON here")
     p.add_argument("--jsonl", default=None, help="write JSONL events here")
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "llm", help="LLM inference: KV cache tiered over far memory")
-    common(p)
-    p.add_argument("--requests", type=int, default=12,
-                   help="inference requests in the seeded stream")
-    p.add_argument("--pd-split", default=None, metavar="P:D",
-                   help="disaggregate: P prefill + D decode tenants on "
-                        "a shared cluster (e.g. 3:1)")
-    p.set_defaults(func=cmd_llm)
 
     return parser
 

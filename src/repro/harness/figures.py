@@ -110,6 +110,23 @@ def report_fields(report: Any) -> Dict[str, Any]:
             if isinstance(value, (int, float, str, dict))}
 
 
+def report_rows(report: Any, prefix: str = "") -> List[List[Any]]:
+    """A report as ``[field, value]`` rows, one per scalar leaf: a dict
+    report reads as it is, any other as its :func:`report_fields`, and
+    nested dicts flatten to dotted fields (``latency.p99``,
+    ``per_tenant.decode0.major_faults``). ``None`` has no rows."""
+    if report is None:
+        return []
+    rows: List[List[Any]] = []
+    fields = report if isinstance(report, dict) else report_fields(report)
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            rows.extend(report_rows(value, f"{prefix}{key}."))
+        elif isinstance(value, (int, float, str)):
+            rows.append([f"{prefix}{key}", value])
+    return rows
+
+
 def _figure(name: str, size: Optional[int]) -> Figure:
     if name not in FIGURES:
         raise ValueError(f"unknown figure {name!r}; pick from "
@@ -176,6 +193,7 @@ __all__ = [
     "FIGURES",
     "Figure",
     "report_fields",
+    "report_rows",
     "run_cell",
     "run_figure",
 ]

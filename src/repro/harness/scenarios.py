@@ -7,9 +7,8 @@ arguments that pin it — and every consumer reads it:
   scenario's metrics digest and final simulated clock by name;
 * the paper's figure grids (:mod:`repro.harness.figures`) sweep the
   single-system builders over systems and local-memory ratios;
-* ``repro tenants`` and ``repro serve`` offer the scenarios whose
-  ``command`` names them as presets, and ``repro kv``/``rack``/``repair``
-  run ``kv_failover``/``rack``/``repair_demo`` with their flags as
+* ``python -m repro run <name>`` builds any entry, with its
+  ``--system``, ``--backend``, ``--spec`` and ``--net-faults`` flags as
   overrides.
 
 A builder boots fresh systems, runs to completion and returns a
@@ -44,8 +43,8 @@ class Run:
     #: The booted system or cluster, after the run.
     target: Any
     #: The run's own report: the workload's result (a single-system
-    #: builder), a :class:`~repro.serve.ServeReport`, the tenancy
-    #: snapshot, or the repair demo's phase facts.
+    #: builder), a :class:`~repro.serve.ServeReport`, a tenancy run's
+    #: per-tenant summary, or the repair demo's phase facts.
     report: Any = None
 
     @property
@@ -65,8 +64,6 @@ class Scenario:
     description: str
     builder: Callable[..., Run]
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: The CLI subcommand that offers this scenario as a preset.
-    command: Optional[str] = None
     #: ``(label, ServeSpec overrides)`` of the naive run a serve preset
     #: argues against (no admission, load-blind routing).
     contrast: Optional[Tuple[str, Mapping[str, Any]]] = None
@@ -379,13 +376,18 @@ def tenant_mix(tenants: Tuple[Tuple[str, int, WorkloadFactory], ...],
                max_quanta: Optional[int] = None) -> Run:
     """Round-robin tenancy: ``(name, local bytes, workload factory)``
     tenants of one kernel kind co-scheduled on one shared backend.
-    The report is the merged metrics snapshot."""
+    The report is each tenant's ``ops``, ``quanta``, ``run_us`` and
+    ``done``; the merged snapshot is ``run.target.metrics()``."""
     cluster = ComputeCluster(backend=backend,
                              remote_mem_bytes=remote_mem_bytes,
                              quantum_us=quantum_us)
     for name, local_bytes, factory in tenants:
         cluster.add_tenant(name, _spec(kind, local_bytes), factory)
-    return Run(cluster, cluster.run(max_quanta=max_quanta))
+    cluster.run(max_quanta=max_quanta)
+    return Run(cluster, {
+        tenant.name: {"ops": tenant.ops, "quanta": tenant.quanta,
+                      "run_us": tenant.run_us, "done": tenant.done}
+        for tenant in cluster.tenants})
 
 
 def serve_fleet(serve: Any,
@@ -423,9 +425,10 @@ def kv_failover(backend: BackendSpec = "replicated:3",
     load. The lease gates requests while the holder's death is fresh
     (``kv.unavail_rejects``), failover elects a clean member once the
     lease lapses, and the end-of-run :meth:`verify` audit folds any lost
-    update into the digest — the acceptance criterion is that
-    ``kv.lost_updates`` reads 0 and the whole run (trace digest, final
-    clock, merged metrics) is byte-identical across repeats.
+    update into the digest and raises ``AssertionError`` on any — the
+    acceptance criterion is that ``kv.lost_updates`` reads 0 and the
+    whole run (trace digest, final clock, merged metrics) is
+    byte-identical across repeats.
     """
     if rejoin_at_us <= kill_at_us:
         raise ValueError(f"the rejoin ({rejoin_at_us:g} us) must come "
@@ -448,10 +451,10 @@ def kv_failover(backend: BackendSpec = "replicated:3",
     cluster.clock.call_at(rejoin_at_us,
                           lambda: cluster.backend.rejoin(victim))
     report = cluster.serve(serve)
-    for tenant in cluster.tenants:
-        service = tenant.extra.get("service")
-        if service is not None and hasattr(service, "verify"):
-            service.verify()
+    lost = sum(tenant.extra["service"].verify() for tenant in cluster.tenants)
+    if lost:
+        raise AssertionError(f"{lost} lost updates: acknowledged writes "
+                             "were not durable across the failover")
     return Run(cluster, report)
 
 
@@ -472,7 +475,8 @@ def repair_demo(backend: str = "replicated:2",
                 repair: str = ("resilver_period=200,resilver_batch=32,"
                                "scrub_period=1000,scrub_batch=128"),
                 max_advance_us: float = 2_000_000.0) -> Run:
-    """The end-to-end rejoin/repair story behind ``python -m repro repair``.
+    """The end-to-end rejoin/repair story (``python -m repro run
+    repair_demo``).
 
     One DiLOS computing node on a redundant cluster backend walks the
     full failure lifecycle on the simulated clock:
@@ -593,10 +597,15 @@ _REDIS_MIXED = dict(value_size="mixed", n_keys=80, n_queries=250,
 _KMEANS_SMALL = dict(n_points=1 << 11, clusters=4, iterations=2, ratio=0.25)
 _DATAFRAME_SMALL = dict(rows=1 << 13, ratio=0.25)
 _LLM_SMALL = dict(n_requests=4, seed=31)
+_RACK_REDIS_POOL = dict(tenants=8,
+                        topology="rack:compute=4,mem=4,link=100,oversub=4",
+                        placement="locality", n_keys=32,
+                        serve=("poisson:rate=400k,clients=1m,slo=2ms,"
+                               "requests=600,seed=29,balance=round_robin"))
 
 #: name -> scenario.
 SCENARIOS: Dict[str, Scenario] = {
-    # -- repro tenants presets
+    # -- tenancy presets
     # The paper-style pairing: an analytics scan and a latency-sensitive
     # key-value server contending for one sharded pool. Local budgets sit
     # well under both working sets, so each tenant faults and evicts into
@@ -606,25 +615,22 @@ SCENARIOS: Dict[str, Scenario] = {
         dict(tenants=(("kmeans", 256 * KIB, kmeans_tenant()),
                       ("redis", 256 * KIB, redis_get_tenant())),
              backend="sharded:2", remote_mem_bytes=64 * MIB,
-             quantum_us=100.0),
-        command="tenants"),
+             quantum_us=100.0)),
     # Jain's fairness index should sit near 1.0.
     "stream-duo": Scenario(
         "two identical streamers (fairness smoke)", tenant_mix,
         dict(tenants=(("stream_a", 256 * KIB, seqread_tenant()),
                       ("stream_b", 256 * KIB, seqread_tenant())),
              backend="replicated:2", remote_mem_bytes=64 * MIB,
-             quantum_us=250.0),
-        command="tenants"),
+             quantum_us=250.0)),
     "mixed-trio": Scenario(
         "k-means + redis + streamer on one pool", tenant_mix,
         dict(tenants=(("kmeans", 512 * KIB, kmeans_tenant()),
                       ("redis", 512 * KIB, redis_get_tenant()),
                       ("stream", 256 * KIB, seqread_tenant())),
              backend="sharded:2", remote_mem_bytes=96 * MIB,
-             quantum_us=500.0),
-        command="tenants"),
-    # -- repro serve presets
+             quantum_us=500.0)),
+    # -- serve presets, each with the naive run it argues against
     # Bursty overload (MMPP flash crowds at ~10x the fleet's capacity).
     # With depth/64 admission the queue — and therefore the p99 — stays
     # bounded well inside the 1 ms SLO while shed requests count on
@@ -637,7 +643,7 @@ SCENARIOS: Dict[str, Scenario] = {
                     "clients=1m,slo=1ms,requests=6000,seed=7,"
                     "admission=depth/64"),
              services=_redis_fleet("web1", "web2")),
-        command="serve", contrast=("no admission", {"admission": "none"})),
+        contrast=("no admission", {"admission": "none"})),
     # Generation is orders of magnitude more expensive per request than a
     # KV GET, so a flash crowd saturates the fleet almost immediately and
     # the time-to-first-token tail (serve.ttft_us, queueing included)
@@ -651,7 +657,7 @@ SCENARIOS: Dict[str, Scenario] = {
                     "admission=bucket/5k/16"),
              services=tuple((name, 256 * KIB, "llm", {})
                             for name in ("gen1", "gen2"))),
-        command="serve", contrast=("no admission", {"admission": "none"})),
+        contrast=("no admission", {"admission": "none"})),
     # Key affinity sends the whole hot head of the zipf distribution to
     # one tenant (watch tenant.kv1.served vs its peers and the p99); the
     # least-outstanding run spreads load evenly at the cost of affinity.
@@ -661,7 +667,7 @@ SCENARIOS: Dict[str, Scenario] = {
         dict(serve=("poisson:rate=600k,clients=1m,slo=1ms,requests=6000,"
                     "seed=11,balance=hash"),
              services=_redis_fleet("kv1", "kv2", "kv3", skew=1.2)),
-        command="serve", contrast=("least-outstanding", {"balance": "least"})),
+        contrast=("least-outstanding", {"balance": "least"})),
     # Two fast replicas and one memory-starved laggard: least-outstanding
     # routing notices the laggard's growing queue and routes around it,
     # while round-robin gives it a third of the traffic and drags the
@@ -673,7 +679,6 @@ SCENARIOS: Dict[str, Scenario] = {
                     "seed=13,balance=least"),
              services=(_redis_fleet("fast1", "fast2", local_bytes=4 * MIB)
                        + _redis_fleet("laggard", local_bytes=128 * KIB))),
-        command="serve",
         contrast=("round-robin", {"balance": "round_robin"})),
     "repair_demo": Scenario(
         "kill, degraded writes, rejoin + resilver, scrub, second kill",
@@ -758,14 +763,16 @@ SCENARIOS: Dict[str, Scenario] = {
         llm_pd, dict(kind=_DILOS, ratio=0.25, split="1:1",
                      backend="sharded:2", n_requests=12, seed=31)),
     "rack": Scenario(
-        "redis tenants striped over a pooled rack (repro rack)", rack),
+        "redis tenants striped over a pooled rack, locality placement",
+        rack),
     "rack_redis_pool": Scenario(
         "8 redis tenants served over a pooled 4:1-oversubscribed rack",
-        rack, dict(tenants=8,
-                   topology="rack:compute=4,mem=4,link=100,oversub=4",
-                   placement="locality", n_keys=32,
-                   serve=("poisson:rate=400k,clients=1m,slo=2ms,"
-                          "requests=600,seed=29,balance=round_robin"))),
+        rack, _RACK_REDIS_POOL),
+    # The same rack with load placement: pages spill off their tenant's
+    # chassis, so requests cross the oversubscribed trunk and queue there.
+    "rack_redis_pool_load": Scenario(
+        "rack_redis_pool with load placement: trunk crossings and queueing",
+        rack, dict(_RACK_REDIS_POOL, placement="load")),
     "kv_failover": Scenario(
         "replicated KV: lossy wire, lease-holder kill, rejoin + resilver",
         kv_failover),
@@ -773,17 +780,6 @@ SCENARIOS: Dict[str, Scenario] = {
         "replicated KV service surviving a lease-holder kill + resilver",
         kv_failover, dict(requests=400)),
 }
-
-
-def preset(command: str, name: str) -> Scenario:
-    """The scenario ``repro <command>`` runs as preset ``name``."""
-    scenario = SCENARIOS.get(name)
-    if scenario is None or scenario.command != command:
-        choices = sorted(key for key, entry in SCENARIOS.items()
-                         if entry.command == command)
-        raise ValueError(f"unknown {command} preset {name!r}; "
-                         f"pick from {choices}")
-    return scenario
 
 
 __all__ = [
@@ -797,7 +793,6 @@ __all__ = [
     "kv_failover",
     "llm",
     "llm_pd",
-    "preset",
     "quicksort",
     "rack",
     "redis",

@@ -9,7 +9,10 @@ sequences, the methodology behind trace-driven studies like the paper's
 motivation experiments (§3).
 
 Traces serialize to JSON-lines, so they can be stored with experiment
-results and replayed later.
+results and replayed later. A ``munmap`` is an event too: the trace's
+layout lists every region in ``mmap`` order, freed ones included, so a
+replay maps each at its recorded base and frees it where the recording
+did.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from repro.core.api import BaseSystem
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One memory access, ``gap_us`` of compute after the previous one."""
+    """One memory access, ``gap_us`` of compute after the previous one
+    (a ``munmap`` names the region's base and size)."""
 
-    op: str  # "read" | "write" | "touch"
+    op: str  # "read" | "write" | "touch" | "munmap"
     va: int
     size: int
     gap_us: float
@@ -44,7 +48,7 @@ class Trace:
 
     @property
     def bytes_accessed(self) -> int:
-        return sum(e.size for e in self.events)
+        return sum(e.size for e in self.events if e.op != "munmap")
 
     # -- persistence --------------------------------------------------------
 
@@ -70,8 +74,10 @@ class Trace:
         """Re-create the regions and drive the accesses; returns the
         system's :class:`~repro.obs.MetricsSnapshot` with the replay's
         simulated duration in ``extra["replay_us"]``."""
+        regions = {}
         for size, ddc, name in self.regions:
-            system.mmap(size, ddc=ddc, name=name)
+            region = system.mmap(size, ddc=ddc, name=name)
+            regions[region.base] = region
         start = system.clock.now
         memory = system.memory
         for event in self.events:
@@ -85,6 +91,8 @@ class Trace:
                 memory.write(event.va, b"\xA7" * event.size)
             elif event.op == "touch":
                 memory.touch(event.va, event.size)
+            elif event.op == "munmap":
+                system.munmap(regions.pop(event.va))
             else:
                 raise ValueError(f"unknown trace op {event.op!r}")
         metrics = system.metrics()
@@ -147,16 +155,35 @@ class RecordingMemory:
 
 
 class TraceRecorder:
-    """Attach to a system, run the application, then ``finish()``."""
+    """Attach to a system, run the application, then ``finish()``.
+
+    While attached, the system's ``mmap`` and ``munmap`` go through the
+    recorder: the layout keeps the regions mapped at attach and then
+    every region mapped since, freed or not, and each ``munmap`` is an
+    event.
+    """
 
     def __init__(self, system: BaseSystem) -> None:
         self._system = system
         self._proxy = RecordingMemory(system)
+        self._regions = system.addr_space.regions()
         system.vm = self._proxy  # apps reach memory via system.memory
+        system.mmap = self._mmap
+        system.munmap = self._munmap
+
+    def _mmap(self, *args, **kwargs):
+        region = type(self._system).mmap(self._system, *args, **kwargs)
+        self._regions.append(region)
+        return region
+
+    def _munmap(self, region) -> None:
+        self._proxy._log("munmap", region.base, region.size)
+        type(self._system).munmap(self._system, region)
+        self._proxy._last_time = self._system.clock.now
 
     def finish(self) -> Trace:
         """Detach and return the recorded trace."""
         self._system.vm = self._proxy._inner
-        regions = [(r.size, r.ddc, r.name)
-                   for r in self._system.addr_space.regions()]
+        del self._system.mmap, self._system.munmap
+        regions = [(r.size, r.ddc, r.name) for r in self._regions]
         return Trace(regions, list(self._proxy._events))

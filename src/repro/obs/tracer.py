@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 class TraceRecord:
@@ -117,7 +117,7 @@ class Tracer:
         finally:
             self.complete(name, cat, start, clock.now - start, args)
 
-    # -- inspection / lifecycle ----------------------------------------------
+    # -- inspection -----------------------------------------------------------
 
     def events(self) -> List[TraceRecord]:
         """All buffered events, oldest first."""
@@ -125,13 +125,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(list(self._events))
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
 
 
 class NullTracer:
@@ -163,12 +156,6 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(())
-
-    def clear(self) -> None:
-        pass
 
 
 #: Shared no-op tracer; safe to use as a default for any number of systems.

@@ -9,31 +9,34 @@ import pytest
 from repro.cli import build_parser, main
 from repro.harness.figures import FIGURES
 from repro.harness.results import load_json
+from repro.harness.scenarios import SCENARIOS, Scenario, kv_failover
 from repro.obs import validate_chrome_trace
+from tests.test_golden_master import GOLDEN, TRACE_DIGESTS
 
 #: figure id -> (system, --size, a row the cell's result table must
-#: hold): one small cell per figure, each on a system of its grid; the
-#: row shows the size reached the figure's size parameter.
+#: hold, text the output must also hold or None): one small cell per
+#: figure, each on a system of its grid; the row shows the size reached
+#: the figure's size parameter.
 CELLS = {
-    "table2-read": ("dilos-readahead", 2, r"bytes_moved\s+2097152"),
-    "table2-write": ("fastswap", 2, r"mode\s+write"),
-    "fig7a": ("dilos-none", 8192, r"count\s+8192"),
-    "fig7b": ("dilos-trend", 4096, r"points\s+4096"),
-    "fig7c": ("dilos-tcp", 1, r"input_bytes\s+393216"),
-    "fig7d": ("aifm", 1, r"mode\s+decompress"),
-    "fig8": ("aifm", 8192, r"rows\s+8192"),
-    "fig9a": ("fastswap", 1024, r"n\s+1024"),
-    "fig9b": ("dilos-app-aware", 1024, r"sources\s+2"),
-    "fig10a": ("dilos-none", 100, r"queries\s+100"),
-    "fig10b": ("dilos-trend", 100, r"queries\s+100"),
-    "fig10c": ("fastswap", 100, r"queries\s+100"),
-    "fig10d": ("dilos-app-aware", 100, r"queries\s+100"),
+    "table2-read": ("dilos-readahead", 2, r"bytes_moved\s+2097152", "GB/s"),
+    "table2-write": ("fastswap", 2, r"mode\s+write", None),
+    "fig7a": ("dilos-none", 8192, r"count\s+8192", None),
+    "fig7b": ("dilos-trend", 4096, r"points\s+4096", "inertia"),
+    "fig7c": ("dilos-tcp", 1, r"input_bytes\s+393216", None),
+    "fig7d": ("aifm", 1, r"mode\s+decompress", "deref.total"),
+    "fig8": ("aifm", 8192, r"rows\s+8192", "answers.mean_fare"),
+    "fig9a": ("fastswap", 1024, r"n\s+1024", "top_vertex"),
+    "fig9b": ("dilos-app-aware", 1024, r"sources\s+2", "top_vertex"),
+    "fig10a": ("dilos-none", 100, r"queries\s+100", "req/s"),
+    "fig10b": ("dilos-trend", 100, r"queries\s+100", None),
+    "fig10c": ("fastswap", 100, r"queries\s+100", None),
+    "fig10d": ("dilos-app-aware", 100, r"queries\s+100", None),
 }
 
 
 def run_cell(capsys, name, *extra):
     """Run figure ``name``'s small cell; return what it printed."""
-    system, size, row = CELLS[name]
+    system, size, row, text = CELLS[name]
     assert main(["figure", name, "--systems", system, "--ratios", "0.125",
                  "--size", str(size), *extra]) == 0
     out = capsys.readouterr().out
@@ -41,7 +44,17 @@ def run_cell(capsys, name, *extra):
     assert f"{system} at 0.125" in out
     assert "paging counters" in out
     assert re.search(f"^{row}$", out, re.MULTILINE), row
+    assert text is None or text in out, text
     return out
+
+
+def run_scenario(capsys, *argv):
+    """``repro run ARGV``; returns its stdout and its report and counter
+    rows as a ``{field: [value, ...]}`` dict."""
+    assert main(["run", *argv]) == 0
+    out = capsys.readouterr().out
+    return out, {cells[0]: cells[1:]
+                 for cells in map(str.split, out.splitlines()) if cells}
 
 
 class TestParser:
@@ -77,19 +90,10 @@ class TestSettableSurface:
         "sweep": ["workload", "systems", "ratios", "pd_splits",
                   "placements", "oversubs", "size", "save", "backend",
                   "jobs"],
-        "tenants": ["scenario", "list", "system", "backend", "quantum_us",
-                    "max_quanta"],
-        "serve": ["preset", "list", "system", "backend", "spec",
-                  "no_contrast", "once"],
-        "rack": ["tenants", "topology", "placement", "system", "spec",
-                 "once"],
-        "kv": ["system", "backend", "requests", "lease_us", "kill_at",
-               "rejoin_at", "once"],
-        "repair": ["system", "backend", "repair"],
+        "run": ["scenario", "system", "spec", "net_faults", "backend",
+                "once"],
         "trace": ["system", "ratio", "net_faults", "backend", "figure",
                   "size", "capacity", "out", "jsonl"],
-        "llm": ["system", "ratio", "net_faults", "backend", "requests",
-                "pd_split"],
     }
 
     def test_subcommand_options(self):
@@ -99,8 +103,8 @@ class TestSettableSurface:
                           if not isinstance(action, argparse._HelpAction)]
                    for name, parser in sub.choices.items()}
         assert surface == self.SURFACE
-        assert len(surface) == 10
-        assert sum(map(len, surface.values())) == 62
+        assert len(surface) == 5
+        assert sum(map(len, surface.values())) == 33
 
 
 class TestCommands:
@@ -114,8 +118,7 @@ class TestCommands:
         assert list(CELLS) == list(FIGURES)
 
     def test_seqrw(self, capsys):
-        out = run_cell(capsys, "table2-read")
-        assert "GB/s" in out and "fault.major" in out
+        assert "fault.major" in run_cell(capsys, "table2-read")
 
     def test_seqrw_on_fastswap(self, capsys):
         run_cell(capsys, "table2-write")
@@ -124,25 +127,25 @@ class TestCommands:
         run_cell(capsys, "fig7a")
 
     def test_kmeans(self, capsys):
-        assert "inertia" in run_cell(capsys, "fig7b")
+        run_cell(capsys, "fig7b")
 
     def test_snappy_compress(self, capsys):
         run_cell(capsys, "fig7c")
 
     def test_snappy_aifm(self, capsys):
-        assert "deref.total" in run_cell(capsys, "fig7d")
+        run_cell(capsys, "fig7d")
 
     def test_taxi(self, capsys):
-        assert "answers.mean_fare" in run_cell(capsys, "fig8")
+        run_cell(capsys, "fig8")
 
     def test_pagerank(self, capsys):
-        assert "top_vertex" in run_cell(capsys, "fig9a")
+        run_cell(capsys, "fig9a")
 
     def test_bc_with_guide(self, capsys):
-        assert "top_vertex" in run_cell(capsys, "fig9b")
+        run_cell(capsys, "fig9b")
 
     def test_redis_get(self, capsys):
-        assert "req/s" in run_cell(capsys, "fig10a")
+        run_cell(capsys, "fig10a")
 
     def test_redis_get_64k(self, capsys):
         run_cell(capsys, "fig10b")
@@ -226,58 +229,102 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_repair_lifecycle(self, capsys):
-        assert main(["repair", "--backend", "replicated:2"]) == 0
-        out = capsys.readouterr().out
-        assert "repair lifecycle" in out
-        assert "repair.pages_resilvered" in out
-        assert "metrics digest" in out
+        _, rows = run_scenario(capsys, "repair_demo", "--backend",
+                               "parity:2+1", "--once")
+        assert rows["backend"] == ["parity:2+1"]
+        assert rows["verified_pages"] == rows["pages"] == ["1024"]
+        assert rows["counters.repair.pages_resilvered"] == \
+            rows["stale_after_degraded"]
+        assert rows["counters.scrub.repaired"] == ["1"]
 
     def test_repair_rejects_non_redundant_backend(self, capsys):
-        assert main(["repair", "--backend", "sharded:2"]) == 2
-        assert "redundant" in capsys.readouterr().err
+        assert main(["run", "repair_demo", "--backend", "sharded:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "redundant" in err
 
     def test_kv_failover_preset(self, capsys):
-        assert main(["kv", "--requests", "300", "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "availability / consistency" in out
-        assert "0 lost updates" in out
-        assert "failovers" in out
-        assert "metrics digest" in out
+        _, rows = run_scenario(capsys, "kv_failover", "--once")
+        assert rows["kv.lost_updates"] == ["0"]
+        assert rows["kv.failovers"] == ["2"]
+        assert rows["kv.unavail_us"] == ["210"]
 
     def test_kv_determinism_gate(self, capsys):
-        assert main(["kv", "--requests", "200"]) == 0
-        assert "determinism: OK" in capsys.readouterr().out
+        out, _ = run_scenario(capsys, "kv_get_replicated")
+        assert "determinism: OK" in out
 
     def test_kv_rejects_non_redundant_backend(self, capsys):
-        assert main(["kv", "--backend", "sharded:2", "--once"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    @pytest.mark.parametrize("rejoin_at", ["800", "900"])
-    def test_kv_rejects_rejoin_not_after_kill(self, capsys, rejoin_at):
-        # A rejoin at or before the kill would "rejoin" a live member,
-        # which then dies for good and is never resilvered.
-        assert main(["kv", "--kill-at", "900", "--rejoin-at", rejoin_at,
+        assert main(["run", "kv_failover", "--backend", "sharded:2",
                      "--once"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("rejoin_at", [800, 900])
+    def test_kv_rejects_rejoin_not_after_kill(self, rejoin_at):
+        # A rejoin at or before the kill would "rejoin" a live member,
+        # which then dies for good and is never resilvered.
+        with pytest.raises(ValueError, match="must come after the kill"):
+            kv_failover(kill_at_us=900.0, rejoin_at_us=rejoin_at)
+
+
+class TestRun:
+    """``repro run``: any registry scenario, printed by one code path."""
+
+    def test_lists_every_scenario(self, capsys):
+        assert main(["run"]) == 0
+        out = capsys.readouterr().out
+        for name, scenario in SCENARIOS.items():
+            row = f"^{re.escape(name)} +{re.escape(scenario.description)}$"
+            assert re.search(row, out, re.MULTILINE), name
+        assert main(["run", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown scenario")
+
+    @pytest.mark.parametrize("name", [
+        "seqread_dilos_small", "stream-duo", "llm_flash_crowd",
+        "kv_failover", "rack_redis_pool", "repair_demo", "llm_pd"])
+    def test_prints_the_pinned_digests(self, capsys, name):
+        """One scenario of each builder family: single-system, tenancy,
+        serve preset, KV failover, rack, repair demo and P:D."""
+        out, _ = run_scenario(capsys, name, "--once")
+        assert f"\nmetrics digest: {GOLDEN[name][0]}\n" in out
+        if name in TRACE_DIGESTS:
+            assert f"\nrequest-trace digest: {TRACE_DIGESTS[name]}\n" in out
+        assert "determinism" not in out
+
+    def test_rejects_an_override_the_builder_does_not_take(self, capsys):
+        assert main(["run", "kv_failover", "--spec",
+                     "poisson:rate=1k,requests=10", "--once"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_failed_audit_exits_1(self, capsys, monkeypatch):
+        def builder():
+            raise AssertionError("page 3 corrupted")
+
+        monkeypatch.setitem(SCENARIOS, "broken", Scenario("raises", builder))
+        assert main(["run", "broken", "--once"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "page 3 corrupted" in err
 
 
 class TestLlmCommands:
     def test_llm_single_node(self, capsys):
-        assert main(["llm", "--requests", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "tokens decoded" in out
-        assert "token digest:" in out
-        assert "mean TTFT" in out
+        _, rows = run_scenario(capsys, "llm_dilos", "--once")
+        assert rows["requests"] == rows["llm.requests"] == ["4"]
+        assert rows["decoded_tokens"] == rows["llm.decode_tokens"]
+        assert len(rows["token_digest"][0]) == 64
 
     def test_llm_pd_mode(self, capsys):
-        assert main(["llm", "--requests", "4", "--pd-split", "1:1"]) == 0
-        out = capsys.readouterr().out
-        assert "P:D 1:1" in out
-        assert "KV transferred" in out
-        assert "per-tenant" in out
+        """P:D over a lossy wire decodes the perfect wire's tokens, in
+        more simulated time."""
+        _, perfect = run_scenario(capsys, "llm_pd", "--once")
+        _, lossy = run_scenario(capsys, "llm_pd", "--once", "--net-faults",
+                                "drop=0.01,seed=3")
+        assert perfect["split"] == ["1:1"]
+        assert int(perfect["per_tenant.decode0.major_faults"][0]) > 0
+        assert lossy["token_digest"] == perfect["token_digest"]
+        assert lossy["kv_transfer_bytes"] == perfect["kv_transfer_bytes"]
+        assert lossy["makespan_us"] != perfect["makespan_us"]
 
     def test_llm_pd_rejects_aifm(self, capsys):
-        assert main(["llm", "--system", "aifm", "--pd-split", "1:1"]) == 2
+        assert main(["run", "llm_pd", "--system", "aifm"]) == 2
         assert "AIFM" in capsys.readouterr().err
 
     def test_llm_sweep_tiny_grid(self, capsys):
@@ -309,6 +356,12 @@ class TestLlmCommands:
     def test_pd_splits_rejected_for_other_workloads(self, capsys):
         assert main(["sweep", "rack", "--pd-splits", "1:1"]) == 2
         assert "only applies to the llm sweep" in capsys.readouterr().err
+
+    def test_ratios_rejected_for_the_rack_sweep(self, capsys):
+        assert main(["sweep", "rack", "--ratios", "0.5", "--size", "2",
+                     "--placements", "locality", "--oversubs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --ratios only applies to the llm sweep\n")
 
     def test_llm_sweep_defaults_to_one_kernel(self, capsys):
         """Without --systems the llm grid runs its one default kernel."""

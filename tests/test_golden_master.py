@@ -135,6 +135,11 @@ GOLDEN = {
     "rack_redis_pool": (
         "bc265f9e660c9e4911762f003909c191d4c75725467c420ee1b9346836e14b8e",
         1999.4197405216028),
+    # The same rack under load placement, the one row whose requests
+    # cross the oversubscribed trunk (topo.trunk_crossings > 0).
+    "rack_redis_pool_load": (
+        "d55f822ba68265f82d25f2ff21bc04c3027fb907ac8a67a65f117081da915b98",
+        2238.4783039998715),
     "kv_get_replicated": (
         "ca179a610aa0e77140625a5b1789da1b54ba4793b440502fe377dd79ae26415c",
         559.1403457391355),
@@ -157,7 +162,7 @@ GOLDEN = {
     "rack": (
         "ae47dfdbfcf358238f6ec199f9189d2993fd21702c4286b13cf8bfe8f1eb6fdd",
         8014.499804521779),
-    # The repro tenants presets (round-robin tenants bound to the
+    # The tenancy presets (round-robin tenants bound to the
     # cluster's backend) and the single-node repair demo (a repair
     # manager built right after boot).
     "kmeans+redis": (
@@ -194,6 +199,8 @@ TRACE_DIGESTS = {
         "0870c36377793d13445ca8eba746565895f2f465eac4940b927a6d5d38038f74",
     "rack_redis_pool":
         "db4737c2c8985fdf272ec94423809af11ed5b55f31fd831207a6d8ac5788ce24",
+    "rack_redis_pool_load":
+        "75c4cf68588b84b51a5687f605ece2c5a133b0c3f3d72953b2d314b9ec0d4755",
 }
 
 

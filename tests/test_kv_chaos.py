@@ -149,8 +149,8 @@ def test_chaos_wire_never_surfaces_unacked_writes(seed, backend_spec):
 
 @pytest.mark.parametrize("backend", ["replicated:3", "parity:2+1"])
 def test_kv_failover_scenario_ledger_and_replay(backend):
-    """The ``kv_failover`` scenario (``repro kv``) on both redundant
-    backend families: the lease-holder kill fails over after a
+    """The ``kv_failover`` scenario (``repro run kv_failover``) on both
+    redundant backend families: the lease-holder kill fails over after a
     split-brain blackout, failover latency is accounted inside the
     unavailability window, the rejoined member resilvers back to full
     service, no acknowledged write is lost — and a replay is

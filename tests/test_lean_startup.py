@@ -84,7 +84,8 @@ def test_llm_scenarios_page_through_the_batch_engine_without_numpy():
 
 
 @pytest.mark.parametrize("command", [
-    "systems", "kv", "llm", "llm --pd-split 1:1", "figure",
+    "systems", "run", "run kv_failover --once", "run llm_pd --once",
+    "run llm_dilos --once", "figure",
     "figure table2-read --systems dilos-readahead --size 1"])
 def test_cli_command_does_not_load_numpy(command):
     proc = _run(_MAIN, *command.split())

@@ -192,14 +192,6 @@ class TestTracer:
                 raise RuntimeError("boom")
         assert len(tracer) == 1
 
-    def test_clear(self):
-        tracer = Tracer(capacity=1, enabled=True)
-        tracer.instant("a.b", "a", 0.0)
-        tracer.instant("a.b", "a", 1.0)
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.dropped == 0
-
 
 class TestExport:
     def traced(self):

@@ -727,7 +727,7 @@ class TestEndToEndAcceptance:
 
 
 class TestRepairDemo:
-    """The ``repro repair`` lifecycle (the ``repair_demo`` scenario) on
+    """The ``repair_demo`` scenario (``repro run repair_demo``) on
     both redundant backend families: every journaled page resilvered,
     the rejoined member promoted, the injected rot scrubbed, every page
     verified after a second failure — and identical on a replay."""

@@ -4,13 +4,14 @@ accounting, and the end-to-end red/green overload story."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import KIB, MIB
 from repro.core.spec import SystemSpec
-from repro.harness.scenarios import SCENARIOS, preset
+from repro.harness.scenarios import SCENARIOS
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     ARRIVALS,
@@ -395,11 +396,9 @@ class TestServeFrontend:
 class TestServePresets:
     def test_registry_shape(self):
         presets = {name for name, scenario in SCENARIOS.items()
-                   if scenario.command == "serve"}
+                   if scenario.contrast is not None}
         assert presets == {"flash_crowd", "hot_key_skew",
                            "slow_tenant_isolation", "llm_flash_crowd"}
-        with pytest.raises(ValueError, match="unknown serve preset"):
-            preset("serve", "thundering_herd")
 
     def test_naive_override_applies(self):
         scenario = SCENARIOS["flash_crowd"]
@@ -412,31 +411,32 @@ class TestServePresets:
 
     def test_cli_serve_runs_the_preset(self, capsys):
         from repro.cli import main
-        code = main(["serve", "--preset", "flash_crowd",
-                     "--spec", self_spec(), "--once", "--no-contrast"])
+        code = main(["run", "flash_crowd", "--spec", self_spec(), "--once"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "serve.* (canonical metrics)" in out
-        assert "p99 latency (us)" in out
+        assert "serve.shed" in out
+        assert re.search(r"^latency\.p99 +[0-9.]+$", out, re.MULTILINE)
         assert "request-trace digest" in out
+        assert "preset vs naive" not in out  # --once skips the contrast
 
     def test_cli_serve_rejects_unknown_preset(self, capsys):
         from repro.cli import main
-        assert main(["serve", "--preset", "nope", "--once"]) == 2
+        assert main(["run", "thundering_herd", "--once"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_cli_contrast_applies_on_top_of_spec(self, capsys):
         """Regression: ``--spec`` used to replace the naive run's spec
         wholesale, so the "no admission" column repeated the preset's
         admission-controlled numbers."""
         from repro.cli import main
-        assert main(["serve", "--preset", "flash_crowd", "--once",
-                     "--spec", self_spec()]) == 0
-        table = capsys.readouterr().out.split(
-            "preset vs naive (no admission)")[1]
+        assert main(["run", "flash_crowd", "--spec", self_spec()]) == 0
+        out = capsys.readouterr().out
+        table = out.split("report: preset vs naive (no admission)")[1]
         shed = next(line.split() for line in table.splitlines()
                     if line.startswith("shed"))
         assert int(shed[1]) > 0
         assert shed[2] == "0"
+        assert "determinism: OK" in out
 
 
 def replayed(name):

@@ -7,9 +7,9 @@ from repro.core.spec import SystemSpec
 from repro.harness.scenarios import (
     SCENARIOS,
     kmeans_tenant,
-    preset,
     redis_get_tenant,
     seqread_tenant,
+    tenant_mix,
 )
 from repro.mem.pool import PooledMemory
 from repro.mem.remote import MemoryNode
@@ -161,38 +161,53 @@ class TestMergedMetrics:
 
 class TestScenarioPresets:
     def test_presets_listed(self):
-        assert SCENARIOS["kmeans+redis"].command == "tenants"
+        assert SCENARIOS["kmeans+redis"].builder is tenant_mix
         for scenario in SCENARIOS.values():
             assert scenario.description and callable(scenario.builder)
 
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError, match="unknown tenants preset"):
-            preset("tenants", "nope")
-        with pytest.raises(ValueError, match="unknown tenants preset"):
-            preset("tenants", "flash_crowd")  # a serve preset
+    def test_unknown_scenario_raises(self, capsys):
+        """``repro run`` refuses a name the registry lacks, and a tenancy
+        preset refuses an override its builder does not take (a serve
+        spec)."""
+        from repro.cli import main
+        assert main(["run", "nope"]) == 2
+        assert main(["run", "stream-duo", "--spec",
+                     "poisson:rate=1k,requests=10", "--once"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: unknown scenario 'nope'")
+        assert err[1].startswith("error:") and "serve" in err[1]
 
     def test_kmeans_redis_two_tenant_determinism(self):
         """The acceptance scenario: kmeans + redis on shared sharded:2 is
         deterministic (same seed => same merged digest) and reports
         per-tenant fault/prefetch/net metrics plus aggregate counters."""
-        snap = preset("tenants", "kmeans+redis").build().report
+        run = SCENARIOS["kmeans+redis"].build()
+        snap = run.target.metrics()
         for tenant in ("kmeans", "redis"):
             assert snap.value(f"tenant.{tenant}.fault.major") > 0
             assert snap.value(f"tenant.{tenant}.prefetch.issued") > 0
             assert snap.value(f"tenant.{tenant}.net.bytes_read") > 0
+            assert run.report[tenant]["done"]
         assert snap.value("cluster.quanta") > 2  # genuinely interleaved
+        assert sum(row["quanta"] for row in run.report.values()) == \
+            snap.value("cluster.quanta")
         assert snap.value("backend.free_slots") < \
             snap.value("backend.total_slots")
-        second = preset("tenants", "kmeans+redis").build().report
-        assert second.digest() == snap.digest()
+        second = SCENARIOS["kmeans+redis"].build()
+        assert second.digest() == run.digest()
+        assert second.report == run.report
 
     def test_scenario_overrides(self):
-        cluster = preset("tenants", "stream-duo").build(
+        run = SCENARIOS["stream-duo"].build(
             backend="sharded:2", quantum_us=50.0, kind="fastswap",
-            max_quanta=1).target
+            max_quanta=1)
+        cluster = run.target
         assert cluster.backend_label == "sharded:2"
         assert cluster.quantum_us == 50.0
         assert cluster.tenants[0].spec.kind == "fastswap"
+        assert run.report["stream_a"]["quanta"] == 1
+        assert run.report["stream_b"]["quanta"] == 0
+        assert not run.report["stream_a"]["done"]
 
     @pytest.mark.parametrize("workload_factory", [
         kmeans_tenant(n_points=2048), redis_get_tenant(n_keys=50,

@@ -135,6 +135,39 @@ class TestReplay:
         fast = trace.replay(make_system("fastswap", 1 * MIB))
         assert dilos.extra["replay_us"] < fast.extra["replay_us"]
 
+    def test_touch_is_recorded(self):
+        """``touch`` is logged, not forwarded unrecorded to the VM: every
+        page it first-touches faults again on replay."""
+        system = make_system("dilos-readahead", 1 * MIB)
+        recorder = TraceRecorder(system)
+        region = system.mmap(8 * PAGE_SIZE, name="touched")
+        system.memory.write(region.base, b"w")
+        system.memory.touch(region.base, region.size)
+        trace = recorder.finish()
+        assert [e.op for e in trace.events] == ["write", "touch"]
+        metrics = trace.replay(make_system("dilos-readahead", 1 * MIB))
+        assert metrics.value("fault.first_touch") == 8
+
+    @pytest.mark.parametrize("kind", ["dilos-readahead", "fastswap"])
+    def test_freed_regions_replay(self, kind, tmp_path):
+        """An LLM run frees every sequence's KV cache: the trace keeps
+        the freed regions in its layout and replays each ``munmap``, so
+        the replay first-touches what the recording did."""
+        from repro.apps.llm import LlmWorkload
+
+        source = make_system("dilos-readahead", 1 * MIB)
+        recorder = TraceRecorder(source)
+        LlmWorkload(n_requests=2, seed=31).run(source)
+        trace = recorder.finish()
+        assert source.addr_space.regions() == []
+        assert [e.op for e in trace.events].count("munmap") == \
+            len(trace.regions) == 2
+        path = tmp_path / "llm.trace"
+        trace.save(path)
+        metrics = Trace.load(path).replay(make_system(kind, 1 * MIB))
+        assert metrics.value("fault.first_touch") == \
+            source.metrics().value("fault.first_touch") > 0
+
     def test_bad_op_rejected(self):
         trace = Trace([(PAGE_SIZE, True, "r")],
                       [TraceEvent("jump", 0x10000000, 8, 0.0)])
